@@ -262,56 +262,36 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
     return report
 
 
-def _iter_y_rows_exact(lam):
-    """Yield rows [Y_0^(j), ..., Y_j^(j)] of exact Fractions for j = 0, 1, ...
+def _iter_y_rows(a, b):
+    """Yield (Z^(j), Z^(j-1)) for j = 0, 1, ..., where Z^(j) = b^j * Y^(j)(a/b).
 
-    Built by the order recurrence
-        Y_m^(j) = lam*(Y_{|m-1|}^(j-1) + Y_{m+1}^(j-1)) - Y_m^(j-2),
-    with out-of-range entries zero.  Entries at parity-mismatched m are
-    exact zeros.  Agrees with ``y_poly`` term for term; the recurrence
-    costs O(j) per row instead of O(j^2).
+    Row j is an ndarray [Z_0^(j), ..., Z_j^(j)] and row -1 is empty.  The
+    scaled rows obey the order recurrence
+
+        Z_m^(j) = a*(Z_{|m-1|}^(j-1) + Z_{m+1}^(j-1)) - b^2 * Z_m^(j-2),
+
+    with out-of-range entries zero, so they cost O(j) per row instead of
+    the O(j^2) series of ``y_poly``.  With Python ints a, b (lam = a/b,
+    e.g. from ``Fraction(lam)``, which is exact for a float) the rows hold
+    exact integers; with a float a and b = 1.0 they are plain float64 Y rows,
+    whose rounding grows mildly with j.
     """
-    lam = _as_fraction(lam)
-    zero = Fraction(0)
-    prev2: list[Fraction] = []   # row j-2
-    prev: list[Fraction] = []    # row j-1
+    dtype = float if isinstance(a, float) else object
+    b2 = b * b
+    prev2 = np.zeros(0, dtype)
+    prev = np.zeros(0, dtype)
     j = 0
     while True:
+        row = np.zeros(j + 1, dtype)
         if j == 0:
-            row = [Fraction(1)]
+            row[0] = 1
         else:
-            row = []
-            for m in range(j + 1):
-                left = prev[abs(m - 1)] if abs(m - 1) < j else zero
-                right = prev[m + 1] if m + 1 < j else zero
-                below = prev2[m] if m < len(prev2) else zero
-                row.append(lam * (left + right) - below)
-        yield row
-        prev2, prev = prev, row
-        j += 1
-
-
-def _iter_y_rows_float(lam: float):
-    """Float64/numpy version of ``_iter_y_rows_exact`` for plot-scale work.
-
-    Row j is an ndarray of length j+1.  Rounding grows mildly with j; use
-    the exact iterator wherever a tolerance tighter than ~1e-9 matters.
-    """
-    lam = float(lam)
-    prev2 = np.zeros(0)
-    prev = np.zeros(0)
-    j = 0
-    while True:
-        row = np.zeros(j + 1)
-        if j == 0:
-            row[0] = 1.0
-        else:
-            row[1:] = prev                      # left neighbor Y_{m-1}, m >= 1
+            row[1:] = prev                      # left neighbor Z_{m-1}, m >= 1
             if j >= 2:
-                row[0] = prev[1]                # left neighbor Y_{|0-1|} = Y_1
-            row[: j - 1] += prev[1:]            # right neighbor Y_{m+1}
-            row *= lam
-            row[: j - 1] -= prev2
-        yield row
+                row[0] = prev[1]                # left neighbor Z_{|0-1|} = Z_1
+            row[: j - 1] += prev[1:]            # right neighbor Z_{m+1}
+            row *= a
+            row[: j - 1] -= b2 * prev2
+        yield row, prev
         prev2, prev = prev, row
         j += 1

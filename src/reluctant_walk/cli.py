@@ -18,11 +18,12 @@ import math
 import os
 import sys
 import tempfile
+from itertools import islice
 
 import numpy as np
 
 from . import __version__
-from .chebyshev import chebyshev_identity_suite, _iter_y_rows_float
+from .chebyshev import chebyshev_identity_suite, _iter_y_rows
 from .estimation import (
     EstimateResult,
     TrialDataset,
@@ -39,6 +40,10 @@ from .pmf import (
     pmf_full,
     pmf_point,
     iter_pmf_full,
+    _PMF_COLUMNS,
+    _csv_text,
+    _pmf_rows,
+    _probabilities,
 )
 from .sampling import (
     data_box_experiment,
@@ -95,18 +100,6 @@ def _stamp(command: str, seed, extra: dict | None = None) -> dict:
     return meta
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
-
-
 def _json_value(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -124,12 +117,8 @@ def _write_report(outdir: str, stem: str, columns, rows, meta: dict,
     The JSON mirror defaults to {meta, rows}; ``json_obj`` replaces it for
     commands with a richer result structure.
     """
-    lines = [f"# {key}: {value}" for key, value in meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in columns))
     csv_path = os.path.join(outdir, stem + ".csv")
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _atomic_write(csv_path, _csv_text(meta, columns, rows))
 
     if json_obj is None:
         json_obj = {"meta": meta,
@@ -142,14 +131,7 @@ def _write_report(outdir: str, stem: str, columns, rows, meta: dict,
 def _coin_from_args(args) -> CoinParameter:
     if args.theta is not None:
         return CoinParameter(args.theta)
-    if abs(args.lam) > 1:
-        raise ValueError(f"--lambda must lie in [-1, 1], got {args.lam}")
     return CoinParameter.from_lambda(args.lam)
-
-
-def _pmf_rows(pmf: Pmf) -> list[dict]:
-    return [{"k": pmf.k, "d": d, "r": d / pmf.k, "lambda": pmf.lam, "p": p}
-            for d, p in pmf.table.items()]
 
 
 # ---------------------------------------------------------------- commands
@@ -162,7 +144,7 @@ def cmd_pmf(args) -> int:
                                      "theta": format_float(coin.theta),
                                      "axis": "analytic"})
     paths = _write_report(_outdir(args), args.output or "pmf",
-                          ["k", "d", "r", "lambda", "p"], _pmf_rows(pmf), meta)
+                          _PMF_COLUMNS, _pmf_rows(pmf), meta)
     print(f"pmf: k={args.k} lambda={format_float(coin.lam)} "
           f"({len(pmf.table)} rows) -> {paths[0]}, {paths[1]}")
     return EXIT_OK
@@ -177,7 +159,7 @@ def cmd_simulate(args) -> int:
                                           "theta": format_float(coin.theta),
                                           "start": args.start, "axis": "simulator"})
     paths = _write_report(_outdir(args), args.output or "simulate",
-                          ["k", "d", "r", "lambda", "p"], _pmf_rows(pmf), meta)
+                          _PMF_COLUMNS, _pmf_rows(pmf), meta)
     print(f"simulate: k={args.k} start={args.start} "
           f"({len(table)} rows) -> {paths[0]}, {paths[1]}")
     return EXIT_OK
@@ -333,24 +315,12 @@ def _fig2_rows(which: str, lam_points: int = 201) -> list[dict]:
     rows = []
     for lam in np.linspace(-1.0, 1.0, lam_points):
         lam_f = float(lam)
-        one_minus = 1.0 - lam_f * lam_f
-        row_km2 = None
-        row_km1 = None
-        for j, row in enumerate(_iter_y_rows_float(lam_f)):
-            k = j + 1  # the row for step k needs Y rows k-1 and k-2
-            row_km2, row_km1 = row_km1, row
+        # step k reads Y rows k-1 and k-2, which the k-th pair holds
+        for k, y_rows in enumerate(islice(_iter_y_rows(lam_f, 1.0), FIG2_KS[-1]), start=1):
             if k in FIG2_KS:
                 d = 0 if which == "fig2a" else k // 4
-
-                def y(source, m):
-                    m = abs(m)
-                    return source[m] if source is not None and m < len(source) else 0.0
-
-                p = (one_minus * y(row_km1, d - 1) ** 2
-                     + (y(row_km2, d) - lam_f * y(row_km1, d + 1)) ** 2)
-                rows.append({"k": k, "lambda": lam_f, "p": float(p)})
-            if k >= FIG2_KS[-1]:
-                break
+                (p,) = _probabilities(k, lam_f, 1.0, y_rows, [d])
+                rows.append({"k": k, "lambda": lam_f, "p": p})
     return rows
 
 

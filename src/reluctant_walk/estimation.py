@@ -191,9 +191,7 @@ class LikelihoodCurve:
 
 def likelihood_curve(data: TrialDataset, theta_range=(0.0, math.pi / 2),
                      grid_size: int = 601) -> LikelihoodCurve:
-    lo, hi = _check_range(theta_range, grid_size)
-    thetas = np.linspace(lo, hi, grid_size)
-    ll = np.array([log_likelihood(data, float(t)) for t in thetas])
+    thetas, ll = _scan(data, theta_range, grid_size)
     finite = np.isfinite(ll)
     if finite.any():
         masked = np.where(finite, ll, -np.inf)
@@ -248,13 +246,21 @@ class EstimateResult:
         }
 
 
-def _check_range(theta_range, grid_size):
+def _scan(data: TrialDataset, theta_range, grid_size):
+    """The even theta grid over ``theta_range`` and the log-likelihood on it."""
     lo, hi = float(theta_range[0]), float(theta_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid theta range {theta_range}")
     if grid_size < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
-    return lo, hi
+    thetas = np.linspace(lo, hi, grid_size)
+    return thetas, np.array([log_likelihood(data, float(t)) for t in thetas])
+
+
+def _flat_result(data: TrialDataset) -> EstimateResult:
+    return EstimateResult(math.nan, math.nan, -math.inf, math.nan, math.nan,
+                          (), ("flat_likelihood",), data.kind, data.k,
+                          data.trials, data.seed)
 
 
 def _curvature(fun: Callable[[float], float], x: float, h: float = _FD_STEP) -> float:
@@ -316,17 +322,14 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
         return _estimate_from_returns(data)
     if not data.positions:
         raise ValueError("cannot estimate from an empty dataset")
-    lo, hi = _check_range(theta_range, grid_size)
     fun = lambda t: log_likelihood(data, t)
-    thetas = np.linspace(lo, hi, grid_size)
-    ll = np.array([fun(float(t)) for t in thetas])
+    thetas, ll = _scan(data, theta_range, grid_size)
+    lo, hi = float(thetas[0]), float(thetas[-1])
     spacing = (hi - lo) / (grid_size - 1)
 
     finite = np.isfinite(ll)
     if not finite.any():
-        return EstimateResult(math.nan, math.nan, -math.inf, math.nan, math.nan,
-                              (), ("flat_likelihood",), data.kind, data.k,
-                              data.trials, data.seed)
+        return _flat_result(data)
     gmax = float(ll[finite].max())
     flags = []
     if gmax - float(ll[finite].min()) < _FLAT_TOL:
@@ -356,9 +359,7 @@ def _estimate_from_returns(data: TrialDataset) -> EstimateResult:
     if not roots:
         # q(lam) is continuous with q(0)=1 and q(1)=0, so every frequency
         # in [0,1] is attained; an empty list is a resolution failure
-        return EstimateResult(math.nan, math.nan, -math.inf, math.nan, math.nan,
-                              (), ("flat_likelihood",), data.kind, data.k,
-                              data.trials, data.seed)
+        return _flat_result(data)
     thetas = sorted(math.acos(max(min(r, 1.0), -1.0)) for r in roots)
     best_theta, best_ll = thetas[0], fun(thetas[0])
     for theta in thetas[1:]:

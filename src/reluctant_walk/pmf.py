@@ -18,17 +18,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 from typing import Iterator
 
-from .chebyshev import (
-    hyp2f1_terminating,
-    y_poly,
-    _iter_y_rows_exact,
-    _iter_y_rows_float,
-)
+import numpy as np
+
+from .chebyshev import hyp2f1_terminating, y_poly, _iter_y_rows
 
 __all__ = [
     "CONVENTION_SIGMA",
@@ -93,22 +91,66 @@ class Pmf:
         return math.sqrt(self.variance())
 
 
-def _clamp(p, clamp: bool):
-    if not clamp or isinstance(p, Fraction):
+def _clamp(p):
+    """Clip a float probability into [0, 1]; Fractions pass through."""
+    if isinstance(p, Fraction):
         return p
-    if p < -_CLAMP_TOL or p > 1.0 + _CLAMP_TOL:
+    if not -_CLAMP_TOL <= p <= 1.0 + _CLAMP_TOL:
         raise ValueError(f"probability {p} outside [0, 1] beyond clamp tolerance")
     return min(max(p, 0.0), 1.0)
 
 
 def _validate_k_lam(k: int, lam) -> None:
-    if k < 1:
-        raise ValueError(f"step count must be >= 1, got {k}")
-    if abs(lam) > 1:
-        raise ValueError(f"|lam| must be <= 1, got {lam}")
+    if isinstance(k, bool) or k < 1:
+        raise ValueError(f"step count must be an integer >= 1, got {k!r}")
+    if not abs(lam) <= 1:
+        raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
 
 
-def pmf_point(k: int, d: int, lam, clamp: bool = True):
+def _ratio(lam, exact: bool = True):
+    """lam as a/b: exact Python ints from ``Fraction(lam)``, else (lam, 1.0)."""
+    if not exact:
+        return float(lam), 1.0
+    q = Fraction(lam)
+    return q.numerator, q.denominator
+
+
+def _rows_for(k: int, a, b):
+    """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads."""
+    return next(islice(_iter_y_rows(a, b), k - 1, None))
+
+
+def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> list:
+    """p(d; k, a/b) for each parity-valid ``d`` in ``ds``, from scaled rows.
+
+    With Z = b^j * Y^(j)(a/b) taken from ``rows`` = (Z^(k-1), Z^(k-2)),
+
+        p = [(b^2 - a^2) * Z_{|d-1|}^(k-1)^2
+             + (b^2 * Z_{|d|}^(k-2) - a * Z_{|d+1|}^(k-1))^2] / b^(2k)
+
+    which is (1 - lam^2) * (Y_{|d-1|}^(k-1))^2 + (Y_{|d|}^(k-2) - lam *
+    Y_{|d+1|}^(k-1))^2.  Row k-2 is empty at k = 1, which leaves p(-1) =
+    lam^2 and p(1) = 1 - lam^2.  Integer rows give the integer numerator,
+    so each float is its exact rational correctly rounded (``rational``
+    returns the Fractions instead); float rows give a plain float64
+    evaluation.
+    """
+    row_km1, row_km2 = rows
+    ds = np.asarray(ds)
+    z1 = np.zeros(k + 2, row_km1.dtype)     # |d +- 1| <= k + 1
+    z1[:k] = row_km1
+    z2 = np.zeros(k + 2, row_km2.dtype)
+    z2[:k - 1] = row_km2
+    z_a, z_b, z_c = z1[abs(ds - 1)], z2[abs(ds)], z1[abs(ds + 1)]
+    b2 = b * b
+    num = (b2 - a * a) * z_a * z_a + (b2 * z_b - a * z_c) ** 2
+    den = b ** (2 * k)
+    if rational:
+        return [Fraction(n, den) for n in num.tolist()]
+    return [_clamp(n / den) for n in num.tolist()]
+
+
+def pmf_point(k: int, d: int, lam):
     """Probability of displacement ``d`` after ``k`` steps, coin parameter lam.
 
     Evaluates
@@ -116,27 +158,22 @@ def pmf_point(k: int, d: int, lam, clamp: bool = True):
         p = (1 - lam^2) * (Y_{|d-1|}^(k-1))^2
             + (Y_{|d|}^(k-2) - lam * Y_{|d+1|}^(k-1))^2
 
-    which is exact for k >= 2; k = 1 is the two-site special case
-    p(-1) = lam^2, p(+1) = 1 - lam^2 (the k-2 row does not exist there).
+    from the exact integer rows of lam = a/b, with Y^(-1) = 0 at k = 1.
     Zero off the parity-valid support.  A Fraction ``lam`` gives the exact
-    rational probability.
+    rational probability; a float ``lam`` gives that rational correctly
+    rounded.
     """
     _validate_k_lam(k, lam)
     d = int(d)
     exact = isinstance(lam, Fraction)
     if abs(d) > k or (k - d) % 2:
         return Fraction(0) if exact else 0.0
-    if k == 1:
-        val = lam * lam if d == -1 else 1 - lam * lam
-        return _clamp(val, clamp)
-    y_a = y_poly(abs(d - 1), k - 1, lam)
-    y_b = y_poly(abs(d), k - 2, lam)
-    y_c = y_poly(abs(d + 1), k - 1, lam)
-    val = (1 - lam * lam) * y_a * y_a + (y_b - lam * y_c) ** 2
-    return _clamp(val, clamp)
+    a, b = _ratio(lam)
+    (p,) = _probabilities(k, a, b, _rows_for(k, a, b), [d], rational=exact)
+    return p
 
 
-def pmf_point_cosine_form(k: int, d: int, lam, clamp: bool = True):
+def pmf_point_cosine_form(k: int, d: int, lam):
     """Law-of-cosines form of the pmf.
 
     p = (Y_{|d|}^(k))^2 + (Y_{|d-1|}^(k-1))^2
@@ -155,7 +192,7 @@ def pmf_point_cosine_form(k: int, d: int, lam, clamp: bool = True):
     y_k = y_poly(abs(d), k, lam)
     y_km1 = y_poly(abs(d - 1), k - 1, lam)
     val = y_k * y_k + y_km1 * y_km1 - 2 * lam * y_k * y_km1
-    return _clamp(val, clamp)
+    return _clamp(val)
 
 
 def _y_via_2f1(m: int, j: int, lam_q: Fraction) -> Fraction:
@@ -175,7 +212,7 @@ def _y_via_2f1(m: int, j: int, lam_q: Fraction) -> Fraction:
     return lam_q**j * comb(j, (j + m) // 2) * f
 
 
-def pmf_even_closed(k2: int, d2: int, lam, clamp: bool = True):
+def pmf_even_closed(k2: int, d2: int, lam):
     """Even-step pmf through the hypergeometric product form.
 
     Same quantity as ``pmf_point(k2, d2, lam)`` but with every Y factor
@@ -191,65 +228,40 @@ def pmf_even_closed(k2: int, d2: int, lam, clamp: bool = True):
     if abs(d2) > k2:
         return Fraction(0) if exact else 0.0
     if abs(lam) < _EVEN_CLOSED_LAMBDA_FLOOR:
-        return pmf_point(k2, d2, lam, clamp=clamp)
+        return pmf_point(k2, d2, lam)
     lam_q = lam if exact else Fraction(lam)
     y_a = _y_via_2f1(d2 - 1, k2 - 1, lam_q)
     y_b = _y_via_2f1(d2, k2 - 2, lam_q)
     y_c = _y_via_2f1(d2 + 1, k2 - 1, lam_q)
     val = (1 - lam_q * lam_q) * y_a * y_a + (y_b - lam_q * y_c) ** 2
-    return _clamp(val if exact else float(val), clamp)
+    return _clamp(val if exact else float(val))
 
 
-def _row_get(row, m: int):
-    m = abs(m)
-    return row[m] if m < len(row) else 0
+def _table(k: int, lam, a, b, rows) -> Pmf:
+    ds = range(-k, k + 1, 2)
+    return Pmf(k, dict(zip(ds, _probabilities(k, a, b, rows, ds))), lam=float(lam))
 
 
-def _table_from_rows(k: int, lam, row_km1, row_km2, clamp: bool) -> dict[int, float]:
-    lam_f = float(lam)
-    one_minus = 1.0 - lam_f * lam_f
-    table: dict[int, float] = {}
-    for d in range(-k, k + 1, 2):
-        y_a = float(_row_get(row_km1, d - 1))
-        y_b = float(_row_get(row_km2, d))
-        y_c = float(_row_get(row_km1, d + 1))
-        p = one_minus * y_a * y_a + (y_b - lam_f * y_c) ** 2
-        table[d] = _clamp(p, clamp)
-    return table
-
-
-def iter_pmf_full(lam, k_max: int, exact: bool = True, clamp: bool = True) -> Iterator[Pmf]:
+def iter_pmf_full(lam, k_max: int, exact: bool = True) -> Iterator[Pmf]:
     """Yield the full pmf for k = 1, 2, ..., k_max.
 
     Shares one rolling pass over the Y recurrence rows, so a whole k-grid
-    costs the same as the single largest k.  ``exact=True`` builds the
-    rows in rational arithmetic (floats only in the final combination);
-    ``exact=False`` uses the float64 rows, adequate to ~1e-12 and much
-    faster for plot-scale sweeps.
+    costs the same as the single largest k.  ``exact=True`` runs the rows
+    on the exact integers of lam = a/b, so every entry is its exact
+    rational correctly rounded; ``exact=False`` uses float64 rows,
+    adequate to ~1e-12 and much faster for plot-scale sweeps.
     """
-    _validate_k_lam(1, lam)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lam_f = float(lam)
-    rows = _iter_y_rows_exact(lam if isinstance(lam, Fraction) else Fraction(lam)) \
-        if exact else _iter_y_rows_float(lam_f)
-    row_km2: list | None = None
-    row_km1 = next(rows)  # row 0
-    # k = 1: the k-2 row does not exist; emit the two-site case directly
-    p_minus = lam_f * lam_f
-    yield Pmf(1, {-1: _clamp(p_minus, clamp), 1: _clamp(1.0 - p_minus, clamp)}, lam=lam_f)
-    for k in range(2, k_max + 1):
-        row_km2, row_km1 = row_km1, next(rows)  # rows k-2 and k-1
-        yield Pmf(k, _table_from_rows(k, lam_f, row_km1, row_km2, clamp), lam=lam_f)
+    _validate_k_lam(k_max, lam)
+    a, b = _ratio(lam, exact)
+    for k, rows in enumerate(islice(_iter_y_rows(a, b), k_max), start=1):
+        yield _table(k, lam, a, b, rows)
 
 
-def pmf_full(k: int, lam, exact: bool = True, clamp: bool = True) -> Pmf:
+def pmf_full(k: int, lam, exact: bool = True) -> Pmf:
     """Full displacement table after ``k`` steps; normalized by construction."""
     _validate_k_lam(k, lam)
-    for pmf in iter_pmf_full(lam, k, exact=exact, clamp=clamp):
-        if pmf.k == k:
-            return pmf
-    raise AssertionError("unreachable")
+    a, b = _ratio(lam, exact)
+    return _table(k, lam, a, b, _rows_for(k, a, b))
 
 
 def reluctance_profile(k: int, lam, exact: bool = True) -> list[tuple[float, float]]:
@@ -263,27 +275,51 @@ def format_float(x) -> str:
     return "%.17g" % float(x)
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return format_float(value)
+    return str(value)
+
+
+def _csv_text(meta: dict | None, columns, rows) -> str:
+    """``# key: value`` stamps, then the column header, then one line per row.
+
+    Each row maps column name to value; cells go through ``_cell``.  LF
+    line endings, 17-significant-digit decimals.
+    """
+    lines = [f"# {key}: {value}" for key, value in (meta or {}).items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_cell(row[c]) for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_PMF_COLUMNS = ("k", "d", "r", "lambda", "p")
+
+
+def _pmf_rows(pmf: Pmf) -> list[dict]:
+    return [{"k": pmf.k, "d": d, "r": d / pmf.k, "lambda": pmf.lam, "p": p}
+            for d, p in pmf.table.items()]
+
+
 def pmf_to_csv(pmf: Pmf, meta: dict | None = None) -> str:
     """Render a pmf as CSV with columns (k, d, r, lambda, p).
 
     Optional ``meta`` entries become leading ``# key: value`` comment
     lines.  LF line endings, 17-significant-digit decimals.
     """
-    buf = io.StringIO()
-    for key, value in (meta or {}).items():
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "d", "r", "lambda", "p"])
-    lam_text = "" if pmf.lam is None else format_float(pmf.lam)
-    for d, p in pmf.table.items():
-        writer.writerow([pmf.k, d, format_float(d / pmf.k), lam_text, format_float(p)])
-    return buf.getvalue()
+    return _csv_text(meta, _PMF_COLUMNS, _pmf_rows(pmf))
 
 
 def pmf_from_csv(text: str) -> Pmf:
     """Parse ``pmf_to_csv`` output back into a Pmf."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
-    if not rows or rows[0] != ["k", "d", "r", "lambda", "p"]:
+    if not rows or rows[0] != list(_PMF_COLUMNS):
         raise ValueError("not a pmf table: missing 'k,d,r,lambda,p' header")
     k = None
     lam = None

@@ -42,6 +42,8 @@ class CoinParameter:
     theta: float
 
     def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         t = math.remainder(self.theta, math.tau)
         if t == math.pi:
             t = -math.pi
@@ -50,8 +52,8 @@ class CoinParameter:
     @classmethod
     def from_lambda(cls, lam: float) -> "CoinParameter":
         """Coin with the given lam = cos(theta), taking theta = acos(lam) in [0, pi]."""
-        if abs(lam) > 1:
-            raise ValueError(f"|lam| must be <= 1, got {lam}")
+        if not abs(lam) <= 1:
+            raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
         return cls(math.acos(lam))
 
     @property

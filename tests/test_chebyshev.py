@@ -13,8 +13,7 @@ from reluctant_walk.chebyshev import (
     y_poly_quadrature,
     hyp2f1_terminating,
     chebyshev_identity_suite,
-    _iter_y_rows_exact,
-    _iter_y_rows_float,
+    _iter_y_rows,
 )
 
 
@@ -237,15 +236,16 @@ def test_identity_suite_rejects_bad_args():
 
 def test_exact_rows_match_series():
     lam = Fraction(19, 20)
-    rows = _iter_y_rows_exact(lam)
+    rows = _iter_y_rows(19, 20)
     for j in range(31):
-        row = next(rows)
-        assert row == [y_poly(m, j, lam) for m in range(j + 1)]
+        row, _ = next(rows)
+        assert [Fraction(z, 20**j) for z in row] == [y_poly(m, j, lam) for m in range(j + 1)]
 
 
 def test_float_rows_track_exact_rows():
-    exact = _iter_y_rows_exact(Fraction(19, 20))
-    approx = _iter_y_rows_float(0.95)
+    exact = _iter_y_rows(19, 20)
+    approx = _iter_y_rows(0.95, 1.0)
     for j in range(101):
-        re_, rf = next(exact), next(approx)
-        assert_allclose(rf, [float(v) for v in re_], atol=1e-12)
+        (re_, _), (rf, _) = next(exact), next(approx)
+        assert rf.dtype == np.float64
+        assert_allclose(rf, [z / 20**j for z in re_], atol=1e-12)

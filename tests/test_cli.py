@@ -77,6 +77,15 @@ def test_pmf_rejects_out_of_range_lambda(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
 
 
+def test_nan_coin_exits_two_and_writes_nothing(tmp_path, capsys):
+    assert main(["pmf", "--k", "4", "--lambda", "nan", "--fast",
+                 "--outdir", str(tmp_path)]) == 2
+    assert main(["simulate", "--k", "4", "--theta", "nan",
+                 "--outdir", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    capsys.readouterr()
+
+
 def test_pmf_requires_a_coin_flag(tmp_path, capsys):
     assert main(["pmf", "--k", "2", "--outdir", str(tmp_path)]) == 2
     capsys.readouterr()

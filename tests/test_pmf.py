@@ -145,6 +145,27 @@ def test_argument_validation():
         list(iter_pmf_full(0.5, 0))
 
 
+def test_nan_lam_and_bool_k_rejected():
+    with pytest.raises(ValueError):
+        pmf_full(True, 0.5)
+    with pytest.raises(ValueError):
+        pmf_point(4, 0, math.nan)
+    with pytest.raises(ValueError):
+        pmf_full(4, math.nan, exact=False)
+    with pytest.raises(ValueError):
+        list(iter_pmf_full(math.nan, 3))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.35, 0.6, 0.8, 0.95, -0.6])
+@pytest.mark.parametrize("k", [1, 2, 10, 30, 60])
+def test_exact_entries_are_correctly_rounded(k, lam):
+    table = pmf_full(k, lam).table
+    for d in range(-k, k + 1, 2):
+        want = float(pmf_point(k, d, Fraction(lam)))
+        assert table[d] == want, (k, lam, d)
+        assert pmf_point(k, d, lam) == want, (k, lam, d)
+
+
 def test_moment_helpers():
     pmf = pmf_full(1, 0.5)
     assert pmf.mean() == pytest.approx(1 - 2 * 0.25)

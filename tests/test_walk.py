@@ -42,6 +42,14 @@ def test_from_lambda():
         CoinParameter.from_lambda(1.5)
 
 
+def test_non_finite_coin_rejected():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            CoinParameter(theta)
+    with pytest.raises(ValueError):
+        CoinParameter.from_lambda(math.nan)
+
+
 def test_coin_matrix_is_rotation():
     m = coin_matrix(CoinParameter(THETA))
     assert_allclose(m.T @ m, np.eye(2), atol=1e-15)
