@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -100,9 +101,14 @@ def _clamp(p):
     return min(max(p, 0.0), 1.0)
 
 
+def _check_steps(k, minimum: int = 1) -> None:
+    """Reject a step count that is not an integer >= minimum; a bool is not one."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < minimum:
+        raise ValueError(f"step count must be an integer >= {minimum}, got {k!r}")
+
+
 def _validate_k_lam(k: int, lam) -> None:
-    if isinstance(k, bool) or k < 1:
-        raise ValueError(f"step count must be an integer >= 1, got {k!r}")
+    _check_steps(k)
     if not abs(lam) <= 1:
         raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
 

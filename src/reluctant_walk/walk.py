@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import chebyshev_u
-from .pmf import Pmf
+from .pmf import Pmf, _check_steps
 
 __all__ = [
     "CoinParameter",
@@ -153,8 +153,7 @@ def step(state: WalkState, p: CoinParameter) -> WalkState:
 
 def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     """Apply ``steps`` walk steps (steps >= 0)."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_steps(steps, minimum=0)
     for _ in range(steps):
         state = step(state, p)
     return state
@@ -191,8 +190,7 @@ def kernel_power(phi: float, p: CoinParameter, k: int) -> np.ndarray:
     U_n the Chebyshev polynomials of the second kind.  No matrix powers
     are taken; this is the closed form the Kraus pair is built from.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_steps(k, minimum=0)
     if k == 0:
         return np.eye(2, dtype=np.complex128)
     xi = p.lam * math.cos(phi)
@@ -211,8 +209,7 @@ def kraus_kernels(phi, p: CoinParameter, k: int):
     of M^k for a coin-0 input; |A_k|^2 + |B_k|^2 = 1 pointwise.  ``phi``
     may be a scalar or an array.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_steps(k)
     phi = np.asarray(phi, dtype=float)
     xi = p.lam * np.cos(phi)
     u1 = chebyshev_u(k - 1, xi)
@@ -222,50 +219,53 @@ def kraus_kernels(phi, p: CoinParameter, k: int):
     return a, b
 
 
-def return_probability_kraus(p: CoinParameter, k: int, resolution: int | None = None) -> float:
+def _momentum_grid(support: int) -> np.ndarray:
+    """Nodes 2 pi j / R of the periodic trapezoid rule, R the smallest power
+    of two >= support.  A trigonometric polynomial whose frequencies lie in
+    ``support`` consecutive integers is recovered from them exactly.
+    """
+    r = 1 << int(support - 1).bit_length()
+    return 2.0 * math.pi * np.arange(r) / r
+
+
+def return_probability_kraus(p: CoinParameter, k: int) -> float:
     """Probability of finding the walker back at its start site after k steps.
 
-    Integrates the Kraus pair over momentum with the periodic trapezoid
-    rule; the integrands are trigonometric polynomials of degree <= k+1,
-    so the default node count 16*(k+4) is exact to rounding.
+    The return amplitudes are the zero-frequency coefficients of the Kraus
+    pair, taken as means over the channel's momentum grid for one start
+    site (R >= 2k+1 nodes).  A_k and B_k have degree <= k, so the means
+    are exact to rounding.
     """
-    if resolution is None:
-        resolution = 16 * (k + 4)
-    phi = 2.0 * math.pi * np.arange(resolution) / resolution
-    a, b = kraus_kernels(phi, p, k)
-    a0 = np.mean(a)
-    b0 = np.mean(b)
-    return float(abs(a0) ** 2 + abs(b0) ** 2)
+    _check_steps(k)
+    a, b = kraus_kernels(_momentum_grid(2 * k + 1), p, k)
+    return float(abs(np.mean(a)) ** 2 + abs(np.mean(b)) ** 2)
 
 
-def channel_position_pmf(
-    initial: WalkState, p: CoinParameter, steps: int, resolution: int | None = None
-) -> Pmf:
+def channel_position_pmf(initial: WalkState, p: CoinParameter, steps: int) -> Pmf:
     """Position distribution after k steps, computed through the Kraus pair.
 
     Transforms the initial coin-0 wavefunction to the phase basis, applies
-    (A_k, -B_k), and transforms back.  Requires the initial coin register
-    in state |0> (the pair is the coin-0 column of the k-step kernel).
-    Agrees with ``position_pmf(evolve(...))`` on the same position axis;
-    only the analytic forms in ``pmf`` are axis-reflected.
+    (A_k, -B_k), and transforms back, each by one FFT on R momentum nodes,
+    R the smallest power of two >= width + 2k (the output support).  The
+    branches have their frequencies in that support, so this trapezoid rule
+    is exact to rounding, in O(R log R) time and O(R) memory whatever the
+    start site.  Requires the initial coin register in state |0> (the pair
+    is the coin-0 column of the k-step kernel).  Agrees with
+    ``position_pmf(evolve(...))`` on the same position axis; only the
+    analytic forms in ``pmf`` are axis-reflected.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_steps(steps)
     if np.max(np.abs(initial.amps[1])) > 1e-12:
         raise ValueError("channel form requires the coin register in state |0>")
-    lo_out = initial.lo - steps
-    hi_out = initial.lo + initial.width - 1 + steps
-    if resolution is None:
-        resolution = 16 * (steps + max(abs(lo_out), abs(hi_out)) + 4)
-    phi = 2.0 * math.pi * np.arange(resolution) / resolution
-    psi_hat = initial.amps[0] @ np.exp(1j * np.outer(initial.positions, phi))
+    out_positions = np.arange(initial.lo - steps, initial.lo + initial.width + steps)
+    phi = _momentum_grid(out_positions.size)
+    coin0 = np.zeros(phi.size, dtype=np.complex128)
+    coin0[initial.positions % phi.size] = initial.amps[0]
+    # psi_hat / R: ifft carries the 1/R of the trapezoid rule, fft the sum back
+    psi_hat = np.fft.ifft(coin0)
     a_k, b_k = kraus_kernels(phi, p, steps)
-    branch0 = a_k * psi_hat
-    branch1 = -b_k * psi_hat
-    out_positions = np.arange(lo_out, hi_out + 1)
-    back = np.exp(-1j * np.outer(out_positions, phi))
-    psi0 = back @ branch0 / resolution
-    psi1 = back @ branch1 / resolution
+    psi0 = np.fft.fft(a_k * psi_hat)[out_positions % phi.size]
+    psi1 = np.fft.fft(-b_k * psi_hat)[out_positions % phi.size]
     probs = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
     table = {int(m): float(pr) for m, pr in zip(out_positions, probs)}
     return Pmf(initial.k + steps, table, lam=p.lam)

@@ -149,6 +149,8 @@ def test_nan_lam_and_bool_k_rejected():
     with pytest.raises(ValueError):
         pmf_full(True, 0.5)
     with pytest.raises(ValueError):
+        pmf_full(4.0, 0.5)
+    with pytest.raises(ValueError):
         pmf_point(4, 0, math.nan)
     with pytest.raises(ValueError):
         pmf_full(4, math.nan, exact=False)

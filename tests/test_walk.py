@@ -2,6 +2,7 @@
 and agreement between the direct, kernel-power, and Kraus routes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_evolve_zero_and_negative():
         evolve(state, CoinParameter(0.5), -1)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, -1, "3", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: evolve(WalkState.origin(), CoinParameter(0.5), k),
+        lambda k: kernel_power(0.4, CoinParameter(0.5), k),
+        lambda k: kraus_kernels(0.4, CoinParameter(0.5), k),
+        lambda k: return_probability_kraus(CoinParameter(0.5), k),
+        lambda k: channel_position_pmf(WalkState.origin(), CoinParameter(0.5), k),
+    ],
+    ids=["evolve", "kernel_power", "kraus_kernels", "return_probability", "channel"],
+)
+def test_step_count_must_be_an_int(call, bad):
+    with pytest.raises(ValueError, match="step count"):
+        call(bad)
+    call(np.int64(3))
+
+
 def test_position_pmf_totals_one():
     state = evolve(WalkState.origin(), CoinParameter(0.9), 15)
     pmf = position_pmf(state)
@@ -231,3 +250,35 @@ def test_channel_requires_coin0():
         channel_position_pmf(init, CoinParameter(0.5), 3)
     with pytest.raises(ValueError):
         channel_position_pmf(WalkState.origin(), CoinParameter(0.5), 0)
+
+
+_SPREAD = (np.arange(1, 10) - 4.5j) / np.linalg.norm(np.arange(1, 10) - 4.5j)
+
+
+@pytest.mark.parametrize(
+    "init, steps",
+    [
+        (WalkState.origin(), 1000),
+        (WalkState.localized(10_000), 10),
+        (WalkState(0, -4, np.vstack([_SPREAD, np.zeros(9)])), 40),
+    ],
+    ids=["origin-k1000", "far-site", "width9-straddling-origin"],
+)
+def test_channel_wraps_positions_onto_the_grid(init, steps):
+    p = CoinParameter(0.8)
+    channel = channel_position_pmf(init, p, steps)
+    direct = position_pmf(evolve(init, p, steps))
+    assert channel.table.keys() == direct.table.keys()
+    worst = max(abs(channel.table[m] - direct.table[m]) for m in direct.table)
+    assert worst < 1e-12
+
+
+def test_channel_memory_stays_linear():
+    # dense positions x nodes transforms at k=300 would take ~180 MB
+    tracemalloc.start()
+    try:
+        channel_position_pmf(WalkState.origin(), CoinParameter(0.8), 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
