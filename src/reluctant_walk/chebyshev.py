@@ -49,24 +49,20 @@ def chebyshev_u(n, x):
     absolute error below ~4e-15 even for n = 200 near |x| = 1 where U is
     large; plain float64 accumulation would lose two more digits there.
     """
+    return _chebyshev_u_pair(n, x)[0]
+
+
+def _chebyshev_u_pair(n, x):
+    """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass; types as ``chebyshev_u``."""
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
-    if isinstance(x, (float, np.floating)):
-        xl = np.longdouble(x)
-        if n == 0:
-            return 1.0
-        u_prev, u = np.longdouble(1.0), 2 * xl
-        for _ in range(n - 1):
-            u_prev, u = u, 2 * xl * u - u_prev
-        return float(u)
+    scalar = isinstance(x, (float, np.floating))
+    x = np.longdouble(x) if scalar else x
     one = x * 0 + 1
-    if n == 0:
-        return one
-    u_prev = one
-    u = 2 * x
-    for _ in range(n - 1):
+    u_prev, u = one - one, one
+    for _ in range(n):
         u_prev, u = u, 2 * x * u - u_prev
-    return u
+    return (float(u), float(u_prev)) if scalar else (u, u_prev)
 
 
 def _as_fraction(lam) -> Fraction:
@@ -232,8 +228,7 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
     phi = 2.0 * np.pi * np.arange(resolution) / resolution
     cphi = np.cos(phi)
 
-    u_odd = chebyshev_u(2 * r + 1, lam * cphi)
-    u_even = chebyshev_u(2 * r, lam * cphi)
+    u_odd, u_even = _chebyshev_u_pair(2 * r + 1, lam * cphi)
 
     report = {
         "odd_mean": abs(float(np.mean(u_odd))),

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import bisect, minimize_scalar
 
-from .pmf import CONVENTION_SIGMA, pmf_full, pmf_point
+from .pmf import CONVENTION_SIGMA, _check_steps, pmf_full, pmf_point
 from .walk import CoinParameter, WalkState, channel_position_pmf, evolve, position_pmf
 
 __all__ = [
@@ -45,6 +45,8 @@ _FD_STEP = 1e-4
 _CANDIDATE_WINDOW = 1e-6   # grid maxima within this of the best are all refined
 _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
+_EPS = float(np.finfo(float).eps)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -70,9 +72,8 @@ class TrialDataset:
     def __post_init__(self):
         if self.kind not in ("positions", "returns"):
             raise ValueError(f"kind must be 'positions' or 'returns', got {self.kind!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        object.__setattr__(self, "positions", tuple(int(d) for d in self.positions))
+        _check_steps(self.k)
+        object.__setattr__(self, "positions", tuple(_integer(d, "d") for d in self.positions))
         if self.kind == "positions":
             for d in self.positions:
                 if abs(d) > self.k or (self.k - d) % 2:
@@ -88,8 +89,8 @@ class TrialDataset:
         else:
             if self.k % 2:
                 raise ValueError("return-count data requires an even step count")
-            if self.n is None or self.n0 is None:
-                raise ValueError("return-count data needs n and n0")
+            object.__setattr__(self, "n", _integer(self.n, "n"))
+            object.__setattr__(self, "n0", _integer(self.n0, "n0"))
             if not 0 <= self.n0 <= self.n or self.n < 1:
                 raise ValueError(f"need 0 <= n0 <= n with n >= 1, got n0={self.n0} n={self.n}")
 
@@ -100,7 +101,7 @@ class TrialDataset:
 
     @classmethod
     def from_returns(cls, k, n0, n, seed=None) -> "TrialDataset":
-        return cls("returns", k, n=int(n), n0=int(n0), seed=seed)
+        return cls("returns", k, n=n, n0=n0, seed=seed)
 
     @property
     def trials(self) -> float:
@@ -123,6 +124,13 @@ class TrialDataset:
                 out[d] = out.get(d, 0.0) + w
             object.__setattr__(self, "_counts", dict(sorted(out.items())))
         return dict(self._counts)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float or a bool is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def log_likelihood(data: TrialDataset, theta: float) -> float:
@@ -284,40 +292,45 @@ def _diagnostics(fun, theta_hat, ll_hat, n):
     return curvature, positivity
 
 
-def _refine_run(fun, thetas, ll, run, tolerance):
-    """Golden-section refinement around one near-optimal grid run.
+def _golden_min(fun: Callable[[float], float], a: float, b: float, tol: float):
+    """Golden-section search for a minimum of fun on [a, b]: (x, fun(x)).
 
-    Falls back to bounded Brent when the run touches the grid edge or is
-    too flat to bracket.
-    """
-    grid_n = len(thetas)
-    i = int(run[int(np.argmax(ll[run]))])
-    a = float(thetas[max(int(run[0]) - 1, 0)])
-    b = float(thetas[min(int(run[-1]) + 1, grid_n - 1)])
-    neg = lambda t: -fun(t)
-    if 0 < i < grid_n - 1 and ll[i] > ll[i - 1] and ll[i] > ll[i + 1]:
-        bracket = (float(thetas[i - 1]), float(thetas[i]), float(thetas[i + 1]))
-        try:
-            res = minimize_scalar(neg, bracket=bracket, method="golden",
-                                  options={"xtol": tolerance})
-            return float(res.x), float(-res.fun)
-        except ValueError:
-            pass
-    res = minimize_scalar(neg, bounds=(a, b), method="bounded",
-                          options={"xatol": tolerance})
-    return float(res.x), float(-res.fun)
+    Stops at width tol or at float resolution, so any tol >= 0 terminates."""
+    tol = max(tol, 4.0 * _EPS * (abs(a) + abs(b)))
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol and a < c < d < b:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _refine_run(fun, thetas, run, tolerance):
+    """Maximize fun between the grid points flanking one near-optimal run."""
+    a, b = thetas[max(run[0] - 1, 0)], thetas[min(run[-1] + 1, len(thetas) - 1)]
+    theta, neg = _golden_min(lambda t: -fun(t), float(a), float(b), tolerance)
+    return theta, -neg
 
 
 def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
                  grid_size: int = 601, refine_tolerance: float = 1e-9) -> EstimateResult:
     """Maximum-likelihood coin angle for a dataset.
 
-    Position data: dense grid scan of the log-likelihood, then
-    golden-section refinement of every grid run within 1e-6 of the best
-    value.  Return counts: the empirical return frequency is pushed
-    through the level set of the closed-form return probability on the
-    lam branch [0, 1] (matching the default theta range).
+    Position data: dense grid scan of the log-likelihood, then golden-section
+    search between the grid points flanking each run within 1e-6 of the best
+    value, down to a bracket of refine_tolerance (finite, >= 0; 0 means float
+    resolution).  Return counts: the empirical return frequency is pushed
+    through the level set of the closed-form return probability on the lam
+    branch [0, 1] (matching the default theta range).
     """
+    if not 0.0 <= refine_tolerance < math.inf:
+        raise ValueError(f"refine tolerance must be finite and >= 0, got {refine_tolerance}")
     if data.kind == "returns":
         return _estimate_from_returns(data)
     if not data.positions:
@@ -337,7 +350,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 
     near = np.flatnonzero(ll >= gmax - _CANDIDATE_WINDOW)
     runs = np.split(near, np.flatnonzero(np.diff(near) > 1) + 1)
-    candidates = sorted(_refine_run(fun, thetas, ll, run, refine_tolerance)
+    candidates = sorted(_refine_run(fun, thetas, run, refine_tolerance)
                         for run in runs)
     best_theta, best_ll = candidates[0]
     for theta, value in candidates[1:]:
@@ -372,13 +385,28 @@ def _estimate_from_returns(data: TrialDataset) -> EstimateResult:
                           data.trials, data.seed)
 
 
+def _bisect(fun: Callable[[float], float], a: float, b: float, fa: float, xtol: float):
+    """A root of fun on [a, b], given fa = fun(a) and a sign change there.
+
+    Halves until |step| < xtol + 4 eps |mid|, scipy.optimize.bisect's rule."""
+    step = b - a
+    while True:
+        step *= 0.5
+        mid = a + step
+        fm = fun(mid)
+        if fm * fa >= 0:
+            a = mid
+        if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
+            return mid
+
+
 def _solve_level(fun: Callable[[float], float], level: float, lo: float, hi: float,
                  resolution: int, residual_tol: float) -> list[float]:
     """All x in [lo, hi] with fun(x) = level, by dense scan.
 
     Sign changes are bisected on each monotone sub-segment; scanned local
-    minima of |fun - level| are polished by bounded minimization to catch
-    tangential and endpoint solutions.
+    minima of |fun - level| are polished by golden-section search on the
+    flanking scan points to catch tangential and endpoint solutions.
     """
     xs = np.linspace(lo, hi, resolution)
     g = np.array([fun(float(x)) - level for x in xs])
@@ -388,8 +416,8 @@ def _solve_level(fun: Callable[[float], float], level: float, lo: float, hi: flo
         if g[i] == 0.0:
             roots.append(float(xs[i]))
         elif g[i] * g[i + 1] < 0:
-            roots.append(float(bisect(lambda x: fun(x) - level,
-                                      float(xs[i]), float(xs[i + 1]), xtol=1e-14)))
+            roots.append(_bisect(lambda x: fun(x) - level, float(xs[i]), float(xs[i + 1]),
+                                 float(g[i]), 1e-14))
     if g[-1] == 0.0:
         roots.append(float(xs[-1]))
 
@@ -401,10 +429,9 @@ def _solve_level(fun: Callable[[float], float], level: float, lo: float, hi: flo
         if absg[i] <= left and absg[i] <= right and 0 < absg[i] < scan_tol:
             a = float(xs[max(i - 1, 0)])
             b = float(xs[min(i + 1, resolution - 1)])
-            res = minimize_scalar(lambda x: abs(fun(x) - level), bounds=(a, b),
-                                  method="bounded", options={"xatol": 1e-14})
-            if res.fun <= residual_tol:
-                roots.append(float(res.x))
+            x, residual = _golden_min(lambda x: abs(fun(x) - level), a, b, 1e-14)
+            if residual <= residual_tol:
+                roots.append(x)
 
     roots.sort()
     merged: list[float] = []
@@ -480,9 +507,9 @@ def dataset_from_json(obj) -> TrialDataset:
         raise ValueError("dataset object needs 'kind' and 'k' fields")
     kind = obj["kind"]
     if kind == "positions":
-        return TrialDataset.from_positions(int(obj["k"]), obj.get("positions", ()),
+        return TrialDataset.from_positions(obj["k"], obj.get("positions", ()),
                                            obj.get("weights"), seed=obj.get("seed"))
     if kind == "returns":
-        return TrialDataset.from_returns(int(obj["k"]), obj["n0"], obj["n"],
+        return TrialDataset.from_returns(obj["k"], obj["n0"], obj["n"],
                                          seed=obj.get("seed"))
     raise ValueError(f"unknown dataset kind {kind!r}")

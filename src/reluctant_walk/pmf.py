@@ -104,7 +104,7 @@ def _clamp(p):
 def _check_steps(k, minimum: int = 1) -> None:
     """Reject a step count that is not an integer >= minimum; a bool is not one."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < minimum:
-        raise ValueError(f"step count must be an integer >= {minimum}, got {k!r}")
+        raise ValueError(f"step count k must be an integer >= {minimum}, got {k!r}")
 
 
 def _validate_k_lam(k: int, lam) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import chebyshev_u
+from .chebyshev import _chebyshev_u_pair
 from .pmf import Pmf, _check_steps
 
 __all__ = [
@@ -194,8 +194,7 @@ def kernel_power(phi: float, p: CoinParameter, k: int) -> np.ndarray:
     if k == 0:
         return np.eye(2, dtype=np.complex128)
     xi = p.lam * math.cos(phi)
-    u1 = chebyshev_u(k - 1, xi)
-    u2 = chebyshev_u(k - 2, xi) if k >= 2 else 0.0
+    u1, u2 = _chebyshev_u_pair(k - 1, xi)
     return kernel_matrix(phi, p) * u1 - np.eye(2) * u2
 
 
@@ -212,8 +211,7 @@ def kraus_kernels(phi, p: CoinParameter, k: int):
     _check_steps(k)
     phi = np.asarray(phi, dtype=float)
     xi = p.lam * np.cos(phi)
-    u1 = chebyshev_u(k - 1, xi)
-    u2 = chebyshev_u(k - 2, xi) if k >= 2 else np.zeros_like(xi)
+    u1, u2 = _chebyshev_u_pair(k - 1, xi)
     a = p.lam * np.exp(1j * phi) * u1 - u2
     b = p.sin_theta * np.exp(-1j * phi) * u1
     return a, b

@@ -13,6 +13,7 @@ from reluctant_walk.chebyshev import (
     y_poly_quadrature,
     hyp2f1_terminating,
     chebyshev_identity_suite,
+    _chebyshev_u_pair,
     _iter_y_rows,
 )
 
@@ -54,6 +55,22 @@ def test_chebyshev_u_exact_on_fractions():
     # U_3(x) = 8x^3 - 4x
     x = Fraction(1, 3)
     assert chebyshev_u(3, x) == 8 * x**3 - 4 * x
+
+
+@pytest.mark.parametrize("x", [0.3, np.float64(-0.7), Fraction(2, 7),
+                               np.linspace(-1.0, 1.0, 11)], ids=repr)
+def test_chebyshev_u_pair_is_two_consecutive_degrees(x):
+    """One pass gives U_n and U_{n-1}, equal to two separate evaluations
+    (U_{-1} = 0), with the type and precision of ``chebyshev_u``."""
+    u, u_prev = _chebyshev_u_pair(0, x)
+    assert np.all(u == 1) and np.all(u_prev == 0)
+    for n in (1, 2, 3, 17, 120):
+        u, u_prev = _chebyshev_u_pair(n, x)
+        assert type(u) is type(chebyshev_u(n, x))
+        assert np.array_equal(u, chebyshev_u(n, x))
+        assert np.array_equal(u_prev, chebyshev_u(n - 1, x))
+    with pytest.raises(ValueError):
+        _chebyshev_u_pair(-1, x)
 
 
 @pytest.mark.parametrize(

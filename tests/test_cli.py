@@ -8,6 +8,8 @@ stdout itself (validate, seed echo).
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -211,6 +213,26 @@ def test_estimate_rejects_missing_dataset(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("obj", [
+    {"kind": "returns", "k": 2.9, "n": 100.5, "n0": 36},
+    {"kind": "positions", "k": True, "positions": [1, -1]},
+    {"kind": "positions", "k": 4, "positions": [0, 2.0]},
+])
+def test_estimate_rejects_non_integer_dataset_fields(tmp_path, capsys, obj):
+    data = write_dataset(tmp_path / "ds.json", obj)
+    assert main(["estimate", "--data", data, "--outdir", str(tmp_path)]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "estimate.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_estimate_rejects_bad_refine_tolerance(tmp_path, capsys, tol):
+    assert main(["estimate", "--generate", "--theta-star", "0.7", "--k", "4",
+                 "--n", "50", "--seed", "1", f"--refine-tol={tol}",
+                 "--outdir", str(tmp_path)]) == 2
+    assert "refine tolerance" in capsys.readouterr().err
+
+
 def test_estimate_generate_needs_truth_parameters(tmp_path):
     assert main(["estimate", "--generate", "--k", "4", "--n", "10",
                  "--seed", "1", "--outdir", str(tmp_path)]) == 2
@@ -262,6 +284,33 @@ def test_level_set_empty_result_is_success(tmp_path):
 def test_level_set_rejects_bad_level(tmp_path):
     assert main(["level-set", "--f", "1.5", "--k", "2",
                  "--outdir", str(tmp_path)]) == 2
+
+
+# ------------------------------------------------------------ dependencies
+
+def test_cli_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: with its import blocked, the CLI
+    still imports and both estimation protocols and level-set run."""
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from reluctant_walk.cli import main
+common = ["--outdir", {str(tmp_path)!r}, "--seed", "5"]
+codes = [
+    main(["estimate", "--generate", "--method", "bernoulli", "--theta-star", "0.7",
+          "--k", "8", "--n", "500"] + common),
+    main(["estimate", "--generate", "--method", "positions", "--theta-star", "0.7",
+          "--k", "8", "--n", "500"] + common),
+    main(["level-set", "--f", "0.3", "--k", "8"] + common),
+]
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules if sys.modules[m])
+sys.exit(max(codes))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------- diffusion

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import bisect as scipy_bisect
 
+from reluctant_walk import estimation
 from reluctant_walk.estimation import (
     EstimateResult,
     TrialDataset,
@@ -244,6 +246,35 @@ def test_mle_range_validation():
         mle_estimate(ds, grid_size=2)
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+def test_mle_rejects_bad_refine_tolerance(bad):
+    with pytest.raises(ValueError, match="refine tolerance"):
+        mle_estimate(gibbs_dataset(0.5, 4), refine_tolerance=bad)
+
+
+@pytest.mark.parametrize("positions", [[0, 2, 2, -2, 0], [-2] * 5])
+@pytest.mark.parametrize("tolerance", [0.0, 1e-300])
+def test_mle_refine_terminates_at_float_resolution(monkeypatch, positions, tolerance):
+    """A zero or subnormal tolerance ends at the float resolution of the
+    bracket, interior (theta near pi/4) or at the theta = 0 edge alike."""
+    calls = []
+
+    def counted(data, theta):
+        calls.append(theta)
+        if len(calls) > 2000:
+            raise RuntimeError("refine did not terminate")
+        return log_likelihood(data, theta)
+
+    data = TrialDataset.from_positions(2, positions)
+    reference = mle_estimate(data)
+    monkeypatch.setattr(estimation, "log_likelihood", counted)
+    result = mle_estimate(data, refine_tolerance=tolerance)
+    # 601 grid points, 4 for the curvature, and the golden-section probes
+    assert len(calls) < 700
+    assert abs(result.theta_hat - reference.theta_hat) < 1e-8
+    assert result.flags == reference.flags
+
+
 # ------------------------------------------------------------- mle: returns
 
 def test_mle_returns_inverts_frequency():
@@ -298,6 +329,31 @@ def test_level_set_tangential_maximum():
 def test_level_set_endpoint_root():
     roots = level_set_solve(0.0, 2, branch=(0.0, 1.0))
     assert any(abs(r - 1.0) < 1e-8 for r in roots)
+
+
+def test_level_set_single_crossing_gives_one_root():
+    """The polish of a scanned minimum of |q - f| next to a bisected sign
+    change must land on the same root, not a second one a few 1e-9 away."""
+    (root,) = level_set_solve(0.066, 8, branch=(0.0, 1.0))
+    assert pmf_point(8, 0, root) == pytest.approx(0.066, abs=1e-15)
+    pair = level_set_solve(0.066, 8)
+    assert len(pair) == 2
+    assert pair[0] == pytest.approx(-root, abs=1e-12)
+    result = mle_estimate(TrialDataset.from_returns(8, n0=660, n=10000))
+    assert result.candidates == (pytest.approx(math.acos(root), abs=1e-12),)
+
+
+@pytest.mark.parametrize("f, k", [(0.64, 2), (0.066, 8), (0.3, 8), (0.05, 24)])
+def test_level_set_bisection_matches_scipy(f, k):
+    """Each sign change is bisected with scipy.optimize.bisect's stopping
+    rule, so the roots are the ones scipy finds, bit for bit."""
+    gap = lambda lam: pmf_point(k, 0, lam) - f
+    grid = np.linspace(-1.0, 1.0, 64)
+    for a, b in zip(grid, grid[1:]):
+        a, b = float(a), float(b)
+        if gap(a) * gap(b) < 0:
+            expected = scipy_bisect(gap, a, b, xtol=1e-14)
+            assert estimation._bisect(gap, a, b, gap(a), 1e-14) == expected
 
 
 def test_level_set_unattained_level_is_empty():
@@ -397,6 +453,34 @@ def test_dataset_json_roundtrip_positions():
 def test_dataset_json_roundtrip_returns():
     ds = TrialDataset.from_returns(6, n0=2, n=9)
     assert dataset_from_json(dataset_to_json(ds)) == ds
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "returns", "k": 2.9, "n": 100.5, "n0": 36},
+    {"kind": "returns", "k": 2, "n": 100.5, "n0": 36},
+    {"kind": "returns", "k": 2, "n": 100, "n0": 36.0},
+    {"kind": "returns", "k": 2, "n": True, "n0": 1},
+    {"kind": "positions", "k": True, "positions": [1, -1]},
+    {"kind": "positions", "k": 3.5, "positions": [1, 3]},
+    {"kind": "positions", "k": "3", "positions": [1, 3]},
+    {"kind": "positions", "k": 3, "positions": [1, 3.5]},
+    {"kind": "positions", "k": 3, "positions": [1, True]},
+])
+def test_dataset_json_rejects_non_integer_fields(obj):
+    with pytest.raises(ValueError):
+        dataset_from_json(json.dumps(obj))
+
+
+def test_dataset_integer_fields_are_checked_not_truncated():
+    with pytest.raises(ValueError, match="step count k"):
+        TrialDataset.from_positions(2.0, [0])
+    with pytest.raises(ValueError, match="n0 must be an integer"):
+        TrialDataset.from_returns(2, n0=1.0, n=2)
+    with pytest.raises(ValueError, match="d must be an integer"):
+        TrialDataset.from_positions(2, [np.float64(2.0)])
+    ds = TrialDataset.from_returns(4, n0=np.int64(1), n=np.int64(3))
+    assert (type(ds.n), type(ds.n0)) == (int, int)
+    assert dataset_from_json(json.dumps(dataset_to_json(ds))) == ds
 
 
 def test_dataset_json_rejects_malformed():
