@@ -229,14 +229,16 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
     cphi = np.cos(phi)
 
     u_odd, u_even = _chebyshev_u_pair(2 * r + 1, lam * cphi)
+    # Y_0^(2r) and Y_0^(2r+2) from the exact rows, each correctly rounded
+    a, b = lam.as_integer_ratio()
+    y0 = [row[0] / b**j for j, (row, _) in zip(range(2 * r + 3), _iter_y_rows(a, b))]
 
     report = {
         "odd_mean": abs(float(np.mean(u_odd))),
-        "even_mean": abs(float(np.mean(u_even)) - y_poly(0, 2 * r, lam)),
+        "even_mean": abs(float(np.mean(u_even)) - y0[2 * r]),
         "even_first_moment": abs(2.0 * float(np.mean(cphi * u_even))),
         "odd_first_moment": abs(
-            lam * 2.0 * float(np.mean(cphi * u_odd))
-            - (y_poly(0, 2 * r, lam) + y_poly(0, 2 * r + 2, lam))
+            lam * 2.0 * float(np.mean(cphi * u_odd)) - (y0[2 * r] + y0[2 * r + 2])
         ),
     }
 
@@ -260,33 +262,35 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
 def _iter_y_rows(a, b):
     """Yield (Z^(j), Z^(j-1)) for j = 0, 1, ..., where Z^(j) = b^j * Y^(j)(a/b).
 
-    Row j is an ndarray [Z_0^(j), ..., Z_j^(j)] and row -1 is empty.  The
-    scaled rows obey the order recurrence
+    ``a`` and ``b`` are scalars or arrays of one shape S, so a whole grid
+    of lam = a/b runs in one pass: row j has shape S + (j+1,), holding
+    [Z_0^(j), ..., Z_j^(j)] per lam, and row -1 is empty.  The rows obey
 
         Z_m^(j) = a*(Z_{|m-1|}^(j-1) + Z_{m+1}^(j-1)) - b^2 * Z_m^(j-2),
 
     with out-of-range entries zero, so they cost O(j) per row instead of
     the O(j^2) series of ``y_poly``.  With Python ints a, b (lam = a/b,
-    e.g. from ``Fraction(lam)``, which is exact for a float) the rows hold
-    exact integers; with a float a and b = 1.0 they are plain float64 Y rows,
-    whose rounding grows mildly with j.
+    e.g. from ``Fraction(lam)``, which is exact for a float) the rows are
+    object arrays of exact integers; with float a and b = 1.0 they are
+    float64 Y rows, whose rounding grows mildly with j.
     """
-    dtype = float if isinstance(a, float) else object
+    dtype = float if np.asarray(a).dtype.kind == "f" else object
+    a, b = (np.asarray(v, dtype)[..., None] for v in (a, b))
     b2 = b * b
-    prev2 = np.zeros(0, dtype)
-    prev = np.zeros(0, dtype)
+    shape = a.shape[:-1]
+    prev2 = prev = np.zeros(shape + (0,), dtype)
     j = 0
     while True:
-        row = np.zeros(j + 1, dtype)
+        row = np.zeros(shape + (j + 1,), dtype)
         if j == 0:
-            row[0] = 1
+            row[..., 0] = 1
         else:
-            row[1:] = prev                      # left neighbor Z_{m-1}, m >= 1
+            row[..., 1:] = prev                 # left neighbor Z_{m-1}, m >= 1
             if j >= 2:
-                row[0] = prev[1]                # left neighbor Z_{|0-1|} = Z_1
-            row[: j - 1] += prev[1:]            # right neighbor Z_{m+1}
+                row[..., 0] = prev[..., 1]      # left neighbor Z_{|0-1|} = Z_1
+            row[..., : j - 1] += prev[..., 1:]  # right neighbor Z_{m+1}
             row *= a
-            row[: j - 1] -= b2 * prev2
+            row[..., : j - 1] -= b2 * prev2
         yield row, prev
         prev2, prev = prev, row
         j += 1

@@ -18,12 +18,11 @@ import math
 import os
 import sys
 import tempfile
-from itertools import islice
 
 import numpy as np
 
 from . import __version__
-from .chebyshev import chebyshev_identity_suite, _iter_y_rows
+from .chebyshev import chebyshev_identity_suite
 from .estimation import (
     EstimateResult,
     TrialDataset,
@@ -42,8 +41,8 @@ from .pmf import (
     iter_pmf_full,
     _PMF_COLUMNS,
     _csv_text,
+    _grid,
     _pmf_rows,
-    _probabilities,
 )
 from .sampling import (
     data_box_experiment,
@@ -302,26 +301,20 @@ def cmd_databox(args) -> int:
 
 
 def _fig1_rows(k: int = 100, lam_points: int = 201) -> list[dict]:
-    rows = []
-    for lam in np.linspace(-1.0, 1.0, lam_points):
-        pmf = pmf_full(k, float(lam), exact=False)
-        rows.extend({"lambda": float(lam), "r": d / k, "p": p}
-                    for d, p in pmf.table.items())
-    return rows
+    lams = np.linspace(-1.0, 1.0, lam_points)
+    ds = range(-k, k + 1, 2)
+    return [{"lambda": lam, "r": d / k, "p": p}
+            for lam, ps in zip(lams.tolist(), _grid(k, lams, ds, exact=False).tolist())
+            for d, p in zip(ds, ps)]
 
 
 def _fig2_rows(which: str, lam_points: int = 201) -> list[dict]:
     """p vs lambda curves for k = 8..512: at d=0 (fig2a) or d=k/4 (fig2b)."""
-    rows = []
-    for lam in np.linspace(-1.0, 1.0, lam_points):
-        lam_f = float(lam)
-        # step k reads Y rows k-1 and k-2, which the k-th pair holds
-        for k, y_rows in enumerate(islice(_iter_y_rows(lam_f, 1.0), FIG2_KS[-1]), start=1):
-            if k in FIG2_KS:
-                d = 0 if which == "fig2a" else k // 4
-                (p,) = _probabilities(k, lam_f, 1.0, y_rows, [d])
-                rows.append({"k": k, "lambda": lam_f, "p": p})
-    return rows
+    lams = np.linspace(-1.0, 1.0, lam_points)
+    curves = np.stack([_grid(k, lams, [0 if which == "fig2a" else k // 4], exact=False)[:, 0]
+                       for k in FIG2_KS], axis=1)
+    return [{"k": k, "lambda": lam, "p": p}
+            for lam, ps in zip(lams.tolist(), curves.tolist()) for k, p in zip(FIG2_KS, ps)]
 
 
 def cmd_figures(args) -> int:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pmf import CONVENTION_SIGMA, _check_steps, pmf_full, pmf_point
+from .pmf import CONVENTION_SIGMA, _check_steps, _grid, pmf_point
 from .walk import CoinParameter, WalkState, channel_position_pmf, evolve, position_pmf
 
 __all__ = [
@@ -47,6 +47,9 @@ _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
 _EPS = float(np.finfo(float).eps)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# math.log elementwise: np.log differs from it in the last bit on ~0.3% of
+# inputs, and the curvature's differences amplify such a bit ~1e7-fold
+_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,7 @@ class TrialDataset:
         if self.kind not in ("positions", "returns"):
             raise ValueError(f"kind must be 'positions' or 'returns', got {self.kind!r}")
         _check_steps(self.k)
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "positions", tuple(_integer(d, "d") for d in self.positions))
         if self.kind == "positions":
             for d in self.positions:
@@ -140,17 +144,26 @@ def log_likelihood(data: TrialDataset, theta: float) -> float:
     under theta.  Parity-invalid data cannot occur here; TrialDataset
     rejects it at construction.
     """
-    lam = math.cos(theta)
+    return float(_log_likelihoods(data, np.cos([theta]))[0])
+
+
+def _log_likelihoods(data: TrialDataset, lams) -> np.ndarray:
+    """The log-likelihood at every lam in ``lams``, from one pmf grid."""
     if data.kind == "returns":
-        return bernoulli_return_log_likelihood(data.n0, data.n, data.k, lam)
-    pmf = pmf_full(data.k, lam, exact=False)
-    total = 0.0
-    for d, w in data.counts().items():
-        p = pmf.probability(d)
-        if p <= 0.0:
-            return -math.inf
-        total += w * math.log(p)
-    return total
+        q = _grid(data.k, lams, [0], exact=True)[:, 0]
+        terms = [(c, p) for c, p in ((data.n0, q), (data.n - data.n0, 1.0 - q)) if c]
+        return _log_sum([c for c, _ in terms], np.stack([p for _, p in terms], axis=1))
+    counts = data.counts()
+    return _log_sum(list(counts.values()), _grid(data.k, lams, list(counts), exact=False))
+
+
+def _log_sum(weights, p: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * log(p[:, j]) per row, added in column order;
+    -inf on a row with any p <= 0, whatever its weight."""
+    total = np.zeros(len(p))
+    for w, column in zip(weights, p.T):
+        total += w * _LOG(np.where(column > 0.0, column, 1.0)).astype(float)
+    return np.where((p > 0.0).all(axis=1), total, -np.inf)
 
 
 def displacement_likelihood(d_list, k: int, theta: float) -> float:
@@ -169,21 +182,7 @@ def bernoulli_return_log_likelihood(n0: int, n: int, k: int, lam: float) -> floa
     l = n0 log q + (n - n0) log(1 - q) with q the k-step return
     probability; -inf when the counts contradict a degenerate q.
     """
-    if not 0 <= n0 <= n or n < 1:
-        raise ValueError(f"need 0 <= n0 <= n with n >= 1, got n0={n0} n={n}")
-    if k % 2:
-        raise ValueError("return likelihood requires an even step count")
-    q = pmf_point(k, 0, lam)
-    total = 0.0
-    if n0:
-        if q <= 0.0:
-            return -math.inf
-        total += n0 * math.log(q)
-    if n - n0:
-        if q >= 1.0:
-            return -math.inf
-        total += (n - n0) * math.log(1.0 - q)
-    return total
+    return float(_log_likelihoods(TrialDataset.from_returns(k, n0, n), [lam])[0])
 
 
 @dataclass(frozen=True)
@@ -262,7 +261,7 @@ def _scan(data: TrialDataset, theta_range, grid_size):
     if grid_size < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
     thetas = np.linspace(lo, hi, grid_size)
-    return thetas, np.array([log_likelihood(data, float(t)) for t in thetas])
+    return thetas, _log_likelihoods(data, np.cos(thetas))
 
 
 def _flat_result(data: TrialDataset) -> EstimateResult:
@@ -318,16 +317,27 @@ def _refine_run(fun, thetas, run, tolerance):
     return theta, -neg
 
 
+def _best(candidates):
+    """The (theta, value) pair of largest value from a theta-sorted list;
+    a value within _TIE_TOL of the best so far keeps the smaller theta."""
+    best_theta, best_ll = candidates[0]
+    for theta, value in candidates[1:]:
+        if value > best_ll + _TIE_TOL:
+            best_theta, best_ll = theta, value
+    return best_theta, best_ll
+
+
 def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
                  grid_size: int = 601, refine_tolerance: float = 1e-9) -> EstimateResult:
     """Maximum-likelihood coin angle for a dataset.
 
-    Position data: dense grid scan of the log-likelihood, then golden-section
-    search between the grid points flanking each run within 1e-6 of the best
-    value, down to a bracket of refine_tolerance (finite, >= 0; 0 means float
-    resolution).  Return counts: the empirical return frequency is pushed
-    through the level set of the closed-form return probability on the lam
-    branch [0, 1] (matching the default theta range).
+    Position data: dense grid scan of the log-likelihood (one pass of the
+    row engine over the grid), then golden-section search between the grid
+    points flanking each run within 1e-6 of the best value, down to a
+    bracket of refine_tolerance (finite, >= 0; 0 means float resolution).
+    Return counts: the empirical return frequency is pushed through the
+    level set of the closed-form return probability on the lam branch
+    [0, 1] (matching the default theta range).
     """
     if not 0.0 <= refine_tolerance < math.inf:
         raise ValueError(f"refine tolerance must be finite and >= 0, got {refine_tolerance}")
@@ -352,10 +362,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     runs = np.split(near, np.flatnonzero(np.diff(near) > 1) + 1)
     candidates = sorted(_refine_run(fun, thetas, run, refine_tolerance)
                         for run in runs)
-    best_theta, best_ll = candidates[0]
-    for theta, value in candidates[1:]:
-        if value > best_ll + _TIE_TOL:
-            best_theta, best_ll = theta, value
+    best_theta, best_ll = _best(candidates)
 
     if best_theta - lo < spacing or hi - best_theta < spacing:
         flags.append("boundary_maximum")
@@ -374,11 +381,7 @@ def _estimate_from_returns(data: TrialDataset) -> EstimateResult:
         # in [0,1] is attained; an empty list is a resolution failure
         return _flat_result(data)
     thetas = sorted(math.acos(max(min(r, 1.0), -1.0)) for r in roots)
-    best_theta, best_ll = thetas[0], fun(thetas[0])
-    for theta in thetas[1:]:
-        value = fun(theta)
-        if value > best_ll + _TIE_TOL:
-            best_theta, best_ll = theta, value
+    best_theta, best_ll = _best([(theta, fun(theta)) for theta in thetas])
     curvature, positivity = _diagnostics(fun, best_theta, best_ll, data.trials)
     return EstimateResult(best_theta, math.cos(best_theta), best_ll, curvature,
                           positivity, tuple(thetas), (), data.kind, data.k,
@@ -400,38 +403,31 @@ def _bisect(fun: Callable[[float], float], a: float, b: float, fa: float, xtol: 
             return mid
 
 
-def _solve_level(fun: Callable[[float], float], level: float, lo: float, hi: float,
-                 resolution: int, residual_tol: float) -> list[float]:
+def _solve_level(fun: Callable[[np.ndarray], np.ndarray], level: float, lo: float,
+                 hi: float, resolution: int, residual_tol: float) -> list[float]:
     """All x in [lo, hi] with fun(x) = level, by dense scan.
 
+    ``fun`` maps an array of x to values: one call scans every point.
     Sign changes are bisected on each monotone sub-segment; scanned local
     minima of |fun - level| are polished by golden-section search on the
     flanking scan points to catch tangential and endpoint solutions.
     """
     xs = np.linspace(lo, hi, resolution)
-    g = np.array([fun(float(x)) - level for x in xs])
-    roots: list[float] = []
-
-    for i in range(resolution - 1):
-        if g[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif g[i] * g[i + 1] < 0:
-            roots.append(_bisect(lambda x: fun(x) - level, float(xs[i]), float(xs[i + 1]),
-                                 float(g[i]), 1e-14))
-    if g[-1] == 0.0:
-        roots.append(float(xs[-1]))
+    g = fun(xs) - level
+    gap = lambda x: float(fun([x])[0]) - level
+    roots = [float(x) for x in xs[g == 0.0]]
+    roots += [_bisect(gap, float(xs[i]), float(xs[i + 1]), float(g[i]), 1e-14)
+              for i in np.flatnonzero(g[:-1] * g[1:] < 0)]
 
     absg = np.abs(g)
-    scan_tol = 1e-4 * (1.0 + abs(level))
-    for i in range(resolution):
-        left = absg[i - 1] if i else math.inf
-        right = absg[i + 1] if i + 1 < resolution else math.inf
-        if absg[i] <= left and absg[i] <= right and 0 < absg[i] < scan_tol:
-            a = float(xs[max(i - 1, 0)])
-            b = float(xs[min(i + 1, resolution - 1)])
-            x, residual = _golden_min(lambda x: abs(fun(x) - level), a, b, 1e-14)
-            if residual <= residual_tol:
-                roots.append(x)
+    padded = np.concatenate(([math.inf], absg, [math.inf]))
+    minima = ((absg <= padded[:-2]) & (absg <= padded[2:])
+              & (0 < absg) & (absg < 1e-4 * (1.0 + abs(level))))
+    for i in np.flatnonzero(minima):
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, resolution - 1)])
+        x, residual = _golden_min(lambda x: abs(gap(x)), a, b, 1e-14)
+        if residual <= residual_tol:
+            roots.append(x)
 
     roots.sort()
     merged: list[float] = []
@@ -446,9 +442,10 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
                     residual_tol: float = 1e-10) -> list[float]:
     """All lam on the branch where the k-step return probability equals f.
 
-    Every returned candidate satisfies |p^(k)(0, lam) - f| <= residual_tol;
-    the list is empty when the level is not attained (e.g. f above the
-    maximum of the return probability on the branch).
+    The scan is one exact pass of the row engine over all ``resolution``
+    points.  Every returned candidate satisfies |p^(k)(0, lam) - f| <=
+    residual_tol; the list is empty when the level is not attained (e.g. f
+    above the maximum of the return probability on the branch).
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {f}")
@@ -459,7 +456,7 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
         raise ValueError(f"branch must be a sub-interval of [-1, 1], got {branch}")
     if resolution < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    fun = lambda lam: pmf_point(k, 0, lam)
+    fun = lambda lams: _grid(k, lams, [0], exact=True)[:, 0]
     return _solve_level(fun, f, lo, hi, resolution, residual_tol)
 
 

@@ -93,12 +93,12 @@ class Pmf:
 
 
 def _clamp(p):
-    """Clip a float probability into [0, 1]; Fractions pass through."""
+    """Clip float probabilities, one or an array, into [0, 1]; Fractions pass through."""
     if isinstance(p, Fraction):
         return p
-    if not -_CLAMP_TOL <= p <= 1.0 + _CLAMP_TOL:
+    if not np.all((-_CLAMP_TOL <= p) & (p <= 1.0 + _CLAMP_TOL)):
         raise ValueError(f"probability {p} outside [0, 1] beyond clamp tolerance")
-    return min(max(p, 0.0), 1.0)
+    return np.clip(p, 0.0, 1.0)
 
 
 def _check_steps(k, minimum: int = 1) -> None:
@@ -109,16 +109,16 @@ def _check_steps(k, minimum: int = 1) -> None:
 
 def _validate_k_lam(k: int, lam) -> None:
     _check_steps(k)
-    if not abs(lam) <= 1:
+    if not np.all(np.abs(lam) <= 1):
         raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
 
 
 def _ratio(lam, exact: bool = True):
-    """lam as a/b: exact Python ints from ``Fraction(lam)``, else (lam, 1.0)."""
+    """lam as a/b, elementwise: exact Python ints from ``Fraction(lam)``, else (lam, 1.0)."""
     if not exact:
-        return float(lam), 1.0
-    q = Fraction(lam)
-    return q.numerator, q.denominator
+        lam = np.asarray(lam, float)
+        return lam, np.ones_like(lam)
+    return np.frompyfunc(lambda x: Fraction(x).as_integer_ratio(), 1, 2)(lam)
 
 
 def _rows_for(k: int, a, b):
@@ -126,7 +126,7 @@ def _rows_for(k: int, a, b):
     return next(islice(_iter_y_rows(a, b), k - 1, None))
 
 
-def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> list:
+def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray:
     """p(d; k, a/b) for each parity-valid ``d`` in ``ds``, from scaled rows.
 
     With Z = b^j * Y^(j)(a/b) taken from ``rows`` = (Z^(k-1), Z^(k-2)),
@@ -136,24 +136,45 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> list:
 
     which is (1 - lam^2) * (Y_{|d-1|}^(k-1))^2 + (Y_{|d|}^(k-2) - lam *
     Y_{|d+1|}^(k-1))^2.  Row k-2 is empty at k = 1, which leaves p(-1) =
-    lam^2 and p(1) = 1 - lam^2.  Integer rows give the integer numerator,
-    so each float is its exact rational correctly rounded (``rational``
-    returns the Fractions instead); float rows give a plain float64
-    evaluation.
+    lam^2 and p(1) = 1 - lam^2.  Rows of shape S + (j+1,) give shape
+    S + (len(ds),).  Integer rows give the integer numerator, so each
+    float is its exact rational correctly rounded (``rational`` returns the
+    Fractions instead); float rows give a plain float64 evaluation.
     """
     row_km1, row_km2 = rows
-    ds = np.asarray(ds)
-    z1 = np.zeros(k + 2, row_km1.dtype)     # |d +- 1| <= k + 1
-    z1[:k] = row_km1
-    z2 = np.zeros(k + 2, row_km2.dtype)
-    z2[:k - 1] = row_km2
-    z_a, z_b, z_c = z1[abs(ds - 1)], z2[abs(ds)], z1[abs(ds + 1)]
+    ds = np.asarray(ds, int)
+    z1 = np.zeros(row_km1.shape[:-1] + (k + 2,), row_km1.dtype)     # |d +- 1| <= k + 1
+    z1[..., :k] = row_km1
+    z2 = np.zeros_like(z1)
+    z2[..., :k - 1] = row_km2
+    z_a, z_b, z_c = z1[..., abs(ds - 1)], z2[..., abs(ds)], z1[..., abs(ds + 1)]
+    a, b = (np.asarray(v, row_km1.dtype)[..., None] for v in (a, b))
     b2 = b * b
     num = (b2 - a * a) * z_a * z_a + (b2 * z_b - a * z_c) ** 2
     den = b ** (2 * k)
     if rational:
-        return [Fraction(n, den) for n in num.tolist()]
-    return [_clamp(n / den) for n in num.tolist()]
+        return np.frompyfunc(Fraction, 2, 1)(num, den)
+    return _clamp((num / den).astype(float))
+
+
+# lam values per pass of the rows: the exact rows of all 2048 points of a
+# level-set scan at k = 24 hold about 20 MB of big integers, 12 of them 0.15 MB
+_GRID_BLOCK = 12
+
+
+def _grid(k: int, lams, ds, exact: bool) -> np.ndarray:
+    """p(d; k, lam) for every lam in ``lams`` (rows) and d in ``ds`` (columns).
+
+    Each block of ``_GRID_BLOCK`` values of lam is one pass of the row
+    engine; every entry equals ``pmf_full(k, lam, exact)`` bit for bit.
+    """
+    lams = np.asarray(lams, float)
+    _validate_k_lam(k, lams)
+    out = np.empty((len(lams), len(ds)))
+    for i in range(0, len(lams), _GRID_BLOCK):
+        a, b = _ratio(lams[i:i + _GRID_BLOCK], exact)
+        out[i:i + _GRID_BLOCK] = _probabilities(k, a, b, _rows_for(k, a, b), ds)
+    return out
 
 
 def pmf_point(k: int, d: int, lam):
@@ -175,7 +196,7 @@ def pmf_point(k: int, d: int, lam):
     if abs(d) > k or (k - d) % 2:
         return Fraction(0) if exact else 0.0
     a, b = _ratio(lam)
-    (p,) = _probabilities(k, a, b, _rows_for(k, a, b), [d], rational=exact)
+    (p,) = _probabilities(k, a, b, _rows_for(k, a, b), [d], rational=exact).tolist()
     return p
 
 
@@ -245,7 +266,7 @@ def pmf_even_closed(k2: int, d2: int, lam):
 
 def _table(k: int, lam, a, b, rows) -> Pmf:
     ds = range(-k, k + 1, 2)
-    return Pmf(k, dict(zip(ds, _probabilities(k, a, b, rows, ds))), lam=float(lam))
+    return Pmf(k, dict(zip(ds, _probabilities(k, a, b, rows, ds).tolist())), lam=float(lam))
 
 
 def iter_pmf_full(lam, k_max: int, exact: bool = True) -> Iterator[Pmf]:

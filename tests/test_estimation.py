@@ -115,6 +115,16 @@ def test_log_likelihood_zero_probability_is_minus_inf():
     assert log_likelihood(ds, 0.0) == -math.inf
 
 
+def test_zero_weight_at_zero_probability_stays_minus_inf():
+    # theta=0 puts all mass on d=-4: the weight-1 d=0 and the weight-0 d=4
+    # both have p = 0, and 0 * log 0 must not turn the -inf into NaN
+    ds = TrialDataset.from_positions(4, [0, 4], weights=[1.0, 0.0])
+    assert log_likelihood(ds, 0.0) == -math.inf
+    curve = likelihood_curve(ds)
+    assert curve.loglik[0] == -math.inf
+    assert not np.isnan(curve.loglik).any()
+
+
 def test_log_likelihood_weighted_matches_manual_sum():
     theta = 1.1
     lam = math.cos(theta)
@@ -182,6 +192,24 @@ def test_bernoulli_validation():
 
 
 # ------------------------------------------------------------------ curves
+
+positions_data = st.integers(1, 60).flatmap(lambda k: st.lists(
+    st.tuples(st.integers(0, k).map(lambda i: 2 * i - k), st.floats(0.0, 5.0)),
+    min_size=1, max_size=12).filter(lambda obs: sum(w for _, w in obs) > 0).map(
+    lambda obs: TrialDataset.from_positions(k, *zip(*obs))))
+returns_data = st.integers(1, 30).flatmap(lambda k2: st.integers(1, 50).flatmap(
+    lambda n: st.builds(lambda n0: TrialDataset.from_returns(2 * k2, n0, n),
+                        st.integers(0, n))))
+
+
+@given(data=st.one_of(positions_data, returns_data), grid_size=st.integers(3, 40))
+@settings(max_examples=60, deadline=None)
+def test_likelihood_curve_is_the_pointwise_likelihood(data, grid_size):
+    curve = likelihood_curve(data, grid_size=grid_size)
+    assert not np.isnan(curve.loglik).any()
+    pointwise = [log_likelihood(data, float(t)) for t in curve.thetas]
+    assert curve.loglik.tolist() == pointwise
+
 
 def test_likelihood_curve_peaks_at_generating_angle():
     theta_star = 0.5
@@ -453,6 +481,16 @@ def test_dataset_json_roundtrip_positions():
 def test_dataset_json_roundtrip_returns():
     ds = TrialDataset.from_returns(6, n0=2, n=9)
     assert dataset_from_json(dataset_to_json(ds)) == ds
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: TrialDataset.from_returns(k, 1, 3),
+    lambda k: TrialDataset.from_positions(k, [0, 2, -4], seed=5),
+])
+def test_dataset_numpy_integer_k_round_trips(make):
+    ds = make(np.int64(4))
+    assert type(ds.k) is int
+    assert dataset_from_json(json.dumps(dataset_to_json(ds))) == make(4)
 
 
 @pytest.mark.parametrize("obj", [

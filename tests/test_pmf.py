@@ -9,6 +9,7 @@ to exactly 1.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,7 @@ from reluctant_walk.pmf import (
     pmf_to_json,
     pmf_from_json,
     format_float,
+    _grid,
 )
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
@@ -104,6 +106,18 @@ def test_extreme_site_at_unit_lam():
     full = pmf_full(6, 1.0)
     assert full.probability(-6) == 1.0
     assert full.total() == pytest.approx(1.0, abs=0)
+
+
+@given(k=st.integers(1, 60),
+       lams=st.lists(st.floats(-1.0, 1.0), max_size=70).map(lambda xs: [-1.0, 0.0, 1.0] + xs),
+       exact=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_grid_rows_are_pmf_full_tables(k, lams, exact):
+    ds = range(-k, k + 1, 2)
+    grid = _grid(k, np.array(lams), ds, exact)
+    assert grid.shape == (len(lams), len(ds))
+    for lam, row in zip(lams, grid.tolist()):
+        assert row == list(pmf_full(k, lam, exact=exact).table.values())
 
 
 @given(lam=rational_lam, k=st.integers(1, 25))

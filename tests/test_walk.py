@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from reluctant_walk.estimation import level_set_solve
 from reluctant_walk.walk import (
     CoinParameter,
     WalkState,
@@ -282,3 +283,15 @@ def test_channel_memory_stays_linear():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_level_set_scan_memory_stays_blocked():
+    # the exact rows of all 2048 scan points at once would take ~20 MB;
+    # the scan walks lam in blocks of pmf._GRID_BLOCK
+    tracemalloc.start()
+    try:
+        level_set_solve(0.1, 24, branch=(0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
