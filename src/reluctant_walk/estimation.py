@@ -45,6 +45,7 @@ _FD_STEP = 1e-4
 _CANDIDATE_WINDOW = 1e-6   # grid maxima within this of the best are all refined
 _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
+_POLISH_WINDOW = 1e-4      # level-set scan minima of |q - f| below this * (1 + f) are polished
 _EPS = float(np.finfo(float).eps)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # math.log elementwise: np.log differs from it in the last bit on ~0.3% of
@@ -132,6 +133,8 @@ class TrialDataset:
 
 def _integer(value, name: str) -> int:
     """``value`` as an int; a float or a bool is rejected, not truncated."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -403,18 +406,17 @@ def _bisect(fun: Callable[[float], float], a: float, b: float, fa: float, xtol: 
             return mid
 
 
-def _solve_level(fun: Callable[[np.ndarray], np.ndarray], level: float, lo: float,
-                 hi: float, resolution: int, residual_tol: float) -> list[float]:
-    """All x in [lo, hi] with fun(x) = level, by dense scan.
+def _solve_level(xs: np.ndarray, g: np.ndarray, gap: Callable[[float], float],
+                 level: float, residual_tol: float) -> list[float]:
+    """All x in [xs[0], xs[-1]] with gap(x) = 0, from the scan g = gap(xs).
 
-    ``fun`` maps an array of x to values: one call scans every point.
-    Sign changes are bisected on each monotone sub-segment; scanned local
-    minima of |fun - level| are polished by golden-section search on the
-    flanking scan points to catch tangential and endpoint solutions.
+    ``gap`` is the exact one-point function; ``g`` must hold its exact
+    value wherever |g| < _POLISH_WINDOW * (1 + |level|) and its sign
+    everywhere.  Sign changes are bisected on each monotone sub-segment;
+    scanned local minima of |g| inside that window are polished by
+    golden-section search on the flanking scan points to catch tangential
+    and endpoint solutions.
     """
-    xs = np.linspace(lo, hi, resolution)
-    g = fun(xs) - level
-    gap = lambda x: float(fun([x])[0]) - level
     roots = [float(x) for x in xs[g == 0.0]]
     roots += [_bisect(gap, float(xs[i]), float(xs[i + 1]), float(g[i]), 1e-14)
               for i in np.flatnonzero(g[:-1] * g[1:] < 0)]
@@ -422,9 +424,9 @@ def _solve_level(fun: Callable[[np.ndarray], np.ndarray], level: float, lo: floa
     absg = np.abs(g)
     padded = np.concatenate(([math.inf], absg, [math.inf]))
     minima = ((absg <= padded[:-2]) & (absg <= padded[2:])
-              & (0 < absg) & (absg < 1e-4 * (1.0 + abs(level))))
+              & (0 < absg) & (absg < _POLISH_WINDOW * (1.0 + abs(level))))
     for i in np.flatnonzero(minima):
-        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, resolution - 1)])
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
         x, residual = _golden_min(lambda x: abs(gap(x)), a, b, 1e-14)
         if residual <= residual_tol:
             roots.append(x)
@@ -432,7 +434,7 @@ def _solve_level(fun: Callable[[np.ndarray], np.ndarray], level: float, lo: floa
     roots.sort()
     merged: list[float] = []
     for r in roots:
-        if not merged or r - merged[-1] > 1e-9 * max(1.0, hi - lo):
+        if not merged or r - merged[-1] > 1e-9 * max(1.0, float(xs[-1] - xs[0])):
             merged.append(r)
     return merged
 
@@ -442,10 +444,15 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
                     residual_tol: float = 1e-10) -> list[float]:
     """All lam on the branch where the k-step return probability equals f.
 
-    The scan is one exact pass of the row engine over all ``resolution``
-    points.  Every returned candidate satisfies |p^(k)(0, lam) - f| <=
-    residual_tol; the list is empty when the level is not attained (e.g. f
-    above the maximum of the return probability on the branch).
+    The scan is one float pass of the row engine over all ``resolution``
+    points.  Scan points whose float gap |p^(k)(0, lam) - f| lies inside
+    the polish window (which holds every zero and every sign the float
+    error of ~1e-15 could flip) are re-scored with one exact pass, so the
+    scan decides zeros, sign changes and polish starts on exact values.
+    The bisection and the golden polish evaluate exact single points.
+    Every returned candidate satisfies |p^(k)(0, lam) - f| <= residual_tol
+    (finite, >= 0); the list is empty when the level is not attained (e.g.
+    f above the maximum of the return probability on the branch).
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {f}")
@@ -454,10 +461,16 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     lo, hi = float(branch[0]), float(branch[1])
     if not -1.0 <= lo < hi <= 1.0:
         raise ValueError(f"branch must be a sub-interval of [-1, 1], got {branch}")
-    if resolution < 8:
+    if _integer(resolution, "resolution") < 8:
         raise ValueError(f"resolution must be >= 8, got {resolution}")
-    fun = lambda lams: _grid(k, lams, [0], exact=True)[:, 0]
-    return _solve_level(fun, f, lo, hi, resolution, residual_tol)
+    if not 0.0 <= residual_tol < math.inf:
+        raise ValueError(f"residual tolerance must be finite and >= 0, got {residual_tol}")
+    xs = np.linspace(lo, hi, resolution)
+    g = _grid(k, xs, [0], exact=False)[:, 0] - f
+    near = np.abs(g) < _POLISH_WINDOW * (1.0 + f)
+    g[near] = _grid(k, xs[near], [0], exact=True)[:, 0] - f
+    gap = lambda x: float(_grid(k, [x], [0], exact=True)[0, 0]) - f
+    return _solve_level(xs, g, gap, f, residual_tol)
 
 
 def transition_probability(a: int, b: int, k: int, theta: float,

@@ -157,23 +157,28 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
     return _clamp((num / den).astype(float))
 
 
-# lam values per pass of the rows: the exact rows of all 2048 points of a
-# level-set scan at k = 24 hold about 20 MB of big integers, 12 of them 0.15 MB
+# lam values per pass of the exact rows: the big-integer rows of all 2048
+# points of a level-set scan at k = 24 hold about 20 MB, 12 of them 0.15 MB
 _GRID_BLOCK = 12
+# lam values per pass of the float rows, 8 bytes an entry: 64 rows at k = 200
+# take 0.1 MB each, and larger blocks raised the positions scan's peak RSS
+_FLOAT_BLOCK = 64
 
 
 def _grid(k: int, lams, ds, exact: bool) -> np.ndarray:
     """p(d; k, lam) for every lam in ``lams`` (rows) and d in ``ds`` (columns).
 
-    Each block of ``_GRID_BLOCK`` values of lam is one pass of the row
-    engine; every entry equals ``pmf_full(k, lam, exact)`` bit for bit.
+    Each block of ``_GRID_BLOCK`` (exact) or ``_FLOAT_BLOCK`` (float)
+    values of lam is one pass of the row engine; every entry equals
+    ``pmf_full(k, lam, exact)`` bit for bit.
     """
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)
     out = np.empty((len(lams), len(ds)))
-    for i in range(0, len(lams), _GRID_BLOCK):
-        a, b = _ratio(lams[i:i + _GRID_BLOCK], exact)
-        out[i:i + _GRID_BLOCK] = _probabilities(k, a, b, _rows_for(k, a, b), ds)
+    block = _GRID_BLOCK if exact else _FLOAT_BLOCK
+    for i in range(0, len(lams), block):
+        a, b = _ratio(lams[i:i + block], exact)
+        out[i:i + block] = _probabilities(k, a, b, _rows_for(k, a, b), ds)
     return out
 
 

@@ -286,6 +286,16 @@ def test_level_set_rejects_bad_level(tmp_path):
                  "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--residual-tol", "nan"),
+                                         ("--residual-tol", "-1e-10"),
+                                         ("--residual-tol", "inf")])
+def test_level_set_rejects_bad_residual_tol(tmp_path, flag, value):
+    # with a NaN tolerance the tangential root at lam = 0 would be dropped
+    assert main(["level-set", "--f", "1", "--k", "4", flag, value,
+                 "--outdir", str(tmp_path)]) == 2
+    assert not (tmp_path / "level_set.csv").exists()
+
+
 # ------------------------------------------------------------ dependencies
 
 def test_cli_runs_without_scipy(tmp_path):

@@ -25,6 +25,8 @@ from reluctant_walk.estimation import (
 )
 from reluctant_walk.pmf import CONVENTION_SIGMA, pmf_full, pmf_point
 
+from oracles import exact_return_scan, level_set_exact_scan
+
 
 def gibbs_dataset(theta_star, k):
     """Weighted dataset whose expected log-likelihood peaks exactly at theta_star."""
@@ -413,6 +415,57 @@ def test_level_set_validation():
         level_set_solve(0.5, 2, resolution=4)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"residual_tol": math.nan},
+    {"residual_tol": math.inf},
+    {"residual_tol": -1e-10},
+    {"resolution": 2048.0},
+    {"resolution": True},
+    {"resolution": np.float64(256)},
+])
+def test_level_set_rejects_bad_tolerance_and_resolution(kwargs):
+    # every residual <= NaN is False, so a NaN tolerance would drop every
+    # polished root; a float resolution would reach np.linspace
+    with pytest.raises(ValueError, match="residual tolerance|resolution"):
+        level_set_solve(1.0, 4, **kwargs)
+
+
+def test_level_set_accepts_numpy_integer_resolution():
+    assert level_set_solve(0.64, 2, resolution=np.int64(256)) == level_set_solve(
+        0.64, 2, resolution=256)
+
+
+even_k = st.integers(1, 24).map(lambda h: 2 * h)
+branches = st.sampled_from([(-1.0, 1.0), (0.0, 1.0)])
+
+
+def _level(k, branch, resolution, level):
+    """A float level as is; an int picks the scan point whose exact q is the level."""
+    if isinstance(level, int):
+        return float(exact_return_scan(k, *branch, resolution)[1][level % resolution])
+    return level
+
+
+@given(k=even_k, branch=branches,
+       level=st.one_of(st.floats(0.0, 1.0), st.integers(0, 511), st.sampled_from([0.0, 1.0])))
+@settings(max_examples=40, deadline=None)
+def test_level_set_matches_exact_scan_oracle(k, branch, level):
+    """The float scan re-scores every point near the level exactly, so the
+    roots are the exact scan's, bit for bit, also where the level is the
+    exact q of a scan point (a float gap of a few 1e-16 there)."""
+    f = _level(k, branch, 512, level)
+    assert level_set_solve(f, k, branch, resolution=512) == level_set_exact_scan(
+        f, k, branch, resolution=512)
+
+
+@pytest.mark.parametrize("branch", [(-1.0, 1.0), (0.0, 1.0)])
+@pytest.mark.parametrize("k", [8, 24])
+def test_level_set_matches_exact_scan_oracle_at_default_resolution(k, branch):
+    for level in (0.0, 0.3, 0.066, 1.0, 0, 700, 1023, 1024, 2047):
+        f = _level(k, branch, 2048, level)
+        assert level_set_solve(f, k, branch) == level_set_exact_scan(f, k, branch)
+
+
 # -------------------------------------------------------------- transitions
 
 def test_transition_probability_translation_invariance():
@@ -519,6 +572,15 @@ def test_dataset_integer_fields_are_checked_not_truncated():
     ds = TrialDataset.from_returns(4, n0=np.int64(1), n=np.int64(3))
     assert (type(ds.n), type(ds.n0)) == (int, int)
     assert dataset_from_json(json.dumps(dataset_to_json(ds))) == ds
+
+
+def test_dataset_positions_keep_plain_ints():
+    ds = TrialDataset.from_positions(4, [np.int64(2), 0, np.int32(-4)])
+    assert ds.positions == (2, 0, -4)
+    assert {type(d) for d in ds.positions} == {int}
+    for bad in (2.0, True, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            TrialDataset.from_positions(4, [0, bad])
 
 
 def test_dataset_json_rejects_malformed():
