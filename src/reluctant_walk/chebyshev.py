@@ -259,7 +259,7 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
     return report
 
 
-def _iter_y_rows(a, b):
+def _iter_y_rows(a, b, cone=None):
     """Yield (Z^(j), Z^(j-1)) for j = 0, 1, ..., where Z^(j) = b^j * Y^(j)(a/b).
 
     ``a`` and ``b`` are scalars or arrays of one shape S, so a whole grid
@@ -273,24 +273,40 @@ def _iter_y_rows(a, b):
     e.g. from ``Fraction(lam)``, which is exact for a float) the rows are
     object arrays of exact integers; with float a and b = 1.0 they are
     float64 Y rows, whose rounding grows mildly with j.
+
+    ``cone = (last, reach)`` keeps only the light cone of the entries
+    m <= reach of row ``last``: once 2j > last + reach + 1, row j holds
+    its first last + reach - j + 1 entries, one fewer each row.  Each kept
+    entry is computed by the same operations as untrimmed, so it is the
+    same number.
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype)[..., None] for v in (a, b))
     b2 = b * b
     shape = a.shape[:-1]
+    edge = math.inf if cone is None else cone[0] + cone[1]
     prev2 = prev = np.zeros(shape + (0,), dtype)
     j = 0
     while True:
-        row = np.zeros(shape + (j + 1,), dtype)
-        if j == 0:
-            row[..., 0] = 1
-        else:
-            row[..., 1:] = prev                 # left neighbor Z_{m-1}, m >= 1
-            if j >= 2:
-                row[..., 0] = prev[..., 1]      # left neighbor Z_{|0-1|} = Z_1
-            row[..., : j - 1] += prev[..., 1:]  # right neighbor Z_{m+1}
+        if 2 * j > edge + 1:                    # inside the cone: every neighbor is kept
+            width = edge - j + 1
+            row = np.empty(shape + (width,), dtype)
+            row[..., 1:] = prev[..., : width - 1]
+            row[..., 0] = prev[..., 1]
+            row += prev[..., 1 : width + 1]
             row *= a
-            row[..., : j - 1] -= b2 * prev2
+            row -= b2 * prev2[..., :width]
+        else:
+            row = np.zeros(shape + (j + 1,), dtype)
+            if j == 0:
+                row[..., 0] = 1
+            else:
+                row[..., 1:] = prev                 # left neighbor Z_{m-1}, m >= 1
+                if j >= 2:
+                    row[..., 0] = prev[..., 1]      # left neighbor Z_{|0-1|} = Z_1
+                row[..., : j - 1] += prev[..., 1:]  # right neighbor Z_{m+1}
+                row *= a
+                row[..., : j - 1] -= b2 * prev2
         yield row, prev
         prev2, prev = prev, row
         j += 1

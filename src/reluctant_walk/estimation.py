@@ -46,6 +46,10 @@ _CANDIDATE_WINDOW = 1e-6   # grid maxima within this of the best are all refined
 _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
 _POLISH_WINDOW = 1e-4      # level-set scan minima of |q - f| below this * (1 + f) are polished
+# a float gap beyond this decides a bisection sign: 100x the 1e-14 bound on
+# the float return probability's error (test_float_return_scan_error_margin)
+_SIGN_BAND = 1e-12
+_TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float block
 _EPS = float(np.finfo(float).eps)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # math.log elementwise: np.log differs from it in the last bit on ~0.3% of
@@ -206,7 +210,7 @@ def likelihood_curve(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     if finite.any():
         masked = np.where(finite, ll, -np.inf)
         arg = float(thetas[int(np.argmax(masked))])
-        curvature = _curvature(lambda t: log_likelihood(data, t), arg)
+        curvature = _curvature(data, arg)
     else:
         arg, curvature = math.nan, math.nan
     return LikelihoodCurve(data.k, thetas, ll, arg, curvature)
@@ -261,7 +265,7 @@ def _scan(data: TrialDataset, theta_range, grid_size):
     lo, hi = float(theta_range[0]), float(theta_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid theta range {theta_range}")
-    if grid_size < 3:
+    if _integer(grid_size, "grid size") < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
     thetas = np.linspace(lo, hi, grid_size)
     return thetas, _log_likelihoods(data, np.cos(thetas))
@@ -273,19 +277,20 @@ def _flat_result(data: TrialDataset) -> EstimateResult:
                           data.trials, data.seed)
 
 
-def _curvature(fun: Callable[[float], float], x: float, h: float = _FD_STEP) -> float:
-    """Second derivative by central differences, Richardson-extrapolated once."""
-
-    def second(step):
-        return (fun(x + step) - 2.0 * fun(x) + fun(x - step)) / step**2
-
-    coarse = second(h)
-    fine = second(h / 2)
+def _curvature(data: TrialDataset, x: float, h: float = _FD_STEP) -> float:
+    """Second theta-derivative of the log-likelihood at x by central
+    differences, Richardson-extrapolated once; the five points go through
+    one ``_log_likelihoods`` call."""
+    up, mid, down, up2, down2 = _log_likelihoods(
+        data, np.cos([x + h, x, x - h, x + h / 2, x - h / 2])).tolist()
+    coarse = (up - 2.0 * mid + down) / h**2
+    fine = (up2 - 2.0 * mid + down2) / (h / 2)**2
     return (4.0 * fine - coarse) / 3.0
 
 
-def _diagnostics(fun, theta_hat, ll_hat, n):
-    curvature = _curvature(fun, theta_hat)
+def _diagnostics(data: TrialDataset, theta_hat, ll_hat):
+    curvature = _curvature(data, theta_hat)
+    n = data.trials
     if math.isfinite(ll_hat) and math.isfinite(curvature) and n > 0:
         ptilde = math.exp(ll_hat / n)
         positivity = -(ptilde**2) * curvature / n
@@ -351,7 +356,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     fun = lambda t: log_likelihood(data, t)
     thetas, ll = _scan(data, theta_range, grid_size)
     lo, hi = float(thetas[0]), float(thetas[-1])
-    spacing = (hi - lo) / (grid_size - 1)
+    spacing = (hi - lo) / (len(thetas) - 1)
 
     finite = np.isfinite(ll)
     if not finite.any():
@@ -369,7 +374,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 
     if best_theta - lo < spacing or hi - best_theta < spacing:
         flags.append("boundary_maximum")
-    curvature, positivity = _diagnostics(fun, best_theta, best_ll, data.trials)
+    curvature, positivity = _diagnostics(data, best_theta, best_ll)
     return EstimateResult(best_theta, math.cos(best_theta), best_ll, curvature,
                           positivity, tuple(t for t, _ in candidates), tuple(flags),
                           data.kind, data.k, data.trials, data.seed)
@@ -378,53 +383,83 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 def _estimate_from_returns(data: TrialDataset) -> EstimateResult:
     q_hat = data.n0 / data.n
     roots = level_set_solve(q_hat, data.k, branch=(0.0, 1.0))
-    fun = lambda t: log_likelihood(data, t)
     if not roots:
         # q(lam) is continuous with q(0)=1 and q(1)=0, so every frequency
         # in [0,1] is attained; an empty list is a resolution failure
         return _flat_result(data)
     thetas = sorted(math.acos(max(min(r, 1.0), -1.0)) for r in roots)
-    best_theta, best_ll = _best([(theta, fun(theta)) for theta in thetas])
-    curvature, positivity = _diagnostics(fun, best_theta, best_ll, data.trials)
+    lls = _log_likelihoods(data, np.cos(thetas)).tolist()
+    best_theta, best_ll = _best(list(zip(thetas, lls)))
+    curvature, positivity = _diagnostics(data, best_theta, best_ll)
     return EstimateResult(best_theta, math.cos(best_theta), best_ll, curvature,
                           positivity, tuple(thetas), (), data.kind, data.k,
                           data.trials, data.seed)
 
 
-def _bisect(fun: Callable[[float], float], a: float, b: float, fa: float, xtol: float):
-    """A root of fun on [a, b], given fa = fun(a) and a sign change there.
+def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: float,
+            estimate: Callable[[np.ndarray], np.ndarray] | None = None):
+    """A root of gap on [a, b], given fa = gap(a) and a sign change there.
 
-    Halves until |step| < xtol + 4 eps |mid|, scipy.optimize.bisect's rule."""
+    Halves until |step| < xtol + 4 eps |mid|, scipy.optimize.bisect's rule.
+    Each pass lays out the midpoints of the next ``_TREE_DEPTH`` halvings
+    on every sign path, formed as the walk forms them (step *= 0.5;
+    mid = a + step), and scores them with one call of ``estimate``.  The
+    walk down the tree reads a node's sign from that score when it lies
+    beyond ``_SIGN_BAND`` and calls the exact ``gap`` otherwise, so only
+    nodes on the taken path near the root cost an exact call.  This
+    assumes ``estimate`` is within _SIGN_BAND of ``gap`` everywhere; the
+    float return probability is (within 1e-14 up to k = 200).  Without
+    ``estimate`` every node on the path is exact.  Either way the root is
+    the one the all-exact one-midpoint-at-a-time loop returns, bit for bit.
+    """
     step = b - a
     while True:
-        step *= 0.5
-        mid = a + step
-        fm = fun(mid)
-        if fm * fa >= 0:
-            a = mid
-        if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
-            return mid
+        starts, levels, half = np.array([a]), [], step
+        for _ in range(_TREE_DEPTH):
+            half *= 0.5
+            levels.append(starts + half)
+            starts = np.stack([starts, levels[-1]], axis=1).ravel()  # children 2i, 2i+1
+        points = np.concatenate(levels)
+        scores = np.zeros(len(points)) if estimate is None else estimate(points)
+        node = 0
+        for depth in range(_TREE_DEPTH):
+            step *= 0.5
+            mid = a + step
+            fm = float(scores[2**depth - 1 + node])
+            if abs(fm) <= _SIGN_BAND:
+                fm = gap(mid)
+            node *= 2
+            if fm * fa >= 0:
+                a = mid
+                node += 1
+            if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
+                return mid
 
 
 def _solve_level(xs: np.ndarray, g: np.ndarray, gap: Callable[[float], float],
-                 level: float, residual_tol: float) -> list[float]:
+                 level: float, residual_tol: float,
+                 estimate: Callable[[np.ndarray], np.ndarray] | None = None) -> list[float]:
     """All x in [xs[0], xs[-1]] with gap(x) = 0, from the scan g = gap(xs).
 
     ``gap`` is the exact one-point function; ``g`` must hold its exact
     value wherever |g| < _POLISH_WINDOW * (1 + |level|) and its sign
-    everywhere.  Sign changes are bisected on each monotone sub-segment;
-    scanned local minima of |g| inside that window are polished by
-    golden-section search on the flanking scan points to catch tangential
-    and endpoint solutions.
+    everywhere.  Each sign change is bisected (``_bisect``, which scores
+    its midpoints with ``estimate`` when given).  Scanned local minima of
+    |g| inside that window that are not an end of a bisected sign change
+    are polished by golden-section search on the flanking scan points, to
+    catch tangential and endpoint solutions; a minimum at a sign change
+    would only re-find the bisection's root.
     """
+    changes = np.flatnonzero(g[:-1] * g[1:] < 0)
     roots = [float(x) for x in xs[g == 0.0]]
-    roots += [_bisect(gap, float(xs[i]), float(xs[i + 1]), float(g[i]), 1e-14)
-              for i in np.flatnonzero(g[:-1] * g[1:] < 0)]
+    roots += [_bisect(gap, float(xs[i]), float(xs[i + 1]), float(g[i]), 1e-14, estimate)
+              for i in changes]
 
     absg = np.abs(g)
     padded = np.concatenate(([math.inf], absg, [math.inf]))
     minima = ((absg <= padded[:-2]) & (absg <= padded[2:])
               & (0 < absg) & (absg < _POLISH_WINDOW * (1.0 + abs(level))))
+    minima[changes] = minima[changes + 1] = False
     for i in np.flatnonzero(minima):
         a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
         x, residual = _golden_min(lambda x: abs(gap(x)), a, b, 1e-14)
@@ -449,7 +484,11 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     the polish window (which holds every zero and every sign the float
     error of ~1e-15 could flip) are re-scored with one exact pass, so the
     scan decides zeros, sign changes and polish starts on exact values.
-    The bisection and the golden polish evaluate exact single points.
+    Each sign change is bisected on float signs, 63 midpoints to a float
+    pass, with an exact single point only where a float gap on the taken
+    path is within 1e-12 of zero (``_bisect``); the golden polish of
+    scanned minima away from sign changes evaluates exact single points.
+    The roots are those of the same solve run on exact values throughout.
     Every returned candidate satisfies |p^(k)(0, lam) - f| <= residual_tol
     (finite, >= 0); the list is empty when the level is not attained (e.g.
     f above the maximum of the return probability on the branch).
@@ -466,11 +505,12 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     if not 0.0 <= residual_tol < math.inf:
         raise ValueError(f"residual tolerance must be finite and >= 0, got {residual_tol}")
     xs = np.linspace(lo, hi, resolution)
-    g = _grid(k, xs, [0], exact=False)[:, 0] - f
+    floats = lambda x: _grid(k, x, [0], exact=False)[:, 0] - f
+    g = floats(xs)
     near = np.abs(g) < _POLISH_WINDOW * (1.0 + f)
     g[near] = _grid(k, xs[near], [0], exact=True)[:, 0] - f
     gap = lambda x: float(_grid(k, [x], [0], exact=True)[0, 0]) - f
-    return _solve_level(xs, g, gap, f, residual_tol)
+    return _solve_level(xs, g, gap, f, residual_tol, floats)
 
 
 def transition_probability(a: int, b: int, k: int, theta: float,

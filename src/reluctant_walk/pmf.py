@@ -121,9 +121,15 @@ def _ratio(lam, exact: bool = True):
     return np.frompyfunc(lambda x: Fraction(x).as_integer_ratio(), 1, 2)(lam)
 
 
-def _rows_for(k: int, a, b):
-    """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads."""
-    return next(islice(_iter_y_rows(a, b), k - 1, None))
+def _rows_for(k: int, a, b, ds=None):
+    """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads.
+
+    Given ``ds``, the rows stop at the light cone of the entries
+    |d +- 1| those displacements read, when that cone is narrower than
+    the rows."""
+    reach = k if ds is None else max((abs(int(d)) for d in ds), default=-1) + 1
+    cone = (k - 1, reach) if reach < k - 1 else None
+    return next(islice(_iter_y_rows(a, b, cone), k - 1, None))
 
 
 def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray:
@@ -144,9 +150,9 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
     row_km1, row_km2 = rows
     ds = np.asarray(ds, int)
     z1 = np.zeros(row_km1.shape[:-1] + (k + 2,), row_km1.dtype)     # |d +- 1| <= k + 1
-    z1[..., :k] = row_km1
+    z1[..., :row_km1.shape[-1]] = row_km1
     z2 = np.zeros_like(z1)
-    z2[..., :k - 1] = row_km2
+    z2[..., :row_km2.shape[-1]] = row_km2
     z_a, z_b, z_c = z1[..., abs(ds - 1)], z2[..., abs(ds)], z1[..., abs(ds + 1)]
     a, b = (np.asarray(v, row_km1.dtype)[..., None] for v in (a, b))
     b2 = b * b
@@ -178,7 +184,7 @@ def _grid(k: int, lams, ds, exact: bool) -> np.ndarray:
     block = _GRID_BLOCK if exact else _FLOAT_BLOCK
     for i in range(0, len(lams), block):
         a, b = _ratio(lams[i:i + block], exact)
-        out[i:i + block] = _probabilities(k, a, b, _rows_for(k, a, b), ds)
+        out[i:i + block] = _probabilities(k, a, b, _rows_for(k, a, b, ds), ds)
     return out
 
 
@@ -201,7 +207,7 @@ def pmf_point(k: int, d: int, lam):
     if abs(d) > k or (k - d) % 2:
         return Fraction(0) if exact else 0.0
     a, b = _ratio(lam)
-    (p,) = _probabilities(k, a, b, _rows_for(k, a, b), [d], rational=exact).tolist()
+    (p,) = _probabilities(k, a, b, _rows_for(k, a, b, [d]), [d], rational=exact).tolist()
     return p
 
 

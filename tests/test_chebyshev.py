@@ -266,3 +266,31 @@ def test_float_rows_track_exact_rows():
         (re_, _), (rf, _) = next(exact), next(approx)
         assert rf.dtype == np.float64
         assert_allclose(rf, [z / 20**j for z in re_], atol=1e-12)
+
+
+@given(last=st.integers(0, 60), reach=st.integers(0, 62),
+       lams=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4), exact=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_light_cone_rows_are_the_full_rows(last, reach, lams, exact):
+    """Every entry a cone keeps is the untrimmed entry, bit for bit (sign
+    of zero too), and each row keeps all the entries row ``last``'s first
+    reach + 1 depend on."""
+    if exact:
+        a, b = (np.array(v, object) for v in zip(*(Fraction(x).as_integer_ratio() for x in lams)))
+    else:
+        a, b = np.array(lams), np.ones(len(lams))
+    full, cone = _iter_y_rows(a, b), _iter_y_rows(a, b, (last, reach))
+    for j in range(last + 1):
+        (row, _), (kept, _) = next(full), next(cone)
+        width = min(j, reach + last - j) + 1
+        assert width <= kept.shape[-1] <= j + 1
+        assert kept.tolist() == row[..., :kept.shape[-1]].tolist()
+        if not exact:
+            assert (np.signbit(kept) == np.signbit(row[..., :kept.shape[-1]])).all()
+
+
+def test_return_probability_cone_holds_half_the_rows():
+    # p(0; 100, lam) reads entries 0 and 1 of row 99 and entry 0 of row 98
+    rows = _iter_y_rows(3, 10, (99, 1))
+    kept = sum(next(rows)[0].shape[-1] for _ in range(100))
+    assert kept == 2600 and kept < 0.52 * sum(range(1, 101))

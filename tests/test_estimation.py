@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
@@ -23,7 +23,7 @@ from reluctant_walk.estimation import (
     mle_estimate,
     transition_probability,
 )
-from reluctant_walk.pmf import CONVENTION_SIGMA, pmf_full, pmf_point
+from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, pmf_full, pmf_point
 
 from oracles import exact_return_scan, level_set_exact_scan
 
@@ -276,6 +276,35 @@ def test_mle_range_validation():
         mle_estimate(ds, grid_size=2)
 
 
+@pytest.mark.parametrize("bad", [601.0, np.float64(601), True])
+def test_grid_size_must_be_an_integer(bad):
+    ds = TrialDataset.from_positions(4, [0, 2, -2])
+    with pytest.raises(ValueError, match="grid size"):
+        likelihood_curve(ds, grid_size=bad)
+    with pytest.raises(ValueError, match="grid size"):
+        mle_estimate(ds, grid_size=bad)
+
+
+def test_grid_size_accepts_numpy_integers():
+    ds = TrialDataset.from_positions(4, [0, 2, -2])
+    assert mle_estimate(ds, grid_size=np.int64(101)) == mle_estimate(ds, grid_size=101)
+    curve = likelihood_curve(ds, grid_size=np.int32(11))
+    assert curve.loglik.tolist() == likelihood_curve(ds, grid_size=11).loglik.tolist()
+
+
+@pytest.mark.parametrize("data", [
+    TrialDataset.from_returns(24, 3100, 10000),
+    TrialDataset.from_positions(48, [-30, -12, 0, 0, 6, 18, 40], seed=3),
+])
+def test_curvature_batch_is_the_pointwise_richardson_value(data):
+    """The five likelihoods of the curvature come from one batched call,
+    equal bit for bit to the scalar calls combined in the same order."""
+    x, h = 0.7, estimation._FD_STEP
+    ll = lambda t: log_likelihood(data, t)
+    second = lambda step: (ll(x + step) - 2.0 * ll(x) + ll(x - step)) / step**2
+    assert estimation._curvature(data, x) == (4.0 * second(h / 2) - second(h)) / 3.0
+
+
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
 def test_mle_rejects_bad_refine_tolerance(bad):
     with pytest.raises(ValueError, match="refine tolerance"):
@@ -384,6 +413,50 @@ def test_level_set_bisection_matches_scipy(f, k):
         if gap(a) * gap(b) < 0:
             expected = scipy_bisect(gap, a, b, xtol=1e-14)
             assert estimation._bisect(gap, a, b, gap(a), 1e-14) == expected
+
+
+@given(k=st.sampled_from([8, 24, 48]), i=st.integers(0, 2046), u=st.floats(0.0, 1.0),
+       path=st.lists(st.booleans(), min_size=1, max_size=36), on_node=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_tree_bisection_matches_the_exact_sequential_root(k, i, u, path, on_node):
+    """Bisection on float signs, exact only within the sign band, returns
+    scipy's all-exact root bit for bit; ``on_node`` puts the level at the
+    exact q of a tree midpoint, where the float gap is a few 1e-16 and
+    the exact gap is 0."""
+    xs = np.linspace(-1.0, 1.0, 2048)
+    a, b = float(xs[i]), float(xs[i + 1])
+    if on_node:
+        lo, step = a, b - a
+        for right in path:
+            step *= 0.5
+            node = lo + step
+            if right:
+                lo = node
+        f = pmf_point(k, 0, node)
+    else:
+        f = pmf_point(k, 0, a) + u * (pmf_point(k, 0, b) - pmf_point(k, 0, a))
+    gap = lambda lam: pmf_point(k, 0, lam) - f
+    assume(gap(a) * gap(b) < 0)
+    floats = lambda lams: _grid(k, lams, [0], exact=False)[:, 0] - f
+    expected = scipy_bisect(gap, a, b, xtol=1e-14)
+    assert estimation._bisect(gap, a, b, gap(a), 1e-14, floats) == expected
+
+
+def test_returns_estimate_makes_few_exact_point_passes(monkeypatch):
+    """Float signs decide the bisection away from the root, and no polish
+    re-finds a bisected root: a k = 24 estimate makes at most 25 exact
+    one-point row passes (98 when every midpoint was exact)."""
+    passes = []
+
+    def counting(k, lams, ds, exact):
+        passes.append(exact and len(lams) == 1)
+        return _grid(k, lams, ds, exact)
+
+    monkeypatch.setattr(estimation, "_grid", counting)
+    for n0 in (80, 314, 236, 102):
+        passes.clear()
+        mle_estimate(TrialDataset.from_returns(24, n0, 10000))
+        assert 0 < sum(passes) <= 25
 
 
 def test_level_set_unattained_level_is_empty():

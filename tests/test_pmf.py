@@ -123,6 +123,19 @@ def test_grid_rows_are_pmf_full_tables(k, lams, exact):
         assert row == list(pmf_full(k, lam, exact=exact).table.values())
 
 
+@given(k_ds=st.integers(1, 60).flatmap(lambda k: st.tuples(
+           st.just(k), st.lists(st.integers(-k, k), min_size=1, max_size=4))),
+       lams=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20), exact=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_grid_columns_on_a_light_cone_are_pmf_full_entries(k_ds, lams, exact):
+    # a few columns near d = 0 run the rows trimmed to their light cone
+    k, ds = k_ds
+    grid = _grid(k, np.array(lams), ds, exact)
+    for lam, row in zip(lams, grid.tolist()):
+        table = pmf_full(k, lam, exact=exact)
+        assert row == [table.probability(d) for d in ds]
+
+
 def test_float_grid_blocks_match_single_points():
     # 2048 values of lam span 32 float blocks; each row is computed alone
     lams = np.linspace(-1.0, 1.0, 2048)
