@@ -47,7 +47,7 @@ def main():
 
     theta = math.pi / 3
     lam = math.cos(theta)
-    print(f"Single points via the hypergeometric route, theta = pi/3:")
+    print(f"Single points from the exact rows, theta = pi/3:")
     for k, d in ((4, 0), (4, -4), (12, 6)):
         print(f"  p(d={d:+d} | k={k}) = {pmf_point(k, d, lam):.10f}")
 

@@ -5,13 +5,7 @@ built from a Chebyshev polynomial family, and maximum-likelihood
 estimation of the coin angle from sampled walk data.
 """
 
-from .chebyshev import (
-    chebyshev_identity_suite,
-    chebyshev_u,
-    hyp2f1_terminating,
-    y_poly,
-    y_poly_quadrature,
-)
+from .chebyshev import chebyshev_identity_suite, chebyshev_u
 from .estimation import (
     EstimateResult,
     LikelihoodCurve,
@@ -24,18 +18,15 @@ from .estimation import (
     likelihood_curve,
     log_likelihood,
     mle_estimate,
-    transition_probability,
 )
 from .pmf import (
     CONVENTION_SIGMA,
     Pmf,
     iter_pmf_full,
-    pmf_even_closed,
     pmf_from_csv,
     pmf_from_json,
     pmf_full,
     pmf_point,
-    pmf_point_cosine_form,
     pmf_to_csv,
     pmf_to_json,
     reluctance_profile,
@@ -86,7 +77,6 @@ __all__ = [
     "displacement_likelihood",
     "evolve",
     "fresh_seed",
-    "hyp2f1_terminating",
     "iter_pmf_full",
     "kernel_matrix",
     "kernel_power",
@@ -95,12 +85,10 @@ __all__ = [
     "likelihood_curve",
     "log_likelihood",
     "mle_estimate",
-    "pmf_even_closed",
     "pmf_from_csv",
     "pmf_from_json",
     "pmf_full",
     "pmf_point",
-    "pmf_point_cosine_form",
     "pmf_to_csv",
     "pmf_to_json",
     "position_pmf",
@@ -109,8 +97,5 @@ __all__ = [
     "sample_positions",
     "sample_return_trials",
     "step",
-    "transition_probability",
     "trial_generator",
-    "y_poly",
-    "y_poly_quadrature",
 ]

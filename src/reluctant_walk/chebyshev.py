@@ -4,25 +4,20 @@ The walk's closed-form pmf is built from the Fourier coefficients
 
     Y_d^(k)(lam) = (1/2pi) * integral_0^2pi U_k(lam*cos(phi)) * cos(d*phi) dphi
 
-which are polynomials in lam with integer coefficients.  ``y_poly`` evaluates
-them through an exact integer/rational core (float64 accumulation of the
-alternating series loses up to ~13 digits by k = 50), and
-``y_poly_quadrature`` provides an independent quadrature arbiter.
+which are polynomials in lam with integer coefficients.  ``_iter_y_rows``
+computes them row by row from their three-term recurrence, on the exact
+integers of lam = a/b or in float64; ``chebyshev_identity_suite`` checks
+the integral and derivative identities of the U_n family.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 __all__ = [
     "chebyshev_u",
-    "y_poly",
-    "y_poly_quadrature",
-    "hyp2f1_terminating",
     "chebyshev_identity_suite",
 ]
 
@@ -63,123 +58,6 @@ def _chebyshev_u_pair(n, x):
     for _ in range(n):
         u_prev, u = u, 2 * x * u - u_prev
     return (float(u), float(u_prev)) if scalar else (u, u_prev)
-
-
-def _as_fraction(lam) -> Fraction:
-    if isinstance(lam, Fraction):
-        return lam
-    # float conversion is exact (binary floats are dyadic rationals)
-    return Fraction(lam)
-
-
-def y_poly(d: int, k: int, lam):
-    """Evaluate Y_d^(k)(lam) by its terminating series.
-
-    Y_d^(k)(lam) = sum_{n=0}^{(k-|d|)/2} (-1)^n C(k-n, n)
-                   * C(k-2n, (k+|d|)/2 - n) * lam^(k-2n)
-
-    The second binomial's upper index is k-2n, matching the residue that
-    produces the series.  Zero when |d| > k or when d and k differ in
-    parity; symmetric under d -> -d.  The sum runs over exact integers
-    times rational powers of lam, so the returned value is correctly
-    rounded; naive float accumulation is unusable here (terms reach ~1e13
-    at k = 50, lam = 0.95 while the result is O(1)).
-
-    Parameters
-    ----------
-    d : int
-        Signed Fourier index.
-    k : int
-        Polynomial order, k >= 0.
-    lam : float or Fraction
-        Argument with |lam| <= 1.  A Fraction input returns the exact
-        rational value.
-
-    Returns
-    -------
-    float, or Fraction when ``lam`` is a Fraction.
-    """
-    if k < 0:
-        raise ValueError(f"order must be non-negative, got {k}")
-    exact = isinstance(lam, Fraction)
-    if abs(lam) > 1:
-        raise ValueError(f"|lam| must be <= 1, got {lam}")
-    d = abs(int(d))
-    if d > k or (k - d) % 2:
-        return Fraction(0) if exact else 0.0
-    lam_q = _as_fraction(lam)
-    total = Fraction(0)
-    for n in range((k - d) // 2 + 1):
-        coeff = comb(k - n, n) * comb(k - 2 * n, (k + d) // 2 - n)
-        term = coeff * lam_q ** (k - 2 * n)
-        total += -term if n % 2 else term
-    return total if exact else float(total)
-
-
-def y_poly_quadrature(d: int, k: int, lam, resolution: int | None = None) -> float:
-    """Quadrature evaluation of Y_d^(k)(lam), the arbiter for ``y_poly``.
-
-    Integrates U_k(lam*cos(phi))*cos(d*phi) over a period with the
-    periodic trapezoid rule, which is exact for trigonometric polynomials
-    once the node count exceeds the integrand degree k + |d|.
-
-    Parameters
-    ----------
-    resolution : int, optional
-        Number of quadrature nodes; defaults to 8*(k + |d| + 4).
-    """
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
-    if k < 0:
-        raise ValueError(f"order must be non-negative, got {k}")
-    d = abs(int(d))
-    if resolution is None:
-        resolution = 8 * (k + d + 4)
-    phi = 2.0 * np.pi * np.arange(resolution) / resolution
-    vals = chebyshev_u(k, lam * np.cos(phi))
-    return float(np.mean(vals * np.cos(d * phi)))
-
-
-def hyp2f1_terminating(a, b, c, z):
-    """Evaluate a terminating Gauss hypergeometric series 2F1(a, b; c; z).
-
-    At least one of ``a``, ``b`` must be a non-positive integer so the
-    Pochhammer products truncate; the sum then has min(-a, -b) + 1 terms
-    and is evaluated directly.  Exact (Fraction) inputs give an exact
-    rational result.
-
-    Raises
-    ------
-    ValueError
-        If neither upper parameter is a non-positive integer, or if
-        (c)_n vanishes at some n before the terminating index while the
-        numerator is still non-zero.
-    """
-
-    def _nonpos_int(v):
-        try:
-            return v <= 0 and float(v).is_integer()
-        except (TypeError, OverflowError):
-            return False
-
-    stops = [int(-v) for v in (a, b) if _nonpos_int(v)]
-    if not stops:
-        raise ValueError("series does not terminate: neither a nor b is a non-positive integer")
-    m = min(stops)
-    exact = all(isinstance(v, (int, Fraction)) for v in (a, b, c, z))
-    term = Fraction(1) if exact else 1.0
-    total = term
-    for i in range(m):
-        num = (a + i) * (b + i)
-        if num == 0:
-            break
-        den_c = c + i
-        if den_c == 0:
-            raise ValueError(f"(c)_n vanishes at n = {i + 1} before the series terminates (c = {c})")
-        term = term * num * z / (den_c * (i + 1))
-        total += term
-    return total
 
 
 def _derivative_identity_sum(n: int, xi):
@@ -268,45 +146,36 @@ def _iter_y_rows(a, b, cone=None):
 
         Z_m^(j) = a*(Z_{|m-1|}^(j-1) + Z_{m+1}^(j-1)) - b^2 * Z_m^(j-2),
 
-    with out-of-range entries zero, so they cost O(j) per row instead of
-    the O(j^2) series of ``y_poly``.  With Python ints a, b (lam = a/b,
-    e.g. from ``Fraction(lam)``, which is exact for a float) the rows are
-    object arrays of exact integers; with float a and b = 1.0 they are
-    float64 Y rows, whose rounding grows mildly with j.
+    with out-of-range entries zero, so they cost O(j) per row.  With
+    Python ints a, b (lam = a/b, e.g. from ``Fraction(lam)``, which is
+    exact for a float) the rows are object arrays of exact integers; with
+    float a and b = 1.0 they are float64 Y rows, whose rounding grows
+    mildly with j.
 
     ``cone = (last, reach)`` keeps only the light cone of the entries
-    m <= reach of row ``last``: once 2j > last + reach + 1, row j holds
-    its first last + reach - j + 1 entries, one fewer each row.  Each kept
-    entry is computed by the same operations as untrimmed, so it is the
-    same number.
+    m <= reach of row ``last``: row j holds its first
+    min(j, last + reach - j) + 1 entries.  Each kept entry is computed by
+    the same operations as untrimmed, so it is the same number.
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype)[..., None] for v in (a, b))
     b2 = b * b
     shape = a.shape[:-1]
     edge = math.inf if cone is None else cone[0] + cone[1]
-    prev2 = prev = np.zeros(shape + (0,), dtype)
+    row, prev = np.ones(shape + (1,), dtype), np.zeros(shape + (0,), dtype)
     j = 0
     while True:
-        if 2 * j > edge + 1:                    # inside the cone: every neighbor is kept
-            width = edge - j + 1
-            row = np.empty(shape + (width,), dtype)
-            row[..., 1:] = prev[..., : width - 1]
-            row[..., 0] = prev[..., 1]
-            row += prev[..., 1 : width + 1]
-            row *= a
-            row -= b2 * prev2[..., :width]
-        else:
-            row = np.zeros(shape + (j + 1,), dtype)
-            if j == 0:
-                row[..., 0] = 1
-            else:
-                row[..., 1:] = prev                 # left neighbor Z_{m-1}, m >= 1
-                if j >= 2:
-                    row[..., 0] = prev[..., 1]      # left neighbor Z_{|0-1|} = Z_1
-                row[..., : j - 1] += prev[..., 1:]  # right neighbor Z_{m+1}
-                row *= a
-                row[..., : j - 1] -= b2 * prev2
         yield row, prev
         prev2, prev = prev, row
         j += 1
+        width = min(j, edge - j) + 1
+        row = np.empty(shape + (width,), dtype)
+        row[..., 1:] = prev[..., :width - 1]            # left neighbor Z_{m-1}, m >= 1
+        row[..., 0] = prev[..., 1] if j > 1 else 0      # left neighbor Z_{|0-1|} = Z_1
+        # the entries with a right neighbor Z_{m+1} in row j-1 are those with
+        # a Z_m in row j-2: the first j - 1 outside the cone, every one inside
+        # it (where using the row itself saves building a view)
+        inner = row[..., :j - 1] if 2 * j <= edge + 1 else row
+        inner += prev[..., 1:width + 1]
+        row *= a
+        inner -= b2 * prev2[..., :width]

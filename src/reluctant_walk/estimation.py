@@ -23,8 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pmf import CONVENTION_SIGMA, _check_steps, _grid, pmf_point
-from .walk import CoinParameter, WalkState, channel_position_pmf, evolve, position_pmf
+from .pmf import CONVENTION_SIGMA, _check_steps, _grid
 
 __all__ = [
     "TrialDataset",
@@ -36,7 +35,6 @@ __all__ = [
     "likelihood_curve",
     "mle_estimate",
     "level_set_solve",
-    "transition_probability",
     "dataset_to_json",
     "dataset_from_json",
 ]
@@ -511,27 +509,6 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     g[near] = _grid(k, xs[near], [0], exact=True)[:, 0] - f
     gap = lambda x: float(_grid(k, [x], [0], exact=True)[0, 0]) - f
     return _solve_level(xs, g, gap, f, residual_tol, floats)
-
-
-def transition_probability(a: int, b: int, k: int, theta: float,
-                           via: str = "analytic") -> float:
-    """Probability that a walker started at site a is found at site b after k steps.
-
-    Sites are read on the analytic axis, so the value is
-    pmf_point(k, b - a, lam) by translation invariance.  via="simulation"
-    and via="channel" run the forward dynamics instead and read site
-    2a - b, the mirror of b about the start site, because the forward
-    routes live on the reflected axis; all three agree to rounding.
-    """
-    p = CoinParameter(theta)
-    if via == "analytic":
-        return float(pmf_point(k, b - a, p.lam))
-    if via == "simulation":
-        state = evolve(WalkState.localized(a), p, k)
-        return position_pmf(state).probability(2 * a - b)
-    if via == "channel":
-        return channel_position_pmf(WalkState.localized(a), p, k).probability(2 * a - b)
-    raise ValueError(f"via must be 'analytic', 'simulation' or 'channel', got {via!r}")
 
 
 def dataset_to_json(data: TrialDataset) -> dict:

@@ -22,19 +22,16 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .chebyshev import hyp2f1_terminating, y_poly, _iter_y_rows
+from .chebyshev import _iter_y_rows
 
 __all__ = [
     "CONVENTION_SIGMA",
     "Pmf",
     "pmf_point",
-    "pmf_point_cosine_form",
-    "pmf_even_closed",
     "pmf_full",
     "iter_pmf_full",
     "reluctance_profile",
@@ -47,9 +44,6 @@ __all__ = [
 
 # The analytic axis is the simulator's axis reflected through the origin.
 CONVENTION_SIGMA = -1
-
-# Below this the 2F1 argument 1/lam^2 is not usable; fall back to the series.
-_EVEN_CLOSED_LAMBDA_FLOOR = 1e-6
 
 _CLAMP_TOL = 1e-12
 
@@ -93,9 +87,8 @@ class Pmf:
 
 
 def _clamp(p):
-    """Clip float probabilities, one or an array, into [0, 1]; Fractions pass through."""
-    if isinstance(p, Fraction):
-        return p
+    """Clip float probabilities, one or an array, into [0, 1]; a value
+    beyond the clamp tolerance outside it raises ValueError."""
     if not np.all((-_CLAMP_TOL <= p) & (p <= 1.0 + _CLAMP_TOL)):
         raise ValueError(f"probability {p} outside [0, 1] beyond clamp tolerance")
     return np.clip(p, 0.0, 1.0)
@@ -133,7 +126,8 @@ def _rows_for(k: int, a, b, ds=None):
 
 
 def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray:
-    """p(d; k, a/b) for each parity-valid ``d`` in ``ds``, from scaled rows.
+    """p(d; k, a/b) for each ``d`` in ``ds``, from scaled rows; zero off
+    the parity-valid support [-k, k].
 
     With Z = b^j * Y^(j)(a/b) taken from ``rows`` = (Z^(k-1), Z^(k-2)),
 
@@ -148,8 +142,9 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
     Fractions instead); float rows give a plain float64 evaluation.
     """
     row_km1, row_km2 = rows
-    ds = np.asarray(ds, int)
-    z1 = np.zeros(row_km1.shape[:-1] + (k + 2,), row_km1.dtype)     # |d +- 1| <= k + 1
+    # a column off [-k, k] reads as d = k + 1, whose entries all lie past the rows: p = 0
+    ds = np.asarray([d if abs(d) <= k else k + 1 for d in ds], int)
+    z1 = np.zeros(row_km1.shape[:-1] + (k + 3,), row_km1.dtype)     # |d +- 1| <= k + 2
     z1[..., :row_km1.shape[-1]] = row_km1
     z2 = np.zeros_like(z1)
     z2[..., :row_km2.shape[-1]] = row_km2
@@ -209,70 +204,6 @@ def pmf_point(k: int, d: int, lam):
     a, b = _ratio(lam)
     (p,) = _probabilities(k, a, b, _rows_for(k, a, b, [d]), [d], rational=exact).tolist()
     return p
-
-
-def pmf_point_cosine_form(k: int, d: int, lam):
-    """Law-of-cosines form of the pmf.
-
-    p = (Y_{|d|}^(k))^2 + (Y_{|d-1|}^(k-1))^2
-        - 2 * lam * Y_{|d|}^(k) * Y_{|d-1|}^(k-1)
-
-    Algebraically identical to ``pmf_point`` (the order recurrence of the
-    Y family converts one into the other); kept as an independent
-    evaluation route.  At lam = 1 it is the exact square
-    (Y_d^(k) - Y_{d-1}^(k-1))^2.
-    """
-    _validate_k_lam(k, lam)
-    d = int(d)
-    exact = isinstance(lam, Fraction)
-    if abs(d) > k or (k - d) % 2:
-        return Fraction(0) if exact else 0.0
-    y_k = y_poly(abs(d), k, lam)
-    y_km1 = y_poly(abs(d - 1), k - 1, lam)
-    val = y_k * y_k + y_km1 * y_km1 - 2 * lam * y_k * y_km1
-    return _clamp(val)
-
-
-def _y_via_2f1(m: int, j: int, lam_q: Fraction) -> Fraction:
-    """Y_m^(j) through its terminating-hypergeometric representation.
-
-    Y_m^(j)(lam) = lam^j * C(j, (j+m)/2) * 2F1((m-j)/2, (-m-j)/2; -j; lam^-2)
-
-    Evaluated in exact rational arithmetic: the 2F1 factor grows like
-    lam^-j, so fixed-precision intermediates would overflow long before
-    the bounded product is formed.
-    """
-    m = abs(m)
-    if m > j or (j - m) % 2:
-        return Fraction(0)
-    z = 1 / (lam_q * lam_q)
-    f = hyp2f1_terminating(Fraction(m - j, 2), Fraction(-m - j, 2), Fraction(-j), z)
-    return lam_q**j * comb(j, (j + m) // 2) * f
-
-
-def pmf_even_closed(k2: int, d2: int, lam):
-    """Even-step pmf through the hypergeometric product form.
-
-    Same quantity as ``pmf_point(k2, d2, lam)`` but with every Y factor
-    evaluated via its terminating 2F1 representation in 1/lam^2; serves as
-    a third, structurally different evaluation route for even steps and
-    displacements.  Delegates to the series path when |lam| is below the
-    2F1 floor (the argument 1/lam^2 degenerates).
-    """
-    _validate_k_lam(k2, lam)
-    if k2 % 2 or d2 % 2:
-        raise ValueError(f"even step and displacement required, got k={k2}, d={d2}")
-    exact = isinstance(lam, Fraction)
-    if abs(d2) > k2:
-        return Fraction(0) if exact else 0.0
-    if abs(lam) < _EVEN_CLOSED_LAMBDA_FLOOR:
-        return pmf_point(k2, d2, lam)
-    lam_q = lam if exact else Fraction(lam)
-    y_a = _y_via_2f1(d2 - 1, k2 - 1, lam_q)
-    y_b = _y_via_2f1(d2, k2 - 2, lam_q)
-    y_c = _y_via_2f1(d2 + 1, k2 - 1, lam_q)
-    val = (1 - lam_q * lam_q) * y_a * y_a + (y_b - lam_q * y_c) ** 2
-    return _clamp(val if exact else float(val))
 
 
 def _table(k: int, lam, a, b, rows) -> Pmf:

@@ -9,13 +9,12 @@ from numpy.testing import assert_allclose
 
 from reluctant_walk.chebyshev import (
     chebyshev_u,
-    y_poly,
-    y_poly_quadrature,
-    hyp2f1_terminating,
     chebyshev_identity_suite,
     _chebyshev_u_pair,
     _iter_y_rows,
 )
+
+from oracles import hyp2f1_terminating, y_poly, y_poly_quadrature
 
 
 def test_chebyshev_u_base_cases():

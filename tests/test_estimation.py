@@ -21,11 +21,10 @@ from reluctant_walk.estimation import (
     likelihood_curve,
     log_likelihood,
     mle_estimate,
-    transition_probability,
 )
 from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, pmf_full, pmf_point
 
-from oracles import exact_return_scan, level_set_exact_scan
+from oracles import exact_return_scan, level_set_exact_scan, transition_probability
 
 
 def gibbs_dataset(theta_star, k):

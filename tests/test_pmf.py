@@ -18,8 +18,6 @@ from reluctant_walk.pmf import (
     CONVENTION_SIGMA,
     Pmf,
     pmf_point,
-    pmf_point_cosine_form,
-    pmf_even_closed,
     pmf_full,
     iter_pmf_full,
     reluctance_profile,
@@ -32,7 +30,7 @@ from reluctant_walk.pmf import (
 )
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
-from oracles import exact_return_scan
+from oracles import exact_return_scan, pmf_even_closed, pmf_point_cosine_form
 
 rational_lam = st.integers(-9, 9).map(lambda n: Fraction(n, 9))
 
@@ -134,6 +132,21 @@ def test_grid_columns_on_a_light_cone_are_pmf_full_entries(k_ds, lams, exact):
     for lam, row in zip(lams, grid.tolist()):
         table = pmf_full(k, lam, exact=exact)
         assert row == [table.probability(d) for d in ds]
+
+
+@given(k_ds=st.integers(1, 40).flatmap(lambda k: st.tuples(
+           st.just(k), st.lists(st.integers(-k - 3, k + 3), min_size=1, max_size=6))),
+       lams=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_grid_columns_beyond_the_support_are_pmf_point(k_ds, lams):
+    # a column with |d| > k or off parity reads p = 0, as pmf_point does
+    k, ds = k_ds
+    exact, fast = _grid(k, np.array(lams), ds, True), _grid(k, np.array(lams), ds, False)
+    for lam, row, row_fast in zip(lams, exact.tolist(), fast.tolist()):
+        points = [pmf_point(k, d, lam) for d in ds]
+        assert row == points
+        assert row_fast == pytest.approx(points, abs=1e-12)
+        assert all(p == 0.0 for d, p in zip(ds, row_fast) if abs(d) > k or (k - d) % 2)
 
 
 def test_float_grid_blocks_match_single_points():
