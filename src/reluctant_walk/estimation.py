@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,11 +49,9 @@ _POLISH_WINDOW = 1e-4      # level-set scan minima of |q - f| below this * (1 + 
 # the float return probability's error (test_float_return_scan_error_margin)
 _SIGN_BAND = 1e-12
 _TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float block
+_GOLDEN_DEPTH = 5          # golden steps per refine pass: 62 probes, one float block
 _EPS = float(np.finfo(float).eps)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# math.log elementwise: np.log differs from it in the last bit on ~0.3% of
-# inputs, and the curvature's differences amplify such a bit ~1e7-fold
-_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,19 @@ class TrialDataset:
         if self.kind not in ("positions", "returns"):
             raise ValueError(f"kind must be 'positions' or 'returns', got {self.kind!r}")
         _check_steps(self.k)
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "positions", tuple(_integer(d, "d") for d in self.positions))
+        k = int(self.k)
+        object.__setattr__(self, "k", k)
+        positions = tuple(self.positions)
+        if not set(map(type, positions)) <= {int}:
+            positions = tuple(_integer(d, "d") for d in positions)
+        object.__setattr__(self, "positions", positions)
         if self.kind == "positions":
-            for d in self.positions:
-                if abs(d) > self.k or (self.k - d) % 2:
-                    raise ValueError(
-                        f"displacement {d} is outside the parity-valid support for k={self.k}")
+            # checked once per distinct value; the error names the first in order
+            invalid = {d for d in set(positions) if abs(d) > k or (k - d) % 2}
+            if invalid:
+                d = next(d for d in positions if d in invalid)
+                raise ValueError(
+                    f"displacement {d} is outside the parity-valid support for k={k}")
             if self.weights is not None:
                 w = tuple(float(x) for x in self.weights)
                 if len(w) != len(self.positions):
@@ -125,10 +130,12 @@ class TrialDataset:
         if self.kind == "returns":
             raise ValueError("counts() applies to positions data")
         if self._counts is None:
-            out: dict[int, float] = {}
-            weights = self.weights or (1.0,) * len(self.positions)
-            for d, w in zip(self.positions, weights):
-                out[d] = out.get(d, 0.0) + w
+            if self.weights is None:
+                out = {d: float(c) for d, c in Counter(self.positions).items()}
+            else:
+                out = {}
+                for d, w in zip(self.positions, self.weights):
+                    out[d] = out.get(d, 0.0) + w
             object.__setattr__(self, "_counts", dict(sorted(out.items())))
         return dict(self._counts)
 
@@ -164,11 +171,18 @@ def _log_likelihoods(data: TrialDataset, lams) -> np.ndarray:
 
 def _log_sum(weights, p: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * log(p[:, j]) per row, added in column order;
-    -inf on a row with any p <= 0, whatever its weight."""
+    -inf on a row with any p <= 0, whatever its weight.
+
+    The logs are ``math.log``'s: np.log differs from it in the last bit on
+    ~0.3% of inputs, and the curvature's differences amplify such a bit
+    ~1e7-fold."""
+    positive = p > 0.0
+    safe = np.where(positive, p, 1.0)
+    logs = np.fromiter(map(math.log, safe.flat), float, safe.size)
     total = np.zeros(len(p))
-    for w, column in zip(weights, p.T):
-        total += w * _LOG(np.where(column > 0.0, column, 1.0)).astype(float)
-    return np.where((p > 0.0).all(axis=1), total, -np.inf)
+    for w, column in zip(weights, logs.reshape(safe.shape).T):
+        total += w * column
+    return np.where(positive.all(axis=1), total, -np.inf)
 
 
 def displacement_likelihood(d_list, k: int, theta: float) -> float:
@@ -297,29 +311,52 @@ def _diagnostics(data: TrialDataset, theta_hat, ll_hat):
     return curvature, positivity
 
 
-def _golden_min(fun: Callable[[float], float], a: float, b: float, tol: float):
+def _golden_min(fun: Callable, a: float, b: float, tol: float, batched: bool = False):
     """Golden-section search for a minimum of fun on [a, b]: (x, fun(x)).
 
-    Stops at width tol or at float resolution, so any tol >= 0 terminates."""
+    Stops at width tol or at float resolution, so any tol >= 0 terminates.
+    ``fun`` scores one point, or with ``batched`` an array of points in one
+    call.  Each pass lays out the probes of the next ``_GOLDEN_DEPTH``
+    steps on every comparison path; every node carries the walk's state
+    (a, b, c, d) and forms its probe as the walk does, so each probe is
+    the float a step-by-step search would score.  A batched search scores
+    the first pair in one call and then each pass in one call; otherwise
+    only the probes on the taken path are scored, one at a time.  Both
+    return the same (x, fun(x)) when fun's batched values equal its
+    one-point values.
+    """
     tol = max(tol, 4.0 * _EPS * (abs(a) + abs(b)))
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
+    fc, fd = fun(np.array([c, d])).tolist() if batched else (fun(c), fun(d))
+    depth = _GOLDEN_DEPTH
     while b - a > tol and a < c < d < b:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
+        if depth == _GOLDEN_DEPTH:
+            # children of node i: 2i keeps [a, d] (fc <= fd), 2i + 1 keeps [c, b]
+            nodes, probes = [(a, b, c, d)], []
+            for _ in range(_GOLDEN_DEPTH):
+                nodes = [child for na, nb, nc, nd in nodes
+                         for child in ((na, nd, nd - _INV_PHI * (nd - na), nc),
+                                       (nc, nb, nd, nc + _INV_PHI * (nb - nc)))]
+                probes += [node[2 + i % 2] for i, node in enumerate(nodes)]
+            scores = fun(np.array(probes)).tolist() if batched else None
+            node, depth = 0, 0
+        left = fc <= fd
+        node = 2 * node + (not left)
+        i = 2 ** (depth + 1) - 2 + node
+        x, fx = probes[i], fun(probes[i]) if scores is None else scores[i]
+        if left:
+            b, d, fd, c, fc = d, c, fc, x, fx
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
+            a, c, fc, d, fd = c, d, fd, x, fx
+        depth += 1
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _refine_run(fun, thetas, run, tolerance):
-    """Maximize fun between the grid points flanking one near-optimal run."""
+def _refine_run(score, thetas, run, tolerance):
+    """Maximize the log-likelihood between the grid points flanking one
+    near-optimal run; ``score`` is its negation over an array of thetas."""
     a, b = thetas[max(run[0] - 1, 0)], thetas[min(run[-1] + 1, len(thetas) - 1)]
-    theta, neg = _golden_min(lambda t: -fun(t), float(a), float(b), tolerance)
+    theta, neg = _golden_min(score, float(a), float(b), tolerance, batched=True)
     return theta, -neg
 
 
@@ -341,6 +378,10 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     row engine over the grid), then golden-section search between the grid
     points flanking each run within 1e-6 of the best value, down to a
     bracket of refine_tolerance (finite, >= 0; 0 means float resolution).
+    The search scores the probes of five steps on every comparison path,
+    62 thetas, in one likelihood call, and returns the maximizer of the
+    one-step-at-a-time search bit for bit; a 1e-9 refine takes about seven
+    such calls.
     Return counts: the empirical return frequency is pushed through the
     level set of the closed-form return probability on the lam branch
     [0, 1] (matching the default theta range).
@@ -351,7 +392,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
         return _estimate_from_returns(data)
     if not data.positions:
         raise ValueError("cannot estimate from an empty dataset")
-    fun = lambda t: log_likelihood(data, t)
+    score = lambda ts: -_log_likelihoods(data, np.cos(ts))
     thetas, ll = _scan(data, theta_range, grid_size)
     lo, hi = float(thetas[0]), float(thetas[-1])
     spacing = (hi - lo) / (len(thetas) - 1)
@@ -366,7 +407,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 
     near = np.flatnonzero(ll >= gmax - _CANDIDATE_WINDOW)
     runs = np.split(near, np.flatnonzero(np.diff(near) > 1) + 1)
-    candidates = sorted(_refine_run(fun, thetas, run, refine_tolerance)
+    candidates = sorted(_refine_run(score, thetas, run, refine_tolerance)
                         for run in runs)
     best_theta, best_ll = _best(candidates)
 
@@ -407,8 +448,11 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
     nodes on the taken path near the root cost an exact call.  This
     assumes ``estimate`` is within _SIGN_BAND of ``gap`` everywhere; the
     float return probability is (within 1e-14 up to k = 200).  Without
-    ``estimate`` every node on the path is exact.  Either way the root is
-    the one the all-exact one-midpoint-at-a-time loop returns, bit for bit.
+    ``estimate`` every node on the path is exact, and so is every later
+    pass once a pass took all its nodes from ``gap``: its midpoints lie
+    still nearer the root, where a float sign seldom clears the band, so a
+    float pass would decide nothing.  Either way the root is the one the
+    all-exact one-midpoint-at-a-time loop returns, bit for bit.
     """
     step = b - a
     while True:
@@ -419,19 +463,23 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
             starts = np.stack([starts, levels[-1]], axis=1).ravel()  # children 2i, 2i+1
         points = np.concatenate(levels)
         scores = np.zeros(len(points)) if estimate is None else estimate(points)
-        node = 0
+        node, floats_decided = 0, False
         for depth in range(_TREE_DEPTH):
             step *= 0.5
             mid = a + step
             fm = float(scores[2**depth - 1 + node])
             if abs(fm) <= _SIGN_BAND:
                 fm = gap(mid)
+            else:
+                floats_decided = True
             node *= 2
             if fm * fa >= 0:
                 a = mid
                 node += 1
             if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
                 return mid
+        if not floats_decided:
+            estimate = None
 
 
 def _solve_level(xs: np.ndarray, g: np.ndarray, gap: Callable[[float], float],

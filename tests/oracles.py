@@ -4,8 +4,9 @@ Each function here computes something ``reluctant_walk`` also computes, by
 a route the package does not take, so tests can compare the two: the
 O(k^2) Fraction series of the Y polynomials, their quadrature, their
 terminating-2F1 form, the law-of-cosines and even-step 2F1 forms of the
-pmf, the forward dynamics for a transition probability, and the level-set
-solve with an exact scan.  The package's one route for each is the
+pmf, the forward dynamics for a transition probability, the level-set
+solve with an exact scan, and the golden-section search one step at a
+time.  The package's one route for each is the
 integer/float row engine (``chebyshev._iter_y_rows`` -> ``pmf._grid``).
 """
 
@@ -19,7 +20,7 @@ from math import comb
 import numpy as np
 
 from reluctant_walk.chebyshev import chebyshev_u
-from reluctant_walk.estimation import _solve_level
+from reluctant_walk.estimation import _EPS, _INV_PHI, _solve_level
 from reluctant_walk.pmf import _clamp, _grid, _validate_k_lam, pmf_point
 from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
                                  position_pmf)
@@ -182,3 +183,21 @@ def transition_probability(a: int, b: int, k: int, theta: float,
     if via == "channel":
         return channel_position_pmf(WalkState.localized(a), p, k).probability(2 * a - b)
     raise ValueError(f"via must be 'analytic', 'simulation' or 'channel', got {via!r}")
+
+
+def golden_min_sequential(fun, a: float, b: float, tol: float):
+    """Golden-section search for a minimum of fun on [a, b], one probe per
+    step: (x, fun(x)), stopping at width tol or at float resolution."""
+    tol = max(tol, 4.0 * _EPS * (abs(a) + abs(b)))
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    while b - a > tol and a < c < d < b:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)

@@ -24,7 +24,8 @@ from reluctant_walk.estimation import (
 )
 from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, pmf_full, pmf_point
 
-from oracles import exact_return_scan, level_set_exact_scan, transition_probability
+from oracles import (exact_return_scan, golden_min_sequential, level_set_exact_scan,
+                     transition_probability)
 
 
 def gibbs_dataset(theta_star, k):
@@ -50,6 +51,19 @@ class TestTrialDataset:
         ds = TrialDataset.from_positions(2, [0, 2, 0], weights=[0.5, 1.0, 0.25])
         assert ds.counts() == {0: 0.75, 2: 1.0}
         assert ds.trials == pytest.approx(1.75)
+
+    def test_counts_of_unweighted_positions_are_float_tallies(self):
+        counts = TrialDataset.from_positions(2, [0, 2, 0, -2, 0, 2]).counts()
+        assert list(counts.items()) == [(-2, 1.0), (0, 3.0), (2, 2.0)]
+        assert {type(c) for c in counts.values()} == {float}
+
+    @pytest.mark.parametrize("positions, first", [
+        ([1, 4, 5, -7], 4), ([1, 3, -5, 2], -5), ([1, 10**30, 2], 10**30),
+        ([-3, 2**63, 0], 2**63), ([-2**63, 1, 0], -2**63)])
+    def test_error_names_the_first_invalid_displacement(self, positions, first):
+        with pytest.raises(ValueError, match=rf"^displacement {first} is outside "
+                                             r"the parity-valid support for k=3$"):
+            TrialDataset.from_positions(3, positions)
 
     def test_empty_positions_allowed(self):
         # an empty dataset is constructible; only estimation rejects it
@@ -331,6 +345,86 @@ def test_mle_refine_terminates_at_float_resolution(monkeypatch, positions, toler
     assert len(calls) < 700
     assert abs(result.theta_hat - reference.theta_hat) < 1e-8
     assert result.flags == reference.flags
+
+
+def _count_likelihood_calls(monkeypatch):
+    calls = []
+    batched = estimation._log_likelihoods
+
+    def counted(data, lams):
+        calls.append(len(lams))
+        if len(calls) > 100:
+            raise RuntimeError("refine did not terminate")
+        return batched(data, lams)
+
+    monkeypatch.setattr(estimation, "_log_likelihoods", counted)
+    return calls
+
+
+@pytest.mark.parametrize("positions", [[0, 2, 2, -2, 0], [-2] * 5])
+@pytest.mark.parametrize("tolerance", [0.0, 1e-300])
+def test_mle_refine_at_float_resolution_makes_few_likelihood_calls(
+        monkeypatch, positions, tolerance):
+    """A zero or subnormal tolerance stops at the float resolution of the
+    bracket within 18 likelihood calls: the scan, the first pair, the
+    curvature and at most 15 passes.  The search stops once the bracket
+    is 4 eps (|a| + |b|) wide, at least 4 eps times its starting width,
+    and each step shrinks it by phi, so it takes at most
+    log(1 / (4 eps)) / log(phi) < 73 steps, 15 passes of five."""
+    data = TrialDataset.from_positions(2, positions)
+    reference = mle_estimate(data)
+    calls = _count_likelihood_calls(monkeypatch)
+    result = mle_estimate(data, refine_tolerance=tolerance)
+    assert len(calls) <= 18
+    assert calls[:2] == [601, 2] and calls[-1] == 5
+    assert set(calls[2:-1]) == {62}
+    assert abs(result.theta_hat - reference.theta_hat) < 1e-8
+    assert result.flags == reference.flags
+
+
+@pytest.mark.parametrize("k, positions", [(20, [-6, -2, 0, 0, 4, 10, 12]),
+                                          (48, [-30, -12, 0, 0, 6, 18, 40])])
+def test_default_positions_estimate_makes_at_most_12_likelihood_calls(
+        monkeypatch, k, positions):
+    """The default 1e-9 refine of one near-optimal run: the scan, the
+    first pair, seven passes of 62 probes and the curvature."""
+    calls = _count_likelihood_calls(monkeypatch)
+    mle_estimate(TrialDataset.from_positions(k, positions))
+    assert len(calls) <= 12
+
+
+_GOLDEN_TARGETS = {
+    "flat": lambda m, s: (lambda x: 0.0),
+    "steps": lambda m, s: (lambda x: float(math.floor(abs(x - m) * s))),  # fc == fd ties
+    "quadratic": lambda m, s: (lambda x: (x - m) ** 2),  # m may lie off the bracket
+    "increasing": lambda m, s: (lambda x: s * x),  # ends at the left edge
+    "decreasing": lambda m, s: (lambda x: -s * x),  # ends at the right edge
+    "wavy": lambda m, s: (lambda x: math.cos(s * (x - m))),  # several local minima
+}
+
+
+@given(target=st.sampled_from(sorted(_GOLDEN_TARGETS)),
+       a=st.floats(-10.0, 10.0), width=st.floats(1e-12, 10.0),
+       m=st.floats(-12.0, 12.0), s=st.floats(0.5, 1e6),
+       tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-3]))
+@settings(max_examples=150, deadline=None)
+def test_batched_golden_search_is_the_sequential_search(target, a, width, m, s, tol):
+    """Scoring five steps of every comparison path in one call returns the
+    one-probe-at-a-time search's (x, f(x)) bit for bit; so does the
+    one-point mode, which scores only the taken path."""
+    f = _GOLDEN_TARGETS[target](m, s)
+    b = a + width
+    assume(a < b)
+    batches = []
+
+    def batched(xs):
+        batches.append(len(xs))
+        return np.array([f(float(x)) for x in xs])
+
+    expected = golden_min_sequential(f, a, b, tol)
+    assert estimation._golden_min(batched, a, b, tol, batched=True) == expected
+    assert estimation._golden_min(f, a, b, tol) == expected
+    assert batches[0] == 2 and set(batches[1:]) <= {62}
 
 
 # ------------------------------------------------------------- mle: returns
