@@ -7,7 +7,8 @@ Writes are atomic (temp file then rename) and contain no timestamps, so
 identical invocations produce byte-identical artifacts.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or parse error,
-3 degenerate estimation (flat likelihood or boundary maximum).
+3 degenerate estimation (flat likelihood or boundary maximum), 141 stdout
+closed by its reader (the artifacts are written).
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_ESTIMATION = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer SIGPIPE ended
 
 FIG2_KS = (8, 16, 32, 64, 128, 256, 512)
 
@@ -219,6 +221,8 @@ def cmd_estimate(args) -> int:
         # walker is back at its start site, so only the return count matters
         if data.kind != "positions":
             raise ValueError("--method loop needs position data")
+        if data.weights is not None:
+            raise ValueError("--method loop needs unweighted position data")
         n0 = sum(1 for d in data.positions if d == 0)
         data = TrialDataset.from_returns(data.k, n0, len(data.positions),
                                          seed=data.seed)
@@ -556,10 +560,16 @@ def main(argv=None) -> int:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader left early (`| head -1`); devnull quiets the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ there; it must be positive at an interior maximum.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .pmf import CONVENTION_SIGMA, _check_steps, _grid
+from .pmf import _FLOAT_BLOCK, _GRID_BLOCK, CONVENTION_SIGMA, _check_steps, _grid
 
 __all__ = [
     "TrialDataset",
@@ -49,9 +50,7 @@ _POLISH_WINDOW = 1e-4      # level-set scan minima of |q - f| below this * (1 + 
 # the float return probability's error (test_float_return_scan_error_margin)
 _SIGN_BAND = 1e-12
 _TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float block
-_GOLDEN_DEPTH = 5          # golden steps per refine pass: 62 probes, one float block
 _EPS = float(np.finfo(float).eps)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -92,11 +91,11 @@ class TrialDataset:
                 raise ValueError(
                     f"displacement {d} is outside the parity-valid support for k={k}")
             if self.weights is not None:
-                w = tuple(float(x) for x in self.weights)
+                w = tuple(map(_weight, self.weights))
                 if len(w) != len(self.positions):
                     raise ValueError("weights and positions length mismatch")
-                if any(x < 0 for x in w) or (w and sum(w) <= 0):
-                    raise ValueError("weights must be nonnegative with positive total")
+                if any(x < 0 for x in w) or (w and not 0 < sum(w) < math.inf):
+                    raise ValueError("weights must be nonnegative with finite total > 0")
                 object.__setattr__(self, "weights", w)
         else:
             if self.k % 2:
@@ -147,6 +146,16 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _weight(value) -> float:
+    """``value`` as a float; a bool, a non-number, NaN, an infinity or an
+    int beyond the float range is rejected."""
+    with contextlib.suppress(OverflowError):  # isfinite of an int beyond the float range
+        if (isinstance(value, numbers.Real) and type(value) is not bool
+                and math.isfinite(value)):
+            return float(value)
+    raise ValueError(f"weights must be finite real numbers, got {value!r}")
 
 
 def log_likelihood(data: TrialDataset, theta: float) -> float:
@@ -311,53 +320,28 @@ def _diagnostics(data: TrialDataset, theta_hat, ll_hat):
     return curvature, positivity
 
 
-def _golden_min(fun: Callable, a: float, b: float, tol: float, batched: bool = False):
-    """Golden-section search for a minimum of fun on [a, b]: (x, fun(x)).
+def _zoom_min(fun: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              tol: float, points: int):
+    """A minimum of fun on [a, b] by nested even grids: (x, fun(x)).
 
-    Stops at width tol or at float resolution, so any tol >= 0 terminates.
-    ``fun`` scores one point, or with ``batched`` an array of points in one
-    call.  Each pass lays out the probes of the next ``_GOLDEN_DEPTH``
-    steps on every comparison path; every node carries the walk's state
-    (a, b, c, d) and forms its probe as the walk does, so each probe is
-    the float a step-by-step search would score.  A batched search scores
-    the first pair in one call and then each pass in one call; otherwise
-    only the probes on the taken path are scored, one at a time.  Both
-    return the same (x, fun(x)) when fun's batched values equal its
-    one-point values.
+    Each pass scores ``np.linspace(a, b, points)`` in one call of ``fun``
+    and keeps the two intervals beside the first argmin, so ties go to the
+    smaller x.  It stops once that bracket is no wider than tol, or no
+    narrower than the last, and returns the smallest value scored (ties to
+    the smaller x).  tol is at least 4 eps (|a| + |b|), so any tol >= 0
+    terminates.
     """
     tol = max(tol, 4.0 * _EPS * (abs(a) + abs(b)))
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = fun(np.array([c, d])).tolist() if batched else (fun(c), fun(d))
-    depth = _GOLDEN_DEPTH
-    while b - a > tol and a < c < d < b:
-        if depth == _GOLDEN_DEPTH:
-            # children of node i: 2i keeps [a, d] (fc <= fd), 2i + 1 keeps [c, b]
-            nodes, probes = [(a, b, c, d)], []
-            for _ in range(_GOLDEN_DEPTH):
-                nodes = [child for na, nb, nc, nd in nodes
-                         for child in ((na, nd, nd - _INV_PHI * (nd - na), nc),
-                                       (nc, nb, nd, nc + _INV_PHI * (nb - nc)))]
-                probes += [node[2 + i % 2] for i, node in enumerate(nodes)]
-            scores = fun(np.array(probes)).tolist() if batched else None
-            node, depth = 0, 0
-        left = fc <= fd
-        node = 2 * node + (not left)
-        i = 2 ** (depth + 1) - 2 + node
-        x, fx = probes[i], fun(probes[i]) if scores is None else scores[i]
-        if left:
-            b, d, fd, c, fc = d, c, fc, x, fx
-        else:
-            a, c, fc, d, fd = c, d, fd, x, fx
-        depth += 1
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _refine_run(score, thetas, run, tolerance):
-    """Maximize the log-likelihood between the grid points flanking one
-    near-optimal run; ``score`` is its negation over an array of thetas."""
-    a, b = thetas[max(run[0] - 1, 0)], thetas[min(run[-1] + 1, len(thetas) - 1)]
-    theta, neg = _golden_min(score, float(a), float(b), tolerance, batched=True)
-    return theta, -neg
+    best = (math.inf, math.inf)
+    while True:
+        xs = np.linspace(a, b, points)
+        fs = fun(xs)
+        i = int(np.argmin(fs))
+        best = min(best, (float(fs[i]), float(xs[i])))
+        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, points - 1)])
+        if hi - lo <= tol or hi - lo >= b - a:
+            return best[1], best[0]
+        a, b = lo, hi
 
 
 def _best(candidates):
@@ -375,12 +359,12 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     """Maximum-likelihood coin angle for a dataset.
 
     Position data: dense grid scan of the log-likelihood (one pass of the
-    row engine over the grid), then golden-section search between the grid
-    points flanking each run within 1e-6 of the best value, down to a
-    bracket of refine_tolerance (finite, >= 0; 0 means float resolution).
-    The search scores the probes of five steps on every comparison path,
-    62 thetas, in one likelihood call, and returns the maximizer of the
-    one-step-at-a-time search bit for bit; a 1e-9 refine takes about seven
+    row engine over the grid), then a nested-grid search (``_zoom_min``)
+    between the grid points flanking each run within 1e-6 of the best
+    value, down to a bracket of refine_tolerance (finite, >= 0; 0 means
+    float resolution).  Each pass scores an even grid of 64 thetas, one
+    float block of the row engine, in one likelihood call and narrows the
+    bracket about 31-fold; a 1e-9 refine of the default grid takes five
     such calls.
     Return counts: the empirical return frequency is pushed through the
     level set of the closed-form return probability on the lam branch
@@ -407,8 +391,11 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 
     near = np.flatnonzero(ll >= gmax - _CANDIDATE_WINDOW)
     runs = np.split(near, np.flatnonzero(np.diff(near) > 1) + 1)
-    candidates = sorted(_refine_run(score, thetas, run, refine_tolerance)
-                        for run in runs)
+    candidates = []  # theta-sorted: each lies in its run's bracket, and brackets only touch
+    for run in runs:
+        a, b = thetas[max(run[0] - 1, 0)], thetas[min(run[-1] + 1, len(thetas) - 1)]
+        theta, neg = _zoom_min(score, a, b, refine_tolerance, _FLOAT_BLOCK)
+        candidates.append((theta, -neg))
     best_theta, best_ll = _best(candidates)
 
     if best_theta - lo < spacing or hi - best_theta < spacing:
@@ -482,20 +469,21 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
             estimate = None
 
 
-def _solve_level(xs: np.ndarray, g: np.ndarray, gap: Callable[[float], float],
+def _solve_level(xs: np.ndarray, g: np.ndarray, exact: Callable[[np.ndarray], np.ndarray],
                  level: float, residual_tol: float,
                  estimate: Callable[[np.ndarray], np.ndarray] | None = None) -> list[float]:
-    """All x in [xs[0], xs[-1]] with gap(x) = 0, from the scan g = gap(xs).
+    """All x in [xs[0], xs[-1]] with exact(x) = 0, from the scan g = exact(xs).
 
-    ``gap`` is the exact one-point function; ``g`` must hold its exact
-    value wherever |g| < _POLISH_WINDOW * (1 + |level|) and its sign
+    ``exact`` is the exact gap over an array of points; ``g`` must hold
+    its value wherever |g| < _POLISH_WINDOW * (1 + |level|) and its sign
     everywhere.  Each sign change is bisected (``_bisect``, which scores
     its midpoints with ``estimate`` when given).  Scanned local minima of
     |g| inside that window that are not an end of a bisected sign change
-    are polished by golden-section search on the flanking scan points, to
-    catch tangential and endpoint solutions; a minimum at a sign change
-    would only re-find the bisection's root.
+    are polished by ``_zoom_min`` on the flanking scan points, an exact
+    block a pass, to catch tangential and endpoint solutions; a minimum
+    at a sign change would only re-find the bisection's root.
     """
+    gap = lambda x: float(exact([x])[0])
     changes = np.flatnonzero(g[:-1] * g[1:] < 0)
     roots = [float(x) for x in xs[g == 0.0]]
     roots += [_bisect(gap, float(xs[i]), float(xs[i + 1]), float(g[i]), 1e-14, estimate)
@@ -507,8 +495,8 @@ def _solve_level(xs: np.ndarray, g: np.ndarray, gap: Callable[[float], float],
               & (0 < absg) & (absg < _POLISH_WINDOW * (1.0 + abs(level))))
     minima[changes] = minima[changes + 1] = False
     for i in np.flatnonzero(minima):
-        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
-        x, residual = _golden_min(lambda x: abs(gap(x)), a, b, 1e-14)
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        x, residual = _zoom_min(lambda x: np.abs(exact(x)), a, b, 1e-14, _GRID_BLOCK)
         if residual <= residual_tol:
             roots.append(x)
 
@@ -532,8 +520,9 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     scan decides zeros, sign changes and polish starts on exact values.
     Each sign change is bisected on float signs, 63 midpoints to a float
     pass, with an exact single point only where a float gap on the taken
-    path is within 1e-12 of zero (``_bisect``); the golden polish of
-    scanned minima away from sign changes evaluates exact single points.
+    path is within 1e-12 of zero (``_bisect``); the polish of scanned
+    minima away from sign changes scores 12 exact points a pass
+    (``_zoom_min``).
     The roots are those of the same solve run on exact values throughout.
     Every returned candidate satisfies |p^(k)(0, lam) - f| <= residual_tol
     (finite, >= 0); the list is empty when the level is not attained (e.g.
@@ -554,9 +543,9 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     floats = lambda x: _grid(k, x, [0], exact=False)[:, 0] - f
     g = floats(xs)
     near = np.abs(g) < _POLISH_WINDOW * (1.0 + f)
-    g[near] = _grid(k, xs[near], [0], exact=True)[:, 0] - f
-    gap = lambda x: float(_grid(k, [x], [0], exact=True)[0, 0]) - f
-    return _solve_level(xs, g, gap, f, residual_tol, floats)
+    exact = lambda x: _grid(k, x, [0], exact=True)[:, 0] - f
+    g[near] = exact(xs[near])
+    return _solve_level(xs, g, exact, f, residual_tol, floats)
 
 
 def dataset_to_json(data: TrialDataset) -> dict:

@@ -185,6 +185,16 @@ def test_estimate_loop_reduces_positions_to_returns(tmp_path):
         math.sqrt(1 / 3), abs=1e-8)
 
 
+def test_estimate_loop_rejects_weighted_positions(tmp_path, capsys):
+    data = write_dataset(tmp_path / "ds.json",
+                         {"kind": "positions", "k": 4, "positions": [0, 2, -2, 4],
+                          "weights": [100, 1, 1, 0]})
+    assert main(["estimate", "--data", data, "--method", "loop",
+                 "--outdir", str(tmp_path)]) == 2
+    assert "needs unweighted position data" in capsys.readouterr().err
+    assert not (tmp_path / "estimate.csv").exists()
+
+
 def test_estimate_flagged_result_exits_three(tmp_path):
     data = write_dataset(tmp_path / "ds.json",
                          {"kind": "positions", "k": 2, "positions": [-2, -2, -2]})
@@ -222,6 +232,17 @@ def test_estimate_rejects_non_integer_dataset_fields(tmp_path, capsys, obj):
     data = write_dataset(tmp_path / "ds.json", obj)
     assert main(["estimate", "--data", data, "--outdir", str(tmp_path)]) == 2
     assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "estimate.csv").exists()
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "true", '"1"'])
+def test_estimate_rejects_meaningless_weights(tmp_path, capsys, weight):
+    # Python's json parses NaN and Infinity, so a dataset file can carry them
+    data = tmp_path / "ds.json"
+    data.write_text('{"kind": "positions", "k": 2, "positions": [0, 2], '
+                    f'"weights": [{weight}, 1]}}', encoding="utf-8")
+    assert main(["estimate", "--data", str(data), "--outdir", str(tmp_path)]) == 2
+    assert "finite real numbers" in capsys.readouterr().err
     assert not (tmp_path / "estimate.csv").exists()
 
 
@@ -321,6 +342,23 @@ sys.exit(max(codes))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that closes the pipe early (``| head -1``) ends the run
+    without a traceback, after the artifacts are written."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reluctant_walk", "estimate", "--generate",
+         "--theta-star", "0.3", "--k", "4", "--n", "50", "--seed", "7",
+         "--outdir", str(tmp_path)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141
+    assert (tmp_path / "estimate.csv").exists() and (tmp_path / "estimate.json").exists()
 
 
 # ---------------------------------------------------------------- diffusion

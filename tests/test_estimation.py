@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 
-from reluctant_walk import estimation
+from reluctant_walk import estimation, pmf
 from reluctant_walk.estimation import (
     EstimateResult,
     TrialDataset,
@@ -24,8 +24,7 @@ from reluctant_walk.estimation import (
 )
 from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, pmf_full, pmf_point
 
-from oracles import (exact_return_scan, golden_min_sequential, level_set_exact_scan,
-                     transition_probability)
+from oracles import exact_return_scan, level_set_exact_scan, transition_probability
 
 
 def gibbs_dataset(theta_star, k):
@@ -88,6 +87,15 @@ class TestTrialDataset:
     def test_zero_total_weight_rejected(self):
         with pytest.raises(ValueError):
             TrialDataset.from_positions(2, [0, 2], weights=[0.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32("nan"),
+                                     True, np.bool_(False), "1", None, 10**400, 1e308],
+                             ids=["nan", "inf", "-inf", "float32-nan", "true", "numpy-false",
+                                  "str", "none", "huge-int", "infinite-total"])
+    def test_meaningless_weights_rejected(self, bad):
+        # 1e308 is finite, but two of them have no finite total
+        with pytest.raises(ValueError, match="weights must be"):
+            TrialDataset.from_positions(2, [0, 2], weights=[bad, 1e308])
 
     def test_returns_fields(self):
         ds = TrialDataset.from_returns(8, n0=3, n=10)
@@ -366,36 +374,42 @@ def _count_likelihood_calls(monkeypatch):
 def test_mle_refine_at_float_resolution_makes_few_likelihood_calls(
         monkeypatch, positions, tolerance):
     """A zero or subnormal tolerance stops at the float resolution of the
-    bracket within 18 likelihood calls: the scan, the first pair, the
-    curvature and at most 15 passes.  The search stops once the bracket
-    is 4 eps (|a| + |b|) wide, at least 4 eps times its starting width,
-    and each step shrinks it by phi, so it takes at most
-    log(1 / (4 eps)) / log(phi) < 73 steps, 15 passes of five."""
+    bracket within 12 likelihood calls: the scan, at most ten passes of 64
+    thetas and the curvature.  The search stops once the bracket is
+    4 eps (|a| + |b|) wide and each pass keeps at most 2 of its 63
+    intervals.  An interior bracket is two grid spacings wide with
+    a >= one spacing, so |a| + |b| >= 2 (b - a) and it takes at most
+    log(1 / (8 eps)) / log(31.5) < 10 passes; at the theta = 0 edge of
+    the [-2] * 5 data each pass keeps the first interval,
+    log(1 / (4 eps)) / log(63) < 9 passes."""
     data = TrialDataset.from_positions(2, positions)
     reference = mle_estimate(data)
     calls = _count_likelihood_calls(monkeypatch)
     result = mle_estimate(data, refine_tolerance=tolerance)
-    assert len(calls) <= 18
-    assert calls[:2] == [601, 2] and calls[-1] == 5
-    assert set(calls[2:-1]) == {62}
+    assert len(calls) <= 12
+    assert calls[0] == 601 and calls[-1] == 5
+    assert set(calls[1:-1]) == {64}
     assert abs(result.theta_hat - reference.theta_hat) < 1e-8
     assert result.flags == reference.flags
 
 
 @pytest.mark.parametrize("k, positions", [(20, [-6, -2, 0, 0, 4, 10, 12]),
                                           (48, [-30, -12, 0, 0, 6, 18, 40])])
-def test_default_positions_estimate_makes_at_most_12_likelihood_calls(
+def test_default_positions_estimate_makes_at_most_8_likelihood_calls(
         monkeypatch, k, positions):
-    """The default 1e-9 refine of one near-optimal run: the scan, the
-    first pair, seven passes of 62 probes and the curvature."""
+    """The default 1e-9 refine of one near-optimal run: the scan, five
+    passes of 64 thetas (each keeps 2 of 63 intervals, and two grid
+    spacings, 5.2e-3, over 31.5^5 is 1.7e-10) and the curvature."""
     calls = _count_likelihood_calls(monkeypatch)
     mle_estimate(TrialDataset.from_positions(k, positions))
-    assert len(calls) <= 12
+    assert len(calls) <= 8
+    assert calls[0] == 601 and calls[-1] == 5
+    assert set(calls[1:-1]) == {64}
 
 
-_GOLDEN_TARGETS = {
+_ZOOM_TARGETS = {
     "flat": lambda m, s: (lambda x: 0.0),
-    "steps": lambda m, s: (lambda x: float(math.floor(abs(x - m) * s))),  # fc == fd ties
+    "steps": lambda m, s: (lambda x: float(math.floor(abs(x - m) * s))),  # ties
     "quadratic": lambda m, s: (lambda x: (x - m) ** 2),  # m may lie off the bracket
     "increasing": lambda m, s: (lambda x: s * x),  # ends at the left edge
     "decreasing": lambda m, s: (lambda x: -s * x),  # ends at the right edge
@@ -403,28 +417,41 @@ _GOLDEN_TARGETS = {
 }
 
 
-@given(target=st.sampled_from(sorted(_GOLDEN_TARGETS)),
+@given(target=st.sampled_from(sorted(_ZOOM_TARGETS)),
        a=st.floats(-10.0, 10.0), width=st.floats(1e-12, 10.0),
        m=st.floats(-12.0, 12.0), s=st.floats(0.5, 1e6),
-       tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-3]))
+       tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-3]),
+       points=st.sampled_from([pmf._GRID_BLOCK, pmf._FLOAT_BLOCK]))
+# the minimum on a first-pass grid point, which no later (finer, off-centre) grid scores
+@example(target="quadratic", a=0.0, width=6.3, m=float(np.linspace(0.0, 6.3, 64)[31]),
+         s=1.0, tol=1e-3, points=64)
 @settings(max_examples=150, deadline=None)
-def test_batched_golden_search_is_the_sequential_search(target, a, width, m, s, tol):
-    """Scoring five steps of every comparison path in one call returns the
-    one-probe-at-a-time search's (x, f(x)) bit for bit; so does the
-    one-point mode, which scores only the taken path."""
-    f = _GOLDEN_TARGETS[target](m, s)
+def test_zoom_min_returns_the_least_value_scored(target, a, width, m, s, tol, points):
+    """Every call scores ``points`` points; the result is the smallest
+    value scored, ties to the smaller x; a quadratic or monotone target
+    ends within tol, or the float resolution of the bracket, of its
+    minimizer, or where f rounds to no more than f(minimizer)."""
+    f = _ZOOM_TARGETS[target](m, s)
     b = a + width
     assume(a < b)
-    batches = []
+    scored, sizes = [], []
 
-    def batched(xs):
-        batches.append(len(xs))
-        return np.array([f(float(x)) for x in xs])
+    def fun(xs):
+        sizes.append(len(xs))
+        if len(sizes) > 100:
+            raise RuntimeError("search did not terminate")
+        values = [f(float(x)) for x in xs]
+        scored.extend(zip(values, xs.tolist()))
+        return np.array(values)
 
-    expected = golden_min_sequential(f, a, b, tol)
-    assert estimation._golden_min(batched, a, b, tol, batched=True) == expected
-    assert estimation._golden_min(f, a, b, tol) == expected
-    assert batches[0] == 2 and set(batches[1:]) <= {62}
+    x, fx = estimation._zoom_min(fun, a, b, tol, points)
+    assert set(sizes) == {points}
+    assert (fx, x) == min(scored)
+    minimizer = {"quadratic": min(max(m, a), b), "increasing": a, "decreasing": b}
+    if target in minimizer:
+        x_star = minimizer[target]
+        resolution = max(tol, 8.0 * estimation._EPS * (abs(a) + abs(b)))
+        assert abs(x - x_star) <= resolution or fx <= f(x_star)
 
 
 # ------------------------------------------------------------- mle: returns
