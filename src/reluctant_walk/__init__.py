@@ -32,7 +32,6 @@ from .pmf import (
     reluctance_profile,
 )
 from .sampling import (
-    ExperimentConfig,
     data_box_experiment,
     diffusion_experiment,
     fresh_seed,
@@ -60,7 +59,6 @@ __all__ = [
     "CONVENTION_SIGMA",
     "CoinParameter",
     "EstimateResult",
-    "ExperimentConfig",
     "LikelihoodCurve",
     "Pmf",
     "TrialDataset",

@@ -75,8 +75,7 @@ def _derivative_identity_sum(n: int, xi):
     return total
 
 
-def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
-                             fd_step: float = 1e-4) -> dict[str, float]:
+def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
     """Check the integral and derivative identities of the U_n family.
 
     For the given ``r`` and ``lam`` the report holds absolute residuals of:
@@ -89,7 +88,7 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
     - ``derivative_even`` / ``derivative_odd``: for n = 2r and 2r+1,
       cos(theta) * dU_n/dtheta + sin(theta) * S_n(xi) = 0 at xi =
       cos(theta)cos(phi), with the theta-derivative taken by central
-      finite differences (Richardson-extrapolated once).
+      finite differences at step 1e-4 (Richardson-extrapolated once).
 
     The derivative residual is stated in the cos/sin form rather than with
     tan(theta) so that lam = 0 (theta = pi/2) stays finite.
@@ -101,8 +100,7 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
     lam = float(lam)
     if abs(lam) > 1:
         raise ValueError(f"|lam| must be <= 1, got {lam}")
-    if resolution is None:
-        resolution = 8 * (2 * r + 6)
+    resolution = 8 * (2 * r + 6)
     phi = 2.0 * np.pi * np.arange(resolution) / resolution
     cphi = np.cos(phi)
 
@@ -128,8 +126,8 @@ def chebyshev_identity_suite(r: int, lam, resolution: int | None = None,
         return (up - dn) / (2.0 * h)
 
     for label, n in (("derivative_even", 2 * r), ("derivative_odd", 2 * r + 1)):
-        coarse = d_dtheta(n, fd_step)
-        fine = d_dtheta(n, fd_step / 2.0)
+        coarse = d_dtheta(n, 1e-4)
+        fine = d_dtheta(n, 1e-4 / 2.0)
         deriv = (4.0 * fine - coarse) / 3.0
         s_n = _derivative_identity_sum(n, lam * cphi)
         resid = math.cos(theta) * deriv + math.sin(theta) * s_n

@@ -43,6 +43,7 @@ from .pmf import (
     _PMF_COLUMNS,
     _csv_text,
     _grid,
+    _mirror,
     _pmf_rows,
 )
 from .sampling import (
@@ -101,29 +102,18 @@ def _stamp(command: str, seed, extra: dict | None = None) -> dict:
     return meta
 
 
-def _json_value(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return _json_value(float(value))
-    return value
-
-
 def _write_report(outdir: str, stem: str, columns, rows, meta: dict,
                   json_obj: dict | None = None) -> list[str]:
     """Write stem.csv and stem.json; returns the paths written.
 
-    The JSON mirror defaults to {meta, rows}; ``json_obj`` replaces it for
-    commands with a richer result structure.
+    The JSON mirror defaults to ``_mirror(meta, columns, rows)``;
+    ``json_obj`` replaces it for commands with a richer result structure.
     """
     csv_path = os.path.join(outdir, stem + ".csv")
     _atomic_write(csv_path, _csv_text(meta, columns, rows))
 
     if json_obj is None:
-        json_obj = {"meta": meta,
-                    "rows": [{c: _json_value(row[c]) for c in columns} for row in rows]}
+        json_obj = _mirror(meta, columns, rows)
     json_path = os.path.join(outdir, stem + ".json")
     _atomic_write(json_path, json.dumps(json_obj, indent=2) + "\n")
     return [csv_path, json_path]
@@ -446,11 +436,12 @@ def _parse_allocations(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, stem: bool = True) -> None:
     parser.add_argument("--outdir", default=None,
                         help="output directory (default: $RELUCTANT_WALK_OUTDIR or .)")
-    parser.add_argument("--output", default=None, metavar="STEM",
-                        help="output file stem (default: the subcommand name)")
+    if stem:
+        parser.add_argument("--output", default=None, metavar="STEM",
+                            help="output file stem (default: the subcommand name)")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed; commands that sample draw and echo one if omitted")
 
@@ -537,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="figure data grids (CSV/JSON, no plotting)")
     p.add_argument("--which", choices=["fig1", "fig2a", "fig2b", "all"], default="all")
-    _add_common(p)
+    _add_common(p, stem=False)  # the figure names are the stems
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("validate", help="oracle-equivalence suite")

@@ -20,12 +20,12 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from .pmf import _FLOAT_BLOCK, _GRID_BLOCK, CONVENTION_SIGMA, _check_steps, _grid
+from .pmf import _FLOAT_BLOCK, _GRID_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe
 
 __all__ = [
     "TrialDataset",
@@ -76,8 +76,7 @@ class TrialDataset:
     def __post_init__(self):
         if self.kind not in ("positions", "returns"):
             raise ValueError(f"kind must be 'positions' or 'returns', got {self.kind!r}")
-        _check_steps(self.k)
-        k = int(self.k)
+        k = _integer(self.k, "step count k", 1)
         object.__setattr__(self, "k", k)
         positions = tuple(self.positions)
         if not set(map(type, positions)) <= {int}:
@@ -137,15 +136,6 @@ class TrialDataset:
                     out[d] = out.get(d, 0.0) + w
             object.__setattr__(self, "_counts", dict(sorted(out.items())))
         return dict(self._counts)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a float or a bool is rejected, not truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _weight(value) -> float:
@@ -258,27 +248,11 @@ class EstimateResult:
     k: int
     n: float
     seed: int | None = None
-    convention_sigma: int = CONVENTION_SIGMA
+    convention_sigma: ClassVar[int] = CONVENTION_SIGMA
 
     def to_json(self) -> dict:
-        def safe(x):
-            return x if x is None or isinstance(x, (int, str)) else (
-                float(x) if math.isfinite(x) else None)
-
-        return {
-            "theta_hat": safe(self.theta_hat),
-            "lambda_hat": safe(self.lambda_hat),
-            "loglik": safe(self.loglik),
-            "curvature": safe(self.curvature),
-            "positivity": safe(self.positivity),
-            "candidates": [safe(c) for c in self.candidates],
-            "flags": list(self.flags),
-            "kind": self.kind,
-            "k": self.k,
-            "n": self.n,
-            "seed": self.seed,
-            "convention_sigma": self.convention_sigma,
-        }
+        names = [f.name for f in fields(self)] + ["convention_sigma"]
+        return {name: _json_safe(getattr(self, name)) for name in names}
 
 
 def _scan(data: TrialDataset, theta_range, grid_size):

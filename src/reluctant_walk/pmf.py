@@ -94,14 +94,18 @@ def _clamp(p):
     return np.clip(p, 0.0, 1.0)
 
 
-def _check_steps(k, minimum: int = 1) -> None:
-    """Reject a step count that is not an integer >= minimum; a bool is not one."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < minimum:
-        raise ValueError(f"step count k must be an integer >= {minimum}, got {k!r}")
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, at least ``minimum`` when one is given; a float
+    or a bool is rejected, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def _validate_k_lam(k: int, lam) -> None:
-    _check_steps(k)
+    _integer(k, "step count k", 1)
     if not np.all(np.abs(lam) <= 1):
         raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
 
@@ -244,6 +248,18 @@ def format_float(x) -> str:
     return "%.17g" % float(x)
 
 
+def _json_safe(value):
+    """``value`` as plain JSON: numpy scalars become Python ones, tuples
+    lists, and NaN or an infinity None."""
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -268,6 +284,13 @@ def _csv_text(meta: dict | None, columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mirror(meta: dict | None, columns, rows) -> dict:
+    """The JSON twin of ``_csv_text``: ``{"meta": ..., "rows": [...]}``,
+    each row keyed by column with its values through ``_json_safe``."""
+    return {"meta": dict(meta or {}),
+            "rows": [{c: _json_safe(row[c]) for c in columns} for row in rows]}
+
+
 _PMF_COLUMNS = ("k", "d", "r", "lambda", "p")
 
 
@@ -285,38 +308,42 @@ def pmf_to_csv(pmf: Pmf, meta: dict | None = None) -> str:
     return _csv_text(meta, _PMF_COLUMNS, _pmf_rows(pmf))
 
 
+def _pmf_from_rows(rows) -> Pmf:
+    """A Pmf from rows keyed by ``_PMF_COLUMNS``, as text or JSON values;
+    ``k`` and ``lambda`` are read off the last row."""
+    if not rows:
+        raise ValueError("pmf table has no data rows")
+    try:
+        table = {int(row["d"]): float(row["p"]) for row in rows}
+        k, lam = int(rows[-1]["k"]), rows[-1]["lambda"]
+        return Pmf(k, table, lam=None if lam in ("", None) else float(lam))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed pmf row: {exc!r}") from None
+
+
 def pmf_from_csv(text: str) -> Pmf:
-    """Parse ``pmf_to_csv`` output back into a Pmf."""
+    """Parse ``pmf_to_csv`` output, or a CLI ``pmf`` or ``simulate`` .csv,
+    back into a Pmf."""
     rows = [r for r in csv.reader(io.StringIO(text)) if r and not r[0].startswith("#")]
     if not rows or rows[0] != list(_PMF_COLUMNS):
         raise ValueError("not a pmf table: missing 'k,d,r,lambda,p' header")
-    k = None
-    lam = None
-    table: dict[int, float] = {}
-    for rec in rows[1:]:
-        k = int(rec[0])
-        table[int(rec[1])] = float(rec[4])
-        lam = float(rec[3]) if rec[3] else None
-    if k is None:
-        raise ValueError("pmf table has no data rows")
-    return Pmf(k, table, lam=lam)
+    if any(len(rec) != len(_PMF_COLUMNS) for rec in rows[1:]):
+        raise ValueError(f"malformed pmf table: every row needs {len(_PMF_COLUMNS)} cells")
+    return _pmf_from_rows([dict(zip(_PMF_COLUMNS, rec)) for rec in rows[1:]])
 
 
 def pmf_to_json(pmf: Pmf, meta: dict | None = None) -> dict:
-    """JSON-ready mirror of the CSV table."""
-    obj = {
-        "k": pmf.k,
-        "lambda": pmf.lam,
-        "rows": [{"d": d, "r": d / pmf.k, "p": p} for d, p in pmf.table.items()],
-    }
-    if meta:
-        obj["meta"] = dict(meta)
-    return obj
+    """JSON mirror of the CSV table: ``{"meta": ..., "rows": [...]}`` with
+    one row per displacement, keyed by (k, d, r, lambda, p)."""
+    return _mirror(meta, _PMF_COLUMNS, _pmf_rows(pmf))
 
 
 def pmf_from_json(obj) -> Pmf:
+    """Parse ``pmf_to_json`` output, or a CLI ``pmf`` or ``simulate`` .json
+    (an object or its text), back into a Pmf."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    table = {int(row["d"]): float(row["p"]) for row in obj["rows"]}
-    lam = obj.get("lambda")
-    return Pmf(int(obj["k"]), table, lam=None if lam is None else float(lam))
+    rows = obj.get("rows") if isinstance(obj, dict) else None
+    if not isinstance(rows, list):
+        raise ValueError("not a pmf mirror: no 'rows' list")
+    return _pmf_from_rows(rows)

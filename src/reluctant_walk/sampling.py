@@ -10,15 +10,13 @@ than sampling; the classical walk spread is sqrt(k) in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import TrialDataset, mle_estimate
-from .pmf import Pmf, iter_pmf_full, pmf_full
+from .pmf import Pmf, _integer, iter_pmf_full, pmf_full
 
 __all__ = [
-    "ExperimentConfig",
     "fresh_seed",
     "trial_generator",
     "sample_positions",
@@ -26,31 +24,6 @@ __all__ = [
     "diffusion_experiment",
     "data_box_experiment",
 ]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Echoed description of an experiment run (stamped into every report)."""
-
-    seed: int
-    theta_star: float | None = None
-    k: int | None = None
-    k_list: tuple[int, ...] | None = None
-    n: int | None = None
-    budget: int | None = None
-    allocations: tuple[tuple[int, int], ...] | None = None
-
-    def to_json(self) -> dict:
-        out = {"seed": self.seed}
-        for name in ("theta_star", "k", "n", "budget"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.k_list is not None:
-            out["k_list"] = list(self.k_list)
-        if self.allocations is not None:
-            out["allocations"] = [list(a) for a in self.allocations]
-        return out
 
 
 def fresh_seed() -> int:
@@ -113,11 +86,9 @@ def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, flo
     sigma = sqrt(k) (variance of k independent unit steps; theta unused).
     No sampling is involved in either mode.
     """
-    ks = [int(k) for k in k_list]
+    ks = [_integer(k, "step count k", 1) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be non-empty and strictly increasing")
-    if ks[0] < 1:
-        raise ValueError(f"k values must be >= 1, got {ks[0]}")
     if mode == "classical":
         return [(k, math.sqrt(k)) for k in ks]
     if mode != "quantum":
@@ -132,8 +103,7 @@ def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, flo
 
 
 def data_box_experiment(theta_star: float, budget: int, allocations,
-                        seed: int | None = None, theta_range=(0.0, math.pi / 2),
-                        grid_size: int = 601) -> dict:
+                        seed: int | None = None, grid_size: int = 601) -> dict:
     """Estimation error across (k, n) allocations of a fixed budget.
 
     Each allocation must satisfy k * n <= budget.  For allocation i, n
@@ -143,7 +113,8 @@ def data_box_experiment(theta_star: float, budget: int, allocations,
     which allocation wins.  Single-trial allocations are flagged
     high_variance.
     """
-    allocs = tuple((int(k), int(n)) for k, n in allocations)
+    budget = _integer(budget, "budget")
+    allocs = tuple((_integer(k, "step count k"), _integer(n, "n")) for k, n in allocations)
     if not allocs:
         raise ValueError("no allocations given")
     for k, n in allocs:
@@ -153,13 +124,11 @@ def data_box_experiment(theta_star: float, budget: int, allocations,
             raise ValueError(f"allocation ({k}, {n}) exceeds the budget {budget}")
     if seed is None:
         seed = fresh_seed()
-    config = ExperimentConfig(seed=seed, theta_star=theta_star, budget=int(budget),
-                              allocations=allocs)
     rows = []
     for i, (k, n) in enumerate(allocs):
         pmf = pmf_full(k, math.cos(theta_star))
         data = sample_positions(pmf, n, seed=seed, trial_index=i)
-        est = mle_estimate(data, theta_range=theta_range, grid_size=grid_size)
+        est = mle_estimate(data, grid_size=grid_size)
         flags = list(est.flags)
         if n == 1:
             flags.append("high_variance")
@@ -172,4 +141,6 @@ def data_box_experiment(theta_star: float, budget: int, allocations,
             "loglik": est.loglik,
             "flags": flags,
         })
-    return {"config": config.to_json(), "rows": rows}
+    config = {"seed": seed, "theta_star": theta_star, "budget": budget,
+              "allocations": [list(a) for a in allocs]}
+    return {"config": config, "rows": rows}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import _chebyshev_u_pair
-from .pmf import Pmf, _check_steps
+from .pmf import Pmf, _integer
 
 __all__ = [
     "CoinParameter",
@@ -153,7 +153,7 @@ def step(state: WalkState, p: CoinParameter) -> WalkState:
 
 def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     """Apply ``steps`` walk steps (steps >= 0)."""
-    _check_steps(steps, minimum=0)
+    _integer(steps, "step count k", 0)
     for _ in range(steps):
         state = step(state, p)
     return state
@@ -190,7 +190,7 @@ def kernel_power(phi: float, p: CoinParameter, k: int) -> np.ndarray:
     U_n the Chebyshev polynomials of the second kind.  No matrix powers
     are taken; this is the closed form the Kraus pair is built from.
     """
-    _check_steps(k, minimum=0)
+    _integer(k, "step count k", 0)
     if k == 0:
         return np.eye(2, dtype=np.complex128)
     xi = p.lam * math.cos(phi)
@@ -208,7 +208,7 @@ def kraus_kernels(phi, p: CoinParameter, k: int):
     of M^k for a coin-0 input; |A_k|^2 + |B_k|^2 = 1 pointwise.  ``phi``
     may be a scalar or an array.
     """
-    _check_steps(k)
+    _integer(k, "step count k", 1)
     phi = np.asarray(phi, dtype=float)
     xi = p.lam * np.cos(phi)
     u1, u2 = _chebyshev_u_pair(k - 1, xi)
@@ -234,7 +234,7 @@ def return_probability_kraus(p: CoinParameter, k: int) -> float:
     site (R >= 2k+1 nodes).  A_k and B_k have degree <= k, so the means
     are exact to rounding.
     """
-    _check_steps(k)
+    _integer(k, "step count k", 1)
     a, b = kraus_kernels(_momentum_grid(2 * k + 1), p, k)
     return float(abs(np.mean(a)) ** 2 + abs(np.mean(b)) ** 2)
 
@@ -252,7 +252,7 @@ def channel_position_pmf(initial: WalkState, p: CoinParameter, steps: int) -> Pm
     ``position_pmf(evolve(...))`` on the same position axis; only the
     analytic forms in ``pmf`` are axis-reflected.
     """
-    _check_steps(steps)
+    _integer(steps, "step count k", 1)
     if np.max(np.abs(initial.amps[1])) > 1e-12:
         raise ValueError("channel form requires the coin register in state |0>")
     out_positions = np.arange(initial.lo - steps, initial.lo + initial.width + steps)

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from reluctant_walk.cli import FIG2_KS, main
-from reluctant_walk.pmf import pmf_from_csv, pmf_full
+from reluctant_walk.pmf import pmf_from_csv, pmf_from_json, pmf_full
 
 
 def read_csv(path):
@@ -65,6 +65,18 @@ def test_pmf_csv_reads_back_as_pmf(tmp_path):
     assert loaded.k == 6
     for d in want.support:
         assert loaded.probability(d) == pytest.approx(want.probability(d), abs=1e-15)
+
+
+@pytest.mark.parametrize("argv", [["pmf", "--k", "6", "--theta", "0.8"],
+                                  ["pmf", "--k", "9", "--lambda", "-0.3", "--fast"],
+                                  ["simulate", "--k", "5", "--theta", "0.7", "--start", "2"]])
+def test_table_json_reads_back_like_the_csv(tmp_path, argv):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    stem = tmp_path / argv[0]
+    from_csv = pmf_from_csv(stem.with_suffix(".csv").read_text(encoding="utf-8"))
+    from_json = pmf_from_json(stem.with_suffix(".json").read_text(encoding="utf-8"))
+    assert (from_json.k, from_json.lam, from_json.table) == (from_csv.k, from_csv.lam,
+                                                             from_csv.table)
 
 
 def test_pmf_custom_stem_and_outdir_env(tmp_path, monkeypatch):
@@ -432,6 +444,13 @@ def test_figures_single_selection(tmp_path):
     assert not (tmp_path / "fig1.csv").exists()
 
 
+def test_figures_has_no_output_stem(tmp_path, capsys):
+    assert main(["figures", "--which", "fig1", "--output", "mine",
+                 "--outdir", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "--output" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- validate
 
 def test_validate_passes_at_default_tolerance(capsys):
@@ -455,18 +474,31 @@ def test_validate_trivial_when_disabled(capsys):
 # ------------------------------------------------------------- determinism
 
 def test_identical_invocations_are_byte_identical(tmp_path):
-    """Same arguments, same seed: artifacts match byte for byte."""
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    args = ["estimate", "--generate", "--method", "positions",
-            "--theta-star", "0.4", "--k", "8", "--n", "300", "--seed", "123"]
-    assert main(args + ["--outdir", str(dir_a)]) == 0
-    assert main(args + ["--outdir", str(dir_b)]) == 0
-    for name in ("estimate.csv", "estimate.json"):
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
-
-    main(["pmf", "--k", "12", "--lambda", "0.3", "--outdir", str(dir_a)])
-    main(["pmf", "--k", "12", "--lambda", "0.3", "--outdir", str(dir_b)])
-    assert (dir_a / "pmf.csv").read_bytes() == (dir_b / "pmf.csv").read_bytes()
+    """Same arguments, same seed: every artifact matches byte for byte."""
+    data = write_dataset(tmp_path / "ds.json",
+                         {"kind": "positions", "k": 4, "positions": [0, 2, -2, 0, 4]})
+    invocations = [
+        ["pmf", "--k", "12", "--lambda", "0.3"],
+        ["simulate", "--k", "6", "--theta", "0.7"],
+        ["likelihood", "--data", data, "--grid", "41"],
+        ["estimate", "--generate", "--method", "positions",
+         "--theta-star", "0.4", "--k", "8", "--n", "300", "--seed", "123"],
+        ["level-set", "--f", "0.64", "--k", "4"],
+        ["diffusion", "--k-list", "2,4,8"],
+        ["databox", "--theta-star", "0.5", "--budget", "40",
+         "--allocations", "4:10,8:5", "--seed", "11", "--grid", "61"],
+        ["figures", "--which", "fig2a"],
+    ]
+    stems = ("pmf", "simulate", "likelihood", "estimate", "level_set", "diffusion",
+             "databox", "fig2a")
+    dirs = tmp_path / "a", tmp_path / "b"
+    for args in invocations:
+        for outdir in dirs:
+            assert main(args + ["--outdir", str(outdir)]) == 0
+    names = sorted(path.name for path in dirs[0].iterdir())
+    assert names == sorted(stem + ext for stem in stems for ext in (".csv", ".json"))
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
 
 def test_reports_contain_no_timestamps(tmp_path):

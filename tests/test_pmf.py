@@ -27,6 +27,7 @@ from reluctant_walk.pmf import (
     pmf_from_json,
     format_float,
     _grid,
+    _json_safe,
 )
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
@@ -298,10 +299,53 @@ def test_csv_rejects_garbage():
         pmf_from_csv("k,d,r,lambda,p\n")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("k,d,r,lambda,p\n1,2\n", "5 cells"),
+    ("k,d,r,lambda,p\n1,-1,-1,0.5,0.25,9\n", "5 cells"),
+    ("k,d,r,lambda,p\n1,x,-1,0.5,0.25\n", "malformed pmf row"),
+])
+def test_csv_rejects_malformed_rows(text, reason):
+    with pytest.raises(ValueError, match=reason):
+        pmf_from_csv(text)
+
+
+@pytest.mark.parametrize("obj, reason", [
+    ({"meta": {"command": "estimate"}, "result": {}, "dataset": {}}, "no 'rows'"),
+    ([1, 2], "no 'rows'"),
+    ('{"meta": {}, "rows": []}', "no data rows"),
+    ({"meta": {}, "rows": [{"theta": 0.1, "lambda": 0.99, "loglik": -3.0}]}, "malformed"),
+    ({"meta": {}, "rows": [{"k": 1, "d": None, "r": 0, "lambda": 0.5, "p": 1}]}, "malformed"),
+    ({"meta": {}, "rows": [[1, -1, -1, 0.5, 0.25]]}, "malformed"),
+])
+def test_json_rejects_non_mirrors(obj, reason):
+    with pytest.raises(ValueError, match=reason):
+        pmf_from_json(obj)
+
+
+@pytest.mark.parametrize("value, want", [
+    (math.nan, None),
+    (math.inf, None),
+    (-math.inf, None),
+    (np.float64(0.1), 0.1),
+    (np.float64(np.nan), None),
+    (np.int64(-7), -7),
+    (np.bool_(True), True),
+    (((1, np.int64(2)), (np.float64(-np.inf), "a")), [[1, 2], [None, "a"]]),
+    ([None, 3, "x"], [None, 3, "x"]),
+])
+def test_json_safe(value, want):
+    got = _json_safe(value)
+    assert got == want
+    assert type(got) is type(want)
+    if isinstance(got, list):
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
 def test_json_round_trip():
     pmf = pmf_full(7, -0.64)
     obj = pmf_to_json(pmf, meta={"seed": 5})
     assert obj["meta"] == {"seed": 5}
+    assert pmf_to_json(pmf)["meta"] == {}
     back = pmf_from_json(obj)
     assert back.k == pmf.k and back.lam == pmf.lam and back.table == pmf.table
 

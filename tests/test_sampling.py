@@ -8,7 +8,6 @@ from scipy.stats import chisquare
 
 from reluctant_walk.pmf import pmf_full, pmf_point
 from reluctant_walk.sampling import (
-    ExperimentConfig,
     data_box_experiment,
     diffusion_experiment,
     fresh_seed,
@@ -203,6 +202,20 @@ def test_diffusion_validation():
         diffusion_experiment(0.5, [2], mode="thermal")
 
 
+@pytest.mark.parametrize("bad", [2.7, 4.0, True, np.float64(4.0)])
+def test_experiments_reject_non_integer_counts(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        diffusion_experiment(0.7, [bad, 8], mode="quantum")
+    with pytest.raises(ValueError, match="must be an integer"):
+        diffusion_experiment(0.7, [1, bad], mode="classical")
+    with pytest.raises(ValueError, match="must be an integer"):
+        data_box_experiment(0.7, 100, [(bad, 10)], seed=1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        data_box_experiment(0.7, 100, [(2, bad)], seed=1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        data_box_experiment(0.7, bad, [(1, 1)], seed=1)
+
+
 def test_data_box_budget_enforced():
     with pytest.raises(ValueError, match="budget"):
         data_box_experiment(0.5, 100, [(20, 6)], seed=1)
@@ -230,12 +243,3 @@ def test_data_box_replays_exactly():
     a = data_box_experiment(0.5, 40, [(4, 10), (8, 5)], seed=11)
     b = data_box_experiment(0.5, 40, [(4, 10), (8, 5)], seed=11)
     assert a == b
-
-
-def test_experiment_config_to_json_skips_unset_fields():
-    cfg = ExperimentConfig(seed=3, k_list=(2, 4))
-    assert cfg.to_json() == {"seed": 3, "k_list": [2, 4]}
-    cfg = ExperimentConfig(seed=3, theta_star=0.5, k=8, n=100, budget=800,
-                           allocations=((8, 100),))
-    assert cfg.to_json() == {"seed": 3, "theta_star": 0.5, "k": 8, "n": 100,
-                             "budget": 800, "allocations": [[8, 100]]}
