@@ -35,7 +35,6 @@ from .estimation import (
 )
 from .pmf import (
     CONVENTION_SIGMA,
-    Pmf,
     format_float,
     pmf_full,
     pmf_point,
@@ -43,7 +42,7 @@ from .pmf import (
     _PMF_COLUMNS,
     _csv_text,
     _grid,
-    _mirror,
+    _mirror_text,
     _pmf_rows,
 )
 from .sampling import (
@@ -106,16 +105,18 @@ def _write_report(outdir: str, stem: str, columns, rows, meta: dict,
                   json_obj: dict | None = None) -> list[str]:
     """Write stem.csv and stem.json; returns the paths written.
 
-    The JSON mirror defaults to ``_mirror(meta, columns, rows)``;
+    The JSON mirror defaults to ``_mirror_text(meta, columns, rows)``;
     ``json_obj`` replaces it for commands with a richer result structure.
     """
     csv_path = os.path.join(outdir, stem + ".csv")
     _atomic_write(csv_path, _csv_text(meta, columns, rows))
 
     if json_obj is None:
-        json_obj = _mirror(meta, columns, rows)
+        json_text = _mirror_text(meta, columns, rows)
+    else:
+        json_text = json.dumps(json_obj, indent=2) + "\n"
     json_path = os.path.join(outdir, stem + ".json")
-    _atomic_write(json_path, json.dumps(json_obj, indent=2) + "\n")
+    _atomic_write(json_path, json_text)
     return [csv_path, json_path]
 
 
@@ -135,7 +136,7 @@ def cmd_pmf(args) -> int:
                                      "theta": format_float(coin.theta),
                                      "axis": "analytic"})
     paths = _write_report(_outdir(args), args.output or "pmf",
-                          _PMF_COLUMNS, _pmf_rows(pmf), meta)
+                          _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam), meta)
     print(f"pmf: k={args.k} lambda={format_float(coin.lam)} "
           f"({len(pmf.table)} rows) -> {paths[0]}, {paths[1]}")
     return EXIT_OK
@@ -145,12 +146,11 @@ def cmd_simulate(args) -> int:
     coin = _coin_from_args(args)
     state = evolve(WalkState.localized(args.start), coin, args.k)
     table = position_pmf(state).table
-    pmf = Pmf(args.k, table, lam=coin.lam)
     meta = _stamp("simulate", args.seed, {"k": args.k, "lambda": format_float(coin.lam),
                                           "theta": format_float(coin.theta),
                                           "start": args.start, "axis": "simulator"})
     paths = _write_report(_outdir(args), args.output or "simulate",
-                          _PMF_COLUMNS, _pmf_rows(pmf), meta)
+                          _PMF_COLUMNS, _pmf_rows(args.k, table, coin.lam), meta)
     print(f"simulate: k={args.k} start={args.start} "
           f"({len(table)} rows) -> {paths[0]}, {paths[1]}")
     return EXIT_OK
@@ -452,38 +452,30 @@ def _add_coin_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--theta", type=float, help="coin angle in radians")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reluctant-walk",
-        description="SO(2)-coined quantum walk: exact simulation, closed-form pmf, "
-                    "and coin estimation.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("pmf", help="closed-form displacement table")
+def _pmf_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     _add_coin_flags(p)
     p.add_argument("--fast", action="store_true",
                    help="float recurrence instead of exact rational rows")
     _add_common(p)
-    p.set_defaults(func=cmd_pmf)
 
-    p = sub.add_parser("simulate", help="state-vector walk and measured distribution")
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     _add_coin_flags(p)
     p.add_argument("--start", type=int, default=0, help="initial site (default 0)")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("likelihood", help="log-likelihood curve over theta")
+
+def _likelihood_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset JSON file")
     p.add_argument("--grid", type=int, default=601)
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=math.pi / 2)
     _add_common(p)
-    p.set_defaults(func=cmd_likelihood)
 
-    p = sub.add_parser("estimate", help="maximum-likelihood coin estimate")
+
+def _estimate_args(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="dataset JSON file")
     source.add_argument("--generate", action="store_true",
@@ -498,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=math.pi / 2)
     _add_common(p)
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("level-set", help="solve return probability = f for lambda")
+
+def _level_set_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", type=float, required=True, help="level in [0, 1]")
     p.add_argument("--k", type=int, required=True, help="even step count")
     p.add_argument("--branch-min", type=float, default=-1.0)
@@ -508,40 +500,81 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=2048)
     p.add_argument("--residual-tol", type=float, default=1e-10)
     _add_common(p)
-    p.set_defaults(func=cmd_level_set)
 
-    p = sub.add_parser("diffusion", help="sigma(k) scaling, quantum vs classical")
+
+def _diffusion_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", type=float, default=math.pi / 3)
     p.add_argument("--k-list", default="16,32,64,128,256")
     p.add_argument("--mode", choices=["quantum", "classical", "both"], default="both")
     _add_common(p)
-    p.set_defaults(func=cmd_diffusion)
 
-    p = sub.add_parser("databox", help="error vs (k, n) budget allocations")
+
+def _databox_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta-star", type=float, required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--allocations", required=True,
                    help="comma-separated k:n pairs, e.g. '2:2000,20:200'")
     p.add_argument("--grid", type=int, default=601)
     _add_common(p)
-    p.set_defaults(func=cmd_databox)
 
-    p = sub.add_parser("figures", help="figure data grids (CSV/JSON, no plotting)")
+
+def _figures_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--which", choices=["fig1", "fig2a", "fig2b", "all"], default="all")
     _add_common(p, stem=False)  # the figure names are the stems
-    p.set_defaults(func=cmd_figures)
 
-    p = sub.add_parser("validate", help="oracle-equivalence suite")
+
+def _validate_args(p: argparse.ArgumentParser) -> None:
+    # validate writes no artifact and draws nothing: no --outdir, --output or --seed
     p.add_argument("--max-k", type=int, default=30)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
 
+
+# (name, help, arguments, handler) of each subcommand, in the order of the help listing
+_COMMANDS = (
+    ("pmf", "closed-form displacement table", _pmf_args, cmd_pmf),
+    ("simulate", "state-vector walk and measured distribution", _simulate_args, cmd_simulate),
+    ("likelihood", "log-likelihood curve over theta", _likelihood_args, cmd_likelihood),
+    ("estimate", "maximum-likelihood coin estimate", _estimate_args, cmd_estimate),
+    ("level-set", "solve return probability = f for lambda", _level_set_args, cmd_level_set),
+    ("diffusion", "sigma(k) scaling, quantum vs classical", _diffusion_args, cmd_diffusion),
+    ("databox", "error vs (k, n) budget allocations", _databox_args, cmd_databox),
+    ("figures", "figure data grids (CSV/JSON, no plotting)", _figures_args, cmd_figures),
+    ("validate", "oracle-equivalence suite", _validate_args, cmd_validate),
+)
+
+
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered by name and help; only
+    ``command`` gets its arguments, or every one when ``command`` is None.
+
+    Building every argument spec costs about as much as a small command
+    (argparse makes a formatter per argument), and a parse reads only the
+    arguments of the one subcommand it dispatches to.
+    """
+    parser = argparse.ArgumentParser(
+        prog="reluctant-walk",
+        description="SO(2)-coined quantum walk: exact simulation, closed-form pmf, "
+                    "and coin estimation.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, help_text, add_arguments, func in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser: every subcommand with its arguments."""
+    return _parser(None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first argument that names a subcommand is the one parse_args dispatches to
+    command = argv[0] if argv and argv[0] in {c[0] for c in _COMMANDS} else None
+    parser = _parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

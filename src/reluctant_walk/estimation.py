@@ -49,7 +49,7 @@ _POLISH_WINDOW = 1e-4      # level-set scan minima of |q - f| below this * (1 + 
 # a float gap beyond this decides a bisection sign: 100x the 1e-14 bound on
 # the float return probability's error (test_float_return_scan_error_margin)
 _SIGN_BAND = 1e-12
-_TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float block
+_TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float row pass
 _EPS = float(np.finfo(float).eps)
 
 
@@ -332,14 +332,16 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
                  grid_size: int = 601, refine_tolerance: float = 1e-9) -> EstimateResult:
     """Maximum-likelihood coin angle for a dataset.
 
-    Position data: dense grid scan of the log-likelihood (one pass of the
-    row engine over the grid), then a nested-grid search (``_zoom_min``)
-    between the grid points flanking each run within 1e-6 of the best
-    value, down to a bracket of refine_tolerance (finite, >= 0; 0 means
-    float resolution).  Each pass scores an even grid of 64 thetas, one
-    float block of the row engine, in one likelihood call and narrows the
-    bracket about 31-fold; a 1e-9 refine of the default grid takes five
-    such calls.
+    Position data: dense grid scan of the log-likelihood (one likelihood
+    call, which the row engine serves in passes sized by the width of the
+    rows the observed displacements read: five over the default 601
+    points at k = 48), then a nested-grid search (``_zoom_min``) between
+    the grid points flanking each run within 1e-6 of the best value, down
+    to a bracket of refine_tolerance (finite, >= 0; 0 means float
+    resolution).  Each pass scores an even grid of 64 thetas, one float
+    pass of the row engine, in one likelihood call and narrows the bracket
+    about 31-fold; a 1e-9 refine of the default grid takes five such
+    calls.
     Return counts: the empirical return frequency is pushed through the
     level set of the closed-form return probability on the lam branch
     [0, 1] (matching the default theta range).
@@ -487,11 +489,14 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
                     residual_tol: float = 1e-10) -> list[float]:
     """All lam on the branch where the k-step return probability equals f.
 
-    The scan is one float pass of the row engine over all ``resolution``
-    points.  Scan points whose float gap |p^(k)(0, lam) - f| lies inside
-    the polish window (which holds every zero and every sign the float
-    error of ~1e-15 could flip) are re-scored with one exact pass, so the
-    scan decides zeros, sign changes and polish starts on exact values.
+    The scan scores all ``resolution`` points on the float rows, trimmed
+    to the light cone of d = 0, in passes of as many points as keep a pass
+    within the row engine's entry budget (``pmf._grid``): five passes of
+    the default 2048 at k = 24, 32 at k = 200.  Scan points whose float
+    gap |p^(k)(0, lam) - f| lies inside the polish window (which holds
+    every zero and every sign the float error of ~1e-15 could flip) are
+    re-scored with one exact pass, so the scan decides zeros, sign changes
+    and polish starts on exact values.
     Each sign change is bisected on float signs, 63 midpoints to a float
     pass, with an exact single point only where a float gap on the taken
     path is within 1e-12 of zero (``_bisect``); the polish of scanned

@@ -118,15 +118,18 @@ def _ratio(lam, exact: bool = True):
     return np.frompyfunc(lambda x: Fraction(x).as_integer_ratio(), 1, 2)(lam)
 
 
-def _rows_for(k: int, a, b, ds=None):
-    """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads.
-
-    Given ``ds``, the rows stop at the light cone of the entries
-    |d +- 1| those displacements read, when that cone is narrower than
-    the rows."""
+def _cone(k: int, ds=None):
+    """The light cone ``(k - 1, reach)`` of the row entries |d +- 1| that
+    the displacements ``ds`` read at step ``k``, or None when that cone is
+    no narrower than the rows (always for ``ds`` None)."""
     reach = k if ds is None else max((abs(int(d)) for d in ds), default=-1) + 1
-    cone = (k - 1, reach) if reach < k - 1 else None
-    return next(islice(_iter_y_rows(a, b, cone), k - 1, None))
+    return (k - 1, reach) if reach < k - 1 else None
+
+
+def _rows_for(k: int, a, b, ds=None):
+    """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads, trimmed to
+    the light cone of ``ds`` when it is narrower (``_cone``)."""
+    return next(islice(_iter_y_rows(a, b, _cone(k, ds)), k - 1, None))
 
 
 def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray:
@@ -165,22 +168,32 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
 # lam values per pass of the exact rows: the big-integer rows of all 2048
 # points of a level-set scan at k = 24 hold about 20 MB, 12 of them 0.15 MB
 _GRID_BLOCK = 12
-# lam values per pass of the float rows, 8 bytes an entry: 64 rows at k = 200
-# take 0.1 MB each, and larger blocks raised the positions scan's peak RSS
+# row entries per pass of the float rows, 8 bytes each: 64 full-width rows at
+# k = 100, 51 KB a row array.  Narrow rows take more lam a pass, so a pass
+# costs fewer numpy calls per lam; twice this budget raised the peak RSS of a
+# bare process running the positions scan (k = 48, all 49 columns) by 0.8 MB
+_FLOAT_ENTRIES = 64 * 100
+# the fewest lam per float pass, whatever the row width
 _FLOAT_BLOCK = 64
 
 
 def _grid(k: int, lams, ds, exact: bool) -> np.ndarray:
     """p(d; k, lam) for every lam in ``lams`` (rows) and d in ``ds`` (columns).
 
-    Each block of ``_GRID_BLOCK`` (exact) or ``_FLOAT_BLOCK`` (float)
-    values of lam is one pass of the row engine; every entry equals
-    ``pmf_full(k, lam, exact)`` bit for bit.
+    Each pass of the row engine takes ``_GRID_BLOCK`` values of lam on the
+    exact rows.  On the float rows it takes as many as keep the widest row
+    within ``_FLOAT_ENTRIES`` entries, and at least ``_FLOAT_BLOCK``: the
+    rows of the columns ``ds`` stop at their light cone (``_cone``), so a
+    return scan (d = 0) at k = 24 takes 492 lam a pass and all 49 columns
+    at k = 48 take 133.  Every entry equals ``pmf_full(k, lam, exact)`` bit
+    for bit, whatever the block.
     """
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)
     out = np.empty((len(lams), len(ds)))
-    block = _GRID_BLOCK if exact else _FLOAT_BLOCK
+    cone = _cone(k, ds)
+    widest = k if cone is None else sum(cone) // 2 + 1
+    block = _GRID_BLOCK if exact else max(_FLOAT_BLOCK, _FLOAT_ENTRIES // widest)
     for i in range(0, len(lams), block):
         a, b = _ratio(lams[i:i + block], exact)
         out[i:i + block] = _probabilities(k, a, b, _rows_for(k, a, b, ds), ds)
@@ -272,6 +285,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_column(values):
+    """The CSV cells of one column: ``_cell`` of each value, in one ``map``
+    of the format an all-float or all-int column needs."""
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return map("%.17g".__mod__, values)
+    if kinds <= {int}:
+        return map(int.__repr__, values)
+    return map(_cell, values)
+
+
 def _csv_text(meta: dict | None, columns, rows) -> str:
     """``# key: value`` stamps, then the column header, then one line per row.
 
@@ -280,7 +304,8 @@ def _csv_text(meta: dict | None, columns, rows) -> str:
     """
     lines = [f"# {key}: {value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-    lines.extend(",".join(_cell(row[c]) for c in columns) for row in rows)
+    cells = [_csv_column([row[c] for row in rows]) for c in columns]
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -291,12 +316,35 @@ def _mirror(meta: dict | None, columns, rows) -> dict:
             "rows": [{c: _json_safe(row[c]) for c in columns} for row in rows]}
 
 
+def _json_column(values):
+    """The JSON text of one column's values as ``_mirror`` rows hold them,
+    indented as row entries: ``float.__repr__`` or ``int.__repr__`` (what
+    ``json`` writes) for an all-finite-float or all-int column."""
+    kinds = set(map(type, values))
+    if kinds <= {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if kinds <= {int}:
+        return map(int.__repr__, values)
+    return (json.dumps(_json_safe(v), indent=2).replace("\n", "\n      ") for v in values)
+
+
+def _mirror_text(meta: dict | None, columns, rows) -> str:
+    """``json.dumps(_mirror(meta, columns, rows), indent=2) + "\\n"`` for one
+    or more string column names, rendered a column at a time: with an
+    indent, ``json`` runs its pure-Python encoder, several calls a value."""
+    meta_text = json.dumps(dict(meta or {}), indent=2).replace("\n", "\n  ")
+    cells = [map(f"      {json.dumps(c)}: ".__add__, _json_column([row[c] for row in rows]))
+             for c in columns]
+    body = "\n    },\n    {\n".join(map(",\n".join, zip(*cells)))
+    rows_text = f"[\n    {{\n{body}\n    }}\n  ]" if rows else "[]"
+    return f'{{\n  "meta": {meta_text},\n  "rows": {rows_text}\n}}\n'
+
+
 _PMF_COLUMNS = ("k", "d", "r", "lambda", "p")
 
 
-def _pmf_rows(pmf: Pmf) -> list[dict]:
-    return [{"k": pmf.k, "d": d, "r": d / pmf.k, "lambda": pmf.lam, "p": p}
-            for d, p in pmf.table.items()]
+def _pmf_rows(k: int, table: dict, lam) -> list[dict]:
+    return [{"k": k, "d": d, "r": d / k, "lambda": lam, "p": p} for d, p in table.items()]
 
 
 def pmf_to_csv(pmf: Pmf, meta: dict | None = None) -> str:
@@ -305,7 +353,15 @@ def pmf_to_csv(pmf: Pmf, meta: dict | None = None) -> str:
     Optional ``meta`` entries become leading ``# key: value`` comment
     lines.  LF line endings, 17-significant-digit decimals.
     """
-    return _csv_text(meta, _PMF_COLUMNS, _pmf_rows(pmf))
+    return _csv_text(meta, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam))
+
+
+def _whole(value) -> int:
+    """A CSV cell or JSON number as an int; a fractional number is rejected,
+    not truncated (``int`` already rejects the cell "0.9")."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def _pmf_from_rows(rows) -> Pmf:
@@ -314,8 +370,8 @@ def _pmf_from_rows(rows) -> Pmf:
     if not rows:
         raise ValueError("pmf table has no data rows")
     try:
-        table = {int(row["d"]): float(row["p"]) for row in rows}
-        k, lam = int(rows[-1]["k"]), rows[-1]["lambda"]
+        table = {_whole(row["d"]): float(row["p"]) for row in rows}
+        k, lam = _whole(rows[-1]["k"]), rows[-1]["lambda"]
         return Pmf(k, table, lam=None if lam in ("", None) else float(lam))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed pmf row: {exc!r}") from None
@@ -335,7 +391,7 @@ def pmf_from_csv(text: str) -> Pmf:
 def pmf_to_json(pmf: Pmf, meta: dict | None = None) -> dict:
     """JSON mirror of the CSV table: ``{"meta": ..., "rows": [...]}`` with
     one row per displacement, keyed by (k, d, r, lambda, p)."""
-    return _mirror(meta, _PMF_COLUMNS, _pmf_rows(pmf))
+    return _mirror(meta, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam))
 
 
 def pmf_from_json(obj) -> Pmf:

@@ -77,8 +77,8 @@ class WalkState:
 
     ``amps`` has shape (2, width): row 0 holds the coin-0 amplitude at
     positions lo, lo+1, ..., row 1 the coin-1 amplitude.  ``k`` counts the
-    steps applied so far.  Instances are immutable; ``step`` returns a new
-    state one site wider on each side.
+    steps applied so far.  Instances are immutable; ``evolve`` returns a
+    new state one site wider on each side per step.
     """
 
     k: int
@@ -143,20 +143,34 @@ class WalkState:
 
 def step(state: WalkState, p: CoinParameter) -> WalkState:
     """One walk step: coin rotation, then coin-conditioned shift."""
-    c, s = p.lam, p.sin_theta
-    a0, a1 = state.amps
-    new = np.zeros((2, state.width + 2), dtype=np.complex128)
-    new[0, 2:] = c * a0 + s * a1        # coin 0 moves right
-    new[1, : state.width] = -s * a0 + c * a1  # coin 1 moves left
-    return WalkState(state.k + 1, state.lo - 1, new)
+    return evolve(state, p, 1)
 
 
 def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
-    """Apply ``steps`` walk steps (steps >= 0)."""
+    """Apply ``steps`` walk steps (steps >= 0).
+
+    The steps run in one zeroed buffer as wide as the final state, with the
+    start state in its middle; each step rotates the coin over the active
+    window, moves coin 0 one site right and coin 1 one site left, and widens
+    the window by a site on each side.
+    """
     _integer(steps, "step count k", 0)
+    if steps == 0:
+        return state
+    c, s = p.lam, p.sin_theta
+    amps = np.zeros((2, state.width + 2 * steps), dtype=np.complex128)
+    lo, hi = steps, steps + state.width
+    amps[:, lo:hi] = state.amps
     for _ in range(steps):
-        state = step(state, p)
-    return state
+        a0, a1 = amps[:, lo:hi]
+        right = c * a0 + s * a1
+        left = -s * a0 + c * a1
+        amps[0, lo + 1:hi + 1] = right  # coin 0 moves right
+        amps[0, lo] = 0
+        amps[1, lo - 1:hi - 1] = left   # coin 1 moves left
+        amps[1, hi - 1] = 0
+        lo, hi = lo - 1, hi + 1
+    return WalkState(state.k + steps, state.lo - steps, amps)
 
 
 def position_pmf(state: WalkState) -> Pmf:

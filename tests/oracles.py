@@ -7,10 +7,13 @@ terminating-2F1 form, the law-of-cosines and even-step 2F1 forms of the
 pmf, the forward dynamics for a transition probability and the level-set
 solve with an exact scan.  The package's one route for each is the
 integer/float row engine (``chebyshev._iter_y_rows`` -> ``pmf._grid``).
+Two more keep the package's loops one step or one cell at a time: the walk
+with a new state per step, and the artifact writer a cell at a time.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +23,7 @@ import numpy as np
 
 from reluctant_walk.chebyshev import chebyshev_u
 from reluctant_walk.estimation import _solve_level
-from reluctant_walk.pmf import _clamp, _grid, _validate_k_lam, pmf_point
+from reluctant_walk.pmf import _cell, _clamp, _grid, _mirror, _validate_k_lam, pmf_point
 from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
                                  position_pmf)
 
@@ -183,3 +186,28 @@ def transition_probability(a: int, b: int, k: int, theta: float,
         return channel_position_pmf(WalkState.localized(a), p, k).probability(2 * a - b)
     raise ValueError(f"via must be 'analytic', 'simulation' or 'channel', got {via!r}")
 
+
+
+def evolve_stepwise(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
+    """``walk.evolve`` as a new, one site wider ``WalkState`` per step."""
+    c, s = p.lam, p.sin_theta
+    for _ in range(steps):
+        a0, a1 = state.amps
+        new = np.zeros((2, state.width + 2), dtype=np.complex128)
+        new[0, 2:] = c * a0 + s * a1        # coin 0 moves right
+        new[1, : state.width] = -s * a0 + c * a1  # coin 1 moves left
+        state = WalkState(state.k + 1, state.lo - 1, new)
+    return state
+
+
+def csv_text_per_cell(meta, columns, rows) -> str:
+    """``pmf._csv_text`` with every cell through ``pmf._cell`` one at a time."""
+    lines = [f"# {key}: {value}" for key, value in (meta or {}).items()]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_cell(row[c]) for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def mirror_text_by_encoder(meta, columns, rows) -> str:
+    """``pmf._mirror_text`` through the json module's indenting encoder."""
+    return json.dumps(_mirror(meta, columns, rows), indent=2) + "\n"

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from reluctant_walk.cli import FIG2_KS, main
+from reluctant_walk.cli import FIG2_KS, build_parser, main
 from reluctant_walk.pmf import pmf_from_csv, pmf_from_json, pmf_full
 
 
@@ -469,6 +469,44 @@ def test_validate_fails_at_absurd_tolerance(capsys):
 def test_validate_trivial_when_disabled(capsys):
     assert main(["validate", "--max-k", "0"]) == 0
     assert "max-k too small" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", [["--output", "foo"], ["--outdir", "v"], ["--seed", "3"]])
+def test_validate_has_no_artifact_or_seed_flags(tmp_path, capsys, flag):
+    # validate writes nothing and draws nothing, so it takes none of the three
+    if flag[0] == "--outdir":
+        flag = ["--outdir", str(tmp_path / "v")]
+    assert main(["validate", "--max-k", "2"] + flag) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert flag[0] in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- parser
+
+_COMMANDS = ("pmf", "simulate", "likelihood", "estimate", "level-set", "diffusion",
+             "databox", "figures", "validate")
+_REQUIRED = ("pmf", "simulate", "likelihood", "estimate", "level-set", "databox")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["--version"], ["pmff"], ["--version", "pmf"], ["--k", "3"],
+    *([command, "--help"] for command in _COMMANDS),
+    *([command, "--bogus"] for command in _COMMANDS),
+    *([command] for command in _REQUIRED),
+    ["pmf", "--k", "x", "--lambda", "0.5"],
+    ["pmf", "--k", "3", "--lambda", "0.5", "--theta", "1"],
+    ["estimate", "--method", "nope", "--generate"],
+    ["figures", "--which", "fig3"],
+    ["validate", "--max-k"],
+], ids=repr)
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    # main builds only the named subcommand's arguments; what argparse prints
+    # and its exit status stay those of the parser with every argument
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        want = (int(exc.code or 0),) + tuple(capsys.readouterr())
+    assert (main(argv),) + tuple(capsys.readouterr()) == want
 
 
 # ------------------------------------------------------------- determinism

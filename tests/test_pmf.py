@@ -9,6 +9,7 @@ to exactly 1.
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,12 +27,16 @@ from reluctant_walk.pmf import (
     pmf_to_json,
     pmf_from_json,
     format_float,
+    _csv_text,
     _grid,
     _json_safe,
+    _mirror_text,
 )
+from reluctant_walk import pmf as pmf_module
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
-from oracles import exact_return_scan, pmf_even_closed, pmf_point_cosine_form
+from oracles import (csv_text_per_cell, exact_return_scan, mirror_text_by_encoder,
+                     pmf_even_closed, pmf_point_cosine_form)
 
 rational_lam = st.integers(-9, 9).map(lambda n: Fraction(n, 9))
 
@@ -150,8 +155,44 @@ def test_grid_columns_beyond_the_support_are_pmf_point(k_ds, lams):
         assert all(p == 0.0 for d, p in zip(ds, row_fast) if abs(d) > k or (k - d) % 2)
 
 
+def _float_passes(k, lams, ds):
+    """``_grid(k, lams, ds, exact=False)`` and the lam count of each of its
+    row-engine passes."""
+    with mock.patch.object(pmf_module, "_rows_for", wraps=pmf_module._rows_for) as rows_for:
+        grid = _grid(k, lams, ds, exact=False)
+    return grid, [len(call.args[1]) for call in rows_for.call_args_list]
+
+
+@given(k=st.integers(12, 60), cone=st.booleans(), offset=st.sampled_from([-1, 0, 1]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_float_grid_entries_are_pmf_full_across_pass_edges(k, cone, offset, seed):
+    # one column near d = 0 keeps the rows on its light cone, so a pass takes
+    # more lam than with every column; either way a pass that ends one lam
+    # before, at or after the last lam changes no entry
+    ds = [k % 2] if cone else list(range(-k, k + 1, 2))
+    block = _float_passes(k, np.zeros(10**4), ds)[1][0]
+    assert block >= pmf_module._FLOAT_BLOCK
+    lams = np.random.default_rng(seed).uniform(-1.0, 1.0, block + offset)
+    lams[:3] = -1.0, 0.0, 1.0
+    grid, passes = _float_passes(k, lams, ds)
+    assert passes == ([block, 1] if offset == 1 else [block + offset])
+    for lam, row in zip(lams.tolist(), grid.tolist()):
+        table = pmf_full(k, lam, exact=False)
+        assert row == [table.probability(d) for d in ds]
+
+
+@pytest.mark.parametrize("k, points, ds, most", [
+    (24, 2048, [0], 5),                           # the level-set scan of a return estimate
+    (48, 601, list(range(-48, 49, 2)), 5),        # the theta scan of a positions estimate
+])
+def test_float_scans_take_few_row_passes(k, points, ds, most):
+    _, passes = _float_passes(k, np.linspace(0.0, 1.0, points), ds)
+    assert sum(passes) == points and len(passes) <= most
+
+
 def test_float_grid_blocks_match_single_points():
-    # 2048 values of lam span 32 float blocks; each row is computed alone
+    # 2048 values of lam span 8 float passes; each row is computed alone
     lams = np.linspace(-1.0, 1.0, 2048)
     grid = _grid(24, lams, [0, 2, -24], exact=False)
     single = np.vstack([_grid(24, [lam], [0, 2, -24], exact=False) for lam in lams])
@@ -316,10 +357,21 @@ def test_csv_rejects_malformed_rows(text, reason):
     ({"meta": {}, "rows": [{"theta": 0.1, "lambda": 0.99, "loglik": -3.0}]}, "malformed"),
     ({"meta": {}, "rows": [{"k": 1, "d": None, "r": 0, "lambda": 0.5, "p": 1}]}, "malformed"),
     ({"meta": {}, "rows": [[1, -1, -1, 0.5, 0.25]]}, "malformed"),
+    ({"meta": {}, "rows": [{"k": 2, "d": 0.9, "r": 0, "lambda": 0.5, "p": 1.0}]},
+     "not an integer: 0.9"),
+    ({"meta": {}, "rows": [{"k": 2.5, "d": 0, "r": 0, "lambda": 0.5, "p": 1.0}]},
+     "not an integer: 2.5"),
+    ('{"meta": {}, "rows": [{"k": 2, "d": Infinity, "r": 0, "lambda": 0.5, "p": 1}]}',
+     "not an integer: inf"),
 ])
 def test_json_rejects_non_mirrors(obj, reason):
     with pytest.raises(ValueError, match=reason):
         pmf_from_json(obj)
+
+
+def test_json_reads_integral_floats():
+    row = {"k": 2.0, "d": -0.0, "r": 0.0, "lambda": 0.5, "p": 1.0}
+    assert pmf_from_json({"meta": {}, "rows": [row]}) == Pmf(2, {0: 1.0}, lam=0.5)
 
 
 @pytest.mark.parametrize("value, want", [
@@ -348,6 +400,38 @@ def test_json_round_trip():
     assert pmf_to_json(pmf)["meta"] == {}
     back = pmf_from_json(obj)
     assert back.k == pmf.k and back.lam == pmf.lam and back.table == pmf.table
+
+
+_CELLS = {
+    "int": st.integers(-10**20, 10**20),
+    "float": st.floats(),                                   # NaN, +-inf and -0.0 too
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "mixed": st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(),
+        st.text(st.sampled_from('ab,"\' \u00e9\u2713\n')),
+        st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.lists(st.one_of(st.integers(), st.floats()), max_size=3).map(tuple),
+        st.just({"nested": [1, {"x": None}]})),
+}
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(st.text(st.sampled_from("kdp_\u00e9\""), min_size=1, max_size=4),
+                            min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(sorted(_CELLS))) for _ in columns]
+    rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=6))
+    meta = draw(st.dictionaries(st.sampled_from(["version", "k", "lambda", "\u00e9"]),
+                                st.one_of(st.integers(), st.floats(), st.text(max_size=3))))
+    return meta, columns, [dict(zip(columns, row)) for row in rows]
+
+
+@given(table=_tables())
+@settings(max_examples=200, deadline=None)
+def test_artifact_text_equals_the_per_cell_writers(table):
+    meta, columns, rows = table
+    assert _csv_text(meta, columns, rows) == csv_text_per_cell(meta, columns, rows)
+    assert _mirror_text(meta, columns, rows) == mirror_text_by_encoder(meta, columns, rows)
 
 
 def test_format_float_round_trips():

@@ -24,6 +24,8 @@ from reluctant_walk.walk import (
     channel_position_pmf,
 )
 
+from oracles import evolve_stepwise
+
 THETA = 0.7
 
 
@@ -122,6 +124,23 @@ def test_evolve_zero_and_negative():
     assert evolve(state, CoinParameter(0.5), 0) is state
     with pytest.raises(ValueError):
         evolve(state, CoinParameter(0.5), -1)
+
+
+@pytest.mark.parametrize("start", [
+    WalkState.origin(),
+    WalkState.localized(-4, coin=(0.6, 0.8j)),
+    WalkState.from_amplitudes({(0, -3): 0.6, (1, 0): 0.48j, (0, 2): -0.64}, k=5),
+], ids=["origin", "complex_coin", "mixed_parity"])
+@given(theta=st.floats(-3.1, 3.1), steps=st.integers(0, 40))
+@settings(max_examples=30, deadline=None)
+def test_evolve_equals_one_state_per_step(start, theta, steps):
+    p = CoinParameter(theta)
+    want = evolve_stepwise(start, p, steps)
+    got = evolve(start, p, steps)
+    assert (got.k, got.lo) == (want.k, want.lo)
+    assert got.amps.tobytes() == want.amps.tobytes()   # bit for bit, signed zeros too
+    if steps == 1:
+        assert step(start, p).amps.tobytes() == want.amps.tobytes()
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, -1, "3", None])
