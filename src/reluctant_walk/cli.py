@@ -44,6 +44,7 @@ from .pmf import (
     _grid,
     _mirror_text,
     _pmf_rows,
+    _return_grid,
 )
 from .sampling import (
     data_box_experiment,
@@ -188,7 +189,7 @@ def _generate_dataset(args, seed: int) -> TrialDataset:
         raise ValueError("--generate needs --theta-star, --k and --n")
     lam = math.cos(args.theta_star)
     if args.method == "bernoulli":
-        q = pmf_point(args.k, 0, lam)
+        q = float(_return_grid(args.k, [lam], exact=True)[0])
         return sample_return_trials(q, args.n, seed=seed, k=args.k)
     return sample_positions(pmf_full(args.k, lam), args.n, seed=seed)
 
@@ -486,7 +487,10 @@ def _estimate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--grid", type=int, default=601)
-    p.add_argument("--refine-tol", type=float, default=1e-9)
+    p.add_argument("--refine-tol", type=float, default=1e-9,
+                   help="theta bracket of the refine (0: float resolution); on small "
+                        "samples the float likelihood is flat to rounding over up to "
+                        "~1e-8 (n <= 50), and theta_hat is any point of that flat top")
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=math.pi / 2)
     _add_common(p)
@@ -544,12 +548,14 @@ _COMMANDS = (
 
 
 def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser with every subcommand registered by name and help; only
-    ``command`` gets its arguments, or every one when ``command`` is None.
+    """The parser with the subcommand ``command`` only, or with every
+    subcommand when ``command`` is None.
 
-    Building every argument spec costs about as much as a small command
-    (argparse makes a formatter per argument), and a parse reads only the
-    arguments of the one subcommand it dispatches to.
+    Each subcommand is a full ArgumentParser (argparse makes a formatter
+    per argument and per parser), which costs about as much as a small
+    command, and a parse reads only the one it dispatches to.  The
+    top-level usage names no subcommand (metavar COMMAND), so what a
+    named subcommand's parse prints is what the full parser prints.
     """
     parser = argparse.ArgumentParser(
         prog="reluctant-walk",
@@ -558,10 +564,10 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_text, add_arguments, func in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
         if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
             add_arguments(p)
-        p.set_defaults(func=func)
+            p.set_defaults(func=func)
     return parser
 
 

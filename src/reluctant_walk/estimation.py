@@ -25,7 +25,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .pmf import _FLOAT_BLOCK, _GRID_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe
+from .pmf import (_FLOAT_BLOCK, _GRID_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe,
+                  _return_grid)
 
 __all__ = [
     "TrialDataset",
@@ -47,9 +48,9 @@ _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
 _POLISH_WINDOW = 1e-4      # level-set scan minima of |q - f| below this * (1 + f) are polished
 # a float gap beyond this decides a bisection sign: 100x the 1e-14 bound on
-# the float return probability's error (test_float_return_scan_error_margin)
+# the error of the Clenshaw return probability (test_clenshaw_return_scan_error_margin)
 _SIGN_BAND = 1e-12
-_TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float row pass
+_TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float call
 _EPS = float(np.finfo(float).eps)
 
 
@@ -159,9 +160,12 @@ def log_likelihood(data: TrialDataset, theta: float) -> float:
 
 
 def _log_likelihoods(data: TrialDataset, lams) -> np.ndarray:
-    """The log-likelihood at every lam in ``lams``, from one pmf grid."""
+    """The log-likelihood at every lam in ``lams``: position data from one
+    float pmf grid of the observed columns (``pmf._grid``), return counts
+    from the exact return probability of each lam (``pmf._return_grid``,
+    Horner on the cached polynomial of k)."""
     if data.kind == "returns":
-        q = _grid(data.k, lams, [0], exact=True)[:, 0]
+        q = _return_grid(data.k, lams, exact=True)
         terms = [(c, p) for c, p in ((data.n0, q), (data.n - data.n0, 1.0 - q)) if c]
         return _log_sum([c for c, _ in terms], np.stack([p for _, p in terms], axis=1))
     counts = data.counts()
@@ -341,7 +345,11 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     resolution).  Each pass scores an even grid of 64 thetas, one float
     pass of the row engine, in one likelihood call and narrows the bracket
     about 31-fold; a 1e-9 refine of the default grid takes five such
-    calls.
+    calls.  The float log-likelihood is flat to rounding over about
+    sqrt(eps |l| / |l''|) around its maximum, so a bracket finer than that
+    picks one point of the flat top: on samples of n <= 50 trials that
+    spread reaches about 1e-8, and theta_hat is only that precise whatever
+    refine_tolerance asks.
     Return counts: the empirical return frequency is pushed through the
     level set of the closed-form return probability on the lam branch
     [0, 1] (matching the default theta range).
@@ -410,7 +418,7 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
     beyond ``_SIGN_BAND`` and calls the exact ``gap`` otherwise, so only
     nodes on the taken path near the root cost an exact call.  This
     assumes ``estimate`` is within _SIGN_BAND of ``gap`` everywhere; the
-    float return probability is (within 1e-14 up to k = 200).  Without
+    Clenshaw return probability is (within 1e-14 up to k = 200).  Without
     ``estimate`` every node on the path is exact, and so is every later
     pass once a pass took all its nodes from ``gap``: its midpoints lie
     still nearer the root, where a float sign seldom clears the band, so a
@@ -455,9 +463,10 @@ def _solve_level(xs: np.ndarray, g: np.ndarray, exact: Callable[[np.ndarray], np
     everywhere.  Each sign change is bisected (``_bisect``, which scores
     its midpoints with ``estimate`` when given).  Scanned local minima of
     |g| inside that window that are not an end of a bisected sign change
-    are polished by ``_zoom_min`` on the flanking scan points, an exact
-    block a pass, to catch tangential and endpoint solutions; a minimum
-    at a sign change would only re-find the bisection's root.
+    are polished by ``_zoom_min`` on the flanking scan points, 12 exact
+    points (``_GRID_BLOCK``) a pass, to catch tangential and endpoint
+    solutions; a minimum at a sign change would only re-find the
+    bisection's root.
     """
     gap = lambda x: float(exact([x])[0])
     changes = np.flatnonzero(g[:-1] * g[1:] < 0)
@@ -489,16 +498,17 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
                     residual_tol: float = 1e-10) -> list[float]:
     """All lam on the branch where the k-step return probability equals f.
 
-    The scan scores all ``resolution`` points on the float rows, trimmed
-    to the light cone of d = 0, in passes of as many points as keep a pass
-    within the row engine's entry budget (``pmf._grid``): five passes of
-    the default 2048 at k = 24, 32 at k = 200.  Scan points whose float
-    gap |p^(k)(0, lam) - f| lies inside the polish window (which holds
-    every zero and every sign the float error of ~1e-15 could flip) are
-    re-scored with one exact pass, so the scan decides zeros, sign changes
+    Every value comes from the polynomial p^(k)(0, lam) of degree 2k - 2,
+    built once per k and cached (``pmf._return_grid``): float values sum
+    its Chebyshev series by Clenshaw's recurrence, exact ones evaluate its
+    integer Y polynomials by Horner at lam = a/b, O(k) operations a point.
+    The scan scores all ``resolution`` points in float.  Scan points whose
+    float gap |p^(k)(0, lam) - f| lies inside the polish window (which
+    holds every zero and every sign the float error of under 1e-15 could
+    flip) are re-scored exactly, so the scan decides zeros, sign changes
     and polish starts on exact values.
     Each sign change is bisected on float signs, 63 midpoints to a float
-    pass, with an exact single point only where a float gap on the taken
+    call, with an exact single point only where a float gap on the taken
     path is within 1e-12 of zero (``_bisect``); the polish of scanned
     minima away from sign changes scores 12 exact points a pass
     (``_zoom_min``).
@@ -519,10 +529,10 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     if not 0.0 <= residual_tol < math.inf:
         raise ValueError(f"residual tolerance must be finite and >= 0, got {residual_tol}")
     xs = np.linspace(lo, hi, resolution)
-    floats = lambda x: _grid(k, x, [0], exact=False)[:, 0] - f
+    floats = lambda x: _return_grid(k, x, exact=False) - f
     g = floats(xs)
     near = np.abs(g) < _POLISH_WINDOW * (1.0 + f)
-    exact = lambda x: _grid(k, x, [0], exact=True)[:, 0] - f
+    exact = lambda x: _return_grid(k, x, exact=True) - f
     g[near] = exact(xs[near])
     return _solve_level(xs, g, exact, f, residual_tol, floats)
 

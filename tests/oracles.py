@@ -6,7 +6,9 @@ O(k^2) Fraction series of the Y polynomials, their quadrature, their
 terminating-2F1 form, the law-of-cosines and even-step 2F1 forms of the
 pmf, the forward dynamics for a transition probability and the level-set
 solve with an exact scan.  The package's one route for each is the
-integer/float row engine (``chebyshev._iter_y_rows`` -> ``pmf._grid``).
+integer/float row engine (``chebyshev._iter_y_rows`` -> ``pmf._grid``),
+whose one exact pass per k also gives the cached return-probability
+polynomial that the level-set solve evaluates (``pmf._return_grid``).
 Two more keep the package's loops one step or one cell at a time: the walk
 with a new state per step, and the artifact writer a cell at a time.
 """

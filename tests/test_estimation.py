@@ -22,7 +22,7 @@ from reluctant_walk.estimation import (
     log_likelihood,
     mle_estimate,
 )
-from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, pmf_full, pmf_point
+from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, _return_grid, pmf_full, pmf_point
 
 from oracles import exact_return_scan, level_set_exact_scan, transition_probability
 
@@ -565,14 +565,15 @@ def test_tree_bisection_matches_the_exact_sequential_root(k, i, u, path, on_node
 def test_returns_estimate_makes_few_exact_point_passes(monkeypatch):
     """Float signs decide the bisection away from the root, and no polish
     re-finds a bisected root: a k = 24 estimate makes at most 25 exact
-    one-point row passes (98 when every midpoint was exact)."""
+    one-point evaluations of the return probability (98 when every
+    midpoint was exact)."""
     passes = []
 
-    def counting(k, lams, ds, exact):
+    def counting(k, lams, exact):
         passes.append(exact and len(lams) == 1)
-        return _grid(k, lams, ds, exact)
+        return _return_grid(k, lams, exact)
 
-    monkeypatch.setattr(estimation, "_grid", counting)
+    monkeypatch.setattr(estimation, "_return_grid", counting)
     for n0 in (80, 314, 236, 102):
         passes.clear()
         mle_estimate(TrialDataset.from_returns(24, n0, 10000))

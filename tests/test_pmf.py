@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reluctant_walk.pmf import (
     CONVENTION_SIGMA,
@@ -31,12 +31,15 @@ from reluctant_walk.pmf import (
     _grid,
     _json_safe,
     _mirror_text,
+    _horner,
+    _return_grid,
+    _return_poly,
 )
 from reluctant_walk import pmf as pmf_module
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
 from oracles import (csv_text_per_cell, exact_return_scan, mirror_text_by_encoder,
-                     pmf_even_closed, pmf_point_cosine_form)
+                     pmf_even_closed, pmf_point_cosine_form, y_poly)
 
 rational_lam = st.integers(-9, 9).map(lambda n: Fraction(n, 9))
 
@@ -223,6 +226,59 @@ def test_float_return_scan_error_margin(k, stride):
         xs = xs[(np.arange(2048) % stride == 0) | (np.abs(xs) < 0.01)]
         exact = _grid(k, xs, [0], exact=True)[:, 0]
     assert np.max(np.abs(_grid(k, xs, [0], exact=False)[:, 0] - exact)) < 1e-14
+
+
+@pytest.mark.parametrize("k, stride", [(24, 1), (100, 16), (200, 128)])
+def test_clenshaw_return_scan_error_margin(k, stride):
+    """Clenshaw's sum of the cached Chebyshev series of p(0; k, lam) stays
+    within 1e-14 of the exact value on the points of
+    test_float_return_scan_error_margin (measured worst 6.7e-16 at k = 200)."""
+    xs = np.linspace(-1.0, 1.0, 2048)
+    if stride == 1:
+        exact = exact_return_scan(k, -1.0, 1.0)[1]
+    else:
+        xs = xs[(np.arange(2048) % stride == 0) | (np.abs(xs) < 0.01)]
+        exact = _grid(k, xs, [0], exact=True)[:, 0]
+    assert np.max(np.abs(_return_grid(k, xs, exact=False) - exact)) < 1e-14
+
+
+_EDGE_LAMS = [0.0, -0.0, 1.0, -1.0, 2.0**-60, -(2.0**-60), 5e-324, -5e-324,
+              2.2250738585072014e-308 / 3]
+
+
+@given(k=st.integers(1, 60),
+       lams=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGE_LAMS)),
+                     min_size=1, max_size=20))
+@example(k=200, lams=_EDGE_LAMS + [0.3, -0.7, 0.999])
+@settings(max_examples=60, deadline=None)
+def test_exact_return_points_are_the_rows_bit_for_bit(k, lams):
+    """Horner on the cached coefficients gives the same integers as the
+    rows, so every exact p(0; k, lam) is ``_grid``'s, sign of zero included."""
+    want = _grid(k, lams, [0], exact=True)[:, 0]
+    assert _return_grid(k, lams, exact=True).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 24, 41])
+def test_return_poly_coefficients_are_the_y_polynomials(k):
+    y1, y0, cheb = _return_poly(k)
+    assert (len(y1), len(y0), len(cheb)) == (k, k - 1, 2 * k - 1)
+    for lam in (Fraction(3, 7), Fraction(-5, 8), Fraction(1)):
+        a, b = lam.as_integer_ratio()
+        assert Fraction(_horner(y1, a, b), b ** (k - 1)) == y_poly(1, k - 1, lam)
+        assert Fraction(_horner(y0, a, b), b ** max(k - 2, 0)) == (
+            y_poly(0, k - 2, lam) if k >= 2 else 0)
+
+
+def test_return_poly_cache_is_keyed_by_the_validated_k():
+    _return_poly.cache_clear()
+    _return_grid(24, [0.5], exact=True)
+    _return_grid(np.int64(24), [0.5], exact=False)
+    assert _return_poly.cache_info()[:2] == (1, 1)        # (hits, misses)
+    for k in (24.0, True):
+        with pytest.raises(ValueError, match="step count"):
+            _return_grid(k, [0.5], exact=True)
+    assert _return_poly.cache_info()[:2] == (1, 1)
+    assert _return_poly.cache_info().maxsize is not None
 
 
 @given(lam=rational_lam, k=st.integers(1, 25))
