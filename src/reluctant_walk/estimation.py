@@ -259,11 +259,17 @@ class EstimateResult:
         return {name: _json_safe(getattr(self, name)) for name in names}
 
 
-def _scan(data: TrialDataset, theta_range, grid_size):
-    """The even theta grid over ``theta_range`` and the log-likelihood on it."""
+def _theta_bounds(theta_range) -> tuple[float, float]:
+    """``theta_range`` as floats (lo, hi); raises unless both are finite with lo < hi."""
     lo, hi = float(theta_range[0]), float(theta_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid theta range {theta_range}")
+    return lo, hi
+
+
+def _scan(data: TrialDataset, theta_range, grid_size):
+    """The even theta grid over ``theta_range`` and the log-likelihood on it."""
+    lo, hi = _theta_bounds(theta_range)
     if _integer(grid_size, "grid size") < 3:
         raise ValueError(f"grid size must be >= 3, got {grid_size}")
     thetas = np.linspace(lo, hi, grid_size)
@@ -352,12 +358,14 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     refine_tolerance asks.
     Return counts: the empirical return frequency is pushed through the
     level set of the closed-form return probability on the lam branch
-    [0, 1] (matching the default theta range).
+    [0, 1], the default theta range; the roots whose theta lies in
+    ``theta_range`` are the candidates, and a range outside [0, pi/2]
+    raises ValueError.
     """
     if not 0.0 <= refine_tolerance < math.inf:
         raise ValueError(f"refine tolerance must be finite and >= 0, got {refine_tolerance}")
     if data.kind == "returns":
-        return _estimate_from_returns(data)
+        return _estimate_from_returns(data, theta_range)
     if not data.positions:
         raise ValueError("cannot estimate from an empty dataset")
     score = lambda ts: -_log_likelihoods(data, np.cos(ts))
@@ -390,14 +398,20 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
                           data.kind, data.k, data.trials, data.seed)
 
 
-def _estimate_from_returns(data: TrialDataset) -> EstimateResult:
+def _estimate_from_returns(data: TrialDataset, theta_range) -> EstimateResult:
+    lo, hi = _theta_bounds(theta_range)
+    if lo < 0.0 or hi > math.pi / 2:
+        raise ValueError(f"theta range {theta_range} reaches outside [0, pi/2], "
+                         "the lam branch [0, 1] of return data")
     q_hat = data.n0 / data.n
     roots = level_set_solve(q_hat, data.k, branch=(0.0, 1.0))
-    if not roots:
-        # q(lam) is continuous with q(0)=1 and q(1)=0, so every frequency
-        # in [0,1] is attained; an empty list is a resolution failure
-        return _flat_result(data)
     thetas = sorted(math.acos(max(min(r, 1.0), -1.0)) for r in roots)
+    thetas = [t for t in thetas if lo <= t <= hi]
+    if not thetas:
+        # q(lam) is continuous with q(0)=1 and q(1)=0, so every frequency
+        # in [0,1] is attained on the branch: no root in the range, or a
+        # resolution failure
+        return _flat_result(data)
     lls = _log_likelihoods(data, np.cos(thetas)).tolist()
     best_theta, best_ll = _best(list(zip(thetas, lls)))
     curvature, positivity = _diagnostics(data, best_theta, best_ll)

@@ -203,42 +203,19 @@ def _grid(k: int, lams, ds, exact: bool) -> np.ndarray:
     return out
 
 
-def _digits(value: int, base_bits: int, count: int) -> list[int]:
-    """``value`` as ``count`` balanced base-2^base_bits digits, lowest
-    first, each in [-2^(base_bits-1), 2^(base_bits-1)); base_bits is a
-    multiple of 8.  One pass over the two's-complement bytes of value."""
-    size, half = base_bits // 8, 1 << base_bits - 1
-    raw = value.to_bytes(size * count, "little", signed=True)
-    digits, carry = [], 0
-    for i in range(0, size * count, size):
-        digit = int.from_bytes(raw[i:i + size], "little") + carry
-        carry = digit >= half
-        digits.append(digit - (carry << base_bits))
-    return digits
+def _y_coeffs(m: int, j: int) -> list[int]:
+    """The integer coefficients of Y_m^(j)(lam), lowest power first, j + 1
+    of them, from the terminating series
 
+        Y_m^(j)(lam) = sum_{n=0}^{(j-m)/2} (-1)^n C(j-n, n) C(j-2n, (j+m)/2 - n) lam^(j-2n);
 
-def _unpack(value: int, h: int, degree: int) -> list[int]:
-    """The coefficients, lowest power first, of an integer polynomial Y of
-    ``degree`` whose powers all share its parity, from value = Y(2^h): the
-    balanced base-4^h digits of value / 2^(h * (degree % 2)), which they are
-    while 2^(2h-1) exceeds the sum of their absolute values."""
-    coeffs = [0] * (degree + 1)
-    coeffs[degree % 2::2] = _digits(value >> h * (degree % 2), 2 * h, degree // 2 + 1)
+    all zero unless m <= j with j - m even."""
+    coeffs = [0] * (j + 1)
+    if (j - m) % 2 == 0:
+        for n in range((j - m) // 2 + 1):
+            term = math.comb(j - n, n) * math.comb(j - 2 * n, (j + m) // 2 - n)
+            coeffs[j - 2 * n] = -term if n % 2 else term
     return coeffs
-
-
-def _pack(coeffs, base_bits: int) -> int:
-    """The polynomial ``coeffs`` (lowest power first) at 2^base_bits."""
-    return sum(c << base_bits * i for i, c in enumerate(coeffs))
-
-
-class _PowerOfTwo(int):
-    """A power of two whose product with an int is a shift: the row engine
-    run at lam = 2^h multiplies each entry by it (``entry * a``, which
-    Python hands to this subclass's reflected method first)."""
-
-    def __rmul__(self, other: int) -> int:
-        return other << self.bit_length() - 1
 
 
 @lru_cache(maxsize=16)
@@ -246,34 +223,22 @@ def _return_poly(k: int):
     """The return probability p(0; k, lam) as polynomials in lam, built once per k.
 
     Returns (y1, y0, cheb): the integer coefficients of Y_1^(k-1) and
-    Y_0^(k-2), lowest power first, k and k - 1 of them, and the float64
-    Chebyshev coefficients of
+    Y_0^(k-2), lowest power first, k and k - 1 of them (``_y_coeffs``),
+    and the float64 Chebyshev coefficients of
 
         p(0; k, lam) = (1 - lam^2) Y_1^2 + (Y_0 - lam Y_1)^2
-                     = Y_1^2 + Y_0^2 - 2 lam Y_0 Y_1,
+                     = Y_1 (Y_1 - 2 lam Y_0) + Y_0^2,
 
-    degree 2k - 2, each its exact rational correctly rounded.  The
-    integers come from one exact row pass on the light cone of d = 0
-    (``_rows_for``) at lam = 2^h (Kronecker substitution, ``_unpack``): a
-    row-j polynomial has powers of j's parity only, and the recurrence
-    bounds its absolute coefficient sum by the Pell number N_j = 2 N_{j-1}
-    + N_{j-2}, N_0 = 1, so 4^h > 2 N_k keeps every digit apart.  The
-    power coefficients of p(0) are the digits of the same products taken
-    at a base wide enough for (2 N_k)^2, and Horner's rule in lam^2 on the
-    Chebyshev basis turns them into the Chebyshev ones, exact until the
-    one rounding.  ``k`` is a validated int: ``_return_grid`` checks it
-    before the cache sees it.
+    degree 2k - 2, each its exact rational correctly rounded.  The power
+    coefficients of p(0) are two integer convolutions, and Horner's rule in
+    lam^2 on the Chebyshev basis turns them into the Chebyshev ones, exact
+    until the one rounding.  ``k`` is a validated int: ``_return_grid``
+    checks it before the cache sees it.
     """
-    bound, prev = 1, 0
-    for _ in range(k):
-        bound, prev = 2 * bound + prev, bound
-    h = -(-(bound.bit_length() + 1) // 8) * 4          # 2h: a multiple of 8 above 2 N_k
-    row_km1, row_km2 = _rows_for(k, _PowerOfTwo(1 << h), 1, [0])
-    y1 = _unpack(int(row_km1[1]) if len(row_km1) > 1 else 0, h, k - 1)
-    y0 = _unpack(int(row_km2[0]) if len(row_km2) else 0, h, k - 2)
-    wide = -(-((4 * bound * bound).bit_length() + 1) // 8) * 8
-    p1, p0 = _pack(y1, wide), _pack(y0, wide)
-    power = _digits(p1 * p1 + p0 * p0 - (p0 * p1 << wide + 1), wide, 2 * k - 1)
+    y1, y0 = _y_coeffs(1, k - 1), _y_coeffs(0, k - 2)
+    u, v = np.array(y1, object), np.array(y0 + [0], object)     # v: Y_0 in k entries
+    # np.roll(v, 1) holds lam Y_0: v's last entry is the padding zero
+    power = (np.convolve(u, u - 2 * np.roll(v, 1)) + np.convolve(v, v)).tolist()
     # p(0) is even: Horner in lam^2 on its coefficients of T_0, T_2, ...,
     # T_{2k-2}, scaled by 4 a step, with 4 lam^2 T_2s = T_2s+2 + 2 T_2s + T_|2s-2|
     even = np.zeros(k, object)
@@ -308,9 +273,10 @@ def _return_grid(k: int, lams, exact: bool) -> np.ndarray:
     """p(0; k, lam) for every lam in ``lams``, from the cached polynomial
     of this k (``_return_poly``), O(k) operations a point.
 
-    ``exact`` evaluates Y_1^(k-1) and Y_0^(k-2) at lam = a/b by
-    homogeneous Horner on integers and feeds them to ``_probabilities``,
-    so each value is ``_grid(k, lams, [0], exact=True)`` bit for bit.
+    ``exact`` evaluates z1 = b^(k-1) Y_1^(k-1) and z0 = b^(k-2) Y_0^(k-2)
+    at lam = a/b by homogeneous Horner on integers, and rounds the exact
+    rational ((b^2 - a^2) z1^2 + (b^2 z0 - a z1)^2) / b^(2k) once, so each
+    value is ``_grid(k, lams, [0], exact=True)`` bit for bit.
     Otherwise Clenshaw's recurrence sums the Chebyshev series in float64,
     within 1e-14 of the exact value up to k = 200
     (test_clenshaw_return_scan_error_margin).
@@ -319,13 +285,11 @@ def _return_grid(k: int, lams, exact: bool) -> np.ndarray:
     k = _validate_k_lam(k, lams)
     y1, y0, cheb = _return_poly(k)
     if exact:
-        a, b = _ratio(lams)
-        pairs = list(zip(a.tolist(), b.tolist()))
-        row_km1 = np.zeros((len(pairs), 2), object)
-        row_km1[:, 1] = [_horner(y1, ai, bi) for ai, bi in pairs]
-        row_km2 = np.empty((len(pairs), 1), object)
-        row_km2[:, 0] = [_horner(y0, ai, bi) for ai, bi in pairs]
-        return _probabilities(k, a, b, (row_km1, row_km2), [0])[:, 0]
+        out = []
+        for a, b in map(float.as_integer_ratio, lams.tolist()):
+            z1, z0, b2 = _horner(y1, a, b), _horner(y0, a, b), b * b
+            out.append(((b2 - a * a) * z1 * z1 + (b2 * z0 - a * z1) ** 2) / b ** (2 * k))
+        return np.array(out, float)
     two_x = 2.0 * lams
     b1 = b2 = np.zeros_like(lams)
     for c in cheb[:0:-1]:

@@ -33,6 +33,7 @@ def fresh_seed() -> int:
 
 def trial_generator(seed: int, trial_index: int = 0) -> np.random.Generator:
     """The per-trial RNG substream: Philox keyed by (seed, trial_index)."""
+    seed, trial_index = _integer(seed, "seed"), _integer(trial_index, "trial index")
     if seed < 0 or trial_index < 0:
         raise ValueError("seed and trial index must be nonnegative")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial_index))))
@@ -46,8 +47,7 @@ def sample_positions(pmf: Pmf, n: int, seed: int | None = None,
     cumulative table.  n = 0 gives an empty dataset.  The dataset records
     the base seed (a fresh one is drawn when omitted).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    n = _integer(n, "n", 0)
     if abs(pmf.total() - 1.0) > 1e-9:
         raise ValueError(f"pmf is not normalized (total {pmf.total()})")
     if seed is None:
@@ -69,8 +69,7 @@ def sample_return_trials(p: float, n: int, seed: int | None = None, *,
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"return probability must lie in [0, 1], got {p}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _integer(n, "n", 1)
     if seed is None:
         seed = fresh_seed()
     rng = trial_generator(seed, trial_index)

@@ -183,6 +183,21 @@ def test_estimate_bernoulli_all_returns(tmp_path):
     assert result["theta_hat"] == pytest.approx(math.pi / 2, abs=1e-8)
 
 
+def test_estimate_bernoulli_honours_theta_range(tmp_path, capsys):
+    data = write_dataset(tmp_path / "ds.json",
+                         {"kind": "returns", "k": 8, "n": 10000, "n0": 3000})
+    args = ["estimate", "--data", data, "--method", "bernoulli", "--outdir", str(tmp_path)]
+    assert main(args + ["--theta-min", "1.2"]) == 0
+    result = json.loads((tmp_path / "estimate.json").read_text())["result"]
+    assert result["theta_hat"] == pytest.approx(1.2893297073281542, abs=1e-12)
+    assert main(args + ["--theta-min", "0.1", "--theta-max", "0.2"]) == 3
+    result = json.loads((tmp_path / "estimate.json").read_text())["result"]
+    assert result["theta_hat"] is None and result["flags"] == ["flat_likelihood"]
+    capsys.readouterr()
+    assert main(args + ["--theta-min", "-0.5"]) == 2
+    assert "reaches outside [0, pi/2]" in capsys.readouterr().err
+
+
 def test_estimate_loop_reduces_positions_to_returns(tmp_path):
     data = write_dataset(tmp_path / "ds.json",
                          {"kind": "positions", "k": 2,

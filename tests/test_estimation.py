@@ -483,6 +483,25 @@ def test_mle_returns_none_returned():
     assert result.flags == ()
 
 
+def test_mle_returns_keeps_only_roots_in_theta_range():
+    # q(0; 8, lam) = 0.3 has one root on [0, 1], at theta 1.289
+    data = TrialDataset.from_returns(8, n0=3000, n=10_000)
+    full = mle_estimate(data)
+    assert full.theta_hat == pytest.approx(1.2893297073281542, abs=1e-12)
+    assert mle_estimate(data, theta_range=(0.0, math.acos(0.0))) == full
+    assert mle_estimate(data, theta_range=(1.2, 1.4)) == full
+    outside = mle_estimate(data, theta_range=(0.1, 0.2))
+    assert math.isnan(outside.theta_hat) and math.isnan(outside.lambda_hat)
+    assert outside.candidates == () and outside.flags == ("flat_likelihood",)
+
+
+@pytest.mark.parametrize("theta_range", [(0.2, 0.1), (0.3, 0.3), (math.nan, 1.0),
+                                         (0.0, math.inf), (-0.1, 1.0), (0.0, 1.6)])
+def test_mle_returns_rejects_invalid_theta_range(theta_range):
+    with pytest.raises(ValueError, match="theta range"):
+        mle_estimate(TrialDataset.from_returns(8, n0=3000, n=10_000), theta_range=theta_range)
+
+
 # --------------------------------------------------------------- level sets
 
 def test_level_set_two_step_example():

@@ -9,6 +9,7 @@ to exactly 1.
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -36,6 +37,7 @@ from reluctant_walk.pmf import (
     _return_poly,
 )
 from reluctant_walk import pmf as pmf_module
+from reluctant_walk.chebyshev import _iter_y_rows
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
 from oracles import (csv_text_per_cell, exact_return_scan, mirror_text_by_encoder,
@@ -258,15 +260,20 @@ def test_exact_return_points_are_the_rows_bit_for_bit(k, lams):
     assert _return_grid(k, lams, exact=True).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 24, 41])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 24, 41, 200, 500])
 def test_return_poly_coefficients_are_the_y_polynomials(k):
+    """The closed-form coefficients give Y_1^(k-1) and Y_0^(k-2) as the
+    Fraction series of ``y_poly`` does, and as the exact integer rows of the
+    recurrence do (Z_1^(k-1), Z_0^(k-2) of ``_iter_y_rows(a, b)``)."""
     y1, y0, cheb = _return_poly(k)
     assert (len(y1), len(y0), len(cheb)) == (k, k - 1, 2 * k - 1)
     for lam in (Fraction(3, 7), Fraction(-5, 8), Fraction(1)):
         a, b = lam.as_integer_ratio()
-        assert Fraction(_horner(y1, a, b), b ** (k - 1)) == y_poly(1, k - 1, lam)
-        assert Fraction(_horner(y0, a, b), b ** max(k - 2, 0)) == (
-            y_poly(0, k - 2, lam) if k >= 2 else 0)
+        z1, z0 = _horner(y1, a, b), _horner(y0, a, b)
+        assert Fraction(z1, b ** (k - 1)) == y_poly(1, k - 1, lam)
+        assert Fraction(z0, b ** max(k - 2, 0)) == (y_poly(0, k - 2, lam) if k >= 2 else 0)
+        row_km1, row_km2 = next(islice(_iter_y_rows(a, b), k - 1, None))
+        assert (z1, z0) == ((row_km1[1], row_km2[0]) if k >= 2 else (0, 0))
 
 
 def test_return_poly_cache_is_keyed_by_the_validated_k():

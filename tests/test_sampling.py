@@ -165,6 +165,30 @@ def test_sample_return_trials_validation():
         sample_return_trials(0.5, 10, seed=0, k=3)
 
 
+@pytest.mark.parametrize("bad", [2.0, 2.7, True, np.float64(2)])
+def test_sampling_counts_and_keys_reject_non_integers(bad):
+    pmf = pmf_full(2, 0.6)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_positions(pmf, bad, seed=0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_return_trials(0.5, bad, seed=0, k=2)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        trial_generator(bad, 0)
+    with pytest.raises(ValueError, match="trial index must be an integer"):
+        trial_generator(0, bad)
+
+
+def test_sampling_counts_and_keys_accept_numpy_integers():
+    pmf = pmf_full(4, 0.6)
+    three, five = np.int64(3), np.int64(5)
+    assert (sample_positions(pmf, five, seed=three, trial_index=three).positions
+            == sample_positions(pmf, 5, seed=3, trial_index=3).positions)
+    assert (sample_return_trials(0.5, five, seed=three, k=2, trial_index=three).n0
+            == sample_return_trials(0.5, 5, seed=3, k=2, trial_index=3).n0)
+    assert np.array_equal(trial_generator(three, five).random(4),
+                          trial_generator(3, 5).random(4))
+
+
 # -------------------------------------------------------------- experiments
 
 def test_diffusion_classical_closed_form():
