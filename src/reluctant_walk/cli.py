@@ -453,8 +453,15 @@ def _add_coin_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--theta", type=float, help="coin angle in radians")
 
 
+def _add_theta_range(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--theta-min", type=float, default=0.0,
+                        help="lower end of the theta range (default 0)")
+    parser.add_argument("--theta-max", type=float, default=math.pi / 2,
+                        help="upper end of the theta range (default pi/2)")
+
+
 def _pmf_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="step count")
     _add_coin_flags(p)
     p.add_argument("--fast", action="store_true",
                    help="float recurrence instead of exact rational rows")
@@ -462,7 +469,7 @@ def _pmf_args(p: argparse.ArgumentParser) -> None:
 
 
 def _simulate_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="step count")
     _add_coin_flags(p)
     p.add_argument("--start", type=int, default=0, help="initial site (default 0)")
     _add_common(p)
@@ -470,9 +477,8 @@ def _simulate_args(p: argparse.ArgumentParser) -> None:
 
 def _likelihood_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset JSON file")
-    p.add_argument("--grid", type=int, default=601)
-    p.add_argument("--theta-min", type=float, default=0.0)
-    p.add_argument("--theta-max", type=float, default=math.pi / 2)
+    p.add_argument("--grid", type=int, default=601, help="theta grid points (default 601)")
+    _add_theta_range(p)
     _add_common(p)
 
 
@@ -482,55 +488,71 @@ def _estimate_args(p: argparse.ArgumentParser) -> None:
     source.add_argument("--generate", action="store_true",
                         help="sample a dataset in-process (needs --theta-star, --k, --n)")
     p.add_argument("--method", choices=["positions", "loop", "bernoulli"],
-                   default="positions")
-    p.add_argument("--theta-star", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--grid", type=int, default=601)
+                   default="positions",
+                   help="positions: the displacement samples; loop: only their returns "
+                        "to the start site; bernoulli: return-count data (default positions)")
+    p.add_argument("--theta-star", type=float, default=None,
+                   help="true coin angle of a --generate dataset")
+    p.add_argument("--k", type=int, default=None, help="step count of a --generate dataset")
+    p.add_argument("--n", type=int, default=None, help="trials of a --generate dataset")
+    p.add_argument("--grid", type=int, default=601,
+                   help="theta grid points of the scan (default 601)")
     p.add_argument("--refine-tol", type=float, default=1e-9,
                    help="theta bracket of the refine (0: float resolution); on small "
                         "samples the float likelihood is flat to rounding over up to "
                         "~1e-8 (n <= 50), and theta_hat is any point of that flat top")
-    p.add_argument("--theta-min", type=float, default=0.0)
-    p.add_argument("--theta-max", type=float, default=math.pi / 2)
+    _add_theta_range(p)
     _add_common(p)
 
 
 def _level_set_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", type=float, required=True, help="level in [0, 1]")
     p.add_argument("--k", type=int, required=True, help="even step count")
-    p.add_argument("--branch-min", type=float, default=-1.0)
-    p.add_argument("--branch-max", type=float, default=1.0)
-    p.add_argument("--resolution", type=int, default=2048)
-    p.add_argument("--residual-tol", type=float, default=1e-10)
+    p.add_argument("--branch-min", type=float, default=-1.0,
+                   help="lower end of the lambda branch (default -1)")
+    p.add_argument("--branch-max", type=float, default=1.0,
+                   help="upper end of the lambda branch (default 1)")
+    p.add_argument("--resolution", type=int, default=2048,
+                   help="scan points on the branch, at least 8 (default 2048)")
+    p.add_argument("--residual-tol", type=float, default=1e-10,
+                   help="a branch end with no sign change beside it is a root when "
+                        "|p - f| is at most this there (default 1e-10)")
     _add_common(p)
 
 
 def _diffusion_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", type=float, default=math.pi / 3)
-    p.add_argument("--k-list", default="16,32,64,128,256")
-    p.add_argument("--mode", choices=["quantum", "classical", "both"], default="both")
+    p.add_argument("--theta", type=float, default=math.pi / 3,
+                   help="coin angle in radians (default pi/3)")
+    p.add_argument("--k-list", default="16,32,64,128,256",
+                   help="comma-separated step counts (default 16,32,64,128,256)")
+    p.add_argument("--mode", choices=["quantum", "classical", "both"], default="both",
+                   help="walk to measure (default both)")
     _add_common(p)
 
 
 def _databox_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta-star", type=float, required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p.add_argument("--theta-star", type=float, required=True, help="true coin angle")
+    p.add_argument("--budget", type=int, required=True,
+                   help="largest k * n an allocation may use")
     p.add_argument("--allocations", required=True,
                    help="comma-separated k:n pairs, e.g. '2:2000,20:200'")
-    p.add_argument("--grid", type=int, default=601)
+    p.add_argument("--grid", type=int, default=601,
+                   help="theta grid points of each estimate's scan (default 601)")
     _add_common(p)
 
 
 def _figures_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--which", choices=["fig1", "fig2a", "fig2b", "all"], default="all")
+    p.add_argument("--which", choices=["fig1", "fig2a", "fig2b", "all"], default="all",
+                   help="figure to write (default all)")
     _add_common(p, stem=False)  # the figure names are the stems
 
 
 def _validate_args(p: argparse.ArgumentParser) -> None:
     # validate writes no artifact and draws nothing: no --outdir, --output or --seed
-    p.add_argument("--max-k", type=int, default=30)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--max-k", type=int, default=30,
+                   help="largest step count checked (default 30)")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="largest residual a check may show (default 1e-9)")
 
 
 # (name, help, arguments, handler) of each subcommand, in the order of the help listing

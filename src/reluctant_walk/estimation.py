@@ -25,8 +25,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .pmf import (_FLOAT_BLOCK, _GRID_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe,
-                  _return_grid)
+from .pmf import _FLOAT_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe, _return_grid
 
 __all__ = [
     "TrialDataset",
@@ -46,9 +45,9 @@ _FD_STEP = 1e-4
 _CANDIDATE_WINDOW = 1e-6   # grid maxima within this of the best are all refined
 _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
-_POLISH_WINDOW = 1e-4      # level-set scan minima of |q - f| below this * (1 + f) are polished
-# a float gap beyond this decides a bisection sign: 100x the 1e-14 bound on
-# the error of the Clenshaw return probability (test_clenshaw_return_scan_error_margin)
+# a float gap beyond this decides a sign of the level-set scan or bisection: 100x the
+# 1e-14 bound on the error of the Clenshaw return probability
+# (test_clenshaw_return_scan_error_margin)
 _SIGN_BAND = 1e-12
 _TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float call
 _EPS = float(np.finfo(float).eps)
@@ -458,7 +457,7 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
             else:
                 floats_decided = True
             node *= 2
-            if fm * fa >= 0:
+            if (fm < 0) == (fa < 0):     # fm * fa >= 0, which underflows for tiny gaps
                 a = mid
                 node += 1
             if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
@@ -468,43 +467,34 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
 
 
 def _solve_level(xs: np.ndarray, g: np.ndarray, exact: Callable[[np.ndarray], np.ndarray],
-                 level: float, residual_tol: float,
+                 residual_tol: float,
                  estimate: Callable[[np.ndarray], np.ndarray] | None = None) -> list[float]:
-    """All x in [xs[0], xs[-1]] with exact(x) = 0, from the scan g = exact(xs).
+    """All x in [xs[0], xs[-1]] with exact(x) = 0, from the scan g of the
+    gap at xs, for a gap that is monotone on each side of x = 0.
 
     ``exact`` is the exact gap over an array of points; ``g`` must hold
-    its value wherever |g| < _POLISH_WINDOW * (1 + |level|) and its sign
-    everywhere.  Each sign change is bisected (``_bisect``, which scores
-    its midpoints with ``estimate`` when given).  Scanned local minima of
-    |g| inside that window that are not an end of a bisected sign change
-    are polished by ``_zoom_min`` on the flanking scan points, 12 exact
-    points (``_GRID_BLOCK``) a pass, to catch tangential and endpoint
-    solutions; a minimum at a sign change would only re-find the
-    bisection's root.
+    its value wherever |g| <= _SIGN_BAND and its sign everywhere.  When
+    the scan straddles 0 without scoring it, x = 0 joins it with its exact
+    gap, so every cell lies on one side of 0 and holds at most one root.
+    The roots are the exact zeros on the scan and one root bisected in each
+    sign-change cell (``_bisect``, which scores its midpoints with
+    ``estimate`` when given).  A scan end also counts when its cell has no
+    sign change, its neighbour's gap is no nearer zero and its exact
+    |gap| <= residual_tol.
     """
+    if xs[0] < 0.0 < xs[-1] and not np.any(xs == 0.0):
+        i = int(np.searchsorted(xs, 0.0))
+        xs, g = np.insert(xs, i, 0.0), np.insert(g, i, exact(np.zeros(1))[0])
     gap = lambda x: float(exact([x])[0])
-    changes = np.flatnonzero(g[:-1] * g[1:] < 0)
-    roots = [float(x) for x in xs[g == 0.0]]
+    sign = np.sign(g)      # not g itself: the product of two tiny gaps underflows to 0
+    roots = [float(x) for x in xs[sign == 0]]
     roots += [_bisect(gap, float(xs[i]), float(xs[i + 1]), float(g[i]), 1e-14, estimate)
-              for i in changes]
-
-    absg = np.abs(g)
-    padded = np.concatenate(([math.inf], absg, [math.inf]))
-    minima = ((absg <= padded[:-2]) & (absg <= padded[2:])
-              & (0 < absg) & (absg < _POLISH_WINDOW * (1.0 + abs(level))))
-    minima[changes] = minima[changes + 1] = False
-    for i in np.flatnonzero(minima):
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        x, residual = _zoom_min(lambda x: np.abs(exact(x)), a, b, 1e-14, _GRID_BLOCK)
-        if residual <= residual_tol:
-            roots.append(x)
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-9 * max(1.0, float(xs[-1] - xs[0])):
-            merged.append(r)
-    return merged
+              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+    for end, inner in ((0, 1), (-1, -2)):
+        if (sign[end] * sign[inner] > 0 and abs(g[end]) <= abs(g[inner])
+                and abs(gap(float(xs[end]))) <= residual_tol):
+            roots.append(float(xs[end]))
+    return sorted(roots)
 
 
 def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
@@ -512,24 +502,24 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
                     residual_tol: float = 1e-10) -> list[float]:
     """All lam on the branch where the k-step return probability equals f.
 
-    Every value comes from the polynomial p^(k)(0, lam) of degree 2k - 2,
-    built once per k and cached (``pmf._return_grid``): float values sum
-    its Chebyshev series by Clenshaw's recurrence, exact ones evaluate its
-    integer Y polynomials by Horner at lam = a/b, O(k) operations a point.
-    The scan scores all ``resolution`` points in float.  Scan points whose
-    float gap |p^(k)(0, lam) - f| lies inside the polish window (which
-    holds every zero and every sign the float error of under 1e-15 could
-    flip) are re-scored exactly, so the scan decides zeros, sign changes
-    and polish starts on exact values.
-    Each sign change is bisected on float signs, 63 midpoints to a float
-    call, with an exact single point only where a float gap on the taken
-    path is within 1e-12 of zero (``_bisect``); the polish of scanned
-    minima away from sign changes scores 12 exact points a pass
-    (``_zoom_min``).
-    The roots are those of the same solve run on exact values throughout.
-    Every returned candidate satisfies |p^(k)(0, lam) - f| <= residual_tol
-    (finite, >= 0); the list is empty when the level is not attained (e.g.
-    f above the maximum of the return probability on the branch).
+    The return probability q(lam) = p^(k)(0, lam) is a polynomial of degree
+    2k - 2, built once per k and cached (``pmf._return_grid``): float
+    values sum its Chebyshev series by Clenshaw's recurrence, exact ones
+    evaluate its integer coefficients in lam^2 by Horner at lam = a/b, O(k)
+    operations a point.  Since q'(lam) = -2 lam R_k(lam)^2 (``pmf._return_poly``),
+    q falls strictly on each side of lam = 0, so each level has at most one
+    root a side.  The scan scores all ``resolution`` points in float and
+    re-scores exactly those whose float gap |q - f| lies within 1e-12, 100
+    times the float error bound, so zeros and signs are exact; lam = 0
+    joins a scan that straddles it (``_solve_level``).  Each sign change is
+    bisected on float signs, 63 midpoints to a float call, with an exact
+    single point only where a float gap on the taken path is within 1e-12
+    of zero (``_bisect``).  The roots are those of the same solve run on
+    exact values throughout.  ``residual_tol`` (finite, >= 0) decides only
+    the branch ends: an end whose cell holds no sign change, and whose
+    neighbour is no nearer the level, is a root when |q - f| <= residual_tol
+    there.  The list is empty when the level is not attained (e.g. f above
+    the maximum of q on the branch).
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {f}")
@@ -545,10 +535,10 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     xs = np.linspace(lo, hi, resolution)
     floats = lambda x: _return_grid(k, x, exact=False) - f
     g = floats(xs)
-    near = np.abs(g) < _POLISH_WINDOW * (1.0 + f)
+    near = np.abs(g) <= _SIGN_BAND
     exact = lambda x: _return_grid(k, x, exact=True) - f
     g[near] = exact(xs[near])
-    return _solve_level(xs, g, exact, f, residual_tol, floats)
+    return _solve_level(xs, g, exact, residual_tol, floats)
 
 
 def dataset_to_json(data: TrialDataset) -> dict:

@@ -168,8 +168,9 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
     return _clamp((num / den).astype(float))
 
 
-# lam values per pass of the exact rows: the big-integer rows of all 2048
-# points of a level-set scan at k = 24 hold about 20 MB, 12 of them 0.15 MB
+# lam values per pass of the exact rows, which only the cross-checks read (the
+# return probability has its own polynomial): the big-integer rows of 2048 lam
+# at k = 24 hold about 20 MB, 12 of them 0.15 MB
 _GRID_BLOCK = 12
 # row entries per pass of the float rows, 8 bytes each: 64 full-width rows at
 # k = 100, 51 KB a row array.  Narrow rows take more lam a pass, so a pass
@@ -203,92 +204,71 @@ def _grid(k: int, lams, ds, exact: bool) -> np.ndarray:
     return out
 
 
-def _y_coeffs(m: int, j: int) -> list[int]:
-    """The integer coefficients of Y_m^(j)(lam), lowest power first, j + 1
-    of them, from the terminating series
-
-        Y_m^(j)(lam) = sum_{n=0}^{(j-m)/2} (-1)^n C(j-n, n) C(j-2n, (j+m)/2 - n) lam^(j-2n);
-
-    all zero unless m <= j with j - m even."""
-    coeffs = [0] * (j + 1)
-    if (j - m) % 2 == 0:
-        for n in range((j - m) // 2 + 1):
-            term = math.comb(j - n, n) * math.comb(j - 2 * n, (j + m) // 2 - n)
-            coeffs[j - 2 * n] = -term if n % 2 else term
-    return coeffs
-
-
 @lru_cache(maxsize=16)
 def _return_poly(k: int):
-    """The return probability p(0; k, lam) as polynomials in lam, built once per k.
+    """The return probability q(lam) = p(0; k, lam) as a polynomial, built once per k.
 
-    Returns (y1, y0, cheb): the integer coefficients of Y_1^(k-1) and
-    Y_0^(k-2), lowest power first, k and k - 1 of them (``_y_coeffs``),
-    and the float64 Chebyshev coefficients of
+    Returns (mu, cheb): the k integer coefficients of q in mu = lam^2,
+    lowest power first, and the float64 Chebyshev coefficients of q in lam,
+    degree 2k - 2, each its exact rational correctly rounded.  For even k,
+    with n = k/2,
 
-        p(0; k, lam) = (1 - lam^2) Y_1^2 + (Y_0 - lam Y_1)^2
-                     = Y_1 (Y_1 - 2 lam Y_0) + Y_0^2,
+        q(lam) = 1 - int_0^(lam^2) R_k(mu)^2 dmu,
+        R_k(lam) = sum_{j=1..n} (-1)^(n-j) C(n, j) C(n+j-1, j-1) lam^(2j-2),
 
-    degree 2k - 2, each its exact rational correctly rounded.  The power
-    coefficients of p(0) are two integer convolutions, and Horner's rule in
+    so q'(lam) = -2 lam R_k(lam)^2 (test_return_poly_derivative_is_minus_2_lam_r_squared):
+    q is even and falls strictly on [0, 1] from 1 to 0, flat only at the
+    zeros of R_k.  R_k is the shifted Jacobi polynomial P_{n-1}^(0,1)(2 lam^2 - 1).
+    The coefficients of q in mu are one self-convolution s of R_k's n
+    coefficients and the exact division -s_i / (i + 1); Horner's rule in
     lam^2 on the Chebyshev basis turns them into the Chebyshev ones, exact
-    until the one rounding.  ``k`` is a validated int: ``_return_grid``
-    checks it before the cache sees it.
+    until the one rounding.  Odd k gives the zero polynomial.  ``k`` is a
+    validated int: ``_return_grid`` checks it before the cache sees it.
     """
-    y1, y0 = _y_coeffs(1, k - 1), _y_coeffs(0, k - 2)
-    u, v = np.array(y1, object), np.array(y0 + [0], object)     # v: Y_0 in k entries
-    # np.roll(v, 1) holds lam Y_0: v's last entry is the padding zero
-    power = (np.convolve(u, u - 2 * np.roll(v, 1)) + np.convolve(v, v)).tolist()
-    # p(0) is even: Horner in lam^2 on its coefficients of T_0, T_2, ...,
-    # T_{2k-2}, scaled by 4 a step, with 4 lam^2 T_2s = T_2s+2 + 2 T_2s + T_|2s-2|
+    n = k // 2
+    r = np.array([(-1) ** (n - j) * math.comb(n, j) * math.comb(n + j - 1, j - 1)
+                  for j in range(1, n + 1)], object)
+    mu = [0] * k if k % 2 else [1] + [-s // i for i, s in enumerate(np.convolve(r, r), 1)]
+    # Horner in lam^2 on the coefficients of T_0, T_2, ..., T_{2k-2}, scaled
+    # by 4 a step, with 4 lam^2 T_2s = T_2s+2 + 2 T_2s + T_|2s-2|
     even = np.zeros(k, object)
-    even[0] = power[-1]
+    even[0] = mu[-1]
     for i in range(k - 2, -1, -1):
         step = 2 * even
         step[1:] += even[:-1]
         step[:-1] += even[1:]
         step[1:2] += even[:1]
-        step[0] += power[2 * i] << 2 * (k - 1 - i)
+        step[0] += mu[i] << 2 * (k - 1 - i)
         even = step
     cheb = np.zeros(2 * k - 1)
     cheb[::2] = [c / (1 << 2 * k - 2) for c in even.tolist()]
     cheb.flags.writeable = False
-    return tuple(y1), tuple(y0), cheb
-
-
-def _horner(coeffs, a: int, b: int) -> int:
-    """b^n * sum_i coeffs[i] * (a/b)^i with n = len(coeffs) - 1, for
-    coefficients that vanish off the parity of n: Horner in a^2 and b^2."""
-    if not coeffs:
-        return 0
-    u, v = a * a, b * b
-    acc, scale = 0, 1
-    for c in coeffs[::-2]:
-        acc = acc * u + c * scale
-        scale *= v
-    return acc * a if len(coeffs) % 2 == 0 else acc
+    return tuple(mu), cheb
 
 
 def _return_grid(k: int, lams, exact: bool) -> np.ndarray:
     """p(0; k, lam) for every lam in ``lams``, from the cached polynomial
     of this k (``_return_poly``), O(k) operations a point.
 
-    ``exact`` evaluates z1 = b^(k-1) Y_1^(k-1) and z0 = b^(k-2) Y_0^(k-2)
-    at lam = a/b by homogeneous Horner on integers, and rounds the exact
-    rational ((b^2 - a^2) z1^2 + (b^2 z0 - a z1)^2) / b^(2k) once, so each
-    value is ``_grid(k, lams, [0], exact=True)`` bit for bit.
+    ``exact`` evaluates the integer coefficients in lam^2 at lam = a/2^e
+    by homogeneous Horner in a^2 and 4^e, where each power of 4^e is a
+    shift, and rounds the exact rational once, so each value is
+    ``_grid(k, lams, [0], exact=True)`` bit for bit.
     Otherwise Clenshaw's recurrence sums the Chebyshev series in float64,
     within 1e-14 of the exact value up to k = 200
     (test_clenshaw_return_scan_error_margin).
     """
     lams = np.asarray(lams, float)
     k = _validate_k_lam(k, lams)
-    y1, y0, cheb = _return_poly(k)
+    mu, cheb = _return_poly(k)
     if exact:
         out = []
         for a, b in map(float.as_integer_ratio, lams.tolist()):
-            z1, z0, b2 = _horner(y1, a, b), _horner(y0, a, b), b * b
-            out.append(((b2 - a * a) * z1 * z1 + (b2 * z0 - a * z1) ** 2) / b ** (2 * k))
+            u, shift = a * a, 2 * b.bit_length() - 2        # b = 2^e, b^2 = 1 << shift
+            acc = 0
+            for i, c in enumerate(reversed(mu)):
+                acc = acc * u + (c << shift * i)
+            out.append(acc / (1 << shift * (k - 1)))
         return np.array(out, float)
     two_x = 2.0 * lams
     b1 = b2 = np.zeros_like(lams)

@@ -9,11 +9,12 @@ solve with an exact scan.  The package's one route for each is the
 integer/float row engine (``chebyshev._iter_y_rows`` -> ``pmf._grid``),
 except the return probability that the level-set solve evaluates
 (``pmf._return_grid``): a polynomial cached per k, whose coefficients
-come from the same terminating series as ``y_poly`` (``pmf._y_coeffs``),
-so its tests also check them against the exact rows.
+come from the integral of the squared Jacobi polynomial R_k
+(``pmf._return_poly``).  ``return_power_coeffs`` builds the same
+polynomial from the integer Y series instead, so its tests check the two
+against each other and against the exact rows.
 Two more keep the package's loops one step or one cell at a time: the walk
-with a new state per step, and the artifact writer a cell at a time.
-"""
+with a new state per step, and the artifact writer a cell at a time."""
 
 from __future__ import annotations
 
@@ -49,7 +50,30 @@ def level_set_exact_scan(f: float, k: int, branch=(-1.0, 1.0), resolution: int =
     """``level_set_solve`` with every scan point scored by the exact rows."""
     xs, q = exact_return_scan(k, float(branch[0]), float(branch[1]), resolution)
     exact = lambda x: _grid(k, x, [0], exact=True)[:, 0] - f
-    return _solve_level(xs, q - f, exact, f, residual_tol)
+    return _solve_level(xs, q - f, exact, residual_tol)
+
+
+def _y_coeffs(m: int, j: int) -> list[int]:
+    """The integer coefficients of Y_m^(j)(lam), lowest power first, j + 1
+    of them, from the terminating series of ``y_poly``; all zero unless
+    m <= j with j - m even."""
+    coeffs = [0] * (j + 1)
+    if (j - m) % 2 == 0:
+        for n in range((j - m) // 2 + 1):
+            term = comb(j - n, n) * comb(j - 2 * n, (j + m) // 2 - n)
+            coeffs[j - 2 * n] = -term if n % 2 else term
+    return coeffs
+
+
+def return_power_coeffs(k: int) -> list[int]:
+    """The 2k - 1 integer power coefficients of p(0; k, lam), lowest first,
+    from the Y series: p(0) = (1 - lam^2) Y_1^2 + (Y_0 - lam Y_1)^2
+    = Y_1 (Y_1 - 2 lam Y_0) + Y_0^2 with Y_1 = Y_1^(k-1), Y_0 = Y_0^(k-2),
+    by two integer convolutions."""
+    u = np.array(_y_coeffs(1, k - 1), object)
+    v = np.array(_y_coeffs(0, k - 2) + [0], object)     # Y_0 in k entries
+    # np.roll(v, 1) holds lam Y_0: v's last entry is the padding zero
+    return (np.convolve(u, u - 2 * np.roll(v, 1)) + np.convolve(v, v)).tolist()
 
 
 def y_poly(d: int, k: int, lam):

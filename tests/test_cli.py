@@ -5,6 +5,7 @@ artifacts rather than scraping stdout, except where the contract is about
 stdout itself (validate, seed echo).
 """
 
+import argparse
 import json
 import math
 import os
@@ -522,6 +523,15 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     except SystemExit as exc:
         want = (int(exc.code or 0),) + tuple(capsys.readouterr())
     assert (main(argv),) + tuple(capsys.readouterr()) == want
+
+
+def test_every_option_has_help():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = [(name, action.option_strings)
+            for name, p in [("", parser), *sub.choices.items()] for action in p._actions
+            if action.option_strings and not action.help]
+    assert bare == []
 
 
 # ------------------------------------------------------------- determinism

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
+from scipy.special import roots_jacobi
 
 from reluctant_walk import estimation, pmf
 from reluctant_walk.estimation import (
@@ -530,8 +531,8 @@ def test_level_set_endpoint_root():
 
 
 def test_level_set_single_crossing_gives_one_root():
-    """The polish of a scanned minimum of |q - f| next to a bisected sign
-    change must land on the same root, not a second one a few 1e-9 away."""
+    """A level crossed once on (0, 1) gives one root there and its mirror on
+    (-1, 1), not a second root a few 1e-9 away."""
     (root,) = level_set_solve(0.066, 8, branch=(0.0, 1.0))
     assert pmf_point(8, 0, root) == pytest.approx(0.066, abs=1e-15)
     pair = level_set_solve(0.066, 8)
@@ -582,10 +583,9 @@ def test_tree_bisection_matches_the_exact_sequential_root(k, i, u, path, on_node
 
 
 def test_returns_estimate_makes_few_exact_point_passes(monkeypatch):
-    """Float signs decide the bisection away from the root, and no polish
-    re-finds a bisected root: a k = 24 estimate makes at most 25 exact
-    one-point evaluations of the return probability (98 when every
-    midpoint was exact)."""
+    """Float signs decide the bisection away from the root: a k = 24
+    estimate makes at most 25 exact one-point evaluations of the return
+    probability (98 when every midpoint was exact)."""
     passes = []
 
     def counting(k, lams, exact):
@@ -605,6 +605,7 @@ def test_level_set_unattained_level_is_empty():
 
 
 @given(f=st.floats(0.0, 1.0), k=st.sampled_from([2, 4, 8]))
+@example(f=5e-324, k=2)      # the bisection's gap products underflow to 0
 @settings(max_examples=30, deadline=None)
 def test_level_set_roots_satisfy_residual_bound(f, k):
     for root in level_set_solve(f, k, resolution=256):
@@ -638,7 +639,7 @@ def test_level_set_validation():
 ])
 def test_level_set_rejects_bad_tolerance_and_resolution(kwargs):
     # every residual <= NaN is False, so a NaN tolerance would drop every
-    # polished root; a float resolution would reach np.linspace
+    # branch-end root; a float resolution would reach np.linspace
     with pytest.raises(ValueError, match="residual tolerance|resolution"):
         level_set_solve(1.0, 4, **kwargs)
 
@@ -677,6 +678,65 @@ def test_level_set_matches_exact_scan_oracle_at_default_resolution(k, branch):
     for level in (0.0, 0.3, 0.066, 1.0, 0, 700, 1023, 1024, 2047):
         f = _level(k, branch, 2048, level)
         assert level_set_solve(f, k, branch) == level_set_exact_scan(f, k, branch)
+
+
+def test_level_set_top_level_is_the_root_zero():
+    # q(0) = 1 exactly and q < 1 elsewhere, so lam = 0 is the one root
+    assert level_set_solve(1.0, 100) == [0.0]
+    assert level_set_solve(1.0, 58, (-0.5, 1.0)) == [0.0]
+
+
+def _mirror_pair(roots, f, k):
+    """The two roots of a level on a branch around 0: r0 < 0 < r1, mirrors
+    of each other to the bisection's 1e-14, each with |q(r) - f| <= 1e-15."""
+    r0, r1 = roots
+    assert r0 < 0.0 < r1 and abs(r0 + r1) <= 2e-14
+    assert all(abs(pmf_point(k, 0, r) - f) <= 1e-15 for r in roots)
+    return r0, r1
+
+
+@pytest.mark.parametrize("branch", [(-0.5, 1.0), (-1.0, 1.0)])
+def test_level_set_finds_both_roots_in_the_scan_cell_around_zero(branch):
+    # both roots, +-6.32e-5, lie in the one scan cell that straddles 0
+    f = 1.0 - 1e-5
+    r0, r1 = _mirror_pair(level_set_solve(f, 100, branch), f, 100)
+    assert r1 == pytest.approx(math.sqrt(1e-5) / 50, rel=1e-3)    # q = 1 - (k lam / 2)^2 + ...
+
+
+@pytest.mark.parametrize("k", [8, 24, 100])
+def test_level_set_at_a_flat_inflection(k):
+    """Levels within 1e-13 of q(lam_j), lam_j a zero of R_k, where q' = 0:
+    one root on (0, 1) and a mirror pair on (-1, 1).  The zeros of
+    R_k(lam) = P_{k/2-1}^(0,1)(2 lam^2 - 1) are scipy's Gauss-Jacobi nodes."""
+    nodes = roots_jacobi(k // 2 - 1, 0.0, 1.0)[0]
+    for lam in np.sqrt((nodes + 1.0) / 2.0).tolist():
+        for offset in (-1e-13, 0.0, 1e-13):
+            f = pmf_point(k, 0, lam) + offset
+            (root,) = level_set_solve(f, k, (0.0, 1.0))
+            assert abs(pmf_point(k, 0, root) - f) <= 1e-15
+            _mirror_pair(level_set_solve(f, k), f, k)
+
+
+def test_level_set_branch_end_near_the_level_is_no_second_root():
+    # the branch starts at a flat inflection, 5e-11 above the level, which q
+    # crosses 1.3e-4 further in: the end is within residual_tol of the level
+    # but is not a root of its own
+    lam = math.sqrt((roots_jacobi(3, 0.0, 1.0)[0][0] + 1.0) / 2.0)
+    f = pmf_point(8, 0, lam) - 5e-11
+    (root,) = level_set_solve(f, 8, (lam, lam + 0.01))
+    assert root > lam + 1e-4 and pmf_point(8, 0, root) == f
+
+
+@given(f=st.floats(0.0, 1.0), k=st.sampled_from([2, 4, 8, 24, 100]))
+@example(f=1.0, k=100)
+@example(f=0.0, k=24)
+@example(f=5e-324, k=2)      # gaps whose product underflows to 0 still change sign
+@settings(max_examples=40, deadline=None)
+def test_level_set_has_one_root_a_side(f, k):
+    """q falls strictly from 1 to 0 on [0, 1] and is even: every level has
+    one root on (0, 1), and two on (-1, 1) unless it is q(0) = 1."""
+    assert len(level_set_solve(f, k, (0.0, 1.0))) == 1
+    assert len(level_set_solve(f, k)) == (1 if f == 1.0 else 2)
 
 
 # -------------------------------------------------------------- transitions

@@ -32,7 +32,6 @@ from reluctant_walk.pmf import (
     _grid,
     _json_safe,
     _mirror_text,
-    _horner,
     _return_grid,
     _return_poly,
 )
@@ -41,7 +40,7 @@ from reluctant_walk.chebyshev import _iter_y_rows
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
 from oracles import (csv_text_per_cell, exact_return_scan, mirror_text_by_encoder,
-                     pmf_even_closed, pmf_point_cosine_form, y_poly)
+                     pmf_even_closed, pmf_point_cosine_form, return_power_coeffs, y_poly)
 
 rational_lam = st.integers(-9, 9).map(lambda n: Fraction(n, 9))
 
@@ -262,18 +261,40 @@ def test_exact_return_points_are_the_rows_bit_for_bit(k, lams):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 24, 41, 200, 500])
 def test_return_poly_coefficients_are_the_y_polynomials(k):
-    """The closed-form coefficients give Y_1^(k-1) and Y_0^(k-2) as the
-    Fraction series of ``y_poly`` does, and as the exact integer rows of the
-    recurrence do (Z_1^(k-1), Z_0^(k-2) of ``_iter_y_rows(a, b)``)."""
-    y1, y0, cheb = _return_poly(k)
-    assert (len(y1), len(y0), len(cheb)) == (k, k - 1, 2 * k - 1)
+    """The coefficients of q = p(0; k, lam) in mu = lam^2 are the even power
+    coefficients of the Y series (``return_power_coeffs``), and give
+    p(0; k, lam) as the Fraction series of ``y_poly`` does and as the exact
+    integer rows of the recurrence do (Z_1^(k-1), Z_0^(k-2) of
+    ``_iter_y_rows(a, b)``)."""
+    mu, cheb = _return_poly(k)
+    assert (len(mu), len(cheb)) == (k, 2 * k - 1)
+    power = return_power_coeffs(k)
+    assert list(mu) == power[::2] and not any(power[1::2])
     for lam in (Fraction(3, 7), Fraction(-5, 8), Fraction(1)):
         a, b = lam.as_integer_ratio()
-        z1, z0 = _horner(y1, a, b), _horner(y0, a, b)
-        assert Fraction(z1, b ** (k - 1)) == y_poly(1, k - 1, lam)
-        assert Fraction(z0, b ** max(k - 2, 0)) == (y_poly(0, k - 2, lam) if k >= 2 else 0)
+        q = Fraction(0)
+        for c in reversed(mu):
+            q = q * lam * lam + c
+        y1 = y_poly(1, k - 1, lam)
+        y0 = y_poly(0, k - 2, lam) if k >= 2 else 0
+        assert q == (1 - lam * lam) * y1 * y1 + (y0 - lam * y1) ** 2
         row_km1, row_km2 = next(islice(_iter_y_rows(a, b), k - 1, None))
-        assert (z1, z0) == ((row_km1[1], row_km2[0]) if k >= 2 else (0, 0))
+        z1, z0 = (row_km1[1], row_km2[0]) if k >= 2 else (0, 0)
+        assert q == Fraction((b * b - a * a) * z1 * z1 + (b * b * z0 - a * z1) ** 2,
+                             b ** (2 * k))
+
+
+def test_return_poly_derivative_is_minus_2_lam_r_squared():
+    """q_k'(lam) = -2 lam R_k(lam)^2 in integers, with n = k/2 and
+    R_k(lam) = sum_{j=1..n} (-1)^(n-j) C(n, j) C(n+j-1, j-1) lam^(2j-2),
+    on the power coefficients of q from the Y series, not from R_k."""
+    for k in [*range(2, 121, 2), 200, 400]:
+        n = k // 2
+        r = np.zeros(2 * n - 1, object)
+        r[::2] = [(-1) ** (n - j) * math.comb(n, j) * math.comb(n + j - 1, j - 1)
+                  for j in range(1, n + 1)]
+        derivative = [i * c for i, c in enumerate(return_power_coeffs(k))][1:]
+        assert derivative == [0] + (-2 * np.convolve(r, r)).tolist(), k
 
 
 def test_return_poly_cache_is_keyed_by_the_validated_k():

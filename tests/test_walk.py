@@ -306,7 +306,7 @@ def test_channel_memory_stays_linear():
 
 def test_level_set_scan_memory_stays_blocked():
     # the exact rows of all 2048 scan points at once would take ~20 MB;
-    # the scan walks lam in blocks of pmf._GRID_BLOCK
+    # the scan sums the cached Chebyshev series of the return probability
     tracemalloc.start()
     try:
         level_set_solve(0.1, 24, branch=(0.0, 1.0))
