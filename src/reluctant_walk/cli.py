@@ -245,10 +245,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_level_set(args) -> int:
-    roots = level_set_solve(args.f, args.k, branch=(args.branch_min, args.branch_max),
-                            resolution=args.resolution, residual_tol=args.residual_tol)
-    rows = [{"k": args.k, "f": args.f, "lam": r, "theta": math.acos(max(min(r, 1.0), -1.0))}
-            for r in roots]
+    roots = level_set_solve(args.f, args.k, branch=(args.branch_min, args.branch_max))
+    rows = [{"k": args.k, "f": args.f, "lam": r, "theta": math.acos(r)} for r in roots]
     meta = _stamp("level-set", args.seed,
                   {"k": args.k, "f": format_float(args.f), "count": len(roots)})
     paths = _write_report(_outdir(args), args.output or "level_set",
@@ -509,14 +507,10 @@ def _level_set_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", type=float, required=True, help="level in [0, 1]")
     p.add_argument("--k", type=int, required=True, help="even step count")
     p.add_argument("--branch-min", type=float, default=-1.0,
-                   help="lower end of the lambda branch (default -1)")
+                   help="lower end of the lambda branch (default -1); the roots are "
+                        "r, the one root on [0, 1], and -r, where they lie on the branch")
     p.add_argument("--branch-max", type=float, default=1.0,
                    help="upper end of the lambda branch (default 1)")
-    p.add_argument("--resolution", type=int, default=2048,
-                   help="scan points on the branch, at least 8 (default 2048)")
-    p.add_argument("--residual-tol", type=float, default=1e-10,
-                   help="a branch end with no sign change beside it is a root when "
-                        "|p - f| is at most this there (default 1e-10)")
     _add_common(p)
 
 

@@ -5,7 +5,8 @@ displacement samples on the analytic axis of ``pmf`` (the mirror of the
 simulator's axis; see ``pmf.CONVENTION_SIGMA``), scored by the exact pmf.
 Return counts are Bernoulli trials of an even-step walker being found
 back at its start site, inverted through the level set of the closed-form
-return probability.
+return probability: it falls from 1 to 0 on lam in [0, 1], so the level
+of the return frequency is one bisection there.
 
 Estimates carry a concavity diagnostic.  Writing ptilde = exp(l/n) for
 the geometric-mean per-trial likelihood, the reported positivity value is
@@ -45,8 +46,8 @@ _FD_STEP = 1e-4
 _CANDIDATE_WINDOW = 1e-6   # grid maxima within this of the best are all refined
 _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
-# a float gap beyond this decides a sign of the level-set scan or bisection: 100x the
-# 1e-14 bound on the error of the Clenshaw return probability
+# a float gap beyond this decides a sign of the level-set bisection: 100x the 1e-14
+# bound on the error of the Clenshaw return probability
 # (test_clenshaw_return_scan_error_margin)
 _SIGN_BAND = 1e-12
 _TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float call
@@ -234,7 +235,7 @@ def likelihood_curve(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 class EstimateResult:
     """Point estimate with diagnostics.
 
-    ``candidates`` lists every refined near-optimal maximizer (or every
+    ``candidates`` lists every refined near-optimal maximizer (or the
     level-set root for return counts) in theta coordinates; ``theta_hat``
     is the best of them with ties resolved toward smaller theta.
     ``flags`` may contain "flat_likelihood" and "boundary_maximum".
@@ -357,9 +358,10 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     refine_tolerance asks.
     Return counts: the empirical return frequency is pushed through the
     level set of the closed-form return probability on the lam branch
-    [0, 1], the default theta range; the roots whose theta lies in
-    ``theta_range`` are the candidates, and a range outside [0, pi/2]
-    raises ValueError.
+    [0, 1], the default theta range; its one root there is the candidate
+    when its theta lies in ``theta_range``, and a range outside [0, pi/2]
+    raises ValueError.  n0 = 0 or n0 = n puts the root at an end of the
+    branch, theta 0 or pi/2, and is flagged "boundary_maximum".
     """
     if not 0.0 <= refine_tolerance < math.inf:
         raise ValueError(f"refine tolerance must be finite and >= 0, got {refine_tolerance}")
@@ -402,21 +404,16 @@ def _estimate_from_returns(data: TrialDataset, theta_range) -> EstimateResult:
     if lo < 0.0 or hi > math.pi / 2:
         raise ValueError(f"theta range {theta_range} reaches outside [0, pi/2], "
                          "the lam branch [0, 1] of return data")
-    q_hat = data.n0 / data.n
-    roots = level_set_solve(q_hat, data.k, branch=(0.0, 1.0))
-    thetas = sorted(math.acos(max(min(r, 1.0), -1.0)) for r in roots)
-    thetas = [t for t in thetas if lo <= t <= hi]
-    if not thetas:
-        # q(lam) is continuous with q(0)=1 and q(1)=0, so every frequency
-        # in [0,1] is attained on the branch: no root in the range, or a
-        # resolution failure
+    (root,) = level_set_solve(data.n0 / data.n, data.k, branch=(0.0, 1.0))
+    theta = math.acos(root)
+    if not lo <= theta <= hi:
         return _flat_result(data)
-    lls = _log_likelihoods(data, np.cos(thetas)).tolist()
-    best_theta, best_ll = _best(list(zip(thetas, lls)))
-    curvature, positivity = _diagnostics(data, best_theta, best_ll)
-    return EstimateResult(best_theta, math.cos(best_theta), best_ll, curvature,
-                          positivity, tuple(thetas), (), data.kind, data.k,
-                          data.trials, data.seed)
+    ll = float(_log_likelihoods(data, np.cos([theta]))[0])
+    curvature, positivity = _diagnostics(data, theta, ll)
+    # n0 = 0 puts the root at lam = 1 (theta 0), n0 = n at lam = 0 (theta pi/2)
+    flags = ("boundary_maximum",) if data.n0 in (0, data.n) else ()
+    return EstimateResult(theta, math.cos(theta), ll, curvature, positivity, (theta,),
+                          flags, data.kind, data.k, data.trials, data.seed)
 
 
 def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: float,
@@ -466,60 +463,22 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
             estimate = None
 
 
-def _solve_level(xs: np.ndarray, g: np.ndarray, exact: Callable[[np.ndarray], np.ndarray],
-                 residual_tol: float,
-                 estimate: Callable[[np.ndarray], np.ndarray] | None = None) -> list[float]:
-    """All x in [xs[0], xs[-1]] with exact(x) = 0, from the scan g of the
-    gap at xs, for a gap that is monotone on each side of x = 0.
-
-    ``exact`` is the exact gap over an array of points; ``g`` must hold
-    its value wherever |g| <= _SIGN_BAND and its sign everywhere.  When
-    the scan straddles 0 without scoring it, x = 0 joins it with its exact
-    gap, so every cell lies on one side of 0 and holds at most one root.
-    The roots are the exact zeros on the scan and one root bisected in each
-    sign-change cell (``_bisect``, which scores its midpoints with
-    ``estimate`` when given).  A scan end also counts when its cell has no
-    sign change, its neighbour's gap is no nearer zero and its exact
-    |gap| <= residual_tol.
-    """
-    if xs[0] < 0.0 < xs[-1] and not np.any(xs == 0.0):
-        i = int(np.searchsorted(xs, 0.0))
-        xs, g = np.insert(xs, i, 0.0), np.insert(g, i, exact(np.zeros(1))[0])
-    gap = lambda x: float(exact([x])[0])
-    sign = np.sign(g)      # not g itself: the product of two tiny gaps underflows to 0
-    roots = [float(x) for x in xs[sign == 0]]
-    roots += [_bisect(gap, float(xs[i]), float(xs[i + 1]), float(g[i]), 1e-14, estimate)
-              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
-    for end, inner in ((0, 1), (-1, -2)):
-        if (sign[end] * sign[inner] > 0 and abs(g[end]) <= abs(g[inner])
-                and abs(gap(float(xs[end]))) <= residual_tol):
-            roots.append(float(xs[end]))
-    return sorted(roots)
-
-
-def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
-                    resolution: int = 2048,
-                    residual_tol: float = 1e-10) -> list[float]:
-    """All lam on the branch where the k-step return probability equals f.
+def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0)) -> list[float]:
+    """Every lam on the branch where the k-step return probability equals f.
 
     The return probability q(lam) = p^(k)(0, lam) is a polynomial of degree
     2k - 2, built once per k and cached (``pmf._return_grid``): float
     values sum its Chebyshev series by Clenshaw's recurrence, exact ones
     evaluate its integer coefficients in lam^2 by Horner at lam = a/b, O(k)
     operations a point.  Since q'(lam) = -2 lam R_k(lam)^2 (``pmf._return_poly``),
-    q falls strictly on each side of lam = 0, so each level has at most one
-    root a side.  The scan scores all ``resolution`` points in float and
-    re-scores exactly those whose float gap |q - f| lies within 1e-12, 100
-    times the float error bound, so zeros and signs are exact; lam = 0
-    joins a scan that straddles it (``_solve_level``).  Each sign change is
-    bisected on float signs, 63 midpoints to a float call, with an exact
-    single point only where a float gap on the taken path is within 1e-12
-    of zero (``_bisect``).  The roots are those of the same solve run on
-    exact values throughout.  ``residual_tol`` (finite, >= 0) decides only
-    the branch ends: an end whose cell holds no sign change, and whose
-    neighbour is no nearer the level, is a root when |q - f| <= residual_tol
-    there.  The list is empty when the level is not attained (e.g. f above
-    the maximum of q on the branch).
+    q is even and falls from q(0) = 1 to q(1) = 0, so every level f has
+    one root r on [0, 1] and its mirror -r.  r is 0 at f = 1, 1 at f = 0,
+    and otherwise bisected on (0, 1) on float signs, 63 midpoints to a
+    float call, with an exact single point only where a float gap on the
+    taken path is within 1e-12 of zero (``_bisect``); it is the root of the
+    same bisection run on exact values throughout.  The result holds the
+    members of {-r, r} that lie on the branch, sorted, and is empty when
+    neither does (e.g. f above the maximum of q on the branch).
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {f}")
@@ -528,17 +487,15 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0),
     lo, hi = float(branch[0]), float(branch[1])
     if not -1.0 <= lo < hi <= 1.0:
         raise ValueError(f"branch must be a sub-interval of [-1, 1], got {branch}")
-    if _integer(resolution, "resolution") < 8:
-        raise ValueError(f"resolution must be >= 8, got {resolution}")
-    if not 0.0 <= residual_tol < math.inf:
-        raise ValueError(f"residual tolerance must be finite and >= 0, got {residual_tol}")
-    xs = np.linspace(lo, hi, resolution)
-    floats = lambda x: _return_grid(k, x, exact=False) - f
-    g = floats(xs)
-    near = np.abs(g) <= _SIGN_BAND
-    exact = lambda x: _return_grid(k, x, exact=True) - f
-    g[near] = exact(xs[near])
-    return _solve_level(xs, g, exact, residual_tol, floats)
+    if f == 1.0:
+        r = 0.0
+    elif f == 0.0:
+        r = 1.0
+    else:
+        gap = lambda x: float(_return_grid(k, [x], exact=True)[0]) - f
+        floats = lambda x: _return_grid(k, x, exact=False) - f
+        r = _bisect(gap, 0.0, 1.0, 1.0 - f, 1e-14, floats)
+    return [x for x in ([r] if r == 0.0 else [-r, r]) if lo <= x <= hi]
 
 
 def dataset_to_json(data: TrialDataset) -> dict:

@@ -4,10 +4,10 @@ Each function here computes something ``reluctant_walk`` also computes, by
 a route the package does not take, so tests can compare the two: the
 O(k^2) Fraction series of the Y polynomials, their quadrature, their
 terminating-2F1 form, the law-of-cosines and even-step 2F1 forms of the
-pmf, the forward dynamics for a transition probability and the level-set
-solve with an exact scan.  The package's one route for each is the
-integer/float row engine (``chebyshev._iter_y_rows`` -> ``pmf._grid``),
-except the return probability that the level-set solve evaluates
+pmf and the forward dynamics for a transition probability.  The package's
+one route for each is the integer/float row engine
+(``chebyshev._iter_y_rows`` -> ``pmf._grid``), except the return
+probability that the level-set solve evaluates
 (``pmf._return_grid``): a polynomial cached per k, whose coefficients
 come from the integral of the squared Jacobi polynomial R_k
 (``pmf._return_poly``).  ``return_power_coeffs`` builds the same
@@ -27,7 +27,6 @@ from math import comb
 import numpy as np
 
 from reluctant_walk.chebyshev import chebyshev_u
-from reluctant_walk.estimation import _solve_level
 from reluctant_walk.pmf import _cell, _clamp, _grid, _mirror, _validate_k_lam, pmf_point
 from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
                                  position_pmf)
@@ -38,19 +37,11 @@ _EVEN_CLOSED_LAMBDA_FLOOR = 1e-6
 
 @lru_cache(maxsize=64)
 def exact_return_scan(k: int, lo: float, hi: float, resolution: int = 2048):
-    """The level-set scan grid and the exact p(0; k, lam) on every point of it."""
+    """An even lam grid on [lo, hi] and the exact p(0; k, lam) on every point of it."""
     xs = np.linspace(lo, hi, resolution)
     q = _grid(k, xs, [0], exact=True)[:, 0]
     xs.flags.writeable = q.flags.writeable = False
     return xs, q
-
-
-def level_set_exact_scan(f: float, k: int, branch=(-1.0, 1.0), resolution: int = 2048,
-                         residual_tol: float = 1e-10) -> list[float]:
-    """``level_set_solve`` with every scan point scored by the exact rows."""
-    xs, q = exact_return_scan(k, float(branch[0]), float(branch[1]), resolution)
-    exact = lambda x: _grid(k, x, [0], exact=True)[:, 0] - f
-    return _solve_level(xs, q - f, exact, residual_tol)
 
 
 def _y_coeffs(m: int, j: int) -> list[int]:

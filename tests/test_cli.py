@@ -178,10 +178,11 @@ def test_estimate_bernoulli_all_returns(tmp_path):
                          {"kind": "returns", "k": 2, "n": 40, "n0": 40})
     code = main(["estimate", "--data", data, "--method", "bernoulli",
                  "--outdir", str(tmp_path)])
-    assert code == 0
+    assert code == 3    # theta_hat = pi/2 sits at the edge of the search
     result = json.loads((tmp_path / "estimate.json").read_text())["result"]
     assert abs(result["lambda_hat"]) < 1e-8
     assert result["theta_hat"] == pytest.approx(math.pi / 2, abs=1e-8)
+    assert result["flags"] == ["boundary_maximum"]
 
 
 def test_estimate_bernoulli_honours_theta_range(tmp_path, capsys):
@@ -337,12 +338,16 @@ def test_level_set_rejects_bad_level(tmp_path):
 
 @pytest.mark.parametrize("flag, value", [("--residual-tol", "nan"),
                                          ("--residual-tol", "-1e-10"),
-                                         ("--residual-tol", "inf")])
-def test_level_set_rejects_bad_residual_tol(tmp_path, flag, value):
-    # with a NaN tolerance the tangential root at lam = 0 would be dropped
+                                         ("--residual-tol", "inf"),
+                                         ("--residual-tol", "1e-10"),
+                                         ("--resolution", "2048")])
+def test_level_set_rejects_bad_residual_tol(tmp_path, flag, value, capsys):
+    # the solve bisects [0, 1] once: it has no branch-end tolerance and no
+    # scan resolution, so either flag, with any value, is an unknown argument
     assert main(["level-set", "--f", "1", "--k", "4", flag, value,
                  "--outdir", str(tmp_path)]) == 2
-    assert not (tmp_path / "level_set.csv").exists()
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ dependencies

@@ -25,7 +25,7 @@ from reluctant_walk.estimation import (
 )
 from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, _return_grid, pmf_full, pmf_point
 
-from oracles import exact_return_scan, level_set_exact_scan, transition_probability
+from oracles import transition_probability
 
 
 def gibbs_dataset(theta_star, k):
@@ -470,18 +470,25 @@ def test_mle_returns_inverts_frequency():
 
 
 def test_mle_returns_all_returned():
-    # every trial returning matches lam = 0, an interior point of [0, pi/2]
+    # every trial returning matches lam = 0, theta = pi/2: the edge of the search
     result = mle_estimate(TrialDataset.from_returns(2, n0=50, n=50))
     assert abs(result.lambda_hat) < 1e-8
     assert result.theta_hat == pytest.approx(math.pi / 2, abs=1e-8)
-    assert result.flags == ()
+    assert result.flags == ("boundary_maximum",)
 
 
 def test_mle_returns_none_returned():
     result = mle_estimate(TrialDataset.from_returns(2, n0=0, n=50))
     assert result.lambda_hat == pytest.approx(1.0, abs=1e-8)
     assert result.theta_hat == pytest.approx(0.0, abs=1e-8)
-    assert result.flags == ()
+    assert result.flags == ("boundary_maximum",)
+
+
+@pytest.mark.parametrize("n0", [1, 9_999])
+def test_mle_returns_interior_count_is_unflagged(n0):
+    # only n0 = 0 and n0 = n put the root at an end of the search
+    result = mle_estimate(TrialDataset.from_returns(8, n0, 10_000))
+    assert 0.0 < result.theta_hat < math.pi / 2 and result.flags == ()
 
 
 def test_mle_returns_keeps_only_roots_in_theta_range():
@@ -535,9 +542,7 @@ def test_level_set_single_crossing_gives_one_root():
     (-1, 1), not a second root a few 1e-9 away."""
     (root,) = level_set_solve(0.066, 8, branch=(0.0, 1.0))
     assert pmf_point(8, 0, root) == pytest.approx(0.066, abs=1e-15)
-    pair = level_set_solve(0.066, 8)
-    assert len(pair) == 2
-    assert pair[0] == pytest.approx(-root, abs=1e-12)
+    assert level_set_solve(0.066, 8) == [-root, root]
     result = mle_estimate(TrialDataset.from_returns(8, n0=660, n=10000))
     assert result.candidates == (pytest.approx(math.acos(root), abs=1e-12),)
 
@@ -608,7 +613,7 @@ def test_level_set_unattained_level_is_empty():
 @example(f=5e-324, k=2)      # the bisection's gap products underflow to 0
 @settings(max_examples=30, deadline=None)
 def test_level_set_roots_satisfy_residual_bound(f, k):
-    for root in level_set_solve(f, k, resolution=256):
+    for root in level_set_solve(f, k):
         assert abs(pmf_point(k, 0, root) - f) <= 1e-10
 
 
@@ -625,8 +630,29 @@ def test_level_set_validation():
         level_set_solve(0.5, 2, branch=(0.5, 0.2))
     with pytest.raises(ValueError, match="branch"):
         level_set_solve(0.5, 2, branch=(-2.0, 1.0))
-    with pytest.raises(ValueError, match="resolution"):
-        level_set_solve(0.5, 2, resolution=4)
+
+
+@given(k=st.sampled_from([2, 4, 8, 24, 48, 100]),
+       level=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1.0 - 2.0**-53]),
+                       st.lists(st.booleans(), min_size=1, max_size=46)))
+@example(k=8, level=0.0)
+@example(k=8, level=1.0)
+@settings(max_examples=40, deadline=None)
+def test_level_set_matches_scipy_bisection_oracle(k, level):
+    """The root on [0, 1] is scipy's bisection of the exact gap there, bit
+    for bit, also where the level is the exact q of a midpoint on the
+    bisection tree (``level`` a path of halvings from [0, 1]), whose float
+    gap is a few 1e-16 and exact gap 0."""
+    if isinstance(level, list):
+        lo, step = 0.0, 1.0
+        for right in level:
+            step *= 0.5
+            node = lo + step
+            if right:
+                lo = node
+        level = pmf_point(k, 0, node)
+    gap = lambda lam: pmf_point(k, 0, lam) - level
+    assert level_set_solve(level, k, (0.0, 1.0)) == [scipy_bisect(gap, 0.0, 1.0, xtol=1e-14)]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -638,66 +664,32 @@ def test_level_set_validation():
     {"resolution": np.float64(256)},
 ])
 def test_level_set_rejects_bad_tolerance_and_resolution(kwargs):
-    # every residual <= NaN is False, so a NaN tolerance would drop every
-    # branch-end root; a float resolution would reach np.linspace
-    with pytest.raises(ValueError, match="residual tolerance|resolution"):
+    # the one bisection on [0, 1] takes no scan resolution and no branch-end
+    # tolerance: any value of either is an unexpected keyword
+    with pytest.raises(TypeError, match="unexpected keyword"):
         level_set_solve(1.0, 4, **kwargs)
 
 
-def test_level_set_accepts_numpy_integer_resolution():
-    assert level_set_solve(0.64, 2, resolution=np.int64(256)) == level_set_solve(
-        0.64, 2, resolution=256)
-
-
-even_k = st.integers(1, 24).map(lambda h: 2 * h)
-branches = st.sampled_from([(-1.0, 1.0), (0.0, 1.0)])
-
-
-def _level(k, branch, resolution, level):
-    """A float level as is; an int picks the scan point whose exact q is the level."""
-    if isinstance(level, int):
-        return float(exact_return_scan(k, *branch, resolution)[1][level % resolution])
-    return level
-
-
-@given(k=even_k, branch=branches,
-       level=st.one_of(st.floats(0.0, 1.0), st.integers(0, 511), st.sampled_from([0.0, 1.0])))
-@settings(max_examples=40, deadline=None)
-def test_level_set_matches_exact_scan_oracle(k, branch, level):
-    """The float scan re-scores every point near the level exactly, so the
-    roots are the exact scan's, bit for bit, also where the level is the
-    exact q of a scan point (a float gap of a few 1e-16 there)."""
-    f = _level(k, branch, 512, level)
-    assert level_set_solve(f, k, branch, resolution=512) == level_set_exact_scan(
-        f, k, branch, resolution=512)
-
-
-@pytest.mark.parametrize("branch", [(-1.0, 1.0), (0.0, 1.0)])
-@pytest.mark.parametrize("k", [8, 24])
-def test_level_set_matches_exact_scan_oracle_at_default_resolution(k, branch):
-    for level in (0.0, 0.3, 0.066, 1.0, 0, 700, 1023, 1024, 2047):
-        f = _level(k, branch, 2048, level)
-        assert level_set_solve(f, k, branch) == level_set_exact_scan(f, k, branch)
-
-
 def test_level_set_top_level_is_the_root_zero():
-    # q(0) = 1 exactly and q < 1 elsewhere, so lam = 0 is the one root
-    assert level_set_solve(1.0, 100) == [0.0]
-    assert level_set_solve(1.0, 58, (-0.5, 1.0)) == [0.0]
+    # q(0) = 1 exactly and q < 1 elsewhere, so lam = 0 is the one root, a
+    # positive zero (the CLI would write -0 for a negative one)
+    for k, branch in [(100, (-1.0, 1.0)), (58, (-0.5, 1.0)), (8, (-1.0, 0.0))]:
+        (root,) = level_set_solve(1.0, k, branch)
+        assert root == 0.0 and math.copysign(1.0, root) == 1.0
 
 
 def _mirror_pair(roots, f, k):
-    """The two roots of a level on a branch around 0: r0 < 0 < r1, mirrors
-    of each other to the bisection's 1e-14, each with |q(r) - f| <= 1e-15."""
+    """The two roots of a level on a branch around 0: r0 = -r1 < 0, each
+    with |q(r) - f| <= 1e-15."""
     r0, r1 = roots
-    assert r0 < 0.0 < r1 and abs(r0 + r1) <= 2e-14
+    assert r0 < 0.0 < r1 and r0 == -r1
     assert all(abs(pmf_point(k, 0, r) - f) <= 1e-15 for r in roots)
     return r0, r1
 
 
 @pytest.mark.parametrize("branch", [(-0.5, 1.0), (-1.0, 1.0)])
 def test_level_set_finds_both_roots_in_the_scan_cell_around_zero(branch):
-    # both roots, +-6.32e-5, lie in the one scan cell that straddles 0
+    # both roots, +-6.32e-5, lie within 1e-4 of the top q(0) = 1
     f = 1.0 - 1e-5
     r0, r1 = _mirror_pair(level_set_solve(f, 100, branch), f, 100)
     assert r1 == pytest.approx(math.sqrt(1e-5) / 50, rel=1e-3)    # q = 1 - (k lam / 2)^2 + ...
@@ -719,8 +711,7 @@ def test_level_set_at_a_flat_inflection(k):
 
 def test_level_set_branch_end_near_the_level_is_no_second_root():
     # the branch starts at a flat inflection, 5e-11 above the level, which q
-    # crosses 1.3e-4 further in: the end is within residual_tol of the level
-    # but is not a root of its own
+    # crosses 1.3e-4 further in: the end is near the level but is not a root
     lam = math.sqrt((roots_jacobi(3, 0.0, 1.0)[0][0] + 1.0) / 2.0)
     f = pmf_point(8, 0, lam) - 5e-11
     (root,) = level_set_solve(f, 8, (lam, lam + 0.01))
@@ -734,9 +725,10 @@ def test_level_set_branch_end_near_the_level_is_no_second_root():
 @settings(max_examples=40, deadline=None)
 def test_level_set_has_one_root_a_side(f, k):
     """q falls strictly from 1 to 0 on [0, 1] and is even: every level has
-    one root on (0, 1), and two on (-1, 1) unless it is q(0) = 1."""
-    assert len(level_set_solve(f, k, (0.0, 1.0))) == 1
-    assert len(level_set_solve(f, k)) == (1 if f == 1.0 else 2)
+    one root r on [0, 1], and on (-1, 1) the exact mirror pair -r, r
+    unless it is q(0) = 1."""
+    (r,) = level_set_solve(f, k, (0.0, 1.0))
+    assert level_set_solve(f, k) == ([r] if f == 1.0 else [-r, r])
 
 
 # -------------------------------------------------------------- transitions

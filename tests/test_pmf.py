@@ -187,7 +187,7 @@ def test_float_grid_entries_are_pmf_full_across_pass_edges(k, cone, offset, seed
 
 
 @pytest.mark.parametrize("k, points, ds, most", [
-    (24, 2048, [0], 5),                           # the level-set scan of a return estimate
+    (24, 2048, [0], 5),                           # a 2048-point return grid
     (48, 601, list(range(-48, 49, 2)), 5),        # the theta scan of a positions estimate
 ])
 def test_float_scans_take_few_row_passes(k, points, ds, most):
@@ -216,9 +216,9 @@ def test_float_return_scan_memory_stays_blocked():
 
 @pytest.mark.parametrize("k, stride", [(24, 1), (100, 16), (200, 128)])
 def test_float_return_scan_error_margin(k, stride):
-    """The float q = p(0; k, lam) of the level-set scan stays within 1e-14
-    of the exact one (measured worst 1.3e-15 at k = 200, next to lam = 0),
-    far inside the gaps below which the solve re-scores points exactly.
+    """The float q = p(0; k, lam) of the rows stays within 1e-14 of the
+    exact one on a 2048-point lam grid (measured worst 1.3e-15 at k = 200,
+    next to lam = 0).
     Large k checks every stride-th point and every point with |lam| < 0.01."""
     xs = np.linspace(-1.0, 1.0, 2048)
     if stride == 1:
@@ -295,6 +295,16 @@ def test_return_poly_derivative_is_minus_2_lam_r_squared():
                   for j in range(1, n + 1)]
         derivative = [i * c for i, c in enumerate(return_power_coeffs(k))][1:]
         assert derivative == [0] + (-2 * np.convolve(r, r)).tolist(), k
+
+
+def test_return_poly_runs_from_one_at_zero_to_zero_at_one():
+    """q(0) = 1 and q(1) = 0 exactly, the ends of the one bisection of the
+    level-set solve: the coefficients of q in lam^2 start at 1 and sum to 0,
+    and the exact values at lam = 0, 1, -1 are 1, 0, 0."""
+    for k in [*range(2, 121, 2), 200, 400]:
+        mu = _return_poly(k)[0]
+        assert (mu[0], sum(mu)) == (1, 0), k
+        assert _return_grid(k, [0.0, 1.0, -1.0], exact=True).tolist() == [1.0, 0.0, 0.0], k
 
 
 def test_return_poly_cache_is_keyed_by_the_validated_k():

@@ -304,9 +304,9 @@ def test_channel_memory_stays_linear():
     assert peak < 4 * 2**20
 
 
-def test_level_set_scan_memory_stays_blocked():
-    # the exact rows of all 2048 scan points at once would take ~20 MB;
-    # the scan sums the cached Chebyshev series of the return probability
+def test_level_set_solve_memory_stays_small():
+    # the exact rows of a 2048-point lam grid at once would take ~20 MB; the
+    # bisection scores 63 midpoints a pass on the cached Chebyshev series
     tracemalloc.start()
     try:
         level_set_solve(0.1, 24, branch=(0.0, 1.0))
