@@ -4,7 +4,8 @@ Each function here computes something ``reluctant_walk`` also computes, by
 a route the package does not take, so tests can compare the two: the
 O(k^2) Fraction series of the Y polynomials, their quadrature, their
 terminating-2F1 form, the law-of-cosines and even-step 2F1 forms of the
-pmf and the forward dynamics for a transition probability.  The package's
+pmf, the forward dynamics for a transition probability and the level set
+by scipy's bisection of the exact return gap.  The package's
 one route for each is the integer/float row engine
 (``chebyshev._iter_y_rows`` -> ``pmf._grid``), except the return
 probability that the level-set solve evaluates
@@ -25,6 +26,7 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+from scipy.optimize import bisect
 
 from reluctant_walk.chebyshev import chebyshev_u
 from reluctant_walk.pmf import _cell, _clamp, _grid, _mirror, _validate_k_lam, pmf_point
@@ -42,6 +44,16 @@ def exact_return_scan(k: int, lo: float, hi: float, resolution: int = 2048):
     q = _grid(k, xs, [0], exact=True)[:, 0]
     xs.flags.writeable = q.flags.writeable = False
     return xs, q
+
+
+def level_set_exact_bisection(f: float, k: int, branch=(-1.0, 1.0)) -> list[float]:
+    """``level_set_solve`` by ``scipy.optimize.bisect`` of the exact gap
+    p(0; k, lam) - f on [0, 1], where the return probability falls from 1
+    to 0, and the members of {-r, r} on the branch, sorted (a positive
+    zero at f = 1)."""
+    r = bisect(lambda lam: pmf_point(k, 0, lam) - f, 0.0, 1.0, xtol=1e-14)
+    lo, hi = branch
+    return [x for x in sorted({r, -r}) if lo <= x <= hi]
 
 
 def _y_coeffs(m: int, j: int) -> list[int]:

@@ -25,7 +25,7 @@ from reluctant_walk.estimation import (
 )
 from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, _return_grid, pmf_full, pmf_point
 
-from oracles import transition_probability
+from oracles import exact_return_scan, level_set_exact_bisection, transition_probability
 
 
 def gibbs_dataset(theta_star, k):
@@ -653,6 +653,37 @@ def test_level_set_matches_scipy_bisection_oracle(k, level):
         level = pmf_point(k, 0, node)
     gap = lambda lam: pmf_point(k, 0, lam) - level
     assert level_set_solve(level, k, (0.0, 1.0)) == [scipy_bisect(gap, 0.0, 1.0, xtol=1e-14)]
+
+
+even_k = st.integers(1, 24).map(lambda h: 2 * h)
+branches = st.sampled_from([(-1.0, 1.0), (0.0, 1.0)])
+
+
+def _level(k, branch, resolution, level):
+    """A float level as is; an int picks the scan point whose exact q is the level."""
+    if isinstance(level, int):
+        return float(exact_return_scan(k, *branch, resolution)[1][level % resolution])
+    return level
+
+
+@given(k=even_k, branch=branches,
+       level=st.one_of(st.floats(0.0, 1.0), st.integers(0, 511), st.sampled_from([0.0, 1.0])))
+@settings(max_examples=40, deadline=None)
+def test_level_set_matches_exact_scan_oracle(k, branch, level):
+    """The roots on the branch are scipy's bisection of the exact gap on
+    [0, 1] and its mirror, bit for bit, also where the level is the exact
+    q of a point of an even 512-point scan of the branch."""
+    f = _level(k, branch, 512, level)
+    assert level_set_solve(f, k, branch) == level_set_exact_bisection(f, k, branch)
+
+
+@pytest.mark.parametrize("branch", [(-1.0, 1.0), (0.0, 1.0)])
+@pytest.mark.parametrize("k", [8, 24])
+def test_level_set_matches_exact_scan_oracle_at_default_resolution(k, branch):
+    # the int levels are the exact q at points of a 2048-point scan of the branch
+    for level in (0.0, 0.3, 0.066, 1.0, 0, 700, 1023, 1024, 2047):
+        f = _level(k, branch, 2048, level)
+        assert level_set_solve(f, k, branch) == level_set_exact_bisection(f, k, branch)
 
 
 @pytest.mark.parametrize("kwargs", [
