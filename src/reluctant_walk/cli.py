@@ -189,7 +189,7 @@ def _generate_dataset(args, seed: int) -> TrialDataset:
         raise ValueError("--generate needs --theta-star, --k and --n")
     lam = math.cos(args.theta_star)
     if args.method == "bernoulli":
-        q = float(_return_grid(args.k, [lam], exact=True)[0])
+        q = float(_return_grid(args.k, [lam])[0])
         return sample_return_trials(q, args.n, seed=seed, k=args.k)
     return sample_positions(pmf_full(args.k, lam), args.n, seed=seed)
 
@@ -297,14 +297,14 @@ def _fig1_rows(k: int = 100, lam_points: int = 201) -> list[dict]:
     lams = np.linspace(-1.0, 1.0, lam_points)
     ds = range(-k, k + 1, 2)
     return [{"lambda": lam, "r": d / k, "p": p}
-            for lam, ps in zip(lams.tolist(), _grid(k, lams, ds, exact=False).tolist())
+            for lam, ps in zip(lams.tolist(), _grid(k, lams, ds).tolist())
             for d, p in zip(ds, ps)]
 
 
 def _fig2_rows(which: str, lam_points: int = 201) -> list[dict]:
     """p vs lambda curves for k = 8..512: at d=0 (fig2a) or d=k/4 (fig2b)."""
     lams = np.linspace(-1.0, 1.0, lam_points)
-    curves = np.stack([_grid(k, lams, [0 if which == "fig2a" else k // 4], exact=False)[:, 0]
+    curves = np.stack([_grid(k, lams, [0 if which == "fig2a" else k // 4])[:, 0]
                        for k in FIG2_KS], axis=1)
     return [{"k": k, "lambda": lam, "p": p}
             for lam, ps in zip(lams.tolist(), curves.tolist()) for k, p in zip(FIG2_KS, ps)]

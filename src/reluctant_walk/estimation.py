@@ -26,7 +26,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .pmf import _FLOAT_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe, _return_grid
+from .pmf import (_FLOAT_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe, _return_grid,
+                  _return_poly, _return_value)
 
 __all__ = [
     "TrialDataset",
@@ -46,11 +47,6 @@ _FD_STEP = 1e-4
 _CANDIDATE_WINDOW = 1e-6   # grid maxima within this of the best are all refined
 _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
-# a float gap beyond this decides a sign of the level-set bisection: 100x the 1e-14
-# bound on the error of the Clenshaw return probability
-# (test_clenshaw_return_scan_error_margin)
-_SIGN_BAND = 1e-12
-_TREE_DEPTH = 6            # halvings per bisection pass: 63 midpoints, one float call
 _EPS = float(np.finfo(float).eps)
 
 
@@ -165,11 +161,11 @@ def _log_likelihoods(data: TrialDataset, lams) -> np.ndarray:
     from the exact return probability of each lam (``pmf._return_grid``,
     Horner on the cached polynomial of k)."""
     if data.kind == "returns":
-        q = _return_grid(data.k, lams, exact=True)
+        q = _return_grid(data.k, lams)
         terms = [(c, p) for c, p in ((data.n0, q), (data.n - data.n0, 1.0 - q)) if c]
         return _log_sum([c for c, _ in terms], np.stack([p for _, p in terms], axis=1))
     counts = data.counts()
-    return _log_sum(list(counts.values()), _grid(data.k, lams, list(counts), exact=False))
+    return _log_sum(list(counts.values()), _grid(data.k, lams, list(counts)))
 
 
 def _log_sum(weights, p: np.ndarray) -> np.ndarray:
@@ -416,72 +412,44 @@ def _estimate_from_returns(data: TrialDataset, theta_range) -> EstimateResult:
                           flags, data.kind, data.k, data.trials, data.seed)
 
 
-def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: float,
-            estimate: Callable[[np.ndarray], np.ndarray] | None = None):
+def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: float):
     """A root of gap on [a, b], given fa = gap(a) and a sign change there.
 
-    Halves until |step| < xtol + 4 eps |mid|, scipy.optimize.bisect's rule.
-    Each pass lays out the midpoints of the next ``_TREE_DEPTH`` halvings
-    on every sign path, formed as the walk forms them (step *= 0.5;
-    mid = a + step), and scores them with one call of ``estimate``.  The
-    walk down the tree reads a node's sign from that score when it lies
-    beyond ``_SIGN_BAND`` and calls the exact ``gap`` otherwise, so only
-    nodes on the taken path near the root cost an exact call.  This
-    assumes ``estimate`` is within _SIGN_BAND of ``gap`` everywhere; the
-    Clenshaw return probability is (within 1e-14 up to k = 200).  Without
-    ``estimate`` every node on the path is exact, and so is every later
-    pass once a pass took all its nodes from ``gap``: its midpoints lie
-    still nearer the root, where a float sign seldom clears the band, so a
-    float pass would decide nothing.  Either way the root is the one the
-    all-exact one-midpoint-at-a-time loop returns, bit for bit.
+    Halves one midpoint at a time (step *= 0.5; mid = a + step) until the
+    gap at the midpoint is 0 or |step| < xtol + 4 eps |mid|:
+    scipy.optimize.bisect's loop and stopping rule, so its root bit for bit.
     """
     step = b - a
     while True:
-        starts, levels, half = np.array([a]), [], step
-        for _ in range(_TREE_DEPTH):
-            half *= 0.5
-            levels.append(starts + half)
-            starts = np.stack([starts, levels[-1]], axis=1).ravel()  # children 2i, 2i+1
-        points = np.concatenate(levels)
-        scores = np.zeros(len(points)) if estimate is None else estimate(points)
-        node, floats_decided = 0, False
-        for depth in range(_TREE_DEPTH):
-            step *= 0.5
-            mid = a + step
-            fm = float(scores[2**depth - 1 + node])
-            if abs(fm) <= _SIGN_BAND:
-                fm = gap(mid)
-            else:
-                floats_decided = True
-            node *= 2
-            if (fm < 0) == (fa < 0):     # fm * fa >= 0, which underflows for tiny gaps
-                a = mid
-                node += 1
-            if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
-                return mid
-        if not floats_decided:
-            estimate = None
+        step *= 0.5
+        mid = a + step
+        fm = gap(mid)
+        if (fm < 0) == (fa < 0):     # fm * fa >= 0, which underflows for tiny gaps
+            a = mid
+        if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
+            return mid
 
 
 def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0)) -> list[float]:
     """Every lam on the branch where the k-step return probability equals f.
 
     The return probability q(lam) = p^(k)(0, lam) is a polynomial of degree
-    2k - 2, built once per k and cached (``pmf._return_grid``): float
-    values sum its Chebyshev series by Clenshaw's recurrence, exact ones
-    evaluate its integer coefficients in lam^2 by Horner at lam = a/b, O(k)
-    operations a point.  Since q'(lam) = -2 lam R_k(lam)^2 (``pmf._return_poly``),
-    q is even and falls from q(0) = 1 to q(1) = 0, so every level f has
-    one root r on [0, 1] and its mirror -r.  r is 0 at f = 1, 1 at f = 0,
-    and otherwise bisected on (0, 1) on float signs, 63 midpoints to a
-    float call, with an exact single point only where a float gap on the
-    taken path is within 1e-12 of zero (``_bisect``); it is the root of the
-    same bisection run on exact values throughout.  The result holds the
-    members of {-r, r} that lie on the branch, sorted, and is empty when
-    neither does (e.g. f above the maximum of q on the branch).
+    2k - 2 whose integer coefficients in lam^2 are built once per k and
+    cached (``pmf._return_poly``).  Since q'(lam) = -2 lam R_k(lam)^2, q is
+    even and falls from q(0) = 1 to q(1) = 0, so every level f has one
+    root r on [0, 1] and its mirror -r.  r is 0 at f = 1, 1 at f = 0, and
+    otherwise the bisection of q - f on (0, 1) (``_bisect``), each midpoint
+    scored by Horner's rule on the integers (``pmf._return_value``): q
+    exact, correctly rounded, minus f.  The rule |step| < 1e-14 + 4 eps
+    |mid| stops it by the 47th halving, so a solve scores at most 47
+    points, and r is scipy's bisection of the exact gap, bit for bit.  The
+    result holds the members of {-r, r} that lie on the branch, sorted, and
+    is empty when neither does (e.g. f above the maximum of q on the
+    branch).
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"level must lie in [0, 1], got {f}")
+    k = _integer(k, "step count k")
     if k < 2 or k % 2:
         raise ValueError(f"return probability needs an even k >= 2, got {k}")
     lo, hi = float(branch[0]), float(branch[1])
@@ -492,9 +460,8 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0))
     elif f == 0.0:
         r = 1.0
     else:
-        gap = lambda x: float(_return_grid(k, [x], exact=True)[0]) - f
-        floats = lambda x: _return_grid(k, x, exact=False) - f
-        r = _bisect(gap, 0.0, 1.0, 1.0 - f, 1e-14, floats)
+        mu = _return_poly(k)
+        r = _bisect(lambda x: _return_value(mu, x) - f, 0.0, 1.0, 1.0 - f, 1e-14)
     return [x for x in ([r] if r == 0.0 else [-r, r]) if lo <= x <= hi]
 
 

@@ -168,10 +168,6 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
     return _clamp((num / den).astype(float))
 
 
-# lam values per pass of the exact rows, which only the cross-checks read (the
-# return probability has its own polynomial): the big-integer rows of 2048 lam
-# at k = 24 hold about 20 MB, 12 of them 0.15 MB
-_GRID_BLOCK = 12
 # row entries per pass of the float rows, 8 bytes each: 64 full-width rows at
 # k = 100, 51 KB a row array.  Narrow rows take more lam a pass, so a pass
 # costs fewer numpy calls per lam; twice this budget raised the peak RSS of a
@@ -181,37 +177,35 @@ _FLOAT_ENTRIES = 64 * 100
 _FLOAT_BLOCK = 64
 
 
-def _grid(k: int, lams, ds, exact: bool) -> np.ndarray:
-    """p(d; k, lam) for every lam in ``lams`` (rows) and d in ``ds`` (columns).
+def _grid(k: int, lams, ds) -> np.ndarray:
+    """p(d; k, lam) on the float rows for every lam in ``lams`` (rows) and
+    d in ``ds`` (columns).
 
-    Each pass of the row engine takes ``_GRID_BLOCK`` values of lam on the
-    exact rows.  On the float rows it takes as many as keep the widest row
-    within ``_FLOAT_ENTRIES`` entries, and at least ``_FLOAT_BLOCK``: the
-    rows of the columns ``ds`` stop at their light cone (``_cone``), so a
-    return scan (d = 0) at k = 24 takes 492 lam a pass and all 49 columns
-    at k = 48 take 133.  Every entry equals ``pmf_full(k, lam, exact)`` bit
-    for bit, whatever the block.
+    Each pass of the row engine takes as many values of lam as keep the
+    widest row within ``_FLOAT_ENTRIES`` entries, and at least
+    ``_FLOAT_BLOCK``: the rows of the columns ``ds`` stop at their light
+    cone (``_cone``), so a return scan (d = 0) at k = 24 takes 492 lam a
+    pass and all 49 columns at k = 48 take 133.  Every entry equals
+    ``pmf_full(k, lam, exact=False)`` bit for bit, whatever the block.
     """
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)
     out = np.empty((len(lams), len(ds)))
     cone = _cone(k, ds)
     widest = k if cone is None else sum(cone) // 2 + 1
-    block = _GRID_BLOCK if exact else max(_FLOAT_BLOCK, _FLOAT_ENTRIES // widest)
+    block = max(_FLOAT_BLOCK, _FLOAT_ENTRIES // widest)
     for i in range(0, len(lams), block):
-        a, b = _ratio(lams[i:i + block], exact)
+        a, b = _ratio(lams[i:i + block], exact=False)
         out[i:i + block] = _probabilities(k, a, b, _rows_for(k, a, b, ds), ds)
     return out
 
 
 @lru_cache(maxsize=16)
-def _return_poly(k: int):
-    """The return probability q(lam) = p(0; k, lam) as a polynomial, built once per k.
+def _return_poly(k: int) -> tuple[int, ...]:
+    """The k integer coefficients of the return probability q(lam) =
+    p(0; k, lam) in mu = lam^2, lowest power first, built once per k.
 
-    Returns (mu, cheb): the k integer coefficients of q in mu = lam^2,
-    lowest power first, and the float64 Chebyshev coefficients of q in lam,
-    degree 2k - 2, each its exact rational correctly rounded.  For even k,
-    with n = k/2,
+    For even k, with n = k/2,
 
         q(lam) = 1 - int_0^(lam^2) R_k(mu)^2 dmu,
         R_k(lam) = sum_{j=1..n} (-1)^(n-j) C(n, j) C(n+j-1, j-1) lam^(2j-2),
@@ -219,62 +213,40 @@ def _return_poly(k: int):
     so q'(lam) = -2 lam R_k(lam)^2 (test_return_poly_derivative_is_minus_2_lam_r_squared):
     q is even and falls strictly on [0, 1] from 1 to 0, flat only at the
     zeros of R_k.  R_k is the shifted Jacobi polynomial P_{n-1}^(0,1)(2 lam^2 - 1).
-    The coefficients of q in mu are one self-convolution s of R_k's n
-    coefficients and the exact division -s_i / (i + 1); Horner's rule in
-    lam^2 on the Chebyshev basis turns them into the Chebyshev ones, exact
-    until the one rounding.  Odd k gives the zero polynomial.  ``k`` is a
-    validated int: ``_return_grid`` checks it before the cache sees it.
+    The coefficients are one self-convolution s of R_k's n coefficients
+    and the exact division -s_i / (i + 1).  Odd k gives the zero
+    polynomial.  ``k`` is a validated int: every caller checks it before
+    the cache sees it.
     """
+    if k % 2:
+        return (0,) * k
     n = k // 2
     r = np.array([(-1) ** (n - j) * math.comb(n, j) * math.comb(n + j - 1, j - 1)
                   for j in range(1, n + 1)], object)
-    mu = [0] * k if k % 2 else [1] + [-s // i for i, s in enumerate(np.convolve(r, r), 1)]
-    # Horner in lam^2 on the coefficients of T_0, T_2, ..., T_{2k-2}, scaled
-    # by 4 a step, with 4 lam^2 T_2s = T_2s+2 + 2 T_2s + T_|2s-2|
-    even = np.zeros(k, object)
-    even[0] = mu[-1]
-    for i in range(k - 2, -1, -1):
-        step = 2 * even
-        step[1:] += even[:-1]
-        step[:-1] += even[1:]
-        step[1:2] += even[:1]
-        step[0] += mu[i] << 2 * (k - 1 - i)
-        even = step
-    cheb = np.zeros(2 * k - 1)
-    cheb[::2] = [c / (1 << 2 * k - 2) for c in even.tolist()]
-    cheb.flags.writeable = False
-    return tuple(mu), cheb
+    return (1, *(-s // i for i, s in enumerate(np.convolve(r, r).tolist(), 1)))
 
 
-def _return_grid(k: int, lams, exact: bool) -> np.ndarray:
-    """p(0; k, lam) for every lam in ``lams``, from the cached polynomial
-    of this k (``_return_poly``), O(k) operations a point.
+def _return_value(mu: tuple[int, ...], lam: float) -> float:
+    """The polynomial with coefficients ``mu`` in lam^2 at the float lam =
+    a/2^e, exact and rounded once: Horner's rule in a^2 and 4^e on the
+    integers, each power of 4^e a shift."""
+    a, b = lam.as_integer_ratio()
+    u, shift = a * a, 2 * b.bit_length() - 2        # b = 2^e, b^2 = 1 << shift
+    acc = 0
+    for i, c in enumerate(reversed(mu)):
+        acc = acc * u + (c << shift * i)
+    return acc / (1 << shift * (len(mu) - 1))
 
-    ``exact`` evaluates the integer coefficients in lam^2 at lam = a/2^e
-    by homogeneous Horner in a^2 and 4^e, where each power of 4^e is a
-    shift, and rounds the exact rational once, so each value is
-    ``_grid(k, lams, [0], exact=True)`` bit for bit.
-    Otherwise Clenshaw's recurrence sums the Chebyshev series in float64,
-    within 1e-14 of the exact value up to k = 200
-    (test_clenshaw_return_scan_error_margin).
+
+def _return_grid(k: int, lams) -> np.ndarray:
+    """p(0; k, lam) for every lam in ``lams``: ``_return_value`` on the
+    cached coefficients of this k (``_return_poly``), O(k) big-integer
+    operations a point, and each value the exact rows' correctly rounded
+    rational bit for bit (test_exact_return_points_are_the_rows_bit_for_bit).
     """
     lams = np.asarray(lams, float)
-    k = _validate_k_lam(k, lams)
-    mu, cheb = _return_poly(k)
-    if exact:
-        out = []
-        for a, b in map(float.as_integer_ratio, lams.tolist()):
-            u, shift = a * a, 2 * b.bit_length() - 2        # b = 2^e, b^2 = 1 << shift
-            acc = 0
-            for i, c in enumerate(reversed(mu)):
-                acc = acc * u + (c << shift * i)
-            out.append(acc / (1 << shift * (k - 1)))
-        return np.array(out, float)
-    two_x = 2.0 * lams
-    b1 = b2 = np.zeros_like(lams)
-    for c in cheb[:0:-1]:
-        b1, b2 = two_x * b1 - b2 + c, b1
-    return _clamp(lams * b1 - b2 + cheb[0])
+    mu = _return_poly(_validate_k_lam(k, lams))
+    return np.array([_return_value(mu, lam) for lam in lams.tolist()], float)
 
 
 def pmf_point(k: int, d: int, lam):

@@ -7,13 +7,15 @@ terminating-2F1 form, the law-of-cosines and even-step 2F1 forms of the
 pmf, the forward dynamics for a transition probability and the level set
 by scipy's bisection of the exact return gap.  The package's
 one route for each is the integer/float row engine
-(``chebyshev._iter_y_rows`` -> ``pmf._grid``), except the return
-probability that the level-set solve evaluates
-(``pmf._return_grid``): a polynomial cached per k, whose coefficients
-come from the integral of the squared Jacobi polynomial R_k
-(``pmf._return_poly``).  ``return_power_coeffs`` builds the same
-polynomial from the integer Y series instead, so its tests check the two
-against each other and against the exact rows.
+(``chebyshev._iter_y_rows`` -> ``pmf_full``, and ``pmf._grid`` on float
+rows for lam grids; ``exact_grid`` runs that grid on the exact rows),
+except the return probability (``pmf._return_grid``, and
+``pmf._return_value`` at each midpoint of the level-set bisection):
+exact Horner values of a polynomial cached per k, whose integer
+coefficients in lam^2 come from the integral of the squared Jacobi
+polynomial R_k (``pmf._return_poly``).  ``return_power_coeffs`` builds
+the same polynomial from the integer Y series instead, so its tests
+check the two against each other and against the exact rows.
 Two more keep the package's loops one step or one cell at a time: the walk
 with a new state per step, and the artifact writer a cell at a time."""
 
@@ -29,7 +31,8 @@ import numpy as np
 from scipy.optimize import bisect
 
 from reluctant_walk.chebyshev import chebyshev_u
-from reluctant_walk.pmf import _cell, _clamp, _grid, _mirror, _validate_k_lam, pmf_point
+from reluctant_walk.pmf import (_cell, _clamp, _mirror, _probabilities, _ratio, _rows_for,
+                                _validate_k_lam, pmf_point)
 from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
                                  position_pmf)
 
@@ -37,11 +40,23 @@ from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf,
 _EVEN_CLOSED_LAMBDA_FLOOR = 1e-6
 
 
+def exact_grid(k: int, lams, ds) -> np.ndarray:
+    """``pmf._grid`` on the exact integer rows, 12 lam a pass (2048 at once
+    hold about 20 MB at k = 24): each entry is ``pmf_full(k, lam)``'s."""
+    lams = np.asarray(lams, float)
+    _validate_k_lam(k, lams)
+    out = np.empty((len(lams), len(ds)))
+    for i in range(0, len(lams), 12):
+        a, b = _ratio(lams[i:i + 12])
+        out[i:i + 12] = _probabilities(k, a, b, _rows_for(k, a, b, ds), ds)
+    return out
+
+
 @lru_cache(maxsize=64)
 def exact_return_scan(k: int, lo: float, hi: float, resolution: int = 2048):
     """An even lam grid on [lo, hi] and the exact p(0; k, lam) on every point of it."""
     xs = np.linspace(lo, hi, resolution)
-    q = _grid(k, xs, [0], exact=True)[:, 0]
+    q = exact_grid(k, xs, [0])[:, 0]
     xs.flags.writeable = q.flags.writeable = False
     return xs, q
 

@@ -23,7 +23,7 @@ from reluctant_walk.estimation import (
     log_likelihood,
     mle_estimate,
 )
-from reluctant_walk.pmf import CONVENTION_SIGMA, _grid, _return_grid, pmf_full, pmf_point
+from reluctant_walk.pmf import CONVENTION_SIGMA, _return_poly, pmf_full, pmf_point
 
 from oracles import exact_return_scan, level_set_exact_bisection, transition_probability
 
@@ -422,7 +422,7 @@ _ZOOM_TARGETS = {
        a=st.floats(-10.0, 10.0), width=st.floats(1e-12, 10.0),
        m=st.floats(-12.0, 12.0), s=st.floats(0.5, 1e6),
        tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-3]),
-       points=st.sampled_from([pmf._GRID_BLOCK, pmf._FLOAT_BLOCK]))
+       points=st.sampled_from([12, pmf._FLOAT_BLOCK]))
 # the minimum on a first-pass grid point, which no later (finer, off-centre) grid scores
 @example(target="quadratic", a=0.0, width=6.3, m=float(np.linspace(0.0, 6.3, 64)[31]),
          s=1.0, tol=1e-3, points=64)
@@ -564,10 +564,9 @@ def test_level_set_bisection_matches_scipy(f, k):
        path=st.lists(st.booleans(), min_size=1, max_size=36), on_node=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_tree_bisection_matches_the_exact_sequential_root(k, i, u, path, on_node):
-    """Bisection on float signs, exact only within the sign band, returns
-    scipy's all-exact root bit for bit; ``on_node`` puts the level at the
-    exact q of a tree midpoint, where the float gap is a few 1e-16 and
-    the exact gap is 0."""
+    """The bisection returns scipy's root of the exact gap bit for bit on a
+    cell of a 2048-point scan; ``on_node`` puts the level at the exact q of
+    a midpoint on the cell's bisection tree, where the exact gap is 0."""
     xs = np.linspace(-1.0, 1.0, 2048)
     a, b = float(xs[i]), float(xs[i + 1])
     if on_node:
@@ -582,26 +581,29 @@ def test_tree_bisection_matches_the_exact_sequential_root(k, i, u, path, on_node
         f = pmf_point(k, 0, a) + u * (pmf_point(k, 0, b) - pmf_point(k, 0, a))
     gap = lambda lam: pmf_point(k, 0, lam) - f
     assume(gap(a) * gap(b) < 0)
-    floats = lambda lams: _grid(k, lams, [0], exact=False)[:, 0] - f
     expected = scipy_bisect(gap, a, b, xtol=1e-14)
-    assert estimation._bisect(gap, a, b, gap(a), 1e-14, floats) == expected
+    assert estimation._bisect(gap, a, b, gap(a), 1e-14) == expected
 
 
-def test_returns_estimate_makes_few_exact_point_passes(monkeypatch):
-    """Float signs decide the bisection away from the root: a k = 24
-    estimate makes at most 25 exact one-point evaluations of the return
-    probability (98 when every midpoint was exact)."""
-    passes = []
+def test_returns_estimate_scores_one_exact_point_per_halving(monkeypatch):
+    """A k = 24 estimate scores one exact point of the return probability
+    per halving of [0, 1], at most 47 (|step| < 1e-14 + 4 eps |mid| holds
+    first at step 2^-47), and builds the polynomial once for all solves."""
+    points = []
 
-    def counting(k, lams, exact):
-        passes.append(exact and len(lams) == 1)
-        return _return_grid(k, lams, exact)
+    def counting(mu, lam):
+        points.append(lam)
+        return pmf._return_value(mu, lam)
 
-    monkeypatch.setattr(estimation, "_return_grid", counting)
-    for n0 in (80, 314, 236, 102):
-        passes.clear()
-        mle_estimate(TrialDataset.from_returns(24, n0, 10000))
-        assert 0 < sum(passes) <= 25
+    monkeypatch.setattr(estimation, "_return_value", counting)
+    _return_poly.cache_clear()
+    for n0 in (80, 314, 236, 102, 1, 9_999):
+        points.clear()
+        result = mle_estimate(TrialDataset.from_returns(24, n0, 10000))
+        assert 0 < len(points) <= 47 and math.acos(points[-1]) == result.theta_hat
+        steps = [abs(x - y) for x, y in zip(points, [0.0] + points)]
+        assert steps == [2.0**-i for i in range(1, len(points) + 1)]
+    assert _return_poly.cache_info().misses == 1
 
 
 def test_level_set_unattained_level_is_empty():
@@ -632,11 +634,27 @@ def test_level_set_validation():
         level_set_solve(0.5, 2, branch=(-2.0, 1.0))
 
 
+@pytest.mark.parametrize("k", [24.0, True, 2.5])
+@pytest.mark.parametrize("f", [0.0, 0.5, 1.0])
+def test_level_set_rejects_a_non_integer_k(f, k):
+    # the levels 0 and 1 need no bisection, but k is checked before them
+    with pytest.raises(ValueError, match="step count"):
+        level_set_solve(f, k)
+
+
+def test_level_set_accepts_a_numpy_integer_k():
+    for f in (0.0, 0.3, 1.0):
+        assert level_set_solve(f, np.int64(24)) == level_set_solve(f, 24)
+
+
 @given(k=st.sampled_from([2, 4, 8, 24, 48, 100]),
        level=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1.0 - 2.0**-53]),
                        st.lists(st.booleans(), min_size=1, max_size=46)))
 @example(k=8, level=0.0)
 @example(k=8, level=1.0)
+@example(k=200, level=0.3)
+@example(k=200, level=5e-324)
+@example(k=200, level=[True, False] * 20)
 @settings(max_examples=40, deadline=None)
 def test_level_set_matches_scipy_bisection_oracle(k, level):
     """The root on [0, 1] is scipy's bisection of the exact gap there, bit

@@ -39,7 +39,7 @@ from reluctant_walk import pmf as pmf_module
 from reluctant_walk.chebyshev import _iter_y_rows
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
-from oracles import (csv_text_per_cell, exact_return_scan, mirror_text_by_encoder,
+from oracles import (csv_text_per_cell, exact_grid, exact_return_scan, mirror_text_by_encoder,
                      pmf_even_closed, pmf_point_cosine_form, return_power_coeffs, y_poly)
 
 rational_lam = st.integers(-9, 9).map(lambda n: Fraction(n, 9))
@@ -125,7 +125,7 @@ def test_extreme_site_at_unit_lam():
 @settings(max_examples=40, deadline=None)
 def test_grid_rows_are_pmf_full_tables(k, lams, exact):
     ds = range(-k, k + 1, 2)
-    grid = _grid(k, np.array(lams), ds, exact)
+    grid = (exact_grid if exact else _grid)(k, np.array(lams), ds)
     assert grid.shape == (len(lams), len(ds))
     for lam, row in zip(lams, grid.tolist()):
         assert row == list(pmf_full(k, lam, exact=exact).table.values())
@@ -138,7 +138,7 @@ def test_grid_rows_are_pmf_full_tables(k, lams, exact):
 def test_grid_columns_on_a_light_cone_are_pmf_full_entries(k_ds, lams, exact):
     # a few columns near d = 0 run the rows trimmed to their light cone
     k, ds = k_ds
-    grid = _grid(k, np.array(lams), ds, exact)
+    grid = (exact_grid if exact else _grid)(k, np.array(lams), ds)
     for lam, row in zip(lams, grid.tolist()):
         table = pmf_full(k, lam, exact=exact)
         assert row == [table.probability(d) for d in ds]
@@ -151,7 +151,7 @@ def test_grid_columns_on_a_light_cone_are_pmf_full_entries(k_ds, lams, exact):
 def test_grid_columns_beyond_the_support_are_pmf_point(k_ds, lams):
     # a column with |d| > k or off parity reads p = 0, as pmf_point does
     k, ds = k_ds
-    exact, fast = _grid(k, np.array(lams), ds, True), _grid(k, np.array(lams), ds, False)
+    exact, fast = exact_grid(k, np.array(lams), ds), _grid(k, np.array(lams), ds)
     for lam, row, row_fast in zip(lams, exact.tolist(), fast.tolist()):
         points = [pmf_point(k, d, lam) for d in ds]
         assert row == points
@@ -160,10 +160,10 @@ def test_grid_columns_beyond_the_support_are_pmf_point(k_ds, lams):
 
 
 def _float_passes(k, lams, ds):
-    """``_grid(k, lams, ds, exact=False)`` and the lam count of each of its
-    row-engine passes."""
+    """``_grid(k, lams, ds)`` and the lam count of each of its row-engine
+    passes."""
     with mock.patch.object(pmf_module, "_rows_for", wraps=pmf_module._rows_for) as rows_for:
-        grid = _grid(k, lams, ds, exact=False)
+        grid = _grid(k, lams, ds)
     return grid, [len(call.args[1]) for call in rows_for.call_args_list]
 
 
@@ -198,8 +198,8 @@ def test_float_scans_take_few_row_passes(k, points, ds, most):
 def test_float_grid_blocks_match_single_points():
     # 2048 values of lam span 8 float passes; each row is computed alone
     lams = np.linspace(-1.0, 1.0, 2048)
-    grid = _grid(24, lams, [0, 2, -24], exact=False)
-    single = np.vstack([_grid(24, [lam], [0, 2, -24], exact=False) for lam in lams])
+    grid = _grid(24, lams, [0, 2, -24])
+    single = np.vstack([_grid(24, [lam], [0, 2, -24]) for lam in lams])
     assert np.array_equal(grid, single)
 
 
@@ -207,7 +207,7 @@ def test_float_return_scan_memory_stays_blocked():
     lams = np.linspace(-1.0, 1.0, 2048)
     tracemalloc.start()
     try:
-        _grid(200, lams, [0], exact=False)
+        _grid(200, lams, [0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,22 +225,8 @@ def test_float_return_scan_error_margin(k, stride):
         exact = exact_return_scan(k, -1.0, 1.0)[1]
     else:
         xs = xs[(np.arange(2048) % stride == 0) | (np.abs(xs) < 0.01)]
-        exact = _grid(k, xs, [0], exact=True)[:, 0]
-    assert np.max(np.abs(_grid(k, xs, [0], exact=False)[:, 0] - exact)) < 1e-14
-
-
-@pytest.mark.parametrize("k, stride", [(24, 1), (100, 16), (200, 128)])
-def test_clenshaw_return_scan_error_margin(k, stride):
-    """Clenshaw's sum of the cached Chebyshev series of p(0; k, lam) stays
-    within 1e-14 of the exact value on the points of
-    test_float_return_scan_error_margin (measured worst 6.7e-16 at k = 200)."""
-    xs = np.linspace(-1.0, 1.0, 2048)
-    if stride == 1:
-        exact = exact_return_scan(k, -1.0, 1.0)[1]
-    else:
-        xs = xs[(np.arange(2048) % stride == 0) | (np.abs(xs) < 0.01)]
-        exact = _grid(k, xs, [0], exact=True)[:, 0]
-    assert np.max(np.abs(_return_grid(k, xs, exact=False) - exact)) < 1e-14
+        exact = exact_grid(k, xs, [0])[:, 0]
+    assert np.max(np.abs(_grid(k, xs, [0])[:, 0] - exact)) < 1e-14
 
 
 _EDGE_LAMS = [0.0, -0.0, 1.0, -1.0, 2.0**-60, -(2.0**-60), 5e-324, -5e-324,
@@ -254,9 +240,9 @@ _EDGE_LAMS = [0.0, -0.0, 1.0, -1.0, 2.0**-60, -(2.0**-60), 5e-324, -5e-324,
 @settings(max_examples=60, deadline=None)
 def test_exact_return_points_are_the_rows_bit_for_bit(k, lams):
     """Horner on the cached coefficients gives the same integers as the
-    rows, so every exact p(0; k, lam) is ``_grid``'s, sign of zero included."""
-    want = _grid(k, lams, [0], exact=True)[:, 0]
-    assert _return_grid(k, lams, exact=True).tobytes() == want.tobytes()
+    rows, so every exact p(0; k, lam) is ``exact_grid``'s, sign of zero included."""
+    want = exact_grid(k, lams, [0])[:, 0]
+    assert _return_grid(k, lams).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 24, 41, 200, 500])
@@ -266,8 +252,8 @@ def test_return_poly_coefficients_are_the_y_polynomials(k):
     p(0; k, lam) as the Fraction series of ``y_poly`` does and as the exact
     integer rows of the recurrence do (Z_1^(k-1), Z_0^(k-2) of
     ``_iter_y_rows(a, b)``)."""
-    mu, cheb = _return_poly(k)
-    assert (len(mu), len(cheb)) == (k, 2 * k - 1)
+    mu = _return_poly(k)
+    assert len(mu) == k
     power = return_power_coeffs(k)
     assert list(mu) == power[::2] and not any(power[1::2])
     for lam in (Fraction(3, 7), Fraction(-5, 8), Fraction(1)):
@@ -302,19 +288,19 @@ def test_return_poly_runs_from_one_at_zero_to_zero_at_one():
     level-set solve: the coefficients of q in lam^2 start at 1 and sum to 0,
     and the exact values at lam = 0, 1, -1 are 1, 0, 0."""
     for k in [*range(2, 121, 2), 200, 400]:
-        mu = _return_poly(k)[0]
+        mu = _return_poly(k)
         assert (mu[0], sum(mu)) == (1, 0), k
-        assert _return_grid(k, [0.0, 1.0, -1.0], exact=True).tolist() == [1.0, 0.0, 0.0], k
+        assert _return_grid(k, [0.0, 1.0, -1.0]).tolist() == [1.0, 0.0, 0.0], k
 
 
 def test_return_poly_cache_is_keyed_by_the_validated_k():
     _return_poly.cache_clear()
-    _return_grid(24, [0.5], exact=True)
-    _return_grid(np.int64(24), [0.5], exact=False)
+    _return_grid(24, [0.5])
+    _return_grid(np.int64(24), [0.5])
     assert _return_poly.cache_info()[:2] == (1, 1)        # (hits, misses)
     for k in (24.0, True):
         with pytest.raises(ValueError, match="step count"):
-            _return_grid(k, [0.5], exact=True)
+            _return_grid(k, [0.5])
     assert _return_poly.cache_info()[:2] == (1, 1)
     assert _return_poly.cache_info().maxsize is not None
 

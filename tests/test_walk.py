@@ -306,7 +306,7 @@ def test_channel_memory_stays_linear():
 
 def test_level_set_solve_memory_stays_small():
     # the exact rows of a 2048-point lam grid at once would take ~20 MB; the
-    # bisection scores 63 midpoints a pass on the cached Chebyshev series
+    # bisection scores one midpoint at a time on the cached integer coefficients
     tracemalloc.start()
     try:
         level_set_solve(0.1, 24, branch=(0.0, 1.0))
