@@ -135,7 +135,7 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
     return report
 
 
-def _iter_y_rows(a, b, cone=None):
+def _iter_y_rows(a, b, cone=None, order=0):
     """Yield (Z^(j), Z^(j-1)) for j = 0, 1, ..., where Z^(j) = b^j * Y^(j)(a/b).
 
     ``a`` and ``b`` are scalars or arrays of one shape S, so a whole grid
@@ -150,6 +150,12 @@ def _iter_y_rows(a, b, cone=None):
     float a and b = 1.0 they are float64 Y rows, whose rounding grows
     mildly with j.
 
+    ``order`` n >= 1 runs the recurrence forward-mode: each row gains a
+    leading axis holding (Z, dZ/da, ..., d^nZ/da^n) at fixed b.  With S
+    the neighbour sum in the brackets, the i-th a-derivative of a*S is
+    a*S^(i) + i*S^(i-1), so row j is a*S + i*S^(i-1) - b^2 * Z^(j-2) on
+    every order at once, two more array operations a row.
+
     ``cone = (last, reach)`` keeps only the light cone of the entries
     m <= reach of row ``last``: row j holds its first
     min(j, last + reach - j) + 1 entries.  Each kept entry is computed by
@@ -158,9 +164,12 @@ def _iter_y_rows(a, b, cone=None):
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype)[..., None] for v in (a, b))
     b2 = b * b
-    shape = a.shape[:-1]
+    shape = ((order + 1,) if order else ()) + a.shape[:-1]
+    # the factor i of S^(i-1) in the i-th derivative of a*S, i = 1..order
+    carry = np.arange(1, order + 1).reshape((order,) + (1,) * len(a.shape))
     edge = math.inf if cone is None else cone[0] + cone[1]
-    row, prev = np.ones(shape + (1,), dtype), np.zeros(shape + (0,), dtype)
+    row, prev = np.zeros(shape + (1,), dtype), np.zeros(shape + (0,), dtype)
+    (row[0] if order else row)[...] = 1                 # Z^(0) = 1, its derivatives 0
     j = 0
     while True:
         yield row, prev
@@ -175,5 +184,9 @@ def _iter_y_rows(a, b, cone=None):
         # it (where using the row itself saves building a view)
         inner = row[..., :j - 1] if 2 * j <= edge + 1 else row
         inner += prev[..., 1:width + 1]
+        if order:
+            leibniz = carry * row[:-1]
         row *= a
+        if order:
+            row[1:] += leibniz
         inner -= b2 * prev2[..., :width]

@@ -496,9 +496,8 @@ def _estimate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=601,
                    help="theta grid points of the scan (default 601)")
     p.add_argument("--refine-tol", type=float, default=1e-9,
-                   help="theta bracket of the refine (0: float resolution); on small "
-                        "samples the float likelihood is flat to rounding over up to "
-                        "~1e-8 (n <= 50), and theta_hat is any point of that flat top")
+                   help="Newton step at which the refine stops (0: float resolution); "
+                        "theta_hat lies within it of the root of the score")
     _add_theta_range(p)
     _add_common(p)
 

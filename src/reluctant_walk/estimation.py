@@ -8,10 +8,13 @@ back at its start site, inverted through the level set of the closed-form
 return probability: it falls from 1 to 0 on lam in [0, 1], so the level
 of the return frequency is one bisection there.
 
-Estimates carry a concavity diagnostic.  Writing ptilde = exp(l/n) for
-the geometric-mean per-trial likelihood, the reported positivity value is
-p'^2 - p''*p evaluated at the maximizer, which equals -ptilde^2 * l''/n
-there; it must be positive at an interior maximum.
+Estimates carry a concavity diagnostic.  The curvature l'' is analytic:
+the lam-derivatives of the pmf come from forward-mode rows of the float
+recurrence, those of the return probability from its closed form.
+Writing ptilde = exp(l/n) for the geometric-mean per-trial likelihood,
+the reported positivity value is p'^2 - p''*p evaluated at the
+maximizer, which equals -ptilde^2 * l''/n there; it must be positive at
+an interior maximum.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .pmf import (_FLOAT_BLOCK, CONVENTION_SIGMA, _grid, _integer, _json_safe, _return_grid,
-                  _return_poly, _return_value)
+from .pmf import (CONVENTION_SIGMA, _grid, _integer, _json_safe, _return_grid, _return_poly,
+                  _return_value)
 
 __all__ = [
     "TrialDataset",
@@ -43,7 +46,6 @@ __all__ = [
     "dataset_from_json",
 ]
 
-_FD_STEP = 1e-4
 _CANDIDATE_WINDOW = 1e-6   # grid maxima within this of the best are all refined
 _FLAT_TOL = 1e-14          # grid range below this flags a flat likelihood
 _TIE_TOL = 1e-9            # refined values within this are ties -> smaller theta
@@ -155,33 +157,58 @@ def log_likelihood(data: TrialDataset, theta: float) -> float:
     return float(_log_likelihoods(data, np.cos([theta]))[0])
 
 
-def _log_likelihoods(data: TrialDataset, lams) -> np.ndarray:
-    """The log-likelihood at every lam in ``lams``: position data from one
+def _outcomes(data: TrialDataset, lams, order: int = 0):
+    """The weight of each observed outcome and its probability at every
+    lam in ``lams`` (rows by outcome columns): position data from one
     float pmf grid of the observed columns (``pmf._grid``), return counts
     from the exact return probability of each lam (``pmf._return_grid``,
-    Horner on the cached polynomial of k)."""
+    Horner on the cached polynomial of k) and its complement.  ``order``
+    1 or 2 stacks the lam-derivatives of the probabilities in front."""
     if data.kind == "returns":
-        q = _return_grid(data.k, lams)
-        terms = [(c, p) for c, p in ((data.n0, q), (data.n - data.n0, 1.0 - q)) if c]
-        return _log_sum([c for c, _ in terms], np.stack([p for _, p in terms], axis=1))
+        q = _return_grid(data.k, lams, order)
+        miss = np.concatenate([1.0 - q[:1], -q[1:]]) if order else 1.0 - q
+        terms = [(c, p) for c, p in ((data.n0, q), (data.n - data.n0, miss)) if c]
+        return [c for c, _ in terms], np.stack([p for _, p in terms], axis=-1)
     counts = data.counts()
-    return _log_sum(list(counts.values()), _grid(data.k, lams, list(counts)))
+    return list(counts.values()), _grid(data.k, lams, list(counts), order)
+
+
+def _log_likelihoods(data: TrialDataset, lams) -> np.ndarray:
+    """The log-likelihood at every lam in ``lams`` (``_outcomes``)."""
+    return _log_sum(*_outcomes(data, lams))
 
 
 def _log_sum(weights, p: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * log(p[:, j]) per row, added in column order;
-    -inf on a row with any p <= 0, whatever its weight.
-
-    The logs are ``math.log``'s: np.log differs from it in the last bit on
-    ~0.3% of inputs, and the curvature's differences amplify such a bit
-    ~1e7-fold."""
+    -inf on a row with any p <= 0, whatever its weight."""
     positive = p > 0.0
-    safe = np.where(positive, p, 1.0)
-    logs = np.fromiter(map(math.log, safe.flat), float, safe.size)
+    logs = np.log(np.where(positive, p, 1.0))
     total = np.zeros(len(p))
-    for w, column in zip(weights, logs.reshape(safe.shape).T):
+    for w, column in zip(weights, logs.T):
         total += w * column
     return np.where(positive.all(axis=1), total, -np.inf)
+
+
+def _derivatives(data: TrialDataset, theta: float):
+    """(l, l', l''): the log-likelihood and its first two theta-derivatives
+    at theta, from one order-2 pass of ``_outcomes`` at lam = cos theta.
+
+    With weights w_j and probabilities p_j, l_lam = sum w_j p_j'/p_j and
+    l_lamlam = sum w_j (p_j''/p_j - (p_j'/p_j)^2), each summed exactly
+    (``math.fsum``); then l' = -sin(theta) l_lam and l'' = sin(theta)^2
+    l_lamlam - cos(theta) l_lam.  Both are NaN where a term is not finite,
+    as where some p_j is 0.
+    """
+    weights, (p, dp, d2p) = _outcomes(data, [math.cos(theta)], order=2)
+    ll = float(_log_sum(weights, p)[0])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = dp[0] / p[0]
+        terms = np.asarray(weights, float) * [ratio, d2p[0] / p[0] - ratio * ratio]
+    if not np.isfinite(terms).all():
+        return ll, math.nan, math.nan
+    l_lam, l_lamlam = map(math.fsum, terms.tolist())
+    sin, cos = math.sin(theta), math.cos(theta)
+    return ll, -sin * l_lam, sin * sin * l_lamlam - cos * l_lam
 
 
 def displacement_likelihood(d_list, k: int, theta: float) -> float:
@@ -221,7 +248,7 @@ def likelihood_curve(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     if finite.any():
         masked = np.where(finite, ll, -np.inf)
         arg = float(thetas[int(np.argmax(masked))])
-        curvature = _curvature(data, arg)
+        curvature = _derivatives(data, arg)[2]
     else:
         arg, curvature = math.nan, math.nan
     return LikelihoodCurve(data.k, thetas, ll, arg, curvature)
@@ -278,60 +305,60 @@ def _flat_result(data: TrialDataset) -> EstimateResult:
                           data.trials, data.seed)
 
 
-def _curvature(data: TrialDataset, x: float, h: float = _FD_STEP) -> float:
-    """Second theta-derivative of the log-likelihood at x by central
-    differences, Richardson-extrapolated once; the five points go through
-    one ``_log_likelihoods`` call."""
-    up, mid, down, up2, down2 = _log_likelihoods(
-        data, np.cos([x + h, x, x - h, x + h / 2, x - h / 2])).tolist()
-    coarse = (up - 2.0 * mid + down) / h**2
-    fine = (up2 - 2.0 * mid + down2) / (h / 2)**2
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _diagnostics(data: TrialDataset, theta_hat, ll_hat):
-    curvature = _curvature(data, theta_hat)
+def _positivity(data: TrialDataset, ll_hat: float, curvature: float) -> float:
+    """-ptilde^2 l''/n with ptilde = exp(l/n); NaN unless l and l'' are finite."""
     n = data.trials
     if math.isfinite(ll_hat) and math.isfinite(curvature) and n > 0:
-        ptilde = math.exp(ll_hat / n)
-        positivity = -(ptilde**2) * curvature / n
-    else:
-        positivity = math.nan
-    return curvature, positivity
+        return -(math.exp(ll_hat / n) ** 2) * curvature / n
+    return math.nan
 
 
-def _zoom_min(fun: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              tol: float, points: int):
-    """A minimum of fun on [a, b] by nested even grids: (x, fun(x)).
+def _newton_max(data: TrialDataset, a: float, b: float, x: float, tol: float):
+    """The maximum of the log-likelihood on [a, b] reached from x, as
+    (theta, l, l'') at the last point scored.
 
-    Each pass scores ``np.linspace(a, b, points)`` in one call of ``fun``
-    and keeps the two intervals beside the first argmin, so ties go to the
-    smaller x.  It stops once that bracket is no wider than tol, or no
-    narrower than the last, and returns the smallest value scored (ties to
-    the smaller x).  tol is at least 4 eps (|a| + |b|), so any tol >= 0
-    terminates.
+    A safeguarded Newton iteration on the score l' (the rule of Numerical
+    Recipes' rtsafe): each pass scores one theta (``_derivatives``) and
+    moves the bracket end on its downhill side to it, by the sign of l'.
+    The next point is the Newton step -l'/l'' when l'' < 0, the step
+    lands in the bracket and it is at most half the step before last, and
+    the bracket's midpoint otherwise.  A point where l' or l'' is not
+    finite is cut off on its side of x.  It stops when l' = 0 or the next
+    step is at most tol, which is at least 4 eps (|a| + |b|), so any
+    tol >= 0 terminates.
     """
     tol = max(tol, 4.0 * _EPS * (abs(a) + abs(b)))
-    best = (math.inf, math.inf)
+    start, before, step = x, b - a, b - a
     while True:
-        xs = np.linspace(a, b, points)
-        fs = fun(xs)
-        i = int(np.argmin(fs))
-        best = min(best, (float(fs[i]), float(xs[i])))
-        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, points - 1)])
-        if hi - lo <= tol or hi - lo >= b - a:
-            return best[1], best[0]
-        a, b = lo, hi
+        ll, score, curvature = _derivatives(data, x)
+        if score == 0.0:
+            return x, ll, curvature
+        finite = math.isfinite(score)          # and so is l'' (``_derivatives``)
+        if finite:
+            result = x, ll, curvature
+            a, b = (x, b) if score > 0.0 else (a, x)
+        elif x == start:
+            return x, ll, curvature
+        else:
+            a, b = (a, x) if x > start else (x, b)
+        newton = x - score / curvature if finite and curvature < 0.0 else math.nan
+        if not (a <= newton <= b and abs(newton - x) <= before / 2):
+            newton = 0.5 * (a + b)
+        before, step = step, abs(newton - x)
+        if step <= tol:
+            return result
+        x = newton
 
 
 def _best(candidates):
-    """The (theta, value) pair of largest value from a theta-sorted list;
-    a value within _TIE_TOL of the best so far keeps the smaller theta."""
-    best_theta, best_ll = candidates[0]
-    for theta, value in candidates[1:]:
-        if value > best_ll + _TIE_TOL:
-            best_theta, best_ll = theta, value
-    return best_theta, best_ll
+    """The (theta, value, curvature) triple of largest value from a
+    theta-sorted list; a value within _TIE_TOL of the best so far keeps
+    the smaller theta."""
+    best = candidates[0]
+    for candidate in candidates[1:]:
+        if candidate[1] > best[1] + _TIE_TOL:
+            best = candidate
+    return best
 
 
 def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
@@ -341,17 +368,15 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     Position data: dense grid scan of the log-likelihood (one likelihood
     call, which the row engine serves in passes sized by the width of the
     rows the observed displacements read: five over the default 601
-    points at k = 48), then a nested-grid search (``_zoom_min``) between
-    the grid points flanking each run within 1e-6 of the best value, down
-    to a bracket of refine_tolerance (finite, >= 0; 0 means float
-    resolution).  Each pass scores an even grid of 64 thetas, one float
-    pass of the row engine, in one likelihood call and narrows the bracket
-    about 31-fold; a 1e-9 refine of the default grid takes five such
-    calls.  The float log-likelihood is flat to rounding over about
-    sqrt(eps |l| / |l''|) around its maximum, so a bracket finer than that
-    picks one point of the flat top: on samples of n <= 50 trials that
-    spread reaches about 1e-8, and theta_hat is only that precise whatever
-    refine_tolerance asks.
+    points at k = 48), then a safeguarded Newton iteration on the score
+    (``_newton_max``) from the best grid point of each run within 1e-6 of
+    the best value, inside the grid points flanking the run, until the
+    next step is at most refine_tolerance (finite, >= 0; 0 means float
+    resolution).  Each pass scores one theta: the log-likelihood and its
+    first two theta-derivatives from one forward-mode pass of the rows
+    (``pmf._grid`` of order 2), so a default fit makes the scan and 3-4
+    such passes.  theta_hat is the last theta scored, and the curvature
+    and positivity are read off its pass.
     Return counts: the empirical return frequency is pushed through the
     level set of the closed-form return probability on the lam branch
     [0, 1], the default theta range; its one root there is the candidate
@@ -365,7 +390,6 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
         return _estimate_from_returns(data, theta_range)
     if not data.positions:
         raise ValueError("cannot estimate from an empty dataset")
-    score = lambda ts: -_log_likelihoods(data, np.cos(ts))
     thetas, ll = _scan(data, theta_range, grid_size)
     lo, hi = float(thetas[0]), float(thetas[-1])
     spacing = (hi - lo) / (len(thetas) - 1)
@@ -383,15 +407,16 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     candidates = []  # theta-sorted: each lies in its run's bracket, and brackets only touch
     for run in runs:
         a, b = thetas[max(run[0] - 1, 0)], thetas[min(run[-1] + 1, len(thetas) - 1)]
-        theta, neg = _zoom_min(score, a, b, refine_tolerance, _FLOAT_BLOCK)
-        candidates.append((theta, -neg))
-    best_theta, best_ll = _best(candidates)
+        start = thetas[run[int(np.argmax(ll[run]))]]
+        candidates.append(_newton_max(data, float(a), float(b), float(start),
+                                      refine_tolerance))
+    best_theta, best_ll, curvature = _best(candidates)
 
     if best_theta - lo < spacing or hi - best_theta < spacing:
         flags.append("boundary_maximum")
-    curvature, positivity = _diagnostics(data, best_theta, best_ll)
     return EstimateResult(best_theta, math.cos(best_theta), best_ll, curvature,
-                          positivity, tuple(t for t, _ in candidates), tuple(flags),
+                          _positivity(data, best_ll, curvature),
+                          tuple(t for t, _, _ in candidates), tuple(flags),
                           data.kind, data.k, data.trials, data.seed)
 
 
@@ -404,12 +429,12 @@ def _estimate_from_returns(data: TrialDataset, theta_range) -> EstimateResult:
     theta = math.acos(root)
     if not lo <= theta <= hi:
         return _flat_result(data)
-    ll = float(_log_likelihoods(data, np.cos([theta]))[0])
-    curvature, positivity = _diagnostics(data, theta, ll)
+    ll, _, curvature = _derivatives(data, theta)
     # n0 = 0 puts the root at lam = 1 (theta 0), n0 = n at lam = 0 (theta pi/2)
     flags = ("boundary_maximum",) if data.n0 in (0, data.n) else ()
-    return EstimateResult(theta, math.cos(theta), ll, curvature, positivity, (theta,),
-                          flags, data.kind, data.k, data.trials, data.seed)
+    return EstimateResult(theta, math.cos(theta), ll, curvature,
+                          _positivity(data, ll, curvature), (theta,), flags, data.kind,
+                          data.k, data.trials, data.seed)
 
 
 def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: float):

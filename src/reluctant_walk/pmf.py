@@ -129,13 +129,23 @@ def _cone(k: int, ds=None):
     return (k - 1, reach) if reach < k - 1 else None
 
 
-def _rows_for(k: int, a, b, ds=None):
+def _rows_for(k: int, a, b, ds=None, order: int = 0):
     """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads, trimmed to
-    the light cone of ``ds`` when it is narrower (``_cone``)."""
-    return next(islice(_iter_y_rows(a, b, _cone(k, ds)), k - 1, None))
+    the light cone of ``ds`` when it is narrower (``_cone``), with their
+    first ``order`` a-derivatives stacked in front (``_iter_y_rows``)."""
+    return next(islice(_iter_y_rows(a, b, _cone(k, ds), order), k - 1, None))
 
 
-def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray:
+def _jet_mul(x, y):
+    """The product of Taylor jets x and y, each (value, first derivative,
+    ...) stacked on axis 0: Leibniz's rule (xy)^(n) = sum_i C(n, i)
+    x^(i) y^(n-i)."""
+    return np.stack([sum(math.comb(n, i) * x[i] * y[n - i] for i in range(n + 1))
+                     for n in range(len(x))])
+
+
+def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
+                   order: int = 0) -> np.ndarray:
     """p(d; k, a/b) for each ``d`` in ``ds``, from scaled rows; zero off
     the parity-valid support [-k, k].
 
@@ -150,6 +160,10 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
     S + (len(ds),).  Integer rows give the integer numerator, so each
     float is its exact rational correctly rounded (``rational`` returns the
     Fractions instead); float rows give a plain float64 evaluation.
+
+    Rows with ``order`` a-derivatives stacked in front (``_rows_for``)
+    give the stack (p, dp/da, ...) of shape (order + 1,) + S + (len(ds),),
+    the same formula on Taylor jets in a (``_jet_mul``); only p is clamped.
     """
     row_km1, row_km2 = rows
     # a column off [-k, k] reads as d = k + 1, whose entries all lie past the rows: p = 0
@@ -161,8 +175,16 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False) -> np.ndarray
     z_a, z_b, z_c = z1[..., abs(ds - 1)], z2[..., abs(ds)], z1[..., abs(ds + 1)]
     a, b = (np.asarray(v, row_km1.dtype)[..., None] for v in (a, b))
     b2 = b * b
-    num = (b2 - a * a) * z_a * z_a + (b2 * z_b - a * z_c) ** 2
     den = b ** (2 * k)
+    if order:
+        lam = np.stack([a, np.ones_like(a), np.zeros_like(a)][:order + 1])
+        gap = -_jet_mul(lam, lam)                   # b^2 - a^2
+        gap[0] += b2
+        odd = b2 * z_b - _jet_mul(lam, z_c)
+        p = (_jet_mul(_jet_mul(gap, z_a), z_a) + _jet_mul(odd, odd)) / den
+        p[0] = _clamp(p[0])
+        return p
+    num = (b2 - a * a) * z_a * z_a + (b2 * z_b - a * z_c) ** 2
     if rational:
         return np.frompyfunc(Fraction, 2, 1)(num, den)
     return _clamp((num / den).astype(float))
@@ -177,9 +199,11 @@ _FLOAT_ENTRIES = 64 * 100
 _FLOAT_BLOCK = 64
 
 
-def _grid(k: int, lams, ds) -> np.ndarray:
+def _grid(k: int, lams, ds, order: int = 0) -> np.ndarray:
     """p(d; k, lam) on the float rows for every lam in ``lams`` (rows) and
-    d in ``ds`` (columns).
+    d in ``ds`` (columns); ``order`` 1 or 2 stacks the lam-derivatives
+    (p, p', p'')[:order + 1] in front, from forward-mode rows in the same
+    pass (``_iter_y_rows``).
 
     Each pass of the row engine takes as many values of lam as keep the
     widest row within ``_FLOAT_ENTRIES`` entries, and at least
@@ -190,13 +214,14 @@ def _grid(k: int, lams, ds) -> np.ndarray:
     """
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)
-    out = np.empty((len(lams), len(ds)))
+    out = np.empty(((order + 1,) if order else ()) + (len(lams), len(ds)))
     cone = _cone(k, ds)
     widest = k if cone is None else sum(cone) // 2 + 1
     block = max(_FLOAT_BLOCK, _FLOAT_ENTRIES // widest)
     for i in range(0, len(lams), block):
         a, b = _ratio(lams[i:i + block], exact=False)
-        out[i:i + block] = _probabilities(k, a, b, _rows_for(k, a, b, ds), ds)
+        rows = _rows_for(k, a, b, ds, order)
+        out[..., i:i + block, :] = _probabilities(k, a, b, rows, ds, order=order)
     return out
 
 
@@ -213,17 +238,24 @@ def _return_poly(k: int) -> tuple[int, ...]:
     so q'(lam) = -2 lam R_k(lam)^2 (test_return_poly_derivative_is_minus_2_lam_r_squared):
     q is even and falls strictly on [0, 1] from 1 to 0, flat only at the
     zeros of R_k.  R_k is the shifted Jacobi polynomial P_{n-1}^(0,1)(2 lam^2 - 1).
-    The coefficients are one self-convolution s of R_k's n coefficients
-    and the exact division -s_i / (i + 1).  Odd k gives the zero
+    The coefficients are the square s of R_k and the exact division
+    -s_i / (i + 1).  R_k's coefficients alternate in sign, so s_i =
+    (-1)^i t_i with t the square of |R_k|, and t comes from one
+    big-integer product: the |coefficients| packed into one integer, each
+    in a field of bytes wide enough for any t_i (Kronecker substitution),
+    squared, and read back a field at a time.  Odd k gives the zero
     polynomial.  ``k`` is a validated int: every caller checks it before
     the cache sees it.
     """
     if k % 2:
         return (0,) * k
     n = k // 2
-    r = np.array([(-1) ** (n - j) * math.comb(n, j) * math.comb(n + j - 1, j - 1)
-                  for j in range(1, n + 1)], object)
-    return (1, *(-s // i for i, s in enumerate(np.convolve(r, r).tolist(), 1)))
+    r = [math.comb(n, j) * math.comb(n + j - 1, j - 1) for j in range(1, n + 1)]
+    width = (2 * max(r).bit_length() + n.bit_length() + 7) // 8    # t_i <= n max(r)^2
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in r), "little")
+    t = (packed * packed).to_bytes(2 * n * width, "little")
+    return (1, *((-1) ** i * int.from_bytes(t[(i - 1) * width:i * width], "little") // i
+                 for i in range(1, k)))
 
 
 def _return_value(mu: tuple[int, ...], lam: float) -> float:
@@ -238,15 +270,28 @@ def _return_value(mu: tuple[int, ...], lam: float) -> float:
     return acc / (1 << shift * (len(mu) - 1))
 
 
-def _return_grid(k: int, lams) -> np.ndarray:
+def _return_grid(k: int, lams, order: int = 0) -> np.ndarray:
     """p(0; k, lam) for every lam in ``lams``: ``_return_value`` on the
     cached coefficients of this k (``_return_poly``), O(k) big-integer
     operations a point, and each value the exact rows' correctly rounded
     rational bit for bit (test_exact_return_points_are_the_rows_bit_for_bit).
+
+    ``order`` 1 or 2 stacks the lam-derivatives (q, q', q'')[:order + 1]
+    in front.  With q_mu and q_mumu the mu-derivatives of q(lam) = Q(mu),
+    mu = lam^2, each ``_return_value`` on the integer coefficients
+    (i mu_i) and (i (i - 1) mu_i) shifted down, q' = 2 lam q_mu and
+    q'' = 2 q_mu + 4 lam^2 q_mumu.
     """
     lams = np.asarray(lams, float)
     mu = _return_poly(_validate_k_lam(k, lams))
-    return np.array([_return_value(mu, lam) for lam in lams.tolist()], float)
+    q = np.array([_return_value(mu, lam) for lam in lams.tolist()], float)
+    if not order:
+        return q
+    derivative = lambda c: [i * c_i for i, c_i in enumerate(c)][1:] or [0]
+    dmu = derivative(mu)
+    q_mu, q_mumu = (np.array([_return_value(c, lam) for lam in lams.tolist()], float)
+                    for c in (dmu, derivative(dmu)))
+    return np.stack([q, 2.0 * lams * q_mu, 2.0 * q_mu + 4.0 * lams * lams * q_mumu])[:order + 1]
 
 
 def pmf_point(k: int, d: int, lam):

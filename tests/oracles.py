@@ -13,9 +13,13 @@ except the return probability (``pmf._return_grid``, and
 ``pmf._return_value`` at each midpoint of the level-set bisection):
 exact Horner values of a polynomial cached per k, whose integer
 coefficients in lam^2 come from the integral of the squared Jacobi
-polynomial R_k (``pmf._return_poly``).  ``return_power_coeffs`` builds
-the same polynomial from the integer Y series instead, so its tests
-check the two against each other and against the exact rows.
+polynomial R_k (``pmf._return_poly``, one big-integer square;
+``return_poly_by_convolution`` squares R_k by an object-array
+convolution instead).  ``return_power_coeffs`` builds the same
+polynomial from the integer Y series, and ``pmf_power_coeffs`` any
+p(d; k, lam), so their tests check the routes against each other, against
+the exact rows and, through ``poly_derivative``, the lam-derivatives of
+the float rows.
 Two more keep the package's loops one step or one cell at a time: the walk
 with a new state per step, and the artifact writer a cell at a time."""
 
@@ -81,6 +85,17 @@ def _y_coeffs(m: int, j: int) -> list[int]:
             term = comb(j - n, n) * comb(j - 2 * n, (j + m) // 2 - n)
             coeffs[j - 2 * n] = -term if n % 2 else term
     return coeffs
+
+
+def return_poly_by_convolution(k: int) -> tuple[int, ...]:
+    """``pmf._return_poly(k)`` by one object-array self-convolution of
+    R_k's signed coefficients and the exact division -s_i / (i + 1)."""
+    if k % 2:
+        return (0,) * k
+    n = k // 2
+    r = np.array([(-1) ** (n - j) * comb(n, j) * comb(n + j - 1, j - 1)
+                  for j in range(1, n + 1)], object)
+    return (1, *(-s // i for i, s in enumerate(np.convolve(r, r).tolist(), 1)))
 
 
 def return_power_coeffs(k: int) -> list[int]:
@@ -257,3 +272,32 @@ def csv_text_per_cell(meta, columns, rows) -> str:
 def mirror_text_by_encoder(meta, columns, rows) -> str:
     """``pmf._mirror_text`` through the json module's indenting encoder."""
     return json.dumps(_mirror(meta, columns, rows), indent=2) + "\n"
+
+
+def pmf_power_coeffs(k: int, d: int) -> list[int]:
+    """The 2k + 3 integer power coefficients of p(d; k, lam), lowest first,
+    from the Y series: p = (1 - lam^2) Y_{|d-1|}^(k-1)^2
+    + (Y_{|d|}^(k-2) - lam Y_{|d+1|}^(k-1))^2, with Y^(-1) = 0."""
+    def y(m, j):        # Y_|m|^(j) in k + 1 entries, the last a padding zero
+        c = _y_coeffs(abs(m), j) if j >= 0 else []
+        return np.array(c + [0] * (k + 1 - len(c)), object)
+
+    left, odd = y(d - 1, k - 1), y(d, k - 2) - np.roll(y(d + 1, k - 1), 1)
+    gap = np.convolve(np.array([1, 0, -1], object), left)
+    return (np.convolve(gap, left) + np.concatenate([np.convolve(odd, odd), [0, 0]])).tolist()
+
+
+def poly_derivative(coeffs: list[int]) -> list[int]:
+    """The coefficients of the derivative of a polynomial, lowest power first."""
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def poly_value(coeffs, x) -> float:
+    """The polynomial with coefficients ``coeffs`` (lowest first) at the
+    rational x = a/b, exact and rounded once: Horner's rule on the
+    integers, sum c_i a^i b^(n-i), over b^n."""
+    a, b = Fraction(x).as_integer_ratio()
+    num, scale = 0, 1
+    for c in reversed(coeffs):
+        num, scale = num * a + c * scale, scale * b
+    return num / (scale // b) if coeffs else 0.0

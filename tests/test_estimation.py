@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import bisect as scipy_bisect
 from scipy.special import roots_jacobi
 
-from reluctant_walk import estimation, pmf
+from reluctant_walk import estimation, pmf, sample_positions
 from reluctant_walk.estimation import (
     EstimateResult,
     TrialDataset,
@@ -318,13 +318,34 @@ def test_grid_size_accepts_numpy_integers():
     TrialDataset.from_returns(24, 3100, 10000),
     TrialDataset.from_positions(48, [-30, -12, 0, 0, 6, 18, 40], seed=3),
 ])
-def test_curvature_batch_is_the_pointwise_richardson_value(data):
-    """The five likelihoods of the curvature come from one batched call,
-    equal bit for bit to the scalar calls combined in the same order."""
-    x, h = 0.7, estimation._FD_STEP
-    ll = lambda t: log_likelihood(data, t)
-    second = lambda step: (ll(x + step) - 2.0 * ll(x) + ll(x - step)) / step**2
-    assert estimation._curvature(data, x) == (4.0 * second(h / 2) - second(h)) / 3.0
+def test_curvature_is_the_richardson_value(data):
+    """The analytic curvature of an estimate, and of a likelihood curve at
+    its grid argmax, agree with central differences of the log-likelihood
+    at h = 1e-4, Richardson-extrapolated once, to 1e-6 relative."""
+    def richardson(x, h=1e-4):
+        ll = lambda t: log_likelihood(data, t)
+        second = lambda step: (ll(x + step) - 2.0 * ll(x) + ll(x - step)) / step**2
+        return (4.0 * second(h / 2) - second(h)) / 3.0
+
+    result = mle_estimate(data)
+    assert result.curvature == pytest.approx(richardson(result.theta_hat), rel=1e-6)
+    curve = likelihood_curve(data)
+    assert curve.curvature == pytest.approx(richardson(curve.argmax_theta), rel=1e-6)
+
+
+@pytest.mark.parametrize("k, n0", [(2, 3600), (8, 660), (24, 3100), (24, 9000)])
+def test_return_curvature_at_the_root_is_the_fisher_form(k, n0):
+    """At the root q(lam) = n0/n the score's q'' term vanishes, so the
+    curvature is -n q_theta^2 / (q (1 - q)), with q_theta = -sin(theta) q'
+    and q' = -2 lam R_k(lam)^2 in closed form; positivity follows from it."""
+    data = TrialDataset.from_returns(k, n0, 10_000)
+    result = mle_estimate(data)
+    theta = result.theta_hat
+    q, dq = pmf._return_grid(k, [math.cos(theta)], order=1)[:, 0]
+    q_theta = -math.sin(theta) * dq
+    assert result.curvature == pytest.approx(-data.n * q_theta**2 / (q * (1 - q)), rel=1e-9)
+    ptilde = math.exp(result.loglik / data.n)
+    assert result.positivity == pytest.approx(-ptilde**2 * result.curvature / data.n, rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
@@ -337,36 +358,56 @@ def test_mle_rejects_bad_refine_tolerance(bad):
 @pytest.mark.parametrize("tolerance", [0.0, 1e-300])
 def test_mle_refine_terminates_at_float_resolution(monkeypatch, positions, tolerance):
     """A zero or subnormal tolerance ends at the float resolution of the
-    bracket, interior (theta near pi/4) or at the theta = 0 edge alike."""
-    calls = []
+    bracket, interior (theta near pi/4) or at the theta = 0 edge alike:
+    the refine scores one theta a pass (``_derivatives``), and the
+    estimate is the last theta it scored.  At the edge the score
+    -sin(theta) l_lam is 0 at the starting grid point, one pass."""
+    thetas = []
+    derivatives = estimation._derivatives
 
     def counted(data, theta):
-        calls.append(theta)
-        if len(calls) > 2000:
+        thetas.append(theta)
+        if len(thetas) > 100:
             raise RuntimeError("refine did not terminate")
-        return log_likelihood(data, theta)
+        return derivatives(data, theta)
 
     data = TrialDataset.from_positions(2, positions)
     reference = mle_estimate(data)
-    monkeypatch.setattr(estimation, "log_likelihood", counted)
+    monkeypatch.setattr(estimation, "_derivatives", counted)
     result = mle_estimate(data, refine_tolerance=tolerance)
-    # 601 grid points, 4 for the curvature, and the golden-section probes
-    assert len(calls) < 700
+    assert 1 <= len(thetas) <= (1 if positions == [-2] * 5 else 6)
+    assert thetas[-1] == result.theta_hat
     assert abs(result.theta_hat - reference.theta_hat) < 1e-8
     assert result.flags == reference.flags
 
 
-def _count_likelihood_calls(monkeypatch):
-    calls = []
-    batched = estimation._log_likelihoods
+@pytest.mark.parametrize("k, n, theta_star, seed", [(6, 50, 0.397, 1), (2, 10, 0.9, 2),
+                                                     (20, 30, 0.6, 3), (48, 50, 1.1, 4)])
+def test_mle_is_within_refine_tolerance_of_the_score_root(k, n, theta_star, seed):
+    """On small samples the float log-likelihood is flat to rounding over
+    up to ~1e-8, but the refine follows the analytic score: the default
+    estimate lies within 1e-9 of the one at float resolution, and there
+    the Newton step -l'/l'' is below 1e-12."""
+    data = sample_positions(pmf_full(k, math.cos(theta_star)), n, seed=seed)
+    root = mle_estimate(data, refine_tolerance=0.0)
+    assert abs(mle_estimate(data).theta_hat - root.theta_hat) <= 1e-9
+    _, score, curvature = estimation._derivatives(data, root.theta_hat)
+    assert abs(score / curvature) < 1e-12
 
-    def counted(data, lams):
-        calls.append(len(lams))
+
+def _count_likelihood_calls(monkeypatch):
+    """The (lam count, derivative order) of every probability grid an
+    estimate asks for."""
+    calls = []
+    outcomes = estimation._outcomes
+
+    def counted(data, lams, order=0):
+        calls.append((len(lams), order))
         if len(calls) > 100:
             raise RuntimeError("refine did not terminate")
-        return batched(data, lams)
+        return outcomes(data, lams, order)
 
-    monkeypatch.setattr(estimation, "_log_likelihoods", counted)
+    monkeypatch.setattr(estimation, "_outcomes", counted)
     return calls
 
 
@@ -375,21 +416,17 @@ def _count_likelihood_calls(monkeypatch):
 def test_mle_refine_at_float_resolution_makes_few_likelihood_calls(
         monkeypatch, positions, tolerance):
     """A zero or subnormal tolerance stops at the float resolution of the
-    bracket within 12 likelihood calls: the scan, at most ten passes of 64
-    thetas and the curvature.  The search stops once the bracket is
-    4 eps (|a| + |b|) wide and each pass keeps at most 2 of its 63
-    intervals.  An interior bracket is two grid spacings wide with
-    a >= one spacing, so |a| + |b| >= 2 (b - a) and it takes at most
-    log(1 / (8 eps)) / log(31.5) < 10 passes; at the theta = 0 edge of
-    the [-2] * 5 data each pass keeps the first interval,
-    log(1 / (4 eps)) / log(63) < 9 passes."""
+    bracket after the 601-point scan and at most six one-theta derivative
+    passes, which also give the curvature: Newton's steps on the score
+    converge quadratically from a grid point, and at the theta = 0 edge
+    the score is 0 at once."""
     data = TrialDataset.from_positions(2, positions)
     reference = mle_estimate(data)
     calls = _count_likelihood_calls(monkeypatch)
     result = mle_estimate(data, refine_tolerance=tolerance)
-    assert len(calls) <= 12
-    assert calls[0] == 601 and calls[-1] == 5
-    assert set(calls[1:-1]) == {64}
+    assert 2 <= len(calls) <= 7
+    assert calls[0] == (601, 0)
+    assert set(calls[1:]) == {(1, 2)}
     assert abs(result.theta_hat - reference.theta_hat) < 1e-8
     assert result.flags == reference.flags
 
@@ -398,61 +435,14 @@ def test_mle_refine_at_float_resolution_makes_few_likelihood_calls(
                                           (48, [-30, -12, 0, 0, 6, 18, 40])])
 def test_default_positions_estimate_makes_at_most_8_likelihood_calls(
         monkeypatch, k, positions):
-    """The default 1e-9 refine of one near-optimal run: the scan, five
-    passes of 64 thetas (each keeps 2 of 63 intervals, and two grid
-    spacings, 5.2e-3, over 31.5^5 is 1.7e-10) and the curvature."""
+    """The default 1e-9 refine of one near-optimal run: the 601-point scan
+    and at most six one-theta derivative passes, the last of which gives
+    the curvature; no other likelihood work."""
     calls = _count_likelihood_calls(monkeypatch)
     mle_estimate(TrialDataset.from_positions(k, positions))
-    assert len(calls) <= 8
-    assert calls[0] == 601 and calls[-1] == 5
-    assert set(calls[1:-1]) == {64}
-
-
-_ZOOM_TARGETS = {
-    "flat": lambda m, s: (lambda x: 0.0),
-    "steps": lambda m, s: (lambda x: float(math.floor(abs(x - m) * s))),  # ties
-    "quadratic": lambda m, s: (lambda x: (x - m) ** 2),  # m may lie off the bracket
-    "increasing": lambda m, s: (lambda x: s * x),  # ends at the left edge
-    "decreasing": lambda m, s: (lambda x: -s * x),  # ends at the right edge
-    "wavy": lambda m, s: (lambda x: math.cos(s * (x - m))),  # several local minima
-}
-
-
-@given(target=st.sampled_from(sorted(_ZOOM_TARGETS)),
-       a=st.floats(-10.0, 10.0), width=st.floats(1e-12, 10.0),
-       m=st.floats(-12.0, 12.0), s=st.floats(0.5, 1e6),
-       tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-3]),
-       points=st.sampled_from([12, pmf._FLOAT_BLOCK]))
-# the minimum on a first-pass grid point, which no later (finer, off-centre) grid scores
-@example(target="quadratic", a=0.0, width=6.3, m=float(np.linspace(0.0, 6.3, 64)[31]),
-         s=1.0, tol=1e-3, points=64)
-@settings(max_examples=150, deadline=None)
-def test_zoom_min_returns_the_least_value_scored(target, a, width, m, s, tol, points):
-    """Every call scores ``points`` points; the result is the smallest
-    value scored, ties to the smaller x; a quadratic or monotone target
-    ends within tol, or the float resolution of the bracket, of its
-    minimizer, or where f rounds to no more than f(minimizer)."""
-    f = _ZOOM_TARGETS[target](m, s)
-    b = a + width
-    assume(a < b)
-    scored, sizes = [], []
-
-    def fun(xs):
-        sizes.append(len(xs))
-        if len(sizes) > 100:
-            raise RuntimeError("search did not terminate")
-        values = [f(float(x)) for x in xs]
-        scored.extend(zip(values, xs.tolist()))
-        return np.array(values)
-
-    x, fx = estimation._zoom_min(fun, a, b, tol, points)
-    assert set(sizes) == {points}
-    assert (fx, x) == min(scored)
-    minimizer = {"quadratic": min(max(m, a), b), "increasing": a, "decreasing": b}
-    if target in minimizer:
-        x_star = minimizer[target]
-        resolution = max(tol, 8.0 * estimation._EPS * (abs(a) + abs(b)))
-        assert abs(x - x_star) <= resolution or fx <= f(x_star)
+    assert 2 <= len(calls) <= 7
+    assert calls[0] == (601, 0)
+    assert set(calls[1:]) == {(1, 2)}
 
 
 # ------------------------------------------------------------- mle: returns

@@ -40,7 +40,8 @@ from reluctant_walk.chebyshev import _iter_y_rows
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
 from oracles import (csv_text_per_cell, exact_grid, exact_return_scan, mirror_text_by_encoder,
-                     pmf_even_closed, pmf_point_cosine_form, return_power_coeffs, y_poly)
+                     pmf_even_closed, pmf_point_cosine_form, pmf_power_coeffs, poly_derivative,
+                     poly_value, return_poly_by_convolution, return_power_coeffs, y_poly)
 
 rational_lam = st.integers(-9, 9).map(lambda n: Fraction(n, 9))
 
@@ -303,6 +304,74 @@ def test_return_poly_cache_is_keyed_by_the_validated_k():
             _return_grid(k, [0.5])
     assert _return_poly.cache_info()[:2] == (1, 1)
     assert _return_poly.cache_info().maxsize is not None
+
+
+def test_return_poly_is_the_convolution_square():
+    """The big-integer square of the packed |R_k| gives the coefficients
+    that the signed object-array convolution gives."""
+    for k in [*range(2, 121, 2), 200, 400, 1000]:
+        assert _return_poly(k) == return_poly_by_convolution(k), k
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 24, 100])
+def test_return_grid_derivatives_are_the_exact_derivatives(k):
+    """q' = 2 lam q_mu and q'' = 2 q_mu + 4 lam^2 q_mumu, from exact values
+    of the mu-derivative coefficients, are the exact lam-derivatives of
+    the Y-series polynomial to rounding: q' to 4 eps relative, q'' to
+    4 eps of |2 q_mu| + |4 lam^2 q_mumu|."""
+    lams = [0.0, 0.1, 0.37, 0.5, 0.81, 0.999, 1.0, -0.6]
+    grid = _return_grid(k, lams, order=2)
+    assert grid[0].tobytes() == _return_grid(k, lams).tobytes()
+    first = poly_derivative(return_power_coeffs(k))
+    in_lam = lambda c: [x for c_i in c for x in (c_i, 0)]       # mu = lam^2
+    q_mu = in_lam(poly_derivative(_return_poly(k)))
+    q_mumu = in_lam(poly_derivative(poly_derivative(_return_poly(k))))
+    for lam, (q, dq, d2q) in zip(lams, grid.T.tolist()):
+        assert dq == pytest.approx(poly_value(first, lam), rel=4 * 2.0**-52, abs=1e-300)
+        scale = abs(2 * poly_value(q_mu, lam)) + abs(4 * lam * lam * poly_value(q_mumu, lam))
+        assert abs(d2q - poly_value(poly_derivative(first), lam)) <= 4 * 2.0**-52 * scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_pmf_power_coeffs_are_the_rows(k):
+    """The oracle polynomial of p(d; k, lam) gives the exact rows' values."""
+    for lam in (0.3, -0.77, 1.0, 2.0**-60):
+        ds = range(-k, k + 1, 2)
+        assert [poly_value(pmf_power_coeffs(k, d), lam) for d in ds] == \
+            [pmf_point(k, d, lam) for d in ds]
+
+
+@given(k=st.integers(1, 40), lam=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGE_LAMS)))
+@example(k=60, lam=0.99999)
+@example(k=10, lam=2.0**-60)        # entries down to the subnormal range
+@settings(max_examples=60, deadline=None)
+def test_derivative_rows_are_the_exact_rational_derivatives(k, lam):
+    """p' and p'' of every column from the forward-mode rows match the
+    exact rational derivatives of p's integer polynomial (from the Y
+    series), within 1e-13 k^2 of |p^(n)| + k^n p (plus the smallest
+    normal float, for values that underflow); p itself is the plain rows'
+    value bit for bit."""
+    ds = list(range(-k, k + 1, 2))
+    grid = _grid(k, [lam], ds, order=2)[:, 0]
+    assert grid[0].tobytes() == _grid(k, [lam], ds)[0].tobytes()
+    for d, (p, dp, d2p) in zip(ds, grid.T.tolist()):
+        coeffs = pmf_power_coeffs(k, d)
+        exact_p = poly_value(coeffs, lam)
+        for order, value in ((1, dp), (2, d2p)):
+            coeffs = poly_derivative(coeffs)
+            exact = poly_value(coeffs, lam)
+            bound = 1e-13 * k * k * (abs(exact) + k**order * exact_p) + 2.0**-1022
+            assert abs(value - exact) <= bound, (d, order)
+
+
+@given(k=st.integers(1, 200), lam=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGE_LAMS)))
+@settings(max_examples=60, deadline=None)
+def test_derivative_rows_sum_to_zero(k, lam):
+    """The pmf sums to 1 for every lam, so its lam-derivatives sum to 0:
+    to within 8 k eps of the sum of their magnitudes."""
+    grid = _grid(k, [lam], list(range(-k, k + 1, 2)), order=2)[:, 0]
+    for derivative in grid[1:]:
+        assert abs(math.fsum(derivative)) <= 8 * k * 2.0**-52 * np.abs(derivative).sum()
 
 
 @given(lam=rational_lam, k=st.integers(1, 25))
