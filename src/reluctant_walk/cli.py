@@ -25,12 +25,10 @@ import numpy as np
 from . import __version__
 from .chebyshev import chebyshev_identity_suite
 from .estimation import (
-    EstimateResult,
     TrialDataset,
     dataset_from_json,
     level_set_solve,
     likelihood_curve,
-    log_likelihood,
     mle_estimate,
 )
 from .pmf import (
@@ -48,6 +46,7 @@ from .pmf import (
 )
 from .sampling import (
     data_box_experiment,
+    diffusion_experiment,
     fresh_seed,
     sample_positions,
     sample_return_trials,
@@ -69,12 +68,8 @@ EXIT_ESTIMATION = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a writer SIGPIPE ended
 
 FIG2_KS = (8, 16, 32, 64, 128, 256, 512)
-
-
-def _outdir(args) -> str:
-    out = args.outdir or os.environ.get("RELUCTANT_WALK_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+_FIG1_K = 100
+_FIG_LAMBDA_POINTS = 201  # every figure's lambda grid on [-1, 1]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -90,35 +85,40 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _stamp(command: str, seed, extra: dict | None = None) -> dict:
-    meta = {
-        "version": __version__,
-        "command": command,
-        "seed": "none" if seed is None else seed,
-        "convention_sigma": CONVENTION_SIGMA,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _report(args, columns, rows, extra: dict, summary: str | None, *,
+            stem: str | None = None, json_obj: dict | None = None) -> list[str]:
+    """Write STEM.csv and STEM.json and return their paths.
 
-
-def _write_report(outdir: str, stem: str, columns, rows, meta: dict,
-                  json_obj: dict | None = None) -> list[str]:
-    """Write stem.csv and stem.json; returns the paths written.
-
-    The JSON mirror defaults to ``_mirror_text(meta, columns, rows)``;
-    ``json_obj`` replaces it for commands with a richer result structure.
+    Both are stamped with the version, ``args.command``, ``args.seed`` and
+    the axis convention, then ``extra``.  The stem is ``stem``, else
+    ``--output``, else the command name; the directory is ``--outdir``,
+    else $RELUCTANT_WALK_OUTDIR, else the current one.  The JSON mirror is
+    ``_mirror_text(meta, columns, rows)`` unless ``json_obj`` gives the
+    fields that follow its meta.  Unless ``summary`` is None, prints
+    ``command: summary -> csv, json``.
     """
-    csv_path = os.path.join(outdir, stem + ".csv")
-    _atomic_write(csv_path, _csv_text(meta, columns, rows))
+    outdir = args.outdir or os.environ.get("RELUCTANT_WALK_OUTDIR") or "."
+    os.makedirs(outdir, exist_ok=True)
+    stem = stem or args.output or args.command.replace("-", "_")
+    meta = {"version": __version__, "command": args.command,
+            "seed": "none" if args.seed is None else args.seed,
+            "convention_sigma": CONVENTION_SIGMA, **extra}
+    paths = [os.path.join(outdir, stem + ext) for ext in (".csv", ".json")]
+    _atomic_write(paths[0], _csv_text(meta, columns, rows))
+    _atomic_write(paths[1], _mirror_text(meta, columns, rows) if json_obj is None
+                  else json.dumps({"meta": meta, **json_obj}, indent=2) + "\n")
+    if summary is not None:
+        print(f"{args.command}: {summary} -> {paths[0]}, {paths[1]}")
+    return paths
 
-    if json_obj is None:
-        json_text = _mirror_text(meta, columns, rows)
-    else:
-        json_text = json.dumps(json_obj, indent=2) + "\n"
-    json_path = os.path.join(outdir, stem + ".json")
-    _atomic_write(json_path, json_text)
-    return [csv_path, json_path]
+
+def _seed(args) -> int:
+    """``args.seed``; when the command line gave none, a fresh one, echoed and
+    stored in ``args`` so that the report stamps it."""
+    if args.seed is None:
+        args.seed = fresh_seed()
+        print(f"{args.command}: no seed given, drew {args.seed}")
+    return args.seed
 
 
 def _coin_from_args(args) -> CoinParameter:
@@ -133,13 +133,11 @@ def _coin_from_args(args) -> CoinParameter:
 def cmd_pmf(args) -> int:
     coin = _coin_from_args(args)
     pmf = pmf_full(args.k, coin.lam, exact=not args.fast)
-    meta = _stamp("pmf", args.seed, {"k": args.k, "lambda": format_float(coin.lam),
-                                     "theta": format_float(coin.theta),
-                                     "axis": "analytic"})
-    paths = _write_report(_outdir(args), args.output or "pmf",
-                          _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam), meta)
-    print(f"pmf: k={args.k} lambda={format_float(coin.lam)} "
-          f"({len(pmf.table)} rows) -> {paths[0]}, {paths[1]}")
+    lam = format_float(coin.lam)
+    _report(args, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam),
+            {"k": args.k, "lambda": lam, "theta": format_float(coin.theta),
+             "axis": "analytic"},
+            f"k={args.k} lambda={lam} ({len(pmf.table)} rows)")
     return EXIT_OK
 
 
@@ -147,13 +145,10 @@ def cmd_simulate(args) -> int:
     coin = _coin_from_args(args)
     state = evolve(WalkState.localized(args.start), coin, args.k)
     table = position_pmf(state).table
-    meta = _stamp("simulate", args.seed, {"k": args.k, "lambda": format_float(coin.lam),
-                                          "theta": format_float(coin.theta),
-                                          "start": args.start, "axis": "simulator"})
-    paths = _write_report(_outdir(args), args.output or "simulate",
-                          _PMF_COLUMNS, _pmf_rows(args.k, table, coin.lam), meta)
-    print(f"simulate: k={args.k} start={args.start} "
-          f"({len(table)} rows) -> {paths[0]}, {paths[1]}")
+    _report(args, _PMF_COLUMNS, _pmf_rows(args.k, table, coin.lam),
+            {"k": args.k, "lambda": format_float(coin.lam),
+             "theta": format_float(coin.theta), "start": args.start, "axis": "simulator"},
+            f"k={args.k} start={args.start} ({len(table)} rows)")
     return EXIT_OK
 
 
@@ -163,7 +158,7 @@ def _load_dataset(path: str) -> TrialDataset:
             return dataset_from_json(handle.read())
     except FileNotFoundError:
         raise ValueError(f"dataset file not found: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValueError(f"malformed dataset file {path}: {exc}")
 
 
@@ -173,14 +168,11 @@ def cmd_likelihood(args) -> int:
                              grid_size=args.grid)
     rows = [{"theta": float(t), "lambda": math.cos(float(t)), "loglik": float(v)}
             for t, v in zip(curve.thetas, curve.loglik)]
-    meta = _stamp("likelihood", args.seed,
-                  {"k": data.k, "kind": data.kind, "trials": data.trials,
-                   "argmax_theta": format_float(curve.argmax_theta),
-                   "curvature": format_float(curve.curvature)})
-    paths = _write_report(_outdir(args), args.output or "likelihood",
-                          ["theta", "lambda", "loglik"], rows, meta)
-    print(f"likelihood: k={data.k} grid={args.grid} "
-          f"argmax={format_float(curve.argmax_theta)} -> {paths[0]}, {paths[1]}")
+    argmax = format_float(curve.argmax_theta)
+    _report(args, ["theta", "lambda", "loglik"], rows,
+            {"k": data.k, "kind": data.kind, "trials": data.trials,
+             "argmax_theta": argmax, "curvature": format_float(curve.curvature)},
+            f"k={data.k} grid={args.grid} argmax={argmax}")
     return EXIT_OK
 
 
@@ -195,14 +187,8 @@ def _generate_dataset(args, seed: int) -> TrialDataset:
 
 
 def cmd_estimate(args) -> int:
-    consumes_rng = args.generate
-    seed = args.seed
-    if consumes_rng and seed is None:
-        seed = fresh_seed()
-        print(f"estimate: no seed given, drew {seed}")
-
     if args.generate:
-        data = _generate_dataset(args, seed)
+        data = _generate_dataset(args, _seed(args))
     else:
         data = _load_dataset(args.data)
 
@@ -224,86 +210,68 @@ def cmd_estimate(args) -> int:
 
     est = mle_estimate(data, theta_range=(args.theta_min, args.theta_max),
                        grid_size=args.grid, refine_tolerance=args.refine_tol)
-    meta = _stamp("estimate", seed if consumes_rng else args.seed,
-                  {"method": method, "k": data.k})
-    obj = {"meta": meta, "result": est.to_json(),
-           "dataset": {"kind": data.kind, "k": data.k, "trials": data.trials,
-                       "seed": data.seed}}
     row = est.to_json()
     row["candidates"] = "|".join(format_float(c) for c in est.candidates)
     row["flags"] = "|".join(est.flags)
     columns = ["theta_hat", "lambda_hat", "loglik", "curvature", "positivity",
                "candidates", "flags", "kind", "k", "n", "seed", "convention_sigma"]
-    paths = _write_report(_outdir(args), args.output or "estimate", columns, [row],
-                          meta, json_obj=obj)
-
-    print(f"estimate: method={method} k={data.k} n={data.trials:g} "
-          f"theta_hat={format_float(est.theta_hat)} "
-          f"lambda_hat={format_float(est.lambda_hat)} flags={list(est.flags)}")
-    print(f"  -> {paths[0]}, {paths[1]}")
+    # the summary's trailing newline puts the paths on a line of their own
+    _report(args, columns, [row], {"method": method, "k": data.k},
+            f"method={method} k={data.k} n={data.trials:g} "
+            f"theta_hat={format_float(est.theta_hat)} "
+            f"lambda_hat={format_float(est.lambda_hat)} flags={list(est.flags)}\n ",
+            json_obj={"result": est.to_json(),
+                      "dataset": {"kind": data.kind, "k": data.k, "trials": data.trials,
+                                  "seed": data.seed}})
     return EXIT_ESTIMATION if est.flags else EXIT_OK
 
 
 def cmd_level_set(args) -> int:
     roots = level_set_solve(args.f, args.k, branch=(args.branch_min, args.branch_max))
     rows = [{"k": args.k, "f": args.f, "lam": r, "theta": math.acos(r)} for r in roots]
-    meta = _stamp("level-set", args.seed,
-                  {"k": args.k, "f": format_float(args.f), "count": len(roots)})
-    paths = _write_report(_outdir(args), args.output or "level_set",
-                          ["k", "f", "lam", "theta"], rows, meta)
-    print(f"level-set: k={args.k} f={format_float(args.f)} -> {len(roots)} root(s) "
-          f"-> {paths[0]}, {paths[1]}")
+    f = format_float(args.f)
+    _report(args, ["k", "f", "lam", "theta"], rows,
+            {"k": args.k, "f": f, "count": len(roots)},
+            f"k={args.k} f={f} -> {len(roots)} root(s)")
     return EXIT_OK
 
 
 def cmd_diffusion(args) -> int:
     ks = _parse_int_list(args.k_list)
     modes = ("quantum", "classical") if args.mode == "both" else (args.mode,)
-    rows = []
-    from .sampling import diffusion_experiment
-
-    for mode in modes:
-        for k, sigma in diffusion_experiment(args.theta, ks, mode):
-            rows.append({"mode": mode, "k": k, "sigma": sigma})
-    meta = _stamp("diffusion", args.seed,
-                  {"theta": format_float(args.theta), "k_list": " ".join(map(str, ks))})
-    paths = _write_report(_outdir(args), args.output or "diffusion",
-                          ["mode", "k", "sigma"], rows, meta)
-    print(f"diffusion: theta={format_float(args.theta)} modes={list(modes)} "
-          f"-> {paths[0]}, {paths[1]}")
+    rows = [{"mode": mode, "k": k, "sigma": sigma} for mode in modes
+            for k, sigma in diffusion_experiment(args.theta, ks, mode)]
+    theta = format_float(args.theta)
+    _report(args, ["mode", "k", "sigma"], rows,
+            {"theta": theta, "k_list": " ".join(map(str, ks))},
+            f"theta={theta} modes={list(modes)}")
     return EXIT_OK
 
 
 def cmd_databox(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = fresh_seed()
-        print(f"databox: no seed given, drew {seed}")
+    seed = _seed(args)
     allocations = _parse_allocations(args.allocations)
     report = data_box_experiment(args.theta_star, args.budget, allocations,
                                  seed=seed, grid_size=args.grid)
     rows = [dict(row, flags="|".join(row["flags"])) for row in report["rows"]]
-    meta = _stamp("databox", seed, {"theta_star": format_float(args.theta_star),
-                                    "budget": args.budget})
-    paths = _write_report(_outdir(args), args.output or "databox",
-                          ["k", "n", "theta_hat", "lambda_hat", "abs_error",
-                           "loglik", "flags"], rows, meta)
-    print(f"databox: theta_star={format_float(args.theta_star)} "
-          f"budget={args.budget} ({len(rows)} allocations) -> {paths[0]}, {paths[1]}")
+    theta_star = format_float(args.theta_star)
+    _report(args, ["k", "n", "theta_hat", "lambda_hat", "abs_error", "loglik", "flags"],
+            rows, {"theta_star": theta_star, "budget": args.budget},
+            f"theta_star={theta_star} budget={args.budget} ({len(rows)} allocations)")
     return EXIT_OK
 
 
-def _fig1_rows(k: int = 100, lam_points: int = 201) -> list[dict]:
-    lams = np.linspace(-1.0, 1.0, lam_points)
-    ds = range(-k, k + 1, 2)
-    return [{"lambda": lam, "r": d / k, "p": p}
-            for lam, ps in zip(lams.tolist(), _grid(k, lams, ds).tolist())
+def _fig1_rows() -> list[dict]:
+    lams = np.linspace(-1.0, 1.0, _FIG_LAMBDA_POINTS)
+    ds = range(-_FIG1_K, _FIG1_K + 1, 2)
+    return [{"lambda": lam, "r": d / _FIG1_K, "p": p}
+            for lam, ps in zip(lams.tolist(), _grid(_FIG1_K, lams, ds).tolist())
             for d, p in zip(ds, ps)]
 
 
-def _fig2_rows(which: str, lam_points: int = 201) -> list[dict]:
+def _fig2_rows(which: str) -> list[dict]:
     """p vs lambda curves for k = 8..512: at d=0 (fig2a) or d=k/4 (fig2b)."""
-    lams = np.linspace(-1.0, 1.0, lam_points)
+    lams = np.linspace(-1.0, 1.0, _FIG_LAMBDA_POINTS)
     curves = np.stack([_grid(k, lams, [0 if which == "fig2a" else k // 4])[:, 0]
                        for k in FIG2_KS], axis=1)
     return [{"k": k, "lambda": lam, "p": p}
@@ -311,26 +279,22 @@ def _fig2_rows(which: str, lam_points: int = 201) -> list[dict]:
 
 
 def cmd_figures(args) -> int:
-    outdir = _outdir(args)
     wanted = ("fig1", "fig2a", "fig2b") if args.which == "all" else (args.which,)
     written = []
     for which in wanted:
         if which == "fig1":
-            rows = _fig1_rows()
-            meta = _stamp("figures", args.seed,
-                          {"figure": "fig1", "k": 100, "lambda_points": 201})
-            written += _write_report(outdir, "fig1", ["lambda", "r", "p"], rows, meta)
+            written += _report(args, ["lambda", "r", "p"], _fig1_rows(),
+                               {"figure": "fig1", "k": _FIG1_K,
+                                "lambda_points": _FIG_LAMBDA_POINTS}, None, stem=which)
         else:
-            rows = _fig2_rows(which)
-            meta = _stamp("figures", args.seed,
-                          {"figure": which, "d": "0" if which == "fig2a" else "k/4",
-                           "k_values": " ".join(map(str, FIG2_KS))})
-            written += _write_report(outdir, which, ["k", "lambda", "p"], rows, meta)
+            written += _report(args, ["k", "lambda", "p"], _fig2_rows(which),
+                               {"figure": which, "d": "0" if which == "fig2a" else "k/4",
+                                "k_values": " ".join(map(str, FIG2_KS))}, None, stem=which)
     print(f"figures: wrote {', '.join(written)}")
     return EXIT_OK
 
 
-def _validation_checks(max_k: int, tolerance: float):
+def _validation_checks(max_k: int):
     """Yield (name, worst_residual) pairs for the oracle-equivalence suite."""
     lams = [-0.95, -0.6, -0.3, 0.0, 0.3, 0.6, 0.95]
 
@@ -390,7 +354,7 @@ def _detect_sigma(max_k: int) -> int | None:
 
 def cmd_validate(args) -> int:
     failed = False
-    for name, worst in _validation_checks(args.max_k, args.tol):
+    for name, worst in _validation_checks(args.max_k):
         ok = worst <= args.tol
         failed = failed or not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: worst residual "

@@ -506,16 +506,20 @@ def dataset_to_json(data: TrialDataset) -> dict:
 
 
 def dataset_from_json(obj) -> TrialDataset:
-    """Parse a dataset from a JSON object or string."""
+    """Parse a dataset from a JSON object or string; anything malformed
+    raises ValueError."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "kind" not in obj or "k" not in obj:
         raise ValueError("dataset object needs 'kind' and 'k' fields")
     kind = obj["kind"]
-    if kind == "positions":
-        return TrialDataset.from_positions(obj["k"], obj.get("positions", ()),
-                                           obj.get("weights"), seed=obj.get("seed"))
-    if kind == "returns":
-        return TrialDataset.from_returns(obj["k"], obj["n0"], obj["n"],
-                                         seed=obj.get("seed"))
+    try:
+        if kind == "positions":
+            return TrialDataset.from_positions(obj["k"], obj.get("positions", ()),
+                                               obj.get("weights"), seed=obj.get("seed"))
+        if kind == "returns":
+            return TrialDataset.from_returns(obj["k"], obj["n0"], obj["n"],
+                                             seed=obj.get("seed"))
+    except (KeyError, TypeError) as exc:  # a missing field, or a list that is not one
+        raise ValueError(f"malformed {kind} dataset: {exc!r}") from None
     raise ValueError(f"unknown dataset kind {kind!r}")

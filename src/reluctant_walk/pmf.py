@@ -40,7 +40,6 @@ __all__ = [
     "pmf_from_csv",
     "pmf_to_json",
     "pmf_from_json",
-    "format_float",
 ]
 
 # The analytic axis is the simulator's axis reflected through the origin.

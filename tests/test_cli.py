@@ -2,7 +2,7 @@
 
 Every command writes CSV + JSON into a temp directory; tests parse those
 artifacts rather than scraping stdout, except where the contract is about
-stdout itself (validate, seed echo).
+stdout itself (validate, seed echo, each command's summary line).
 """
 
 import argparse
@@ -470,6 +470,44 @@ def test_figures_has_no_output_stem(tmp_path, capsys):
                  "--outdir", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
     assert "--output" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- stdout
+
+SUMMARIES = [
+    (["pmf", "--k", "4", "--lambda", "0.6"],
+     "pmf: k=4 lambda=0.59999999999999998 (5 rows) -> {out}/pmf.csv, {out}/pmf.json\n"),
+    (["simulate", "--k", "12", "--theta", "0.9"],
+     "simulate: k=12 start=0 (25 rows) -> {out}/simulate.csv, {out}/simulate.json\n"),
+    (["likelihood", "--data", "{out}/ds.json", "--grid", "101", "--output", "curve"],
+     "likelihood: k=8 grid=101 argmax=1.2880529879718152 -> {out}/curve.csv, "
+     "{out}/curve.json\n"),
+    (["estimate", "--data", "{out}/ds.json", "--method", "bernoulli"],
+     "estimate: method=bernoulli k=8 n=1000 theta_hat=1.2946895805966521 "
+     "lambda_hat=0.27261193086007296 flags=[]\n"
+     "  -> {out}/estimate.csv, {out}/estimate.json\n"),
+    (["level-set", "--f", "0.64", "--k", "2"],
+     "level-set: k=2 f=0.64000000000000001 -> 2 root(s) -> {out}/level_set.csv, "
+     "{out}/level_set.json\n"),
+    (["diffusion", "--mode", "quantum", "--k-list", "4,8"],
+     "diffusion: theta=1.0471975511965976 modes=['quantum'] -> {out}/diffusion.csv, "
+     "{out}/diffusion.json\n"),
+    (["databox", "--theta-star", "0.5", "--budget", "4000",
+      "--allocations", "2:2000,20:200", "--seed", "5"],
+     "databox: theta_star=0.5 budget=4000 (2 allocations) -> {out}/databox.csv, "
+     "{out}/databox.json\n"),
+    (["figures", "--which", "all"],
+     "figures: wrote {out}/fig1.csv, {out}/fig1.json, {out}/fig2a.csv, {out}/fig2a.json, "
+     "{out}/fig2b.csv, {out}/fig2b.json\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", SUMMARIES, ids=[argv[0] for argv, _ in SUMMARIES])
+def test_data_command_prints_its_summary_and_paths(tmp_path, capsys, argv, stdout):
+    write_dataset(tmp_path / "ds.json", {"kind": "returns", "k": 8, "n0": 312, "n": 1000})
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == stdout.format(out=tmp_path)
 
 
 # ---------------------------------------------------------------- validate

@@ -892,3 +892,13 @@ def test_dataset_json_rejects_malformed():
         dataset_from_json({"k": 2})
     with pytest.raises(ValueError, match="unknown dataset kind"):
         dataset_from_json({"kind": "tallies", "k": 2})
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "returns", "k": 2},
+    {"kind": "positions", "k": 2, "positions": 5},
+    {"kind": "positions", "k": 2, "positions": [0, 2], "weights": 5},
+])
+def test_dataset_json_raises_value_error_for_missing_or_mistyped_fields(obj):
+    with pytest.raises(ValueError, match=f"malformed {obj['kind']} dataset"):
+        dataset_from_json(obj)

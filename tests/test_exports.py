@@ -17,6 +17,13 @@ def test_every_exported_name_resolves():
         assert not missing, (module.__name__, missing)
 
 
+def test_package_exports_the_union_of_the_module_exports():
+    names = [name for module in MODULES
+             for name in importlib.import_module(f"reluctant_walk.{module}").__all__]
+    assert len(reluctant_walk.__all__) == len(set(reluctant_walk.__all__))
+    assert set(reluctant_walk.__all__) == set(names)
+
+
 def test_package_exports_no_oracle():
     tree = ast.parse(Path(oracles.__file__).read_text())
     defined = {node.name for node in tree.body
