@@ -148,7 +148,10 @@ def _iter_y_rows(a, b, cone=None, order=0):
     Python ints a, b (lam = a/b, e.g. from ``Fraction(lam)``, which is
     exact for a float) the rows are object arrays of exact integers; with
     float a and b = 1.0 they are float64 Y rows, whose rounding grows
-    mildly with j.
+    mildly with j.  The term b^2 * z is the shift ``z << 2e`` when every
+    b is 2^e (the integer rows of any float lam), ``z`` itself on float
+    rows (b = 1.0, and 1.0 * z is z bit for bit), and a product only for
+    other b, as from ``Fraction(1, 3)``.
 
     ``order`` n >= 1 runs the recurrence forward-mode: each row gains a
     leading axis holding (Z, dZ/da, ..., d^nZ/da^n) at fixed b.  With S
@@ -163,7 +166,14 @@ def _iter_y_rows(a, b, cone=None, order=0):
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype)[..., None] for v in (a, b))
-    b2 = b * b
+    if dtype is float:                                  # b = 1.0: b^2 * z is z
+        scaled = lambda z: z
+    elif all(v & (v - 1) == 0 for v in b.flat):         # b = 2^e: b^2 * z is z << 2e
+        shift = np.frompyfunc(lambda v: 2 * v.bit_length() - 2, 1, 1)(b)
+        scaled = lambda z: z << shift
+    else:
+        b2 = b * b
+        scaled = lambda z: b2 * z
     shape = ((order + 1,) if order else ()) + a.shape[:-1]
     # the factor i of S^(i-1) in the i-th derivative of a*S, i = 1..order
     carry = np.arange(1, order + 1).reshape((order,) + (1,) * len(a.shape))
@@ -189,4 +199,4 @@ def _iter_y_rows(a, b, cone=None, order=0):
         row *= a
         if order:
             row[1:] += leibniz
-        inner -= b2 * prev2[..., :width]
+        inner -= scaled(prev2[..., :width])

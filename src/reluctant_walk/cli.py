@@ -176,9 +176,10 @@ def cmd_likelihood(args) -> int:
     return EXIT_OK
 
 
-def _generate_dataset(args, seed: int) -> TrialDataset:
+def _generate_dataset(args) -> TrialDataset:
     if args.theta_star is None or args.k is None or args.n is None:
         raise ValueError("--generate needs --theta-star, --k and --n")
+    seed = _seed(args)
     lam = math.cos(args.theta_star)
     if args.method == "bernoulli":
         q = float(_return_grid(args.k, [lam])[0])
@@ -188,7 +189,7 @@ def _generate_dataset(args, seed: int) -> TrialDataset:
 
 def cmd_estimate(args) -> int:
     if args.generate:
-        data = _generate_dataset(args, _seed(args))
+        data = _generate_dataset(args)
     else:
         data = _load_dataset(args.data)
 
@@ -249,8 +250,8 @@ def cmd_diffusion(args) -> int:
 
 
 def cmd_databox(args) -> int:
-    seed = _seed(args)
     allocations = _parse_allocations(args.allocations)
+    seed = _seed(args)
     report = data_box_experiment(args.theta_star, args.budget, allocations,
                                  seed=seed, grid_size=args.grid)
     rows = [dict(row, flags="|".join(row["flags"])) for row in report["rows"]]

@@ -143,6 +143,41 @@ def _jet_mul(x, y):
                      for n in range(len(x))])
 
 
+# the leading bits of each square's base that bracket an exact numerator
+_TOP_BITS = 64
+
+
+def _truncated(x: int) -> tuple[int, int, int]:
+    """|x| cut to its top ``_TOP_BITS`` bits, as (h, h_up, s) with h * 2^s
+    <= |x| <= h_up * 2^s: h_up is h + 1 when bits were cut, else h."""
+    x = abs(x)
+    s = max(x.bit_length() - _TOP_BITS, 0)
+    h = x >> s
+    return h, h + (s > 0), s
+
+
+def _square_sum_ratio(g: int, z: int, w: int, den: int) -> float:
+    """(g * z^2 + w^2) / den correctly rounded, for integers g >= 0 and den
+    > 0, in work linear in the size of z and w: the same sum on the lower
+    and the upper ends of z and w cut to their top bits (``_truncated``)
+    brackets the numerator, and when the two ends round apart (about one
+    entry in a thousand) ``_exact_ratio`` squares in full."""
+    hz, hz_up, sz = _truncated(z)
+    hw, hw_up, sw = _truncated(w)
+    low = (g * hz * hz << 2 * sz) + (hw * hw << 2 * sw)
+    high = (g * hz_up * hz_up << 2 * sz) + (hw_up * hw_up << 2 * sw)
+    value = low / den
+    return value if value == high / den else _exact_ratio(g, z, w, den)
+
+
+def _exact_ratio(g: int, z: int, w: int, den: int) -> float:
+    """(g * z^2 + w^2) / den correctly rounded, from the exact numerator."""
+    return (g * z * z + w * w) / den
+
+
+_rounded_ratio = np.frompyfunc(_square_sum_ratio, 4, 1)
+
+
 def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
                    order: int = 0) -> np.ndarray:
     """p(d; k, a/b) for each ``d`` in ``ds``, from scaled rows; zero off
@@ -159,6 +194,15 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     S + (len(ds),).  Integer rows give the integer numerator, so each
     float is its exact rational correctly rounded (``rational`` returns the
     Fractions instead); float rows give a plain float64 evaluation.
+
+    The integer numerator g * z^2 + w^2, with g = b^2 - a^2 >= 0, is
+    rounded without squaring z and w in full (``_square_sum_ratio``).
+    Both terms are non-negative, so cutting z and w to their top bits
+    and rounding those cut ends down and up brackets the numerator, and
+    no cancellation can widen the bracket.  Correct rounding is monotone,
+    so when both ends of the bracket round to one float, that float is
+    the correctly rounded entry; only when they differ is the numerator
+    built exactly.
 
     Rows with ``order`` a-derivatives stacked in front (``_rows_for``)
     give the stack (p, dp/da, ...) of shape (order + 1,) + S + (len(ds),),
@@ -183,7 +227,10 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
         p = (_jet_mul(_jet_mul(gap, z_a), z_a) + _jet_mul(odd, odd)) / den
         p[0] = _clamp(p[0])
         return p
-    num = (b2 - a * a) * z_a * z_a + (b2 * z_b - a * z_c) ** 2
+    gap, odd = b2 - a * a, b2 * z_b - a * z_c
+    if row_km1.dtype == object and not rational:
+        return _clamp(_rounded_ratio(gap, z_a, odd, den).astype(float))
+    num = gap * z_a * z_a + odd * odd
     if rational:
         return np.frompyfunc(Fraction, 2, 1)(num, den)
     return _clamp((num / den).astype(float))

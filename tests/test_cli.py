@@ -173,6 +173,15 @@ def test_estimate_generate_echoes_fresh_seed(tmp_path, capsys):
     assert isinstance(report["meta"]["seed"], int)
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--generate", "--theta-star", "0.3"],
+    ["databox", "--theta-star", "0.5", "--budget", "400", "--allocations", "x"],
+])
+def test_rejected_arguments_draw_no_seed(tmp_path, capsys, argv):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    assert "drew" not in capsys.readouterr().out
+
+
 def test_estimate_bernoulli_all_returns(tmp_path):
     data = write_dataset(tmp_path / "ds.json",
                          {"kind": "returns", "k": 2, "n": 40, "n0": 40})

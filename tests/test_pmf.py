@@ -365,13 +365,23 @@ def test_derivative_rows_are_the_exact_rational_derivatives(k, lam):
 
 
 @given(k=st.integers(1, 200), lam=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGE_LAMS)))
+@example(k=79, lam=1 - 2.0**-53)
+@example(k=200, lam=-(1 - 2.0**-53))
 @settings(max_examples=60, deadline=None)
 def test_derivative_rows_sum_to_zero(k, lam):
-    """The pmf sums to 1 for every lam, so its lam-derivatives sum to 0:
-    to within 8 k eps of the sum of their magnitudes."""
+    """The pmf sums to 1 for every lam, so its n-th lam-derivatives sum to
+    0: to within 8 k^n eps of the sum of their magnitudes.
+
+    k^2 for p'' comes from Markov's inequality: near |lam| = 1 a degree-k
+    polynomial's n-th derivative reaches k^(2n) times its size.  So an
+    entry of p'' there sums rounded terms Y Y'' and Y'^2 of size ~k^4
+    into a value of size ~k^2, sum |p''| is ~k^3, and the errors of the
+    k + 1 entries add up to ~k^2 eps of sum |p''|: 0.10 k^2 eps at lam =
+    1 - 2^-53 for k = 20 to 200.  The sum of p' stayed within 2 k eps on
+    the same scan (k <= 200, lam up to 1 - 2^-53)."""
     grid = _grid(k, [lam], list(range(-k, k + 1, 2)), order=2)[:, 0]
-    for derivative in grid[1:]:
-        assert abs(math.fsum(derivative)) <= 8 * k * 2.0**-52 * np.abs(derivative).sum()
+    for n, derivative in enumerate(grid[1:], start=1):
+        assert abs(math.fsum(derivative)) <= 8 * k**n * 2.0**-52 * np.abs(derivative).sum()
 
 
 @given(lam=rational_lam, k=st.integers(1, 25))
@@ -434,6 +444,68 @@ def test_exact_entries_are_correctly_rounded(k, lam):
         want = float(pmf_point(k, d, Fraction(lam)))
         assert table[d] == want, (k, lam, d)
         assert pmf_point(k, d, lam) == want, (k, lam, d)
+
+
+@pytest.mark.parametrize("lam", [1 - 2.0**-53, -(1 - 2.0**-53), 2.0**-60, 5e-324, 0.6123,
+                                 Fraction(1, 3)])
+@pytest.mark.parametrize("k", [150, 200])
+def test_large_k_exact_entries_are_the_rounded_rationals(k, lam):
+    """The bracketed rounding gives float() of the exact rationals on the
+    same rows, dyadic (every float lam) and not (lam = 1/3).  Each rational
+    is read as its exact numerator over its denominator in one correctly
+    rounded int division, which is its float(): reducing it to a Fraction
+    takes a gcd of 430,000-bit integers at k = 200, lam = 5e-324."""
+    a, b = pmf_module._ratio(lam)
+    rows, ds = pmf_module._rows_for(k, a, b), range(-k, k + 1, 2)
+    with mock.patch.object(pmf_module, "Fraction", lambda num, den: num / den):
+        want = pmf_module._probabilities(k, a, b, rows, ds, rational=True).tolist()
+    assert list(pmf_full(k, lam).table.values()) == want
+
+
+# odd 54-bit integers, each halfway between two floats: the tie rounds down
+# to the even neighbour 2^53 for the first and up to 2^53 + 4 for the second
+_MIDPOINTS = [(1 << 53) + 1, (1 << 53) + 3]
+
+
+@pytest.mark.parametrize("midpoint", _MIDPOINTS)
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("square", ["z", "w"])
+def test_square_sum_ratio_falls_back_at_a_midpoint(midpoint, offset, square):
+    """For a numerator just below, on or just above a float midpoint, the
+    64-bit bracket straddles the midpoint, so the exact squares decide:
+    below rounds down, above up and the tie to even."""
+    y = 3**60                               # the base's low bits are not zero
+    base, den = midpoint * y + offset, midpoint * y * y
+    g, z, w = (1, base, 0) if square == "z" else (7, 0, base)
+    exact_ratio = pmf_module._exact_ratio
+    with mock.patch.object(pmf_module, "_exact_ratio", wraps=exact_ratio) as fallback:
+        value = pmf_module._square_sum_ratio(g, z, w, den)
+    assert fallback.call_count == 1
+    assert value == float(Fraction(g * z * z + w * w, den))
+    even = min(midpoint - 1, midpoint + 1, key=lambda n: n >> 1 & 1)
+    assert value == {-1: midpoint - 1, 0: even, 1: midpoint + 1}[offset]
+
+
+@pytest.mark.parametrize("g, z, w, den", [
+    (5, 0, 12345 << 200, 1 << 420),
+    (5, 3**140, 0, 1 << 460),
+    (0, 3**140, 0, 1 << 460),
+    (5, 0, 0, 1 << 420),
+    (1, -(3**70), -(5**60), 7**90),
+])
+def test_square_sum_ratio_zero_and_signed_bases(g, z, w, den):
+    assert pmf_module._square_sum_ratio(g, z, w, den) == \
+        float(Fraction(g * z * z + w * w, den))
+
+
+def test_exact_rounding_seldom_squares_in_full():
+    """The bracket decides all but a few entries: at k = 150 the full
+    squares run for at most 1 % of them."""
+    lams = np.linspace(-0.99, 0.99, 20).tolist()
+    exact_ratio = pmf_module._exact_ratio
+    with mock.patch.object(pmf_module, "_exact_ratio", wraps=exact_ratio) as fallback:
+        entries = sum(len(pmf_full(150, lam).table) for lam in lams)
+    assert fallback.call_count <= entries // 100
 
 
 def test_moment_helpers():
