@@ -13,6 +13,7 @@ the integral and derivative identities of the U_n family.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -20,6 +21,16 @@ __all__ = [
     "chebyshev_u",
     "chebyshev_identity_suite",
 ]
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int, at least ``minimum`` when one is given; a float
+    or a bool is rejected, not truncated."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def chebyshev_u(n, x):
@@ -32,7 +43,8 @@ def chebyshev_u(n, x):
     Parameters
     ----------
     n : int
-        Polynomial degree, n >= 0.
+        Polynomial degree, an integer n >= 0; a bool or a float raises
+        ValueError.
     x : float, numpy array, or Fraction
         Evaluation point(s).  The recurrence is generic, so exact types
         propagate (a Fraction input yields a Fraction).
@@ -49,8 +61,7 @@ def chebyshev_u(n, x):
 
 def _chebyshev_u_pair(n, x):
     """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass; types as ``chebyshev_u``."""
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
+    n = _integer(n, "degree", 0)
     scalar = isinstance(x, (float, np.floating))
     x = np.longdouble(x) if scalar else x
     one = x * 0 + 1
@@ -95,8 +106,7 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
 
     Returns a dict mapping identity name to residual.
     """
-    if r < 0:
-        raise ValueError(f"r must be non-negative, got {r}")
+    r = _integer(r, "r", 0)
     lam = float(lam)
     if abs(lam) > 1:
         raise ValueError(f"|lam| must be <= 1, got {lam}")

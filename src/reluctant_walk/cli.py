@@ -6,9 +6,10 @@ package version, the seed in effect, and the displacement-axis convention.
 Writes are atomic (temp file then rename) and contain no timestamps, so
 identical invocations produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or parse error,
-3 degenerate estimation (flat likelihood or boundary maximum), 141 stdout
-closed by its reader (the artifacts are written).
+Exit codes: 0 success, 1 validation failure, 2 usage or parse error (an
+unreadable input or an unwritable output included), 3 degenerate
+estimation (flat likelihood or boundary maximum), 141 stdout closed by its
+reader (the artifacts are written).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .pmf import (
     _PMF_COLUMNS,
     _csv_text,
     _grid,
+    _integer,
     _mirror_text,
     _pmf_rows,
     _return_grid,
@@ -214,10 +216,8 @@ def cmd_estimate(args) -> int:
     row = est.to_json()
     row["candidates"] = "|".join(format_float(c) for c in est.candidates)
     row["flags"] = "|".join(est.flags)
-    columns = ["theta_hat", "lambda_hat", "loglik", "curvature", "positivity",
-               "candidates", "flags", "kind", "k", "n", "seed", "convention_sigma"]
     # the summary's trailing newline puts the paths on a line of their own
-    _report(args, columns, [row], {"method": method, "k": data.k},
+    _report(args, list(row), [row], {"method": method, "k": data.k},
             f"method={method} k={data.k} n={data.trials:g} "
             f"theta_hat={format_float(est.theta_hat)} "
             f"lambda_hat={format_float(est.lambda_hat)} flags={list(est.flags)}\n ",
@@ -256,8 +256,7 @@ def cmd_databox(args) -> int:
                                  seed=seed, grid_size=args.grid)
     rows = [dict(row, flags="|".join(row["flags"])) for row in report["rows"]]
     theta_star = format_float(args.theta_star)
-    _report(args, ["k", "n", "theta_hat", "lambda_hat", "abs_error", "loglik", "flags"],
-            rows, {"theta_star": theta_star, "budget": args.budget},
+    _report(args, list(rows[0]), rows, {"theta_star": theta_star, "budget": args.budget},
             f"theta_star={theta_star} budget={args.budget} ({len(rows)} allocations)")
     return EXIT_OK
 
@@ -354,6 +353,7 @@ def _detect_sigma(max_k: int) -> int | None:
 
 
 def cmd_validate(args) -> int:
+    _integer(args.max_k, "--max-k", 0)
     failed = False
     for name, worst in _validation_checks(args.max_k):
         ok = worst <= args.tol
@@ -462,7 +462,8 @@ def _estimate_args(p: argparse.ArgumentParser) -> None:
                    help="theta grid points of the scan (default 601)")
     p.add_argument("--refine-tol", type=float, default=1e-9,
                    help="Newton step at which the refine stops (0: float resolution); "
-                        "theta_hat lies within it of the root of the score")
+                        "near a concave maximum theta_hat lies within about it of the "
+                        "root of the score")
     _add_theta_range(p)
     _add_common(p)
 
@@ -580,6 +581,9 @@ def main(argv=None) -> int:
         # the reader left early (`| head -1`); devnull quiets the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # an unreadable input or an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -82,19 +82,26 @@ class TrialDataset:
             positions = tuple(_integer(d, "d") for d in positions)
         object.__setattr__(self, "positions", positions)
         if self.kind == "positions":
+            tally = Counter(positions)
             # checked once per distinct value; the error names the first in order
-            invalid = {d for d in set(positions) if abs(d) > k or (k - d) % 2}
+            invalid = {d for d in tally if abs(d) > k or (k - d) % 2}
             if invalid:
                 d = next(d for d in positions if d in invalid)
                 raise ValueError(
                     f"displacement {d} is outside the parity-valid support for k={k}")
-            if self.weights is not None:
+            if self.weights is None:
+                counts = {d: float(c) for d, c in tally.items()}
+            else:
                 w = tuple(map(_weight, self.weights))
                 if len(w) != len(self.positions):
                     raise ValueError("weights and positions length mismatch")
                 if any(x < 0 for x in w) or (w and not 0 < sum(w) < math.inf):
                     raise ValueError("weights must be nonnegative with finite total > 0")
                 object.__setattr__(self, "weights", w)
+                counts = {}
+                for d, x in zip(positions, w):
+                    counts[d] = counts.get(d, 0.0) + x
+            object.__setattr__(self, "_counts", dict(sorted(counts.items())))
         else:
             if self.k % 2:
                 raise ValueError("return-count data requires an even step count")
@@ -122,18 +129,10 @@ class TrialDataset:
         return float(sum(self.weights))
 
     def counts(self) -> dict[int, float]:
-        """Aggregate weight per observed displacement (cached; the fields
-        it derives from are immutable)."""
+        """Aggregate weight per observed displacement, in displacement order
+        (built with the dataset)."""
         if self.kind == "returns":
             raise ValueError("counts() applies to positions data")
-        if self._counts is None:
-            if self.weights is None:
-                out = {d: float(c) for d, c in Counter(self.positions).items()}
-            else:
-                out = {}
-                for d, w in zip(self.positions, self.weights):
-                    out[d] = out.get(d, 0.0) + w
-            object.__setattr__(self, "_counts", dict(sorted(out.items())))
         return dict(self._counts)
 
 
@@ -244,10 +243,8 @@ class LikelihoodCurve:
 def likelihood_curve(data: TrialDataset, theta_range=(0.0, math.pi / 2),
                      grid_size: int = 601) -> LikelihoodCurve:
     thetas, ll = _scan(data, theta_range, grid_size)
-    finite = np.isfinite(ll)
-    if finite.any():
-        masked = np.where(finite, ll, -np.inf)
-        arg = float(thetas[int(np.argmax(masked))])
+    if np.isfinite(ll).any():
+        arg = float(thetas[int(np.argmax(ll))])   # ll is finite or -inf (``_log_sum``)
         curvature = _derivatives(data, arg)[2]
     else:
         arg, curvature = math.nan, math.nan
@@ -299,18 +296,17 @@ def _scan(data: TrialDataset, theta_range, grid_size):
     return thetas, _log_likelihoods(data, np.cos(thetas))
 
 
-def _flat_result(data: TrialDataset) -> EstimateResult:
-    return EstimateResult(math.nan, math.nan, -math.inf, math.nan, math.nan,
-                          (), ("flat_likelihood",), data.kind, data.k,
-                          data.trials, data.seed)
-
-
-def _positivity(data: TrialDataset, ll_hat: float, curvature: float) -> float:
-    """-ptilde^2 l''/n with ptilde = exp(l/n); NaN unless l and l'' are finite."""
+def _result(data: TrialDataset, theta: float, loglik: float, curvature: float,
+            candidates, flags) -> EstimateResult:
+    """The estimate theta of ``data`` with its log-likelihood and curvature
+    l'' there: lam_hat = cos theta, and the positivity -ptilde^2 l''/n with
+    ptilde = exp(l/n), NaN unless l and l'' are finite."""
     n = data.trials
-    if math.isfinite(ll_hat) and math.isfinite(curvature) and n > 0:
-        return -(math.exp(ll_hat / n) ** 2) * curvature / n
-    return math.nan
+    positivity = math.nan
+    if math.isfinite(loglik) and math.isfinite(curvature) and n > 0:
+        positivity = -(math.exp(loglik / n) ** 2) * curvature / n
+    return EstimateResult(theta, math.cos(theta), loglik, curvature, positivity,
+                          tuple(candidates), tuple(flags), data.kind, data.k, n, data.seed)
 
 
 def _newton_max(data: TrialDataset, a: float, b: float, x: float, tol: float):
@@ -372,7 +368,10 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     (``_newton_max``) from the best grid point of each run within 1e-6 of
     the best value, inside the grid points flanking the run, until the
     next step is at most refine_tolerance (finite, >= 0; 0 means float
-    resolution).  Each pass scores one theta: the log-likelihood and its
+    resolution).  That bounds the last step, not the distance to the
+    score's root: near a maximum with l'' < 0 the two are about equal, but
+    where l'' vanishes at the root too theta_hat can lie several
+    tolerances away.  Each pass scores one theta: the log-likelihood and its
     first two theta-derivatives from one forward-mode pass of the rows
     (``pmf._grid`` of order 2), so a default fit makes the scan and 3-4
     such passes.  theta_hat is the last theta scored, and the curvature
@@ -396,7 +395,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 
     finite = np.isfinite(ll)
     if not finite.any():
-        return _flat_result(data)
+        return _result(data, math.nan, -math.inf, math.nan, (), ("flat_likelihood",))
     gmax = float(ll[finite].max())
     flags = []
     if gmax - float(ll[finite].min()) < _FLAT_TOL:
@@ -414,10 +413,8 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
 
     if best_theta - lo < spacing or hi - best_theta < spacing:
         flags.append("boundary_maximum")
-    return EstimateResult(best_theta, math.cos(best_theta), best_ll, curvature,
-                          _positivity(data, best_ll, curvature),
-                          tuple(t for t, _, _ in candidates), tuple(flags),
-                          data.kind, data.k, data.trials, data.seed)
+    return _result(data, best_theta, best_ll, curvature,
+                   (t for t, _, _ in candidates), flags)
 
 
 def _estimate_from_returns(data: TrialDataset, theta_range) -> EstimateResult:
@@ -428,13 +425,11 @@ def _estimate_from_returns(data: TrialDataset, theta_range) -> EstimateResult:
     (root,) = level_set_solve(data.n0 / data.n, data.k, branch=(0.0, 1.0))
     theta = math.acos(root)
     if not lo <= theta <= hi:
-        return _flat_result(data)
+        return _result(data, math.nan, -math.inf, math.nan, (), ("flat_likelihood",))
     ll, _, curvature = _derivatives(data, theta)
     # n0 = 0 puts the root at lam = 1 (theta 0), n0 = n at lam = 0 (theta pi/2)
     flags = ("boundary_maximum",) if data.n0 in (0, data.n) else ()
-    return EstimateResult(theta, math.cos(theta), ll, curvature,
-                          _positivity(data, ll, curvature), (theta,), flags, data.kind,
-                          data.k, data.trials, data.seed)
+    return _result(data, theta, ll, curvature, (theta,), flags)
 
 
 def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: float):

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chebyshev import _iter_y_rows
+from .chebyshev import _integer, _iter_y_rows
 
 __all__ = [
     "CONVENTION_SIGMA",
@@ -92,16 +91,6 @@ def _clamp(p):
     if not np.all((-_CLAMP_TOL <= p) & (p <= 1.0 + _CLAMP_TOL)):
         raise ValueError(f"probability {p} outside [0, 1] beyond clamp tolerance")
     return np.clip(p, 0.0, 1.0)
-
-
-def _integer(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int, at least ``minimum`` when one is given; a float
-    or a bool is rejected, not truncated."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
 
 
 def _validate_k_lam(k: int, lam) -> int:
@@ -254,9 +243,10 @@ def _grid(k: int, lams, ds, order: int = 0) -> np.ndarray:
     Each pass of the row engine takes as many values of lam as keep the
     widest row within ``_FLOAT_ENTRIES`` entries, and at least
     ``_FLOAT_BLOCK``: the rows of the columns ``ds`` stop at their light
-    cone (``_cone``), so a return scan (d = 0) at k = 24 takes 492 lam a
-    pass and all 49 columns at k = 48 take 133.  Every entry equals
-    ``pmf_full(k, lam, exact=False)`` bit for bit, whatever the block.
+    cone (``_cone``), so the d = 0 column at k = 24 (as in the fig2a grid
+    of ``figures``) takes 492 lam a pass and all 49 columns at k = 48
+    take 133.  Every entry equals ``pmf_full(k, lam, exact=False)`` bit
+    for bit, whatever the block.
     """
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)

@@ -3,8 +3,9 @@
 Reproducibility contract: every random quantity comes from a Philox
 counter-based generator keyed by (seed, trial_index), so runs replay
 bit-for-bit and trials are independent whether executed serially or in
-parallel.  The quantum diffusion curve uses exact pmf moments rather
-than sampling; the classical walk spread is sqrt(k) in closed form.
+parallel.  The quantum diffusion curve uses the moments of the pmf on
+the float rows rather than sampling; the classical walk spread is
+sqrt(k) in closed form.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def sample_return_trials(p: float, n: int, seed: int | None = None, *,
 def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, float]]:
     """Walk spread sigma(k) for each k, analytically.
 
-    mode "quantum" reads the standard deviation off the exact pmf at
-    lam = cos(theta); mode "classical" is the unbiased +-1 random walk,
+    mode "quantum" reads the standard deviation off the pmf at lam =
+    cos(theta), streamed on the float rows (``iter_pmf_full(...,
+    exact=False)``); mode "classical" is the unbiased +-1 random walk,
     sigma = sqrt(k) (variance of k independent unit steps; theta unused).
     No sampling is involved in either mode.
     """

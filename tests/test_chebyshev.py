@@ -28,6 +28,21 @@ def test_chebyshev_u_rejects_negative_degree():
         chebyshev_u(-1, 0.5)
 
 
+@pytest.mark.parametrize("degree", [True, 2.0, np.int64(3)])
+def test_degrees_must_be_integers(degree):
+    """A bool (an int subclass, so U_1 before) or a float degree raises
+    ValueError, in ``chebyshev_u`` and in the identity suite's r; a numpy
+    integer is an integer."""
+    if isinstance(degree, np.integer):
+        assert chebyshev_u(degree, 0.5) == chebyshev_u(3, 0.5)
+        assert chebyshev_identity_suite(degree, 0.3) == chebyshev_identity_suite(3, 0.3)
+        return
+    with pytest.raises(ValueError, match="must be an integer"):
+        chebyshev_u(degree, 0.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        chebyshev_identity_suite(degree, 0.3)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10, 50, 100, 200])
 def test_chebyshev_u_trig_identity(n):
     """U_n(x) = sin((n+1) arccos x)/sin(arccos x) within 1e-12 on [-1, 1]."""

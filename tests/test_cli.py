@@ -403,6 +403,23 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert (tmp_path / "estimate.csv").exists() and (tmp_path / "estimate.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--data", "{dir}"], "Is a directory"),
+    (["pmf", "--k", "3", "--lambda", "0.5", "--outdir", "{file}"], "File exists"),
+    (["validate", "--max-k", "-3"], "--max-k must be an integer >= 0, got -3"),
+])
+def test_unreadable_input_unwritable_output_and_negative_max_k_exit_2(
+        tmp_path, capsys, argv, message):
+    """An input that cannot be read, an output directory that is a file and
+    a negative --max-k are input errors: status 2 and one ``error:`` line."""
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- diffusion
 
 def test_diffusion_both_modes(tmp_path):

@@ -445,6 +445,108 @@ def test_default_positions_estimate_makes_at_most_8_likelihood_calls(
     assert set(calls[1:]) == {(1, 2)}
 
 
+def _sextic(theta):
+    """l = -(theta - 0.3)^6: its score has a root of multiplicity 5 there."""
+    e = theta - 0.3
+    return -e ** 6, -6.0 * e ** 5, -30.0 * e ** 4
+
+
+def _cosine(theta):
+    """l = -cos(2 pi theta): concave only on (1/4, 3/4), maximum at 1/2."""
+    c, s = math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta)
+    return -c, 2 * math.pi * s, 4 * math.pi ** 2 * c
+
+
+def _nan_above_half(theta):
+    """l = -(theta - 0.7)^2, but l' and l'' are NaN (a zero probability) above 1/2."""
+    if theta > 0.5:
+        return -math.inf, math.nan, math.nan
+    return -(theta - 0.7) ** 2, -2.0 * (theta - 0.7), -2.0
+
+
+def _newton_trace(monkeypatch, derivatives, x, tol):
+    """``_newton_max`` on [0, 1] from x over a stand-in ``_derivatives``:
+    its result and every theta it scored."""
+    scored = []
+
+    def traced(data, theta):
+        scored.append(theta)
+        if len(scored) > 200:
+            raise RuntimeError("refine did not terminate")
+        return derivatives(theta)
+
+    monkeypatch.setattr(estimation, "_derivatives", traced)
+    return estimation._newton_max(None, 0.0, 1.0, x, tol), scored
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_newton_max_bisects_when_newton_steps_shrink_too_slowly(monkeypatch, tol):
+    """At a root of multiplicity 5 of the score each Newton step is 4/5 of
+    the last, not half the one before it, so the guard bisects instead.
+    The rule stops once the next step is at most tol (floored at
+    4 eps (|a| + |b|)): a Newton step from theta moves 1/5 of its distance
+    to the root, and a bisection step is half a bracket with theta at one
+    end, so the estimate lies within 5 tol of the root, not within tol.
+    (At 1e-9 it ends 3.97e-9 away after 54 passes.)"""
+    (theta, _, curvature), scored = _newton_trace(monkeypatch, _sextic, 0.9, tol)
+    bound = 5 * max(tol, 4.0 * np.finfo(float).eps)
+    assert abs(theta - 0.3) <= bound
+    assert theta == scored[-1] and curvature == _sextic(theta)[2]
+    assert all(0.0 <= t <= 1.0 for t in scored)
+    newton = [x - (x - 0.3) / 5 for x in scored[:-1]]
+    assert any(abs(t - n) > 1e-12 for t, n in zip(scored[1:], newton))
+
+
+def test_newton_max_bisects_from_a_convex_start(monkeypatch):
+    """Where l'' > 0 the Newton step points away from the maximum, so the
+    first move is the bracket's midpoint; the iteration still ends at 1/2."""
+    (theta, _, _), scored = _newton_trace(monkeypatch, _cosine, 0.1, 1e-9)
+    assert _cosine(0.1)[2] > 0 and scored[1] == 0.55
+    assert all(0.0 <= t <= 1.0 for t in scored)
+    assert abs(theta - 0.5) <= 1e-9
+
+
+@pytest.mark.parametrize("start", [0.2, 0.9])
+def test_newton_max_cuts_off_non_finite_scores(monkeypatch, start):
+    """A non-finite score cuts the bracket at that point, on its side of the
+    start, and the estimate is the last finite point: here the edge 1/2 of
+    the finite region.  A non-finite score at the start ends at once."""
+    (theta, ll, curvature), scored = _newton_trace(monkeypatch, _nan_above_half, start, 1e-9)
+    assert all(0.0 <= t <= 1.0 for t in scored)
+    if start > 0.5:
+        assert scored == [start] and theta == start
+        assert ll == -math.inf and math.isnan(curvature)
+    else:
+        assert any(t > 0.5 for t in scored)
+        assert 0.5 - 1e-8 <= theta <= 0.5 and (ll, curvature) == _nan_above_half(theta)[::2]
+
+
+def test_derivatives_are_nan_where_an_observed_probability_is_zero():
+    """At theta = 0 (lam = 1) the walker steps to d = -k only, so an
+    observed d = k has probability 0 and its score term is not finite."""
+    ll, score, curvature = estimation._derivatives(TrialDataset.from_positions(2, [2, 0]), 0.0)
+    assert ll == -math.inf and math.isnan(score) and math.isnan(curvature)
+
+
+def test_best_prefers_a_later_candidate_only_beyond_the_tie_tolerance():
+    tie = estimation._TIE_TOL
+    first, second = (0.1, -5.0, -1.0), (0.2, -5.0 + 2 * tie, -2.0)
+    assert estimation._best([first, second]) == second
+    assert estimation._best([first, (0.2, -5.0 + tie / 2, -2.0)]) == first
+    assert estimation._best([first, second, (0.3, second[1] + tie / 2, -3.0)]) == second
+
+
+def test_mle_positions_flags_a_flat_likelihood_on_a_narrow_range():
+    """Over theta = pi/4 +- 1e-8, around the maximum of this dataset, the
+    log-likelihood varies by about |l''| (1e-8)^2 / 2 = 1.6e-15, below the
+    1e-14 that flags a flat likelihood; the estimate is still the maximum."""
+    data = TrialDataset.from_positions(2, [0, 2, 2, -2, 0])
+    result = mle_estimate(data, theta_range=(math.pi / 4 - 1e-8, math.pi / 4 + 1e-8))
+    assert result.flags == ("flat_likelihood",)
+    assert abs(result.theta_hat - math.pi / 4) < 1e-8
+    assert result.positivity > 0
+
+
 # ------------------------------------------------------------- mle: returns
 
 def test_mle_returns_inverts_frequency():

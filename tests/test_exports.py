@@ -1,4 +1,5 @@
-"""The public names resolve, and none of them is a test-only cross-check route."""
+"""The public names resolve, none of them is a test-only cross-check route,
+and no module keeps an unused import or an unreferenced private name."""
 
 import ast
 import importlib
@@ -35,3 +36,51 @@ def test_package_exports_no_oracle():
     assert "y_poly" in defined
     assert not defined & exported
     assert not [name for name in defined if hasattr(reluctant_walk, name)]
+
+
+SOURCES = {path.stem: ast.parse(path.read_text())
+           for path in sorted(Path(reluctant_walk.__file__).parent.glob("*.py"))}
+
+
+def _exported(tree) -> set[str]:
+    """The names of a literal module-level ``__all__`` list."""
+    return {element.value for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if getattr(target, "id", None) == "__all__"
+            if isinstance(node.value, ast.List) for element in node.value.elts}
+
+
+def _loaded(tree) -> set[str]:
+    """Every name a module reads: names loaded, attributes and names imported."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    for module, tree in SOURCES.items():
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names if alias.name != "*"}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = imported - used - _exported(tree)
+        assert not unused, (module, unused)
+
+
+def test_every_module_level_private_name_is_referenced():
+    referenced = set().union(*map(_loaded, SOURCES.values()))
+    for module, tree in SOURCES.items():
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        unreferenced = {name for name in defined - referenced
+                        if name.startswith("_") and not name.startswith("__")}
+        assert not unreferenced, (module, unreferenced)
