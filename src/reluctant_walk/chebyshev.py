@@ -60,14 +60,20 @@ def chebyshev_u(n, x):
 
 
 def _chebyshev_u_pair(n, x):
-    """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass; types as ``chebyshev_u``."""
+    """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass; types as ``chebyshev_u``.
+
+    ``2x`` is formed once, so each of the n steps is two operations,
+    ``twice * u - u_prev``: the same numbers as ``2 * x * u - u_prev``,
+    which Python evaluates as ``(2 * x) * u``.
+    """
     n = _integer(n, "degree", 0)
     scalar = isinstance(x, (float, np.floating))
     x = np.longdouble(x) if scalar else x
     one = x * 0 + 1
     u_prev, u = one - one, one
+    twice = 2 * x
     for _ in range(n):
-        u_prev, u = u, 2 * x * u - u_prev
+        u_prev, u = u, twice * u - u_prev
     return (float(u), float(u_prev)) if scalar else (u, u_prev)
 
 

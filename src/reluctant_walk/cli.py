@@ -93,19 +93,17 @@ def _report(args, columns, rows, extra: dict, summary: str | None, *,
 
     Both are stamped with the version, ``args.command``, ``args.seed`` and
     the axis convention, then ``extra``.  The stem is ``stem``, else
-    ``--output``, else the command name; the directory is ``--outdir``,
-    else $RELUCTANT_WALK_OUTDIR, else the current one.  The JSON mirror is
-    ``_mirror_text(meta, columns, rows)`` unless ``json_obj`` gives the
-    fields that follow its meta.  Unless ``summary`` is None, prints
+    ``--output``, else the command name; the directory is ``args.outdir``,
+    which ``main`` resolved and created before the command ran.  The JSON
+    mirror is ``_mirror_text(meta, columns, rows)`` unless ``json_obj``
+    gives the fields that follow its meta.  Unless ``summary`` is None, prints
     ``command: summary -> csv, json``.
     """
-    outdir = args.outdir or os.environ.get("RELUCTANT_WALK_OUTDIR") or "."
-    os.makedirs(outdir, exist_ok=True)
     stem = stem or args.output or args.command.replace("-", "_")
     meta = {"version": __version__, "command": args.command,
             "seed": "none" if args.seed is None else args.seed,
             "convention_sigma": CONVENTION_SIGMA, **extra}
-    paths = [os.path.join(outdir, stem + ext) for ext in (".csv", ".json")]
+    paths = [os.path.join(args.outdir, stem + ext) for ext in (".csv", ".json")]
     _atomic_write(paths[0], _csv_text(meta, columns, rows))
     _atomic_write(paths[1], _mirror_text(meta, columns, rows) if json_obj is None
                   else json.dumps({"meta": meta, **json_obj}, indent=2) + "\n")
@@ -571,6 +569,11 @@ def main(argv=None) -> int:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if hasattr(args, "outdir"):
+            # --outdir, else $RELUCTANT_WALK_OUTDIR, else here; made before any
+            # work, so an unwritable output stops the run at once
+            args.outdir = args.outdir or os.environ.get("RELUCTANT_WALK_OUTDIR") or "."
+            os.makedirs(args.outdir, exist_ok=True)
         status = args.func(args)
         sys.stdout.flush()
         return status

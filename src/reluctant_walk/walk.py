@@ -149,28 +149,39 @@ def step(state: WalkState, p: CoinParameter) -> WalkState:
 def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     """Apply ``steps`` walk steps (steps >= 0).
 
-    The steps run in one zeroed buffer as wide as the final state, with the
-    start state in its middle; each step rotates the coin over the active
-    window, moves coin 0 one site right and coin 1 one site left, and widens
-    the window by a site on each side.
+    The steps run in one zeroed buffer as wide as the final state plus a
+    spare column, with the start state in its middle.  Over the active
+    window a step is three array operations into preallocated buffers:
+    coin 0's contributions a0 * (c, -s) to the two coins, coin 1's
+    a1 * (s, c), and one add of the two into ``moved``, a view of the
+    buffer whose row 0 is coin 0 one site right and row 1 coin 1 one site
+    left, so the sum lands already shifted.  The two sites the shift
+    vacates are set to zero and the window widens by a site on each side.
     """
     _integer(steps, "step count k", 0)
     if steps == 0:
         return state
     c, s = p.lam, p.sin_theta
-    amps = np.zeros((2, state.width + 2 * steps), dtype=np.complex128)
+    width = state.width + 2 * steps
+    amps = np.zeros((2, width + 1), dtype=np.complex128)
+    # moved[:, m] is (amps[0, m + 1], amps[1, m - 1]): rows width - 1 apart
+    # in a buffer width + 1 wide
+    moved = amps.reshape(-1)[1:2 * width - 1].reshape(2, width - 1)
+    # what coin 0 and coin 1 each send to (coin 0, coin 1)
+    to0 = np.array([[c], [-s]], dtype=np.complex128)
+    to1 = np.array([[s], [c]], dtype=np.complex128)
+    from0, from1 = np.empty((2, 2, width), dtype=np.complex128)
     lo, hi = steps, steps + state.width
     amps[:, lo:hi] = state.amps
     for _ in range(steps):
-        a0, a1 = amps[:, lo:hi]
-        right = c * a0 + s * a1
-        left = -s * a0 + c * a1
-        amps[0, lo + 1:hi + 1] = right  # coin 0 moves right
+        t0, t1 = from0[:, :hi - lo], from1[:, :hi - lo]
+        np.multiply(amps[0, lo:hi], to0, out=t0)
+        np.multiply(amps[1, lo:hi], to1, out=t1)
+        np.add(t0, t1, out=moved[:, lo:hi])
         amps[0, lo] = 0
-        amps[1, lo - 1:hi - 1] = left   # coin 1 moves left
         amps[1, hi - 1] = 0
         lo, hi = lo - 1, hi + 1
-    return WalkState(state.k + steps, state.lo - steps, amps)
+    return WalkState(state.k + steps, state.lo - steps, amps[:, :width])
 
 
 def position_pmf(state: WalkState) -> Pmf:
@@ -181,7 +192,7 @@ def position_pmf(state: WalkState) -> Pmf:
     visible in serialized output.
     """
     probs = np.sum(np.abs(state.amps) ** 2, axis=0)
-    table = {int(pos): float(pr) for pos, pr in zip(state.positions, probs)}
+    table = dict(zip(state.positions.tolist(), probs.tolist()))
     return Pmf(state.k, table, lam=None)
 
 
@@ -279,5 +290,5 @@ def channel_position_pmf(initial: WalkState, p: CoinParameter, steps: int) -> Pm
     psi0 = np.fft.fft(a_k * psi_hat)[out_positions % phi.size]
     psi1 = np.fft.fft(-b_k * psi_hat)[out_positions % phi.size]
     probs = np.abs(psi0) ** 2 + np.abs(psi1) ** 2
-    table = {int(m): float(pr) for m, pr in zip(out_positions, probs)}
+    table = dict(zip(out_positions.tolist(), probs.tolist()))
     return Pmf(initial.k + steps, table, lam=p.lam)

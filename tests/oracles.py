@@ -20,8 +20,9 @@ polynomial from the integer Y series, and ``pmf_power_coeffs`` any
 p(d; k, lam), so their tests check the routes against each other, against
 the exact rows and, through ``poly_derivative``, the lam-derivatives of
 the float rows.
-Two more keep the package's loops one step or one cell at a time: the walk
-with a new state per step, and the artifact writer a cell at a time."""
+Three more keep the package's loops in their plain forms: the walk with a
+new state per step, the U_n recurrence with 2x formed anew at every step,
+and the artifact writer a cell at a time."""
 
 from __future__ import annotations
 
@@ -259,6 +260,16 @@ def evolve_stepwise(state: WalkState, p: CoinParameter, steps: int) -> WalkState
         new[1, : state.width] = -s * a0 + c * a1  # coin 1 moves left
         state = WalkState(state.k + 1, state.lo - 1, new)
     return state
+
+
+def chebyshev_u_stepwise(n: int, x):
+    """(U_n(x), U_{n-1}(x)) by U_{j+1} = 2 * x * U_j - U_{j-1}, forming 2x
+    anew at each step, in the arithmetic of ``x`` (no extended precision)."""
+    one = x * 0 + 1
+    u_prev, u = one - one, one
+    for _ in range(n):
+        u_prev, u = u, 2 * x * u - u_prev
+    return u, u_prev
 
 
 def csv_text_per_cell(meta, columns, rows) -> str:

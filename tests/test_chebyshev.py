@@ -14,7 +14,7 @@ from reluctant_walk.chebyshev import (
     _iter_y_rows,
 )
 
-from oracles import hyp2f1_terminating, y_poly, y_poly_quadrature
+from oracles import chebyshev_u_stepwise, hyp2f1_terminating, y_poly, y_poly_quadrature
 
 
 def test_chebyshev_u_base_cases():
@@ -85,6 +85,25 @@ def test_chebyshev_u_pair_is_two_consecutive_degrees(x):
         assert np.array_equal(u_prev, chebyshev_u(n - 1, x))
     with pytest.raises(ValueError):
         _chebyshev_u_pair(-1, x)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 499, 999])
+def test_u_pair_is_the_stepwise_recurrence_bit_for_bit(n):
+    """Forming 2x once changes no value: (2 * x) * u is what 2 * x * u
+    computes.  Float arrays over the channel's 1024 nodes (signs of zeros
+    included), extended-precision scalars rounded once, and Fractions."""
+    x = 0.6 * np.cos(2 * np.pi * np.arange(1024) / 1024)
+    x[[0, 1]] = 0.0, -0.0
+    for got, want in zip(_chebyshev_u_pair(n, x), chebyshev_u_stepwise(n, x)):
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for value in (0.3, -0.999, 1.0, -1.0, 0.0, -0.0):
+        want = [float(v) for v in chebyshev_u_stepwise(n, np.longdouble(value))]
+        for x_scalar in (value, np.longdouble(value)):
+            got = _chebyshev_u_pair(n, x_scalar)
+            assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
+            assert list(got) == want
+    assert _chebyshev_u_pair(n, Fraction(-3, 7)) == chebyshev_u_stepwise(n, Fraction(-3, 7))
 
 
 @pytest.mark.parametrize(

@@ -420,6 +420,20 @@ def test_unreadable_input_unwritable_output_and_negative_max_k_exit_2(
     assert "Traceback" not in err
 
 
+def test_unwritable_outdir_stops_the_run_before_any_work(tmp_path, capsys, monkeypatch):
+    """The output directory is made before the command computes: a k = 500
+    table aimed at a regular file exits 2 without building the table."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("pmf_full ran before the output directory was made")
+
+    monkeypatch.setattr("reluctant_walk.cli.pmf_full", no_table)
+    (tmp_path / "file").write_text("")
+    assert main(["pmf", "--k", "500", "--lambda", "0.6",
+                 "--outdir", str(tmp_path / "file")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err
+
+
 # ---------------------------------------------------------------- diffusion
 
 def test_diffusion_both_modes(tmp_path):
