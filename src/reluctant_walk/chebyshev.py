@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import islice
 
 import numpy as np
 
@@ -121,16 +122,18 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
     cphi = np.cos(phi)
 
     u_odd, u_even = _chebyshev_u_pair(2 * r + 1, lam * cphi)
-    # Y_0^(2r) and Y_0^(2r+2) from the exact rows, each correctly rounded
+    # Y_0^(2r) and Y_0^(2r+2) from the exact rows, each correctly rounded:
+    # entry 0 of an even row j is Z_0^(j), of an odd row Z_1^(j)
     a, b = lam.as_integer_ratio()
-    y0 = [row[0] / b**j for j, (row, _) in zip(range(2 * r + 3), _iter_y_rows(a, b))]
+    even_rows = islice(_iter_y_rows(a, b), 0, 2 * r + 3, 2)
+    y0 = [row[0] / b**(2 * i) for i, (row, _) in enumerate(even_rows)]
 
     report = {
         "odd_mean": abs(float(np.mean(u_odd))),
-        "even_mean": abs(float(np.mean(u_even)) - y0[2 * r]),
+        "even_mean": abs(float(np.mean(u_even)) - y0[r]),
         "even_first_moment": abs(2.0 * float(np.mean(cphi * u_even))),
         "odd_first_moment": abs(
-            lam * 2.0 * float(np.mean(cphi * u_odd)) - (y0[2 * r] + y0[2 * r + 2])
+            lam * 2.0 * float(np.mean(cphi * u_odd)) - (y0[r] + y0[r + 1])
         ),
     }
 
@@ -154,20 +157,29 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
 def _iter_y_rows(a, b, cone=None, order=0):
     """Yield (Z^(j), Z^(j-1)) for j = 0, 1, ..., where Z^(j) = b^j * Y^(j)(a/b).
 
+    The walk is bipartite, so Z_m^(j) is zero unless m = j (mod 2), and a
+    row stores only that parity class: entry i of row j is Z_{j%2+2i}.
     ``a`` and ``b`` are scalars or arrays of one shape S, so a whole grid
-    of lam = a/b runs in one pass: row j has shape S + (j+1,), holding
-    [Z_0^(j), ..., Z_j^(j)] per lam, and row -1 is empty.  The rows obey
+    of lam = a/b runs in one pass: row j has shape S + (j//2 + 1,),
+    holding [Z_{j%2}^(j), Z_{j%2+2}^(j), ..., Z_j^(j)] per lam, and row
+    -1 is empty.  With W_i the entries of row j and V_i, U_i those of
+    rows j-1 and j-2, the recurrence
 
-        Z_m^(j) = a*(Z_{|m-1|}^(j-1) + Z_{m+1}^(j-1)) - b^2 * Z_m^(j-2),
+        Z_m^(j) = a*(Z_{|m-1|}^(j-1) + Z_{m+1}^(j-1)) - b^2 * Z_m^(j-2)
 
-    with out-of-range entries zero, so they cost O(j) per row.  With
-    Python ints a, b (lam = a/b, e.g. from ``Fraction(lam)``, which is
-    exact for a float) the rows are object arrays of exact integers; with
-    float a and b = 1.0 they are float64 Y rows, whose rounding grows
-    mildly with j.  The term b^2 * z is the shift ``z << 2e`` when every
-    b is 2^e (the integer rows of any float lam), ``z`` itself on float
-    rows (b = 1.0, and 1.0 * z is z bit for bit), and a product only for
-    other b, as from ``Fraction(1, 3)``.
+    reads, out-of-range entries zero,
+
+        odd j:  W_i = a*(V_i + V_{i+1}) - b^2 * U_i
+        even j: W_i = a*(V_{max(i-1, 0)} + V_i) - b^2 * U_i
+
+    so a row costs O(j) on half the entries of the full row.  With Python
+    ints a, b (lam = a/b, e.g. from ``Fraction(lam)``, which is exact for a
+    float) the rows are object arrays of exact integers; with float a and
+    b = 1.0 they are float64 Y rows, whose rounding grows mildly with j.
+    The term b^2 * z is the shift ``z << 2e`` when every b is 2^e (the
+    integer rows of any float lam), ``z`` itself on float rows (b = 1.0,
+    and 1.0 * z is z bit for bit), and a product only for other b, as
+    from ``Fraction(1, 3)``.
 
     ``order`` n >= 1 runs the recurrence forward-mode: each row gains a
     leading axis holding (Z, dZ/da, ..., d^nZ/da^n) at fixed b.  With S
@@ -176,9 +188,9 @@ def _iter_y_rows(a, b, cone=None, order=0):
     every order at once, two more array operations a row.
 
     ``cone = (last, reach)`` keeps only the light cone of the entries
-    m <= reach of row ``last``: row j holds its first
-    min(j, last + reach - j) + 1 entries.  Each kept entry is computed by
-    the same operations as untrimmed, so it is the same number.
+    m <= reach of row ``last``: row j holds the class entries m <=
+    min(j, last + reach - j).  Each kept entry is computed by the same
+    operations as untrimmed, so it is the same number.
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype)[..., None] for v in (a, b))
@@ -201,18 +213,24 @@ def _iter_y_rows(a, b, cone=None, order=0):
         yield row, prev
         prev2, prev = prev, row
         j += 1
-        width = min(j, edge - j) + 1
+        odd = j % 2
+        width = (min(j, edge - j) - odd) // 2 + 1
+        # the entries m <= j - 2, all but m = j, have a right neighbor Z_{m+1}
+        # in row j-1 and a Z_m in row j-2; inside the cone that is every one
+        # (where using the row itself saves building a view)
+        inner_width = min(width, (j - odd) // 2)
         row = np.empty(shape + (width,), dtype)
-        row[..., 1:] = prev[..., :width - 1]            # left neighbor Z_{m-1}, m >= 1
-        row[..., 0] = prev[..., 1] if j > 1 else 0      # left neighbor Z_{|0-1|} = Z_1
-        # the entries with a right neighbor Z_{m+1} in row j-1 are those with
-        # a Z_m in row j-2: the first j - 1 outside the cone, every one inside
-        # it (where using the row itself saves building a view)
-        inner = row[..., :j - 1] if 2 * j <= edge + 1 else row
-        inner += prev[..., 1:width + 1]
+        inner = row if inner_width == width else row[..., :inner_width]
+        if odd:
+            row[...] = prev[..., :width]                # left neighbor Z_{m-1} = V_i
+            inner += prev[..., 1:inner_width + 1]       # right neighbor Z_{m+1} = V_{i+1}
+        else:
+            row[..., 1:] = prev[..., :width - 1]        # left neighbor Z_{m-1} = V_{i-1}, i >= 1
+            row[..., 0] = prev[..., 0] if j > 1 else 0  # left neighbor Z_{|0-1|} = Z_1 = V_0
+            inner += prev[..., :inner_width]            # right neighbor Z_{m+1} = V_i
         if order:
             leibniz = carry * row[:-1]
         row *= a
         if order:
             row[1:] += leibniz
-        inner -= scaled(prev2[..., :width])
+        inner -= scaled(prev2[..., :inner_width])

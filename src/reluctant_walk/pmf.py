@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
+from operator import is_
 from typing import Iterator
 
 import numpy as np
@@ -179,10 +180,16 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
 
     which is (1 - lam^2) * (Y_{|d-1|}^(k-1))^2 + (Y_{|d|}^(k-2) - lam *
     Y_{|d+1|}^(k-1))^2.  Row k-2 is empty at k = 1, which leaves p(-1) =
-    lam^2 and p(1) = 1 - lam^2.  Rows of shape S + (j+1,) give shape
-    S + (len(ds),).  Integer rows give the integer numerator, so each
-    float is its exact rational correctly rounded (``rational`` returns the
-    Fractions instead); float rows give a plain float64 evaluation.
+    lam^2 and p(1) = 1 - lam^2.  The rows hold one parity class each
+    (``_iter_y_rows``), and on the support |d -+ 1| = k - 1 and |d| = k
+    (mod 2), so Z_{|d-+1|}^(k-1) is entry (|d -+ 1| - (k-1)%2)//2 of row
+    k-1 and Z_{|d|}^(k-2) entry (|d| - k%2)//2 of row k-2.  That index
+    would put an off-support d on a stored entry, so every d with |d| > k
+    or k - d odd reads a padding zero past both rows instead.  Rows of
+    shape S + (width,) give shape S + (len(ds),).  Integer rows give the
+    integer numerator, so each float is its exact rational correctly
+    rounded (``rational`` returns the Fractions instead); float rows give a
+    plain float64 evaluation.
 
     The integer numerator g * z^2 + w^2, with g = b^2 - a^2 >= 0, is
     rounded without squaring z and w in full (``_square_sum_ratio``).
@@ -198,13 +205,19 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     the same formula on Taylor jets in a (``_jet_mul``); only p is clamped.
     """
     row_km1, row_km2 = rows
-    # a column off [-k, k] reads as d = k + 1, whose entries all lie past the rows: p = 0
-    ds = np.asarray([d if abs(d) <= k else k + 1 for d in ds], int)
-    z1 = np.zeros(row_km1.shape[:-1] + (k + 3,), row_km1.dtype)     # |d +- 1| <= k + 2
+    # entry (m - j%2)//2 of row j is Z_m; the last of the (k + 1)//2 + 2
+    # padded entries lies past both rows, and a column off the support reads
+    # it for all three: p = 0
+    ds = np.asarray(ds, int)
+    padded = (k + 1) // 2 + 2
+    off = (np.abs(ds) > k) | ((k - ds) % 2 == 1)
+    entry = lambda m, j: np.where(off, padded - 1, (np.abs(m) - j % 2) // 2)
+    z1 = np.zeros(row_km1.shape[:-1] + (padded,), row_km1.dtype)
     z1[..., :row_km1.shape[-1]] = row_km1
     z2 = np.zeros_like(z1)
     z2[..., :row_km2.shape[-1]] = row_km2
-    z_a, z_b, z_c = z1[..., abs(ds - 1)], z2[..., abs(ds)], z1[..., abs(ds + 1)]
+    z_a, z_b, z_c = (z1[..., entry(ds - 1, k - 1)], z2[..., entry(ds, k - 2)],
+                     z1[..., entry(ds + 1, k - 1)])
     a, b = (np.asarray(v, row_km1.dtype)[..., None] for v in (a, b))
     b2 = b * b
     den = b ** (2 * k)
@@ -225,10 +238,14 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     return _clamp((num / den).astype(float))
 
 
-# row entries per pass of the float rows, 8 bytes each: 64 full-width rows at
-# k = 100, 51 KB a row array.  Narrow rows take more lam a pass, so a pass
-# costs fewer numpy calls per lam; twice this budget raised the peak RSS of a
-# bare process running the positions scan (k = 48, all 49 columns) by 0.8 MB
+# row entries per pass of the float rows, counted at the full width of a row
+# (j + 1 entries, or its light cone), 8 bytes each: 64 such rows at k = 100,
+# 51 KB a row array.  The rows store one parity class, about half of that
+# (26 KB at k = 100).  Narrow rows take more lam a pass, so a pass costs
+# fewer numpy calls per lam; twice this budget raised the peak RSS of a bare
+# process running the positions scan (k = 48, all 49 columns) by 0.8 MB, and
+# doubling the lam a pass at the stored width did not clearly win (k = 20
+# scan, 2-core host: 0.92-1.57 ms before, 1.14-1.86 ms after)
 _FLOAT_ENTRIES = 64 * 100
 # the fewest lam per float pass, whatever the row width
 _FLOAT_BLOCK = 64
@@ -241,12 +258,14 @@ def _grid(k: int, lams, ds, order: int = 0) -> np.ndarray:
     pass (``_iter_y_rows``).
 
     Each pass of the row engine takes as many values of lam as keep the
-    widest row within ``_FLOAT_ENTRIES`` entries, and at least
-    ``_FLOAT_BLOCK``: the rows of the columns ``ds`` stop at their light
-    cone (``_cone``), so the d = 0 column at k = 24 (as in the fig2a grid
-    of ``figures``) takes 492 lam a pass and all 49 columns at k = 48
-    take 133.  Every entry equals ``pmf_full(k, lam, exact=False)`` bit
-    for bit, whatever the block.
+    widest row, counted at full width, within ``_FLOAT_ENTRIES`` entries,
+    and at least ``_FLOAT_BLOCK``: the rows of the columns ``ds`` stop at
+    their light cone (``_cone``), so the d = 0 column at k = 24 (as in the
+    fig2a grid of ``figures``, a widest row of 13 entries) takes 492 lam a
+    pass and all 49 columns at k = 48 (48 entries) take 133.  The rows
+    store one parity class, so a pass holds about half that many entries
+    a row: 7 and 24 at those two k.  Every entry equals
+    ``pmf_full(k, lam, exact=False)`` bit for bit, whatever the block.
     """
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)
@@ -415,9 +434,20 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _repeats_one_object(values) -> bool:
+    """Whether two or more values are all one object, as in the ``k`` and
+    ``lambda`` columns of a pmf table: its text is then formatted once.
+    Identity, not equality, so that cells 0.0 and -0.0 stay apart; a
+    column of varying values stops at its first new object."""
+    return len(values) > 1 and all(map(is_, values, repeat(values[0])))
+
+
 def _csv_column(values):
     """The CSV cells of one column: ``_cell`` of each value, in one ``map``
-    of the format an all-float or all-int column needs."""
+    of the format an all-float or all-int column needs, or one cell
+    repeated for a column of one object."""
+    if _repeats_one_object(values):
+        return [*_csv_column(values[:1])] * len(values)
     kinds = set(map(type, values))
     if kinds <= {float}:
         return map("%.17g".__mod__, values)
@@ -449,7 +479,10 @@ def _mirror(meta: dict | None, columns, rows) -> dict:
 def _json_column(values):
     """The JSON text of one column's values as ``_mirror`` rows hold them,
     indented as row entries: ``float.__repr__`` or ``int.__repr__`` (what
-    ``json`` writes) for an all-finite-float or all-int column."""
+    ``json`` writes) for an all-finite-float or all-int column, and one
+    text repeated for a column of one object."""
+    if _repeats_one_object(values):
+        return [*_json_column(values[:1])] * len(values)
     kinds = set(map(type, values))
     if kinds <= {float} and all(map(math.isfinite, values)):
         return map(float.__repr__, values)

@@ -149,47 +149,60 @@ def step(state: WalkState, p: CoinParameter) -> WalkState:
 def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     """Apply ``steps`` walk steps (steps >= 0).
 
-    The steps run in one zeroed buffer as wide as the final state plus a
-    spare column, with the start state in its middle.  Over the active
-    window a step is three array operations into preallocated buffers:
-    coin 0's contributions a0 * (c, -s) to the two coins, coin 1's
-    a1 * (s, c), and one add of the two into ``moved``, a view of the
-    buffer whose row 0 is coin 0 one site right and row 1 coin 1 one site
-    left, so the sum lands already shifted.  The two sites the shift
-    vacates are set to zero and the window widens by a site on each side.
+    The walk is bipartite: a step moves every amplitude to a neighbouring
+    site, so the sites lo, lo+2, ... of the start state and the sites
+    lo+1, lo+3, ... never mix, and each parity class evolves on its own at
+    half the width.  In a class's compact index, entry i at step t is
+    site lo + cls - t + 2i, so coin 0 moves one entry up, coin 1 stays
+    put, and the window grows one entry a step.  A localized start runs
+    one class; a wider state runs both.
+
+    A class runs in one zeroed buffer one entry wider than its final
+    window.  Over the active window a step is three array operations into
+    preallocated buffers: coin 0's contributions a0 * (c, -s) to the two
+    coins, coin 1's a1 * (s, c), and one add of the two into ``moved``, a
+    view of the buffer whose row 0 is coin 0 one entry up and row 1 coin 1
+    in place, so the sum lands already shifted.  The entry coin 0 vacates
+    is set to zero.  The returned state interleaves the classes over the
+    full window; sites no class reaches (every other site of a localized
+    start) hold +0.0.
     """
     _integer(steps, "step count k", 0)
     if steps == 0:
         return state
     c, s = p.lam, p.sin_theta
-    width = state.width + 2 * steps
-    amps = np.zeros((2, width + 1), dtype=np.complex128)
-    # moved[:, m] is (amps[0, m + 1], amps[1, m - 1]): rows width - 1 apart
-    # in a buffer width + 1 wide
-    moved = amps.reshape(-1)[1:2 * width - 1].reshape(2, width - 1)
     # what coin 0 and coin 1 each send to (coin 0, coin 1)
     to0 = np.array([[c], [-s]], dtype=np.complex128)
     to1 = np.array([[s], [c]], dtype=np.complex128)
-    from0, from1 = np.empty((2, 2, width), dtype=np.complex128)
-    lo, hi = steps, steps + state.width
-    amps[:, lo:hi] = state.amps
-    for _ in range(steps):
-        t0, t1 = from0[:, :hi - lo], from1[:, :hi - lo]
-        np.multiply(amps[0, lo:hi], to0, out=t0)
-        np.multiply(amps[1, lo:hi], to1, out=t1)
-        np.add(t0, t1, out=moved[:, lo:hi])
-        amps[0, lo] = 0
-        amps[1, hi - 1] = 0
-        lo, hi = lo - 1, hi + 1
-    return WalkState(state.k + steps, state.lo - steps, amps[:, :width])
+    out = np.zeros((2, state.width + 2 * steps), dtype=np.complex128)
+    for cls in range(min(2, state.width)):
+        start = state.amps[:, cls::2]
+        width = start.shape[1] + steps
+        amps = np.zeros((2, width + 1), dtype=np.complex128)
+        # moved[:, i] is (amps[0, i + 1], amps[1, i]): rows width apart in a
+        # buffer width + 1 wide
+        moved = amps.reshape(-1)[1:1 + 2 * width].reshape(2, width)
+        from0, from1 = np.empty((2, 2, width), dtype=np.complex128)
+        n = start.shape[1]
+        amps[:, :n] = start
+        for _ in range(steps):
+            t0, t1 = from0[:, :n], from1[:, :n]
+            np.multiply(amps[0, :n], to0, out=t0)
+            np.multiply(amps[1, :n], to1, out=t1)
+            np.add(t0, t1, out=moved[:, :n])
+            amps[0, 0] = 0
+            n += 1
+        out[:, cls::2] = amps[:, :width]
+    return WalkState(state.k + steps, state.lo - steps, out)
 
 
 def position_pmf(state: WalkState) -> Pmf:
     """Distribution over every position in the state's window.
 
     Off-parity positions carry exactly zero probability for walks started
-    from a single site; they are kept in the table so the zeros are
-    visible in serialized output.
+    from a single site: ``evolve`` never computes them and leaves them
+    +0.0, so they read 0.0 here.  They are kept in the table so the zeros
+    are visible in serialized output.
     """
     probs = np.sum(np.abs(state.amps) ** 2, axis=0)
     table = dict(zip(state.positions.tolist(), probs.tolist()))

@@ -285,11 +285,24 @@ def test_identity_suite_rejects_bad_args():
 
 
 def test_exact_rows_match_series():
+    # entry i of row j is Z_m^(j) = 20^j * Y_m^(j), m = j%2 + 2i
     lam = Fraction(19, 20)
     rows = _iter_y_rows(19, 20)
     for j in range(31):
         row, _ = next(rows)
-        assert [Fraction(z, 20**j) for z in row] == [y_poly(m, j, lam) for m in range(j + 1)]
+        assert [Fraction(z, 20**j) for z in row] == [y_poly(m, j, lam)
+                                                      for m in range(j % 2, j + 1, 2)]
+
+
+def test_y_polynomials_vanish_off_their_parity_class():
+    # the entries a row leaves out are zero, so dropping them loses nothing:
+    # zero in the series, and zero to rounding in the quadrature of the
+    # integral, where phi -> phi + pi flips U_j(lam cos phi) cos(m phi) by (-1)^(j+m)
+    for j in range(31):
+        for m in range(1 - j % 2, j + 1, 2):
+            for lam in (Fraction(19, 20), Fraction(-2, 7), Fraction(1)):
+                assert y_poly(m, j, lam) == 0, (m, j, lam)
+                assert abs(y_poly_quadrature(m, j, float(lam))) < 1e-12, (m, j, lam)
 
 
 def test_float_rows_track_exact_rows():
@@ -297,7 +310,7 @@ def test_float_rows_track_exact_rows():
     approx = _iter_y_rows(0.95, 1.0)
     for j in range(101):
         (re_, _), (rf, _) = next(exact), next(approx)
-        assert rf.dtype == np.float64
+        assert rf.dtype == np.float64 and rf.shape == (j // 2 + 1,)
         assert_allclose(rf, [z / 20**j for z in re_], atol=1e-12)
 
 
@@ -306,8 +319,8 @@ def test_float_rows_track_exact_rows():
 @settings(max_examples=60, deadline=None)
 def test_light_cone_rows_are_the_full_rows(last, reach, lams, exact):
     """Every entry a cone keeps is the untrimmed entry, bit for bit (sign
-    of zero too), and each row keeps all the entries row ``last``'s first
-    reach + 1 depend on."""
+    of zero too), and each row keeps all the entries of its parity class
+    that row ``last``'s first reach + 1 depend on."""
     if exact:
         a, b = (np.array(v, object) for v in zip(*(Fraction(x).as_integer_ratio() for x in lams)))
     else:
@@ -315,15 +328,19 @@ def test_light_cone_rows_are_the_full_rows(last, reach, lams, exact):
     full, cone = _iter_y_rows(a, b), _iter_y_rows(a, b, (last, reach))
     for j in range(last + 1):
         (row, _), (kept, _) = next(full), next(cone)
-        width = min(j, reach + last - j) + 1
-        assert width <= kept.shape[-1] <= j + 1
+        # the class entries m = j%2, j%2 + 2, ... up to min(j, reach + last - j)
+        width = (min(j, reach + last - j) - j % 2) // 2 + 1
+        assert width <= kept.shape[-1] <= row.shape[-1] == j // 2 + 1
         assert kept.tolist() == row[..., :kept.shape[-1]].tolist()
         if not exact:
             assert (np.signbit(kept) == np.signbit(row[..., :kept.shape[-1]])).all()
 
 
 def test_return_probability_cone_holds_half_the_rows():
-    # p(0; 100, lam) reads entries 0 and 1 of row 99 and entry 0 of row 98
+    # p(0; 100, lam) reads Z_1 of row 99 and Z_0 of row 98.  Row j keeps its
+    # class entries m <= min(j, 100 - j), (min(j, 100 - j) - j%2)//2 + 1 of
+    # them: 1325 over rows 0..99, against the j//2 + 1 a row, 2550 in all,
+    # that they hold untrimmed
     rows = _iter_y_rows(3, 10, (99, 1))
     kept = sum(next(rows)[0].shape[-1] for _ in range(100))
-    assert kept == 2600 and kept < 0.52 * sum(range(1, 101))
+    assert kept == 1325 and kept < 0.52 * sum(j // 2 + 1 for j in range(100))

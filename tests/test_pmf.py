@@ -135,6 +135,8 @@ def test_grid_rows_are_pmf_full_tables(k, lams, exact):
 @given(k_ds=st.integers(1, 60).flatmap(lambda k: st.tuples(
            st.just(k), st.lists(st.integers(-k, k), min_size=1, max_size=4))),
        lams=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20), exact=st.booleans())
+@example(k_ds=(1, [0]), lams=[0.0, 0.6, -1.0], exact=False)
+@example(k_ds=(1, [0]), lams=[0.0, 0.6, -1.0], exact=True)
 @settings(max_examples=40, deadline=None)
 def test_grid_columns_on_a_light_cone_are_pmf_full_entries(k_ds, lams, exact):
     # a few columns near d = 0 run the rows trimmed to their light cone
@@ -148,6 +150,8 @@ def test_grid_columns_on_a_light_cone_are_pmf_full_entries(k_ds, lams, exact):
 @given(k_ds=st.integers(1, 40).flatmap(lambda k: st.tuples(
            st.just(k), st.lists(st.integers(-k - 3, k + 3), min_size=1, max_size=6))),
        lams=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
+@example(k_ds=(1, [0]), lams=[0.0, 0.6, -1.0])
+@example(k_ds=(48, [1, -1, 47, -47, 49, -49, 50, -50, 0]), lams=[0.0, 0.6, -1.0, 1.0])
 @settings(max_examples=40, deadline=None)
 def test_grid_columns_beyond_the_support_are_pmf_point(k_ds, lams):
     # a column with |d| > k or off parity reads p = 0, as pmf_point does
@@ -158,6 +162,21 @@ def test_grid_columns_beyond_the_support_are_pmf_point(k_ds, lams):
         assert row == points
         assert row_fast == pytest.approx(points, abs=1e-12)
         assert all(p == 0.0 for d, p in zip(ds, row_fast) if abs(d) > k or (k - d) % 2)
+
+
+@pytest.mark.parametrize("k, ds", [(1, [0, 1]), (48, [1, -1, 47, -47, 49, -49, 50, -50, 0])])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_grid_columns_off_the_support_read_plus_zero(k, ds, order):
+    """Each off-support column reads +0.0 in p and in every lam-derivative,
+    whatever stored entry its index would land on in the rows, and leaves
+    the other columns as they are alone."""
+    lams = np.array([0.0, 0.6, -1.0, 1.0, -0.3])
+    grid = _grid(k, lams, ds, order).reshape(order + 1, len(lams), len(ds))
+    off = [i for i, d in enumerate(ds) if abs(d) > k or (k - d) % 2]
+    assert grid[..., off].tobytes() == bytes(grid[..., off].nbytes)
+    for i, d in enumerate(ds):
+        alone = _grid(k, lams, [d], order).reshape(order + 1, len(lams))
+        assert grid[..., i].tobytes() == alone.tobytes(), d
 
 
 def _float_passes(k, lams, ds):
@@ -252,7 +271,8 @@ def test_return_poly_coefficients_are_the_y_polynomials(k):
     coefficients of the Y series (``return_power_coeffs``), and give
     p(0; k, lam) as the Fraction series of ``y_poly`` does and as the exact
     integer rows of the recurrence do (Z_1^(k-1), Z_0^(k-2) of
-    ``_iter_y_rows(a, b)``)."""
+    ``_iter_y_rows(a, b)``, entry 0 of each row at even k; at odd k both
+    lie off their rows' parity class, and are zero)."""
     mu = _return_poly(k)
     assert len(mu) == k
     power = return_power_coeffs(k)
@@ -266,7 +286,8 @@ def test_return_poly_coefficients_are_the_y_polynomials(k):
         y0 = y_poly(0, k - 2, lam) if k >= 2 else 0
         assert q == (1 - lam * lam) * y1 * y1 + (y0 - lam * y1) ** 2
         row_km1, row_km2 = next(islice(_iter_y_rows(a, b), k - 1, None))
-        z1, z0 = (row_km1[1], row_km2[0]) if k >= 2 else (0, 0)
+        z1, z0 = (row_km1[0], row_km2[0]) if k % 2 == 0 else (0, 0)
+        assert k % 2 == 0 or y1 == y0 == 0
         assert q == Fraction((b * b - a * a) * z1 * z1 + (b * b * z0 - a * z1) ** 2,
                              b ** (2 * k))
 
@@ -647,7 +668,17 @@ def _tables(draw):
     return meta, columns, [dict(zip(columns, row)) for row in rows]
 
 
+# columns of one object repeated (formatted once) beside columns of distinct
+# objects that compare equal, 0.0 and -0.0, which must keep their own text
+_ONE_LAM, _ONE_BIG, _ONE_NAN, _ONE_TUPLE = float("0.6"), 10**20 + 1, float("nan"), (1, -0.0)
+_REPEATS = [{"k": _ONE_BIG, "lambda": _ONE_LAM, "nan": _ONE_NAN, "t": _ONE_TUPLE, "z": z,
+             "zz": -z} for z in (0.0, -0.0, 0.0, -0.0)]
+
+
 @given(table=_tables())
+@example(table=({"k": 3}, ["k", "lambda", "nan", "t", "z", "zz"], _REPEATS))
+@example(table=(None, ["z", "lambda"], _REPEATS[:1]))
+@example(table=(None, ["zz", "k"], _REPEATS[1:3]))
 @settings(max_examples=200, deadline=None)
 def test_artifact_text_equals_the_per_cell_writers(table):
     meta, columns, rows = table

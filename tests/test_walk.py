@@ -140,9 +140,16 @@ def test_evolve_equals_one_state_per_step(start, theta, steps):
     want = evolve_stepwise(start, p, steps)
     got = evolve(start, p, steps)
     assert (got.k, got.lo) == (want.k, want.lo)
-    assert got.amps.tobytes() == want.amps.tobytes()   # bit for bit, signed zeros too
+    if start.width == 1:
+        # one parity class occupied: its sites bit for bit, signed zeros too;
+        # the sites it never reaches hold +0.0, where the full-window steps
+        # of the oracle compute them from zeros and leave -0.0 at some theta
+        assert got.amps[:, ::2].tobytes() == want.amps[:, ::2].tobytes()
+        assert got.amps[:, 1::2].tobytes() == bytes(got.amps[:, 1::2].nbytes)
+    else:
+        assert got.amps.tobytes() == want.amps.tobytes()   # both classes, bit for bit
     if steps == 1:
-        assert step(start, p).amps.tobytes() == want.amps.tobytes()
+        assert step(start, p).amps.tobytes() == got.amps.tobytes()
 
 
 @pytest.mark.parametrize("bad", [True, False, 2.0, -1, "3", None])
@@ -321,7 +328,7 @@ def test_channel_memory_stays_linear():
 
 
 def test_evolve_memory_stays_linear():
-    # the steps run in buffers a few state widths wide: a 0.26 MB peak
+    # the steps run in buffers a few state widths wide: a 0.23 MB peak
     # measured at k = 1000, where the final state alone takes 64 kB
     tracemalloc.start()
     try:
