@@ -181,11 +181,11 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     which is (1 - lam^2) * (Y_{|d-1|}^(k-1))^2 + (Y_{|d|}^(k-2) - lam *
     Y_{|d+1|}^(k-1))^2.  Row k-2 is empty at k = 1, which leaves p(-1) =
     lam^2 and p(1) = 1 - lam^2.  The rows hold one parity class each
-    (``_iter_y_rows``), and on the support |d -+ 1| = k - 1 and |d| = k
-    (mod 2), so Z_{|d-+1|}^(k-1) is entry (|d -+ 1| - (k-1)%2)//2 of row
-    k-1 and Z_{|d|}^(k-2) entry (|d| - k%2)//2 of row k-2.  That index
-    would put an off-support d on a stored entry, so every d with |d| > k
-    or k - d odd reads a padding zero past both rows instead.  Rows of
+    (``_iter_y_rows``); the zero-padded copies the formula reads put
+    entry i of row j back at index j%2 + 2i, so Z_m sits at m and every
+    other index holds the structural zero Y_m^(j) = 0, m != j (mod 2).  A
+    column with k - d odd reads three such zeros and one with |d| > k
+    reads zeros past both rows, so p = 0 off the support.  Rows of
     shape S + (width,) give shape S + (len(ds),).  Integer rows give the
     integer numerator, so each float is its exact rational correctly
     rounded (``rational`` returns the Fractions instead); float rows give a
@@ -205,19 +205,15 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     the same formula on Taylor jets in a (``_jet_mul``); only p is clamped.
     """
     row_km1, row_km2 = rows
-    # entry (m - j%2)//2 of row j is Z_m; the last of the (k + 1)//2 + 2
-    # padded entries lies past both rows, and a column off the support reads
-    # it for all three: p = 0
-    ds = np.asarray(ds, int)
-    padded = (k + 1) // 2 + 2
-    off = (np.abs(ds) > k) | ((k - ds) % 2 == 1)
-    entry = lambda m, j: np.where(off, padded - 1, (np.abs(m) - j % 2) // 2)
-    z1 = np.zeros(row_km1.shape[:-1] + (padded,), row_km1.dtype)
-    z1[..., :row_km1.shape[-1]] = row_km1
+    # a column off [-k, k] reads as d = k + 1, whose entries all lie past the rows: p = 0
+    ds = np.asarray([d if abs(d) <= k else k + 1 for d in ds], int)
+    # entry i of row j is Z_{j%2+2i}: spread back onto the full index, the
+    # other parity reads the zeros between, as an off-parity column does
+    z1 = np.zeros(row_km1.shape[:-1] + (k + 3,), row_km1.dtype)     # |d +- 1| <= k + 2
+    z1[..., (k - 1) % 2::2][..., :row_km1.shape[-1]] = row_km1
     z2 = np.zeros_like(z1)
-    z2[..., :row_km2.shape[-1]] = row_km2
-    z_a, z_b, z_c = (z1[..., entry(ds - 1, k - 1)], z2[..., entry(ds, k - 2)],
-                     z1[..., entry(ds + 1, k - 1)])
+    z2[..., k % 2::2][..., :row_km2.shape[-1]] = row_km2
+    z_a, z_b, z_c = z1[..., abs(ds - 1)], z2[..., abs(ds)], z1[..., abs(ds + 1)]
     a, b = (np.asarray(v, row_km1.dtype)[..., None] for v in (a, b))
     b2 = b * b
     den = b ** (2 * k)

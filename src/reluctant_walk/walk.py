@@ -151,21 +151,21 @@ def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
 
     The walk is bipartite: a step moves every amplitude to a neighbouring
     site, so the sites lo, lo+2, ... of the start state and the sites
-    lo+1, lo+3, ... never mix, and each parity class evolves on its own at
-    half the width.  In a class's compact index, entry i at step t is
-    site lo + cls - t + 2i, so coin 0 moves one entry up, coin 1 stays
-    put, and the window grows one entry a step.  A localized start runs
-    one class; a wider state runs both.
+    lo+1, lo+3, ... never mix.  A one-site start occupies one parity class,
+    and only that class is kept, at half the width: entry i at step t is
+    site lo - t + 2i.  A wider start keeps both classes interleaved, entry
+    i at step t being site lo - t + i.  Either index follows the walk's
+    drift of one site down a step, so coin 1 stays put, coin 0 moves up by
+    the number of classes kept, and the window grows by as many entries.
 
-    A class runs in one zeroed buffer one entry wider than its final
-    window.  Over the active window a step is three array operations into
-    preallocated buffers: coin 0's contributions a0 * (c, -s) to the two
-    coins, coin 1's a1 * (s, c), and one add of the two into ``moved``, a
-    view of the buffer whose row 0 is coin 0 one entry up and row 1 coin 1
-    in place, so the sum lands already shifted.  The entry coin 0 vacates
-    is set to zero.  The returned state interleaves the classes over the
-    full window; sites no class reaches (every other site of a localized
-    start) hold +0.0.
+    The steps run in one zeroed buffer wider than the final window by the
+    number of classes kept.  Over the active window a step is three array operations
+    into preallocated buffers: coin 0's contributions a0 * (c, -s) to the
+    two coins, coin 1's a1 * (s, c), and one add of the two into
+    ``moved``, a view of the buffer whose row 0 is coin 0 moved up and
+    row 1 coin 1 in place, so the sum lands already shifted.  The entries
+    coin 0 vacates are set to zero.  The sites a one-site start never
+    reaches (every other site) hold +0.0.
     """
     _integer(steps, "step count k", 0)
     if steps == 0:
@@ -174,25 +174,27 @@ def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     # what coin 0 and coin 1 each send to (coin 0, coin 1)
     to0 = np.array([[c], [-s]], dtype=np.complex128)
     to1 = np.array([[s], [c]], dtype=np.complex128)
-    out = np.zeros((2, state.width + 2 * steps), dtype=np.complex128)
-    for cls in range(min(2, state.width)):
-        start = state.amps[:, cls::2]
-        width = start.shape[1] + steps
-        amps = np.zeros((2, width + 1), dtype=np.complex128)
-        # moved[:, i] is (amps[0, i + 1], amps[1, i]): rows width apart in a
-        # buffer width + 1 wide
-        moved = amps.reshape(-1)[1:1 + 2 * width].reshape(2, width)
-        from0, from1 = np.empty((2, 2, width), dtype=np.complex128)
-        n = start.shape[1]
-        amps[:, :n] = start
-        for _ in range(steps):
-            t0, t1 = from0[:, :n], from1[:, :n]
-            np.multiply(amps[0, :n], to0, out=t0)
-            np.multiply(amps[1, :n], to1, out=t1)
-            np.add(t0, t1, out=moved[:, :n])
-            amps[0, 0] = 0
-            n += 1
-        out[:, cls::2] = amps[:, :width]
+    classes = min(2, state.width)
+    n = state.width
+    width = n + classes * steps
+    amps = np.zeros((2, width + classes), dtype=np.complex128)
+    # moved[:, i] is (amps[0, i + classes], amps[1, i]): rows width apart in
+    # a buffer width + classes wide
+    moved = amps.reshape(-1)[classes:classes + 2 * width].reshape(2, width)
+    from0, from1 = np.empty((2, 2, width), dtype=np.complex128)
+    amps[:, :n] = state.amps
+    vacated = amps[0, :classes]
+    for _ in range(steps):
+        t0, t1 = from0[:, :n], from1[:, :n]
+        np.multiply(amps[0, :n], to0, out=t0)
+        np.multiply(amps[1, :n], to1, out=t1)
+        np.add(t0, t1, out=moved[:, :n])
+        vacated.fill(0)
+        n += classes
+    if classes == 2:
+        return WalkState(state.k + steps, state.lo - steps, amps[:, :width])
+    out = np.zeros((2, 2 * width - 1), dtype=np.complex128)
+    out[:, ::2] = amps[:, :width]
     return WalkState(state.k + steps, state.lo - steps, out)
 
 

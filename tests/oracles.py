@@ -253,7 +253,7 @@ def transition_probability(a: int, b: int, k: int, theta: float,
 def evolve_stepwise(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     """``walk.evolve`` as a new, one site wider ``WalkState`` per step, each
     computed over its whole window: sites of both parities, where ``evolve``
-    runs each parity class of the start state apart."""
+    keeps only the occupied class of a one-site start."""
     c, s = p.lam, p.sin_theta
     for _ in range(steps):
         a0, a1 = state.amps

@@ -167,9 +167,9 @@ def test_grid_columns_beyond_the_support_are_pmf_point(k_ds, lams):
 @pytest.mark.parametrize("k, ds", [(1, [0, 1]), (48, [1, -1, 47, -47, 49, -49, 50, -50, 0])])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_grid_columns_off_the_support_read_plus_zero(k, ds, order):
-    """Each off-support column reads +0.0 in p and in every lam-derivative,
-    whatever stored entry its index would land on in the rows, and leaves
-    the other columns as they are alone."""
+    """Each off-support column reads +0.0 in p and in every lam-derivative
+    (an off-parity one from the zeros between the stored entries of the
+    rows), and leaves the other columns as they are alone."""
     lams = np.array([0.0, 0.6, -1.0, 1.0, -0.3])
     grid = _grid(k, lams, ds, order).reshape(order + 1, len(lams), len(ds))
     off = [i for i, d in enumerate(ds) if abs(d) > k or (k - d) % 2]
