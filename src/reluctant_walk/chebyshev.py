@@ -160,10 +160,12 @@ def _iter_y_rows(a, b, cone=None, order=0):
     The walk is bipartite, so Z_m^(j) is zero unless m = j (mod 2), and a
     row stores only that parity class: entry i of row j is Z_{j%2+2i}.
     ``a`` and ``b`` are scalars or arrays of one shape S, so a whole grid
-    of lam = a/b runs in one pass: row j has shape S + (j//2 + 1,),
-    holding [Z_{j%2}^(j), Z_{j%2+2}^(j), ..., Z_j^(j)] per lam, and row
-    -1 is empty.  With W_i the entries of row j and V_i, U_i those of
-    rows j-1 and j-2, the recurrence
+    of lam = a/b runs in one pass.  The rows are entry-major: row j has
+    shape (j//2 + 1,) + S, and ``row[i]`` holds Z_{j%2+2i}^(j) for every
+    lam, so each update below runs on whole contiguous blocks of entries
+    times lam, with a and b broadcast along the trailing axes; row -1 is
+    empty.  With W_i the entries of row j and V_i, U_i those of rows j-1
+    and j-2, the recurrence
 
         Z_m^(j) = a*(Z_{|m-1|}^(j-1) + Z_{m+1}^(j-1)) - b^2 * Z_m^(j-2)
 
@@ -181,11 +183,12 @@ def _iter_y_rows(a, b, cone=None, order=0):
     and 1.0 * z is z bit for bit), and a product only for other b, as
     from ``Fraction(1, 3)``.
 
-    ``order`` n >= 1 runs the recurrence forward-mode: each row gains a
-    leading axis holding (Z, dZ/da, ..., d^nZ/da^n) at fixed b.  With S
-    the neighbour sum in the brackets, the i-th a-derivative of a*S is
-    a*S^(i) + i*S^(i-1), so row j is a*S + i*S^(i-1) - b^2 * Z^(j-2) on
-    every order at once, two more array operations a row.
+    ``order`` n >= 1 runs the recurrence forward-mode: each row gains an
+    axis behind the entries holding (Z, dZ/da, ..., d^nZ/da^n) at fixed b,
+    shape (width, n + 1) + S.  With N the neighbour sum in the brackets,
+    the i-th a-derivative of a*N is a*N^(i) + i*N^(i-1), so row j is a*N
+    + i*N^(i-1) - b^2 * Z^(j-2) on every order at once, two more array
+    operations a row.
 
     ``cone = (last, reach)`` keeps only the light cone of the entries
     m <= reach of row ``last``: row j holds the class entries m <=
@@ -193,7 +196,7 @@ def _iter_y_rows(a, b, cone=None, order=0):
     operations as untrimmed, so it is the same number.
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
-    a, b = (np.asarray(v, dtype)[..., None] for v in (a, b))
+    a, b = (np.asarray(v, dtype) for v in (a, b))
     if dtype is float:                                  # b = 1.0: b^2 * z is z
         scaled = lambda z: z
     elif all(v & (v - 1) == 0 for v in b.flat):         # b = 2^e: b^2 * z is z << 2e
@@ -202,12 +205,12 @@ def _iter_y_rows(a, b, cone=None, order=0):
     else:
         b2 = b * b
         scaled = lambda z: b2 * z
-    shape = ((order + 1,) if order else ()) + a.shape[:-1]
-    # the factor i of S^(i-1) in the i-th derivative of a*S, i = 1..order
-    carry = np.arange(1, order + 1).reshape((order,) + (1,) * len(a.shape))
+    shape = ((order + 1,) if order else ()) + a.shape
+    # the factor i of N^(i-1) in the i-th derivative of a*N, i = 1..order
+    carry = np.arange(1, order + 1).reshape((order,) + (1,) * a.ndim)
     edge = math.inf if cone is None else cone[0] + cone[1]
-    row, prev = np.zeros(shape + (1,), dtype), np.zeros(shape + (0,), dtype)
-    (row[0] if order else row)[...] = 1                 # Z^(0) = 1, its derivatives 0
+    row, prev = np.zeros((1,) + shape, dtype), np.zeros((0,) + shape, dtype)
+    (row[:, 0] if order else row)[...] = 1              # Z^(0) = 1, its derivatives 0
     j = 0
     while True:
         yield row, prev
@@ -219,18 +222,18 @@ def _iter_y_rows(a, b, cone=None, order=0):
         # in row j-1 and a Z_m in row j-2; inside the cone that is every one
         # (where using the row itself saves building a view)
         inner_width = min(width, (j - odd) // 2)
-        row = np.empty(shape + (width,), dtype)
-        inner = row if inner_width == width else row[..., :inner_width]
+        row = np.empty((width,) + shape, dtype)
+        inner = row if inner_width == width else row[:inner_width]
         if odd:
-            row[...] = prev[..., :width]                # left neighbor Z_{m-1} = V_i
-            inner += prev[..., 1:inner_width + 1]       # right neighbor Z_{m+1} = V_{i+1}
+            row[...] = prev[:width]                     # left neighbor Z_{m-1} = V_i
+            inner += prev[1:inner_width + 1]            # right neighbor Z_{m+1} = V_{i+1}
         else:
-            row[..., 1:] = prev[..., :width - 1]        # left neighbor Z_{m-1} = V_{i-1}, i >= 1
-            row[..., 0] = prev[..., 0] if j > 1 else 0  # left neighbor Z_{|0-1|} = Z_1 = V_0
-            inner += prev[..., :inner_width]            # right neighbor Z_{m+1} = V_i
+            row[1:] = prev[:width - 1]                  # left neighbor Z_{m-1} = V_{i-1}, i >= 1
+            row[0] = prev[0] if j > 1 else 0            # left neighbor Z_{|0-1|} = Z_1 = V_0
+            inner += prev[:inner_width]                 # right neighbor Z_{m+1} = V_i
         if order:
-            leibniz = carry * row[:-1]
+            leibniz = carry * row[:, :-1]
         row *= a
         if order:
-            row[1:] += leibniz
-        inner -= scaled(prev2[..., :inner_width])
+            row[:, 1:] += leibniz
+        inner -= scaled(prev2[:inner_width])

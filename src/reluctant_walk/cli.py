@@ -143,6 +143,7 @@ def cmd_pmf(args) -> int:
 
 def cmd_simulate(args) -> int:
     coin = _coin_from_args(args)
+    _integer(args.k, "step count k", 1)             # r = d/k needs k >= 1, as pmf does
     state = evolve(WalkState.localized(args.start), coin, args.k)
     table = position_pmf(state).table
     _report(args, _PMF_COLUMNS, _pmf_rows(args.k, table, coin.lam),

@@ -120,8 +120,9 @@ def _cone(k: int, ds=None):
 
 def _rows_for(k: int, a, b, ds=None, order: int = 0):
     """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads, trimmed to
-    the light cone of ``ds`` when it is narrower (``_cone``), with their
-    first ``order`` a-derivatives stacked in front (``_iter_y_rows``)."""
+    the light cone of ``ds`` when it is narrower (``_cone``), entry-major,
+    with their first ``order`` a-derivatives stacked on the axis behind
+    the entries (``_iter_y_rows``)."""
     return next(islice(_iter_y_rows(a, b, _cone(k, ds), order), k - 1, None))
 
 
@@ -185,11 +186,12 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     entry i of row j back at index j%2 + 2i, so Z_m sits at m and every
     other index holds the structural zero Y_m^(j) = 0, m != j (mod 2).  A
     column with k - d odd reads three such zeros and one with |d| > k
-    reads zeros past both rows, so p = 0 off the support.  Rows of
-    shape S + (width,) give shape S + (len(ds),).  Integer rows give the
-    integer numerator, so each float is its exact rational correctly
-    rounded (``rational`` returns the Fractions instead); float rows give a
-    plain float64 evaluation.
+    reads zeros past both rows, so p = 0 off the support.  The rows are
+    entry-major, shape (width,) + S: the padded copies gather the columns
+    on that leading axis and move it last, giving shape S + (len(ds),).
+    Integer rows give the integer numerator, so each float is its exact
+    rational correctly rounded (``rational`` returns the Fractions
+    instead); float rows give a plain float64 evaluation.
 
     The integer numerator g * z^2 + w^2, with g = b^2 - a^2 >= 0, is
     rounded without squaring z and w in full (``_square_sum_ratio``).
@@ -200,20 +202,24 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     the correctly rounded entry; only when they differ is the numerator
     built exactly.
 
-    Rows with ``order`` a-derivatives stacked in front (``_rows_for``)
-    give the stack (p, dp/da, ...) of shape (order + 1,) + S + (len(ds),),
-    the same formula on Taylor jets in a (``_jet_mul``); only p is clamped.
+    Rows with ``order`` a-derivatives stacked behind the entries, shape
+    (width, order + 1) + S (``_rows_for``), give the stack (p, dp/da, ...)
+    of shape (order + 1,) + S + (len(ds),), the same formula on Taylor
+    jets in a (``_jet_mul``); only p is clamped.
     """
     row_km1, row_km2 = rows
     # a column off [-k, k] reads as d = k + 1, whose entries all lie past the rows: p = 0
     ds = np.asarray([d if abs(d) <= k else k + 1 for d in ds], int)
-    # entry i of row j is Z_{j%2+2i}: spread back onto the full index, the
-    # other parity reads the zeros between, as an off-parity column does
-    z1 = np.zeros(row_km1.shape[:-1] + (k + 3,), row_km1.dtype)     # |d +- 1| <= k + 2
-    z1[..., (k - 1) % 2::2][..., :row_km1.shape[-1]] = row_km1
+    # entry i of row j is Z_{j%2+2i}: spread back onto the full index on the
+    # leading axis, the other parity reads the zeros between, as an
+    # off-parity column does
+    z1 = np.zeros((k + 3,) + row_km1.shape[1:], row_km1.dtype)      # |d +- 1| <= k + 2
+    z1[(k - 1) % 2::2][:len(row_km1)] = row_km1
     z2 = np.zeros_like(z1)
-    z2[..., k % 2::2][..., :row_km2.shape[-1]] = row_km2
-    z_a, z_b, z_c = z1[..., abs(ds - 1)], z2[..., abs(ds)], z1[..., abs(ds + 1)]
+    z2[k % 2::2][:len(row_km2)] = row_km2
+    # the gathered columns lead; move them last, behind S (and the jet axis)
+    z_a, z_b, z_c = (np.moveaxis(z[abs(i)], 0, -1)
+                     for z, i in ((z1, ds - 1), (z2, ds), (z1, ds + 1)))
     a, b = (np.asarray(v, row_km1.dtype)[..., None] for v in (a, b))
     b2 = b * b
     den = b ** (2 * k)
@@ -237,11 +243,21 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
 # row entries per pass of the float rows, counted at the full width of a row
 # (j + 1 entries, or its light cone), 8 bytes each: 64 such rows at k = 100,
 # 51 KB a row array.  The rows store one parity class, about half of that
-# (26 KB at k = 100).  Narrow rows take more lam a pass, so a pass costs
-# fewer numpy calls per lam; twice this budget raised the peak RSS of a bare
-# process running the positions scan (k = 48, all 49 columns) by 0.8 MB, and
-# doubling the lam a pass at the stored width did not clearly win (k = 20
-# scan, 2-core host: 0.92-1.57 ms before, 1.14-1.86 ms after)
+# (26 KB at k = 100), entry-major.  Narrow rows take more lam a pass, so a
+# pass costs fewer numpy calls per lam.  A larger budget still cuts the
+# 601-point scan over all columns (best ms of six shuffled rounds in one
+# process, 2-core host), but each pass holds more rows at once:
+#
+#   budget      k = 20   k = 48   k = 200   k = 500   peak RSS, k = 500 scan
+#   x1          0.49     2.07     19.0      80.8      34.6 MB
+#   x2          0.35     1.50     18.8      79.8
+#   x4          0.35     1.28     14.2      78.2
+#   x16         0.35     1.02     14.4      67.2      41.5 MB
+#   unbounded   0.36     1.01     13.3      84.1      53.4 MB
+#
+# (peak RSS of a bare process running that one scan; at k = 48 it is 30.5 MB
+# at x1 and 32.4 MB at x16).  The budget stays: x16 adds a fifth to the
+# peak memory of every scan at k >= 200
 _FLOAT_ENTRIES = 64 * 100
 # the fewest lam per float pass, whatever the row width
 _FLOAT_BLOCK = 64
@@ -260,7 +276,10 @@ def _grid(k: int, lams, ds, order: int = 0) -> np.ndarray:
     fig2a grid of ``figures``, a widest row of 13 entries) takes 492 lam a
     pass and all 49 columns at k = 48 (48 entries) take 133.  The rows
     store one parity class, so a pass holds about half that many entries
-    a row: 7 and 24 at those two k.  Every entry equals
+    a row: 7 and 24 at those two k.  They are entry-major, shape (width,
+    lam count) or (width, order + 1, lam count), so each row update of a
+    pass runs on whole contiguous blocks (24 x 133 doubles for the widest
+    row at k = 48) rather than on a short row per lam.  Every entry equals
     ``pmf_full(k, lam, exact=False)`` bit for bit, whatever the block.
     """
     lams = np.asarray(lams, float)

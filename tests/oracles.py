@@ -47,7 +47,8 @@ _EVEN_CLOSED_LAMBDA_FLOOR = 1e-6
 
 def exact_grid(k: int, lams, ds) -> np.ndarray:
     """``pmf._grid`` on the exact integer rows, 12 lam a pass (2048 at once
-    hold about 20 MB at k = 24): each entry is ``pmf_full(k, lam)``'s."""
+    hold about 20 MB at k = 24), each row an entry-major object array of
+    shape (width, 12): each entry is ``pmf_full(k, lam)``'s."""
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)
     out = np.empty((len(lams), len(ds)))

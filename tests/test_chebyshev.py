@@ -315,25 +315,30 @@ def test_float_rows_track_exact_rows():
 
 
 @given(last=st.integers(0, 60), reach=st.integers(0, 62),
-       lams=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4), exact=st.booleans())
+       lams=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4), exact=st.booleans(),
+       order=st.integers(0, 2))
 @settings(max_examples=60, deadline=None)
-def test_light_cone_rows_are_the_full_rows(last, reach, lams, exact):
+def test_light_cone_rows_are_the_full_rows(last, reach, lams, exact, order):
     """Every entry a cone keeps is the untrimmed entry, bit for bit (sign
     of zero too), and each row keeps all the entries of its parity class
-    that row ``last``'s first reach + 1 depend on."""
+    that row ``last``'s first reach + 1 depend on.  Rows are entry-major:
+    row j has shape (width,) + a.shape, or (width, order + 1) + a.shape
+    with derivatives, so entry i of every lam is ``row[i]``."""
     if exact:
         a, b = (np.array(v, object) for v in zip(*(Fraction(x).as_integer_ratio() for x in lams)))
     else:
         a, b = np.array(lams), np.ones(len(lams))
-    full, cone = _iter_y_rows(a, b), _iter_y_rows(a, b, (last, reach))
+    tail = ((order + 1,) if order else ()) + a.shape
+    full, cone = _iter_y_rows(a, b, order=order), _iter_y_rows(a, b, (last, reach), order)
     for j in range(last + 1):
         (row, _), (kept, _) = next(full), next(cone)
         # the class entries m = j%2, j%2 + 2, ... up to min(j, reach + last - j)
         width = (min(j, reach + last - j) - j % 2) // 2 + 1
-        assert width <= kept.shape[-1] <= row.shape[-1] == j // 2 + 1
-        assert kept.tolist() == row[..., :kept.shape[-1]].tolist()
+        assert width <= kept.shape[0] <= row.shape[0] == j // 2 + 1
+        assert row.shape == (row.shape[0],) + tail and kept.shape == (kept.shape[0],) + tail
+        assert kept.tolist() == row[:len(kept)].tolist()
         if not exact:
-            assert (np.signbit(kept) == np.signbit(row[..., :kept.shape[-1]])).all()
+            assert (np.signbit(kept) == np.signbit(row[:len(kept)])).all()
 
 
 def test_return_probability_cone_holds_half_the_rows():
@@ -342,5 +347,5 @@ def test_return_probability_cone_holds_half_the_rows():
     # them: 1325 over rows 0..99, against the j//2 + 1 a row, 2550 in all,
     # that they hold untrimmed
     rows = _iter_y_rows(3, 10, (99, 1))
-    kept = sum(next(rows)[0].shape[-1] for _ in range(100))
+    kept = sum(len(next(rows)[0]) for _ in range(100))
     assert kept == 1325 and kept < 0.52 * sum(j // 2 + 1 for j in range(100))

@@ -101,6 +101,19 @@ def test_nan_coin_exits_two_and_writes_nothing(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["simulate", "pmf"])
+def test_zero_steps_exit_two_with_one_line_and_write_nothing(tmp_path, capsys, monkeypatch,
+                                                             command):
+    # simulate checks k before the walk runs, as pmf does: no traceback
+    # from r = d/k after a walk of zero steps
+    def no_walk(*args):
+        raise AssertionError("evolve ran")
+    monkeypatch.setattr("reluctant_walk.cli.evolve", no_walk)
+    assert main([command, "--k", "0", "--lambda", "0.5", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: step count k must be an integer >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pmf_requires_a_coin_flag(tmp_path, capsys):
     assert main(["pmf", "--k", "2", "--outdir", str(tmp_path)]) == 2
     capsys.readouterr()

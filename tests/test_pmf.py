@@ -179,11 +179,11 @@ def test_grid_columns_off_the_support_read_plus_zero(k, ds, order):
         assert grid[..., i].tobytes() == alone.tobytes(), d
 
 
-def _float_passes(k, lams, ds):
-    """``_grid(k, lams, ds)`` and the lam count of each of its row-engine
-    passes."""
+def _float_passes(k, lams, ds, order=0):
+    """``_grid(k, lams, ds, order)`` and the lam count of each of its
+    row-engine passes."""
     with mock.patch.object(pmf_module, "_rows_for", wraps=pmf_module._rows_for) as rows_for:
-        grid = _grid(k, lams, ds)
+        grid = _grid(k, lams, ds, order)
     return grid, [len(call.args[1]) for call in rows_for.call_args_list]
 
 
@@ -221,6 +221,19 @@ def test_float_grid_blocks_match_single_points():
     grid = _grid(24, lams, [0, 2, -24])
     single = np.vstack([_grid(24, [lam], [0, 2, -24]) for lam in lams])
     assert np.array_equal(grid, single)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_float_scan_blocks_match_single_points_bit_for_bit(order):
+    # the theta scan of a positions estimate: all 49 columns at k = 48 over
+    # 601 lam take 5 passes, and every entry, sign of zero included, is the
+    # one a pass of that lam alone gives
+    lams = np.cos(np.linspace(0.0, math.pi / 2, 601))
+    ds = list(range(-48, 49, 2))
+    grid, passes = _float_passes(48, lams, ds, order)
+    assert len(passes) == 5
+    for i, lam in enumerate(lams):
+        assert grid[..., i, :].tobytes() == _grid(48, [lam], ds, order).tobytes(), lam
 
 
 def test_float_return_scan_memory_stays_blocked():
