@@ -22,8 +22,8 @@ from reluctant_walk import (
     kernel_power,
     kraus_kernels,
     pmf_full,
+    pmf_point,
     position_pmf,
-    return_probability_kraus,
 )
 
 THETA = 0.9
@@ -44,10 +44,12 @@ def main():
     worst_an = max(abs(analytic.probability(d) - direct.probability(-d))
                    for d in analytic.support)
     print(f"closed form vs direct (mirrored axis):      {worst_an:.3e}")
+    # d = 0 is its own mirror, so all three routes read the return at 0
     q_direct = direct.probability(0)
-    q_kraus = return_probability_kraus(coin, K)
-    print(f"return probability, quadrature vs readout:  "
-          f"{abs(q_direct - q_kraus):.3e}")
+    print(f"return probability, closed form vs readout: "
+          f"{abs(q_direct - pmf_point(K, 0, coin.lam)):.3e}")
+    print(f"return probability, channel vs readout:     "
+          f"{abs(q_direct - channel.probability(0)):.3e}")
     print()
 
     print("Kernel power identity M^k = M U_(k-1) - I U_(k-2), k = 1..40:")

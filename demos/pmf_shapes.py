@@ -10,7 +10,7 @@ protocol.  Run directly:
 
 import math
 
-from reluctant_walk import pmf_full, pmf_point, reluctance_profile
+from reluctant_walk import pmf_full, pmf_point
 
 
 def show_table(pmf):
@@ -36,8 +36,8 @@ def main():
     print()
 
     print("Reluctance profile (r = d/k) at k = 10, lambda = 0.6:")
-    for r, p in reluctance_profile(10, 0.6):
-        print(f"  r={r:+.1f}  p = {p:.6f}")
+    for d, p in pmf_full(10, 0.6).table.items():
+        print(f"  r={d / 10:+.1f}  p = {p:.6f}")
     print()
 
     print("Return probability p(0; k) at lambda = 0.6, even k:")

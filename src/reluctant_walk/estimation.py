@@ -37,8 +37,6 @@ __all__ = [
     "LikelihoodCurve",
     "EstimateResult",
     "log_likelihood",
-    "displacement_likelihood",
-    "bernoulli_return_log_likelihood",
     "likelihood_curve",
     "mle_estimate",
     "level_set_solve",
@@ -60,7 +58,8 @@ class TrialDataset:
     analytic axis, parity-valid for ``k`` and within [-k, k]; ``weights``
     (optional, parallel to positions) supports expected-likelihood runs.
     kind "returns": ``n`` even-step trials of which ``n0`` ended at the
-    start site.  ``seed`` records sampling provenance only.
+    start site.  ``seed`` records sampling provenance only: None or an int
+    >= 0, the seeds ``sampling.trial_generator`` takes.
     """
 
     kind: str
@@ -75,6 +74,8 @@ class TrialDataset:
     def __post_init__(self):
         if self.kind not in ("positions", "returns"):
             raise ValueError(f"kind must be 'positions' or 'returns', got {self.kind!r}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         k = _integer(self.k, "step count k", 1)
         object.__setattr__(self, "k", k)
         positions = tuple(self.positions)
@@ -208,25 +209,6 @@ def _derivatives(data: TrialDataset, theta: float):
     l_lam, l_lamlam = map(math.fsum, terms.tolist())
     sin, cos = math.sin(theta), math.cos(theta)
     return ll, -sin * l_lam, sin * sin * l_lamlam - cos * l_lam
-
-
-def displacement_likelihood(d_list, k: int, theta: float) -> float:
-    """Log-likelihood of a plain displacement list (sum of log pmf_point).
-
-    For n equal displacements this is n*log p^(k)(d|theta).  Raises on
-    parity-invalid or out-of-range displacements, including internally
-    mixed parities.
-    """
-    return log_likelihood(TrialDataset.from_positions(k, d_list), theta)
-
-
-def bernoulli_return_log_likelihood(n0: int, n: int, k: int, lam: float) -> float:
-    """Log-likelihood of n0 returns in n even-step trials at coin parameter lam.
-
-    l = n0 log q + (n - n0) log(1 - q) with q the k-step return
-    probability; -inf when the counts contradict a degenerate q.
-    """
-    return float(_log_likelihoods(TrialDataset.from_returns(k, n0, n), [lam])[0])
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ __all__ = [
     "pmf_point",
     "pmf_full",
     "iter_pmf_full",
-    "reluctance_profile",
     "pmf_to_csv",
     "pmf_from_csv",
     "pmf_to_json",
@@ -373,12 +372,13 @@ def pmf_point(k: int, d: int, lam):
             + (Y_{|d|}^(k-2) - lam * Y_{|d+1|}^(k-1))^2
 
     from the exact integer rows of lam = a/b, with Y^(-1) = 0 at k = 1.
-    Zero off the parity-valid support.  A Fraction ``lam`` gives the exact
+    Zero off the parity-valid support; a ``d`` that is not an int (a float
+    or a bool) raises ValueError.  A Fraction ``lam`` gives the exact
     rational probability; a float ``lam`` gives that rational correctly
     rounded.
     """
     _validate_k_lam(k, lam)
-    d = int(d)
+    d = _integer(d, "displacement d")
     exact = isinstance(lam, Fraction)
     if abs(d) > k or (k - d) % 2:
         return Fraction(0) if exact else 0.0
@@ -412,12 +412,6 @@ def pmf_full(k: int, lam, exact: bool = True) -> Pmf:
     _validate_k_lam(k, lam)
     a, b = _ratio(lam, exact)
     return _table(k, lam, a, b, _rows_for(k, a, b))
-
-
-def reluctance_profile(k: int, lam, exact: bool = True) -> list[tuple[float, float]]:
-    """The pmf re-indexed by reluctance r = d/k, as (r, probability) pairs."""
-    pmf = pmf_full(k, lam, exact=exact)
-    return [(d / k, p) for d, p in pmf.table.items()]
 
 
 def format_float(x) -> str:

@@ -84,9 +84,12 @@ def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, flo
     mode "quantum" reads the standard deviation off the pmf at lam =
     cos(theta), streamed on the float rows (``iter_pmf_full(...,
     exact=False)``); mode "classical" is the unbiased +-1 random walk,
-    sigma = sqrt(k) (variance of k independent unit steps; theta unused).
-    No sampling is involved in either mode.
+    sigma = sqrt(k) (variance of k independent unit steps; theta unused,
+    but a non-finite theta raises ValueError in either mode).  No sampling
+    is involved in either mode.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     ks = [_integer(k, "step count k", 1) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be non-empty and strictly increasing")
@@ -114,6 +117,8 @@ def data_box_experiment(theta_star: float, budget: int, allocations,
     which allocation wins.  Single-trial allocations are flagged
     high_variance.
     """
+    if not math.isfinite(theta_star):
+        raise ValueError(f"theta_star must be finite, got {theta_star}")
     budget = _integer(budget, "budget")
     allocs = tuple((_integer(k, "step count k"), _integer(n, "n")) for k, n in allocations)
     if not allocs:

@@ -23,14 +23,11 @@ from .pmf import Pmf, _integer
 __all__ = [
     "CoinParameter",
     "WalkState",
-    "coin_matrix",
-    "step",
     "evolve",
     "position_pmf",
     "kernel_matrix",
     "kernel_power",
     "kraus_kernels",
-    "return_probability_kraus",
     "channel_position_pmf",
 ]
 
@@ -65,19 +62,14 @@ class CoinParameter:
         return math.sin(self.theta)
 
 
-def coin_matrix(p: CoinParameter) -> np.ndarray:
-    """The SO(2) coin rotation [[cos, sin], [-sin, cos]]."""
-    c, s = p.lam, p.sin_theta
-    return np.array([[c, s], [-s, c]])
-
-
 @dataclass(frozen=True, eq=False)
 class WalkState:
     """Amplitudes over a contiguous position window.
 
     ``amps`` has shape (2, width): row 0 holds the coin-0 amplitude at
     positions lo, lo+1, ..., row 1 the coin-1 amplitude.  ``k`` counts the
-    steps applied so far.  Instances are immutable; ``evolve`` returns a
+    steps applied so far.  ``k`` (>= 0) and ``lo`` are ints; a float or a
+    bool raises ValueError.  Instances are immutable; ``evolve`` returns a
     new state one site wider on each side per step.
     """
 
@@ -86,6 +78,8 @@ class WalkState:
     amps: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer(self.k, "step count k", 0))
+        object.__setattr__(self, "lo", _integer(self.lo, "site lo"))
         a = np.array(self.amps, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != 2 or a.shape[1] < 1:
             raise ValueError(f"amps must have shape (2, width>=1), got {a.shape}")
@@ -103,7 +97,7 @@ class WalkState:
         c0, c1 = complex(coin[0]), complex(coin[1])
         if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-9:
             raise ValueError("coin amplitudes must be normalized")
-        return cls(0, int(position), np.array([[c0], [c1]]))
+        return cls(0, position, np.array([[c0], [c1]]))
 
     @classmethod
     def from_amplitudes(cls, mapping: dict, k: int = 0) -> "WalkState":
@@ -139,11 +133,6 @@ class WalkState:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps) ** 2)))
-
-
-def step(state: WalkState, p: CoinParameter) -> WalkState:
-    """One walk step: coin rotation, then coin-conditioned shift."""
-    return evolve(state, p, 1)
 
 
 def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
@@ -264,19 +253,6 @@ def _momentum_grid(support: int) -> np.ndarray:
     """
     r = 1 << int(support - 1).bit_length()
     return 2.0 * math.pi * np.arange(r) / r
-
-
-def return_probability_kraus(p: CoinParameter, k: int) -> float:
-    """Probability of finding the walker back at its start site after k steps.
-
-    The return amplitudes are the zero-frequency coefficients of the Kraus
-    pair, taken as means over the channel's momentum grid for one start
-    site (R >= 2k+1 nodes).  A_k and B_k have degree <= k, so the means
-    are exact to rounding.
-    """
-    _integer(k, "step count k", 1)
-    a, b = kraus_kernels(_momentum_grid(2 * k + 1), p, k)
-    return float(abs(np.mean(a)) ** 2 + abs(np.mean(b)) ** 2)
 
 
 def channel_position_pmf(initial: WalkState, p: CoinParameter, steps: int) -> Pmf:

@@ -4,8 +4,9 @@ Each function here computes something ``reluctant_walk`` also computes, by
 a route the package does not take, so tests can compare the two: the
 O(k^2) Fraction series of the Y polynomials, their quadrature, their
 terminating-2F1 form, the law-of-cosines and even-step 2F1 forms of the
-pmf, the forward dynamics for a transition probability and the level set
-by scipy's bisection of the exact return gap.  The package's
+pmf, the forward dynamics for a transition probability, the return
+probability by quadrature of the Kraus pair (``return_probability_kraus``)
+and the level set by scipy's bisection of the exact return gap.  The package's
 one route for each is the integer/float row engine
 (``chebyshev._iter_y_rows`` -> ``pmf_full``, and ``pmf._grid`` on float
 rows for lam grids; ``exact_grid`` runs that grid on the exact rows),
@@ -35,11 +36,11 @@ from math import comb
 import numpy as np
 from scipy.optimize import bisect
 
-from reluctant_walk.chebyshev import chebyshev_u
+from reluctant_walk.chebyshev import _integer, chebyshev_u
 from reluctant_walk.pmf import (_cell, _clamp, _mirror, _probabilities, _ratio, _rows_for,
                                 _validate_k_lam, pmf_point)
-from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
-                                 position_pmf)
+from reluctant_walk.walk import (CoinParameter, WalkState, _momentum_grid,
+                                 channel_position_pmf, evolve, kraus_kernels, position_pmf)
 
 # Below this the 2F1 argument 1/lam^2 is not usable; fall back to the rows.
 _EVEN_CLOSED_LAMBDA_FLOOR = 1e-6
@@ -248,6 +249,19 @@ def transition_probability(a: int, b: int, k: int, theta: float,
     if via == "channel":
         return channel_position_pmf(WalkState.localized(a), p, k).probability(2 * a - b)
     raise ValueError(f"via must be 'analytic', 'simulation' or 'channel', got {via!r}")
+
+
+def return_probability_kraus(p: CoinParameter, k: int) -> float:
+    """Probability of finding the walker back at its start site after k steps.
+
+    The return amplitudes are the zero-frequency coefficients of the Kraus
+    pair, taken as means over the channel's momentum grid for one start
+    site (R >= 2k+1 nodes).  A_k and B_k have degree <= k, so the means
+    are exact to rounding.
+    """
+    _integer(k, "step count k", 1)
+    a, b = kraus_kernels(_momentum_grid(2 * k + 1), p, k)
+    return float(abs(np.mean(a)) ** 2 + abs(np.mean(b)) ** 2)
 
 
 

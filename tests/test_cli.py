@@ -153,6 +153,17 @@ def test_simulate_start_site_shifts_window(tmp_path):
 
 # ---------------------------------------------------------------- estimate
 
+@pytest.mark.parametrize("seed", ["abc", [1, 2], -1, 1.5, True])
+def test_estimate_rejects_a_dataset_seed_that_is_not_a_nonnegative_int(
+        tmp_path, capsys, seed):
+    data = write_dataset(tmp_path / "ds.json",
+                         {"kind": "positions", "k": 2, "positions": [0, 2], "seed": seed})
+    assert main(["estimate", "--data", data, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be an integer >= 0, got {seed!r}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ds.json"]
+
+
 def test_estimate_generate_recovers_angle(tmp_path):
     code = main(["estimate", "--generate", "--method", "positions",
                  "--theta-star", "0.3", "--k", "20", "--n", "10000",
@@ -467,6 +478,15 @@ def test_diffusion_rejects_bad_k_list(tmp_path):
     assert main(["diffusion", "--k-list", "a,b", "--outdir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("mode", ["classical", "quantum", "both"])
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_diffusion_rejects_a_non_finite_theta(tmp_path, capsys, theta, mode):
+    assert main(["diffusion", f"--theta={theta}", "--mode", mode,
+                 "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: theta must be finite, got {theta}\n"
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------- databox
 
 def test_databox_rows_and_flags(tmp_path):
@@ -491,6 +511,14 @@ def test_databox_rejects_malformed_allocations(tmp_path):
     assert main(["databox", "--theta-star", "0.5", "--budget", "100",
                  "--allocations", "4x50", "--seed", "1",
                  "--outdir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_databox_rejects_a_non_finite_theta_star(tmp_path, capsys, theta):
+    assert main(["databox", f"--theta-star={theta}", "--budget", "100",
+                 "--allocations", "4:25", "--seed", "1", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: theta_star must be finite, got {theta}\n"
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------- figures

@@ -14,10 +14,8 @@ from reluctant_walk import estimation, pmf, sample_positions
 from reluctant_walk.estimation import (
     EstimateResult,
     TrialDataset,
-    bernoulli_return_log_likelihood,
     dataset_from_json,
     dataset_to_json,
-    displacement_likelihood,
     level_set_solve,
     likelihood_curve,
     log_likelihood,
@@ -34,6 +32,12 @@ def gibbs_dataset(theta_star, k):
     support = table.support
     return TrialDataset.from_positions(
         k, support, weights=[table.probability(d) for d in support])
+
+
+def returns_loglik(n0, n, k, lam):
+    """The log-likelihood of n0 returns in n k-step trials at lam itself, not
+    at cos(acos(lam)), which need not be lam bit for bit."""
+    return float(estimation._log_likelihoods(TrialDataset.from_returns(k, n0, n), [lam])[0])
 
 
 # ---------------------------------------------------------------- datasets
@@ -162,8 +166,7 @@ def test_log_likelihood_weighted_matches_manual_sum():
 def test_log_likelihood_dispatches_returns_to_bernoulli():
     ds = TrialDataset.from_returns(4, n0=3, n=7)
     theta = 0.9
-    assert log_likelihood(ds, theta) == bernoulli_return_log_likelihood(
-        3, 7, 4, math.cos(theta))
+    assert log_likelihood(ds, theta) == returns_loglik(3, 7, 4, math.cos(theta))
 
 
 @given(theta=st.floats(0.05, math.pi / 2 - 0.05),
@@ -179,7 +182,7 @@ def test_log_likelihood_never_positive(theta, draws):
 def test_displacement_likelihood_matches_point_sum():
     theta = 0.4
     lam = math.cos(theta)
-    got = displacement_likelihood([1, -1, 3], 3, theta)
+    got = log_likelihood(TrialDataset.from_positions(3, [1, -1, 3]), theta)
     want = (math.log(pmf_point(3, 1, lam)) + math.log(pmf_point(3, -1, lam))
             + math.log(pmf_point(3, 3, lam)))
     assert got == pytest.approx(want, rel=1e-13)
@@ -187,32 +190,32 @@ def test_displacement_likelihood_matches_point_sum():
 
 def test_displacement_likelihood_rejects_mixed_parity():
     with pytest.raises(ValueError, match="parity-valid"):
-        displacement_likelihood([2, 1], 2, 0.5)
+        TrialDataset.from_positions(2, [2, 1])
 
 
 def test_bernoulli_return_log_likelihood_closed_value():
     # q = 1 - lam^2 = 0.64 at lam = 0.6 for two steps
-    got = bernoulli_return_log_likelihood(6, 10, 2, 0.6)
+    got = returns_loglik(6, 10, 2, 0.6)
     assert got == pytest.approx(6 * math.log(0.64) + 4 * math.log(0.36), rel=1e-15)
 
 
 def test_bernoulli_degenerate_certain_return():
     # lam = 0 makes the two-step return certain
-    assert bernoulli_return_log_likelihood(5, 5, 2, 0.0) == 0.0
-    assert bernoulli_return_log_likelihood(4, 5, 2, 0.0) == -math.inf
+    assert returns_loglik(5, 5, 2, 0.0) == 0.0
+    assert returns_loglik(4, 5, 2, 0.0) == -math.inf
 
 
 def test_bernoulli_degenerate_never_returns():
     # lam = 1 makes the two-step return impossible
-    assert bernoulli_return_log_likelihood(0, 5, 2, 1.0) == 0.0
-    assert bernoulli_return_log_likelihood(1, 5, 2, 1.0) == -math.inf
+    assert returns_loglik(0, 5, 2, 1.0) == 0.0
+    assert returns_loglik(1, 5, 2, 1.0) == -math.inf
 
 
 def test_bernoulli_validation():
     with pytest.raises(ValueError, match="even"):
-        bernoulli_return_log_likelihood(1, 2, 3, 0.5)
+        returns_loglik(1, 2, 3, 0.5)
     with pytest.raises(ValueError):
-        bernoulli_return_log_likelihood(3, 2, 2, 0.5)
+        returns_loglik(3, 2, 2, 0.5)
 
 
 # ------------------------------------------------------------------ curves
@@ -558,7 +561,7 @@ def test_mle_returns_inverts_frequency():
     assert result.n == 100.0
     assert result.flags == ()
     assert result.loglik == pytest.approx(
-        bernoulli_return_log_likelihood(36, 100, 2, result.lambda_hat))
+        returns_loglik(36, 100, 2, result.lambda_hat))
 
 
 def test_mle_returns_all_returned():
@@ -978,6 +981,16 @@ def test_dataset_integer_fields_are_checked_not_truncated():
     ds = TrialDataset.from_returns(4, n0=np.int64(1), n=np.int64(3))
     assert (type(ds.n), type(ds.n0)) == (int, int)
     assert dataset_from_json(json.dumps(dataset_to_json(ds))) == ds
+
+
+@pytest.mark.parametrize("seed", ["abc", [1], -1, 2.0, True])
+def test_dataset_seed_is_none_or_a_nonnegative_int(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        TrialDataset.from_returns(2, n0=1, n=2, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        dataset_from_json({"kind": "positions", "k": 2, "positions": [0], "seed": seed})
+    ds = TrialDataset.from_positions(2, [0], seed=np.uint64(2**63))
+    assert ds.seed == 2**63 and type(ds.seed) is int
 
 
 def test_dataset_positions_keep_plain_ints():

@@ -1,14 +1,43 @@
-"""The public names resolve, none of them is a test-only cross-check route,
-and no module keeps an unused import or an unreferenced private name."""
+"""The public surface is pinned and its names resolve, none of them is a
+test-only cross-check route, removed names stay removed, and no module
+keeps an unused import or an unreferenced private name."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import oracles
 import reluctant_walk
 
 MODULES = ["chebyshev", "estimation", "pmf", "sampling", "walk"]
+
+
+# the public surface; a change to it edits this list
+PUBLIC = [
+    "CONVENTION_SIGMA", "CoinParameter", "EstimateResult", "LikelihoodCurve", "Pmf",
+    "TrialDataset", "WalkState", "channel_position_pmf", "chebyshev_identity_suite",
+    "chebyshev_u", "data_box_experiment", "dataset_from_json", "dataset_to_json",
+    "diffusion_experiment", "evolve", "fresh_seed", "iter_pmf_full", "kernel_matrix",
+    "kernel_power", "kraus_kernels", "level_set_solve", "likelihood_curve", "log_likelihood",
+    "mle_estimate", "pmf_from_csv", "pmf_from_json", "pmf_full", "pmf_point", "pmf_to_csv",
+    "pmf_to_json", "position_pmf", "sample_positions", "sample_return_trials",
+    "trial_generator",
+]
+
+
+def test_public_surface_is_pinned():
+    assert reluctant_walk.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", [
+    "return_probability_kraus", "coin_matrix", "step", "displacement_likelihood",
+    "bernoulli_return_log_likelihood", "reluctance_profile"])
+def test_removed_names_do_not_resolve(name):
+    for module in [reluctant_walk] + [importlib.import_module(f"reluctant_walk.{m}")
+                                      for m in MODULES]:
+        assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_every_exported_name_resolves():
@@ -33,7 +62,7 @@ def test_package_exports_no_oracle():
                 for target in node.targets if isinstance(target, ast.Name)}
     exported = set(reluctant_walk.__all__).union(
         *(importlib.import_module(f"reluctant_walk.{name}").__all__ for name in MODULES))
-    assert "y_poly" in defined
+    assert {"y_poly", "return_probability_kraus"} <= defined
     assert not defined & exported
     assert not [name for name in defined if hasattr(reluctant_walk, name)]
 

@@ -22,7 +22,6 @@ from reluctant_walk.pmf import (
     pmf_point,
     pmf_full,
     iter_pmf_full,
-    reluctance_profile,
     pmf_to_csv,
     pmf_from_csv,
     pmf_to_json,
@@ -457,6 +456,13 @@ def test_argument_validation():
         list(iter_pmf_full(0.5, 0))
 
 
+@pytest.mark.parametrize("d", [1.5, 2.0, True, False, np.float64(0.0), "0"])
+def test_pmf_point_rejects_a_displacement_that_is_not_an_int(d):
+    with pytest.raises(ValueError, match="displacement d must be an integer"):
+        pmf_point(4, d, 0.3)
+    assert pmf_point(4, np.int64(2), 0.3) == pmf_point(4, 2, 0.3)
+
+
 def test_nan_lam_and_bool_k_rejected():
     with pytest.raises(ValueError):
         pmf_full(True, 0.5)
@@ -565,9 +571,10 @@ def test_float_rows_track_exact_rows():
 
 
 def test_reluctance_profile():
-    prof = reluctance_profile(4, 0.6)
-    assert [r for r, _ in prof] == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert prof[0][1] == pmf_full(4, 0.6).probability(-4)
+    # the artifact rows key each entry by the reluctance r = d/k as well as d
+    rows = pmf_to_json(pmf_full(4, 0.6))["rows"]
+    assert [row["r"] for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert rows[0]["p"] == pmf_full(4, 0.6).probability(-4)
 
 
 def test_csv_round_trip():
