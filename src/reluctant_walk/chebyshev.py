@@ -34,6 +34,28 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _finite(value, name: str):
+    """``value``, an angle; NaN or an infinity raises ValueError."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _unit_lam(lam):
+    """``lam``, one or an array; raises ValueError unless every lam is
+    finite with |lam| <= 1 (NaN fails the comparison)."""
+    if not np.all(np.abs(lam) <= 1):
+        raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
+    return lam
+
+
+def _unit_total(total, what: str) -> None:
+    """Raises ValueError unless the squared norm or probability ``total`` of
+    ``what`` is within 1e-9 of 1 (NaN fails the comparison)."""
+    if not abs(total - 1) <= 1e-9:
+        raise ValueError(f"{what} must be normalized, got total {total}")
+
+
 def chebyshev_u(n, x):
     """Evaluate the Chebyshev polynomial of the second kind U_n(x).
 
@@ -114,9 +136,7 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
     Returns a dict mapping identity name to residual.
     """
     r = _integer(r, "r", 0)
-    lam = float(lam)
-    if abs(lam) > 1:
-        raise ValueError(f"|lam| must be <= 1, got {lam}")
+    lam = _unit_lam(float(lam))
     resolution = 8 * (2 * r + 6)
     phi = 2.0 * np.pi * np.arange(resolution) / resolution
     cphi = np.cos(phi)

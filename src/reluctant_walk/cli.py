@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .chebyshev import chebyshev_identity_suite
+from .chebyshev import _finite, _integer, chebyshev_identity_suite
 from .estimation import (
     TrialDataset,
     dataset_from_json,
@@ -41,7 +41,6 @@ from .pmf import (
     _PMF_COLUMNS,
     _csv_text,
     _grid,
-    _integer,
     _mirror_text,
     _pmf_rows,
     _return_grid,
@@ -49,7 +48,6 @@ from .pmf import (
 from .sampling import (
     data_box_experiment,
     diffusion_experiment,
-    fresh_seed,
     sample_positions,
     sample_return_trials,
 )
@@ -112,13 +110,13 @@ def _report(args, columns, rows, extra: dict, summary: str | None, *,
     return paths
 
 
-def _seed(args) -> int:
-    """``args.seed``; when the command line gave none, a fresh one, echoed and
-    stored in ``args`` so that the report stamps it."""
+def _echo_seed(args, seed: int) -> None:
+    """When the command line gave no seed, store ``seed``, the one the
+    library drew after its checks, in ``args`` so that the report stamps
+    it, and echo it."""
     if args.seed is None:
-        args.seed = fresh_seed()
-        print(f"{args.command}: no seed given, drew {args.seed}")
-    return args.seed
+        args.seed = seed
+        print(f"{args.command}: no seed given, drew {seed}")
 
 
 def _coin_from_args(args) -> CoinParameter:
@@ -180,12 +178,11 @@ def cmd_likelihood(args) -> int:
 def _generate_dataset(args) -> TrialDataset:
     if args.theta_star is None or args.k is None or args.n is None:
         raise ValueError("--generate needs --theta-star, --k and --n")
-    seed = _seed(args)
-    lam = math.cos(args.theta_star)
+    lam = math.cos(_finite(args.theta_star, "theta_star"))
     if args.method == "bernoulli":
         q = float(_return_grid(args.k, [lam])[0])
-        return sample_return_trials(q, args.n, seed=seed, k=args.k)
-    return sample_positions(pmf_full(args.k, lam), args.n, seed=seed)
+        return sample_return_trials(q, args.n, seed=args.seed, k=args.k)
+    return sample_positions(pmf_full(args.k, lam), args.n, seed=args.seed)
 
 
 def cmd_estimate(args) -> int:
@@ -212,6 +209,8 @@ def cmd_estimate(args) -> int:
 
     est = mle_estimate(data, theta_range=(args.theta_min, args.theta_max),
                        grid_size=args.grid, refine_tolerance=args.refine_tol)
+    if args.generate:
+        _echo_seed(args, data.seed)
     row = est.to_json()
     row["candidates"] = "|".join(format_float(c) for c in est.candidates)
     row["flags"] = "|".join(est.flags)
@@ -237,7 +236,7 @@ def cmd_level_set(args) -> int:
 
 
 def cmd_diffusion(args) -> int:
-    ks = _parse_int_list(args.k_list)
+    ks = _parse_list(args.k_list, int, "a comma-separated integer list", "k")
     modes = ("quantum", "classical") if args.mode == "both" else (args.mode,)
     rows = [{"mode": mode, "k": k, "sigma": sigma} for mode in modes
             for k, sigma in diffusion_experiment(args.theta, ks, mode)]
@@ -249,10 +248,11 @@ def cmd_diffusion(args) -> int:
 
 
 def cmd_databox(args) -> int:
-    allocations = _parse_allocations(args.allocations)
-    seed = _seed(args)
+    allocations = _parse_list(args.allocations, _allocation,
+                              "allocations like '2:2000,20:200'", "allocation")
     report = data_box_experiment(args.theta_star, args.budget, allocations,
-                                 seed=seed, grid_size=args.grid)
+                                 seed=args.seed, grid_size=args.grid)
+    _echo_seed(args, report["config"]["seed"])
     rows = [dict(row, flags="|".join(row["flags"])) for row in report["rows"]]
     theta_star = format_float(args.theta_star)
     _report(args, list(rows[0]), rows, {"theta_star": theta_star, "budget": args.budget},
@@ -373,30 +373,22 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------- parsing
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, item, expected: str, name: str) -> list:
+    """``item`` of each comma-separated part of ``text``, blank parts
+    skipped; a part ``item`` rejects or no part at all raises ValueError."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = [item(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}")
+        raise ValueError(f"expected {expected}, got {text!r}")
     if not values:
-        raise ValueError("empty k list")
+        raise ValueError(f"empty {name} list")
     return values
 
 
-def _parse_allocations(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            k, n = part.split(":")
-            out.append((int(k), int(n)))
-        except ValueError:
-            raise ValueError(f"expected allocations like '2:2000,20:200', got {text!r}")
-    if not out:
-        raise ValueError("empty allocation list")
-    return out
+def _allocation(part: str) -> tuple[int, int]:
+    """A ``k:n`` pair as two ints."""
+    k, n = part.split(":")
+    return int(k), int(n)
 
 
 def _add_common(parser: argparse.ArgumentParser, stem: bool = True) -> None:

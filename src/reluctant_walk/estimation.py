@@ -29,7 +29,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .pmf import (CONVENTION_SIGMA, _grid, _integer, _json_safe, _return_grid, _return_poly,
+from .chebyshev import _integer
+from .pmf import (CONVENTION_SIGMA, _grid, _json_safe, _return_grid, _return_poly,
                   _return_value)
 
 __all__ = [

@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chebyshev import _integer, _iter_y_rows
+from .chebyshev import _integer, _iter_y_rows, _unit_lam
 
 __all__ = [
     "CONVENTION_SIGMA",
@@ -96,8 +96,7 @@ def _clamp(p):
 def _validate_k_lam(k: int, lam) -> int:
     """k as an int >= 1; raises unless every lam is finite with |lam| <= 1."""
     k = _integer(k, "step count k", 1)
-    if not np.all(np.abs(lam) <= 1):
-        raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
+    _unit_lam(lam)
     return k
 
 
@@ -451,18 +450,19 @@ def _repeats_one_object(values) -> bool:
     return len(values) > 1 and all(map(is_, values, repeat(values[0])))
 
 
-def _csv_column(values):
-    """The CSV cells of one column: ``_cell`` of each value, in one ``map``
-    of the format an all-float or all-int column needs, or one cell
-    repeated for a column of one object."""
+def _column(values, float_text, cell):
+    """The text of one column's values: one ``map`` of ``float_text`` over
+    an all-finite-float column or of ``int.__repr__`` over an all-int one,
+    ``cell`` of each value otherwise, and one text repeated for a column of
+    one object.  ``float_text`` must agree with ``cell`` on finite floats."""
     if _repeats_one_object(values):
-        return [*_csv_column(values[:1])] * len(values)
+        return [*_column(values[:1], float_text, cell)] * len(values)
     kinds = set(map(type, values))
-    if kinds <= {float}:
-        return map("%.17g".__mod__, values)
+    if kinds <= {float} and all(map(math.isfinite, values)):
+        return map(float_text, values)
     if kinds <= {int}:
         return map(int.__repr__, values)
-    return map(_cell, values)
+    return map(cell, values)
 
 
 def _csv_text(meta: dict | None, columns, rows) -> str:
@@ -473,7 +473,7 @@ def _csv_text(meta: dict | None, columns, rows) -> str:
     """
     lines = [f"# {key}: {value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-    cells = [_csv_column([row[c] for row in rows]) for c in columns]
+    cells = [_column([row[c] for row in rows], "%.17g".__mod__, _cell) for c in columns]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
@@ -485,27 +485,16 @@ def _mirror(meta: dict | None, columns, rows) -> dict:
             "rows": [{c: _json_safe(row[c]) for c in columns} for row in rows]}
 
 
-def _json_column(values):
-    """The JSON text of one column's values as ``_mirror`` rows hold them,
-    indented as row entries: ``float.__repr__`` or ``int.__repr__`` (what
-    ``json`` writes) for an all-finite-float or all-int column, and one
-    text repeated for a column of one object."""
-    if _repeats_one_object(values):
-        return [*_json_column(values[:1])] * len(values)
-    kinds = set(map(type, values))
-    if kinds <= {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    if kinds <= {int}:
-        return map(int.__repr__, values)
-    return (json.dumps(_json_safe(v), indent=2).replace("\n", "\n      ") for v in values)
-
-
 def _mirror_text(meta: dict | None, columns, rows) -> str:
     """``json.dumps(_mirror(meta, columns, rows), indent=2) + "\\n"`` for one
     or more string column names, rendered a column at a time: with an
     indent, ``json`` runs its pure-Python encoder, several calls a value."""
     meta_text = json.dumps(dict(meta or {}), indent=2).replace("\n", "\n  ")
-    cells = [map(f"      {json.dumps(c)}: ".__add__, _json_column([row[c] for row in rows]))
+    # each value as ``_mirror`` rows hold it, indented as a row entry;
+    # ``float.__repr__`` is what ``json`` writes for a finite float
+    cell = lambda v: json.dumps(_json_safe(v), indent=2).replace("\n", "\n      ")
+    cells = [map(f"      {json.dumps(c)}: ".__add__,
+                 _column([row[c] for row in rows], float.__repr__, cell))
              for c in columns]
     body = "\n    },\n    {\n".join(map(",\n".join, zip(*cells)))
     rows_text = f"[\n    {{\n{body}\n    }}\n  ]" if rows else "[]"

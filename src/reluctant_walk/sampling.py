@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
+from .chebyshev import _finite, _integer, _unit_total
 from .estimation import TrialDataset, mle_estimate
-from .pmf import Pmf, _integer, iter_pmf_full, pmf_full
+from .pmf import Pmf, iter_pmf_full, pmf_full
 
 __all__ = [
     "fresh_seed",
@@ -49,8 +50,7 @@ def sample_positions(pmf: Pmf, n: int, seed: int | None = None,
     the base seed (a fresh one is drawn when omitted).
     """
     n = _integer(n, "n", 0)
-    if abs(pmf.total() - 1.0) > 1e-9:
-        raise ValueError(f"pmf is not normalized (total {pmf.total()})")
+    _unit_total(pmf.total(), "pmf")
     if seed is None:
         seed = fresh_seed()
     support = np.array(pmf.support)
@@ -88,8 +88,7 @@ def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, flo
     but a non-finite theta raises ValueError in either mode).  No sampling
     is involved in either mode.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    _finite(theta, "theta")
     ks = [_integer(k, "step count k", 1) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be non-empty and strictly increasing")
@@ -117,8 +116,7 @@ def data_box_experiment(theta_star: float, budget: int, allocations,
     which allocation wins.  Single-trial allocations are flagged
     high_variance.
     """
-    if not math.isfinite(theta_star):
-        raise ValueError(f"theta_star must be finite, got {theta_star}")
+    _finite(theta_star, "theta_star")
     budget = _integer(budget, "budget")
     allocs = tuple((_integer(k, "step count k"), _integer(n, "n")) for k, n in allocations)
     if not allocs:

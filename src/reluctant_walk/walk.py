@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _chebyshev_u_pair
-from .pmf import Pmf, _integer
+from .chebyshev import _chebyshev_u_pair, _finite, _integer, _unit_lam, _unit_total
+from .pmf import Pmf
 
 __all__ = [
     "CoinParameter",
@@ -34,14 +34,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoinParameter:
-    """Coin angle theta, normalized to [-pi, pi), with lam = cos(theta) cached."""
+    """Coin angle theta, normalized to [-pi, pi); ``lam`` = cos(theta) and
+    ``sin_theta`` are computed from it on each read."""
 
     theta: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
-        t = math.remainder(self.theta, math.tau)
+        t = math.remainder(_finite(self.theta, "theta"), math.tau)
         if t == math.pi:
             t = -math.pi
         object.__setattr__(self, "theta", t)
@@ -49,9 +48,7 @@ class CoinParameter:
     @classmethod
     def from_lambda(cls, lam: float) -> "CoinParameter":
         """Coin with the given lam = cos(theta), taking theta = acos(lam) in [0, pi]."""
-        if not abs(lam) <= 1:
-            raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
-        return cls(math.acos(lam))
+        return cls(math.acos(_unit_lam(lam)))
 
     @property
     def lam(self) -> float:
@@ -95,8 +92,7 @@ class WalkState:
     def localized(cls, position: int, coin=(1.0, 0.0)) -> "WalkState":
         """Walker at one site with the given (normalized) coin amplitudes."""
         c0, c1 = complex(coin[0]), complex(coin[1])
-        if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-9:
-            raise ValueError("coin amplitudes must be normalized")
+        _unit_total(abs(c0) ** 2 + abs(c1) ** 2, "coin amplitudes")
         return cls(0, position, np.array([[c0], [c1]]))
 
     @classmethod
@@ -111,8 +107,7 @@ class WalkState:
             if coin not in (0, 1):
                 raise ValueError(f"coin index must be 0 or 1, got {coin}")
             a[coin, pos - lo] += amp
-        if abs(np.sum(np.abs(a) ** 2) - 1.0) > 1e-9:
-            raise ValueError("amplitudes must be normalized")
+        _unit_total(np.sum(np.abs(a) ** 2), "amplitudes")
         return cls(k, lo, a)
 
     @property

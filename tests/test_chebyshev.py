@@ -284,6 +284,12 @@ def test_identity_suite_rejects_bad_args():
         chebyshev_identity_suite(1, 1.5)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 1.5])
+def test_identity_suite_rejects_a_lam_off_the_unit_interval(lam):
+    with pytest.raises(ValueError, match=rf"lam must be finite with \|lam\| <= 1, got {lam}"):
+        chebyshev_identity_suite(3, lam)
+
+
 def test_exact_rows_match_series():
     # entry i of row j is Z_m^(j) = 20^j * Y_m^(j), m = j%2 + 2i
     lam = Fraction(19, 20)

@@ -6,6 +6,7 @@ stdout itself (validate, seed echo, each command's summary line).
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -15,7 +16,9 @@ import sys
 import pytest
 
 from reluctant_walk.cli import FIG2_KS, build_parser, main
+from reluctant_walk.estimation import level_set_solve, likelihood_curve, mle_estimate
 from reluctant_walk.pmf import pmf_from_csv, pmf_from_json, pmf_full
+from reluctant_walk.sampling import data_box_experiment
 
 
 def read_csv(path):
@@ -200,10 +203,25 @@ def test_estimate_generate_echoes_fresh_seed(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["estimate", "--generate", "--theta-star", "0.3"],
     ["databox", "--theta-star", "0.5", "--budget", "400", "--allocations", "x"],
+    ["databox", "--theta-star=inf", "--budget", "100", "--allocations", "4:25"],
+    ["databox", "--theta-star", "0.5", "--budget", "100", "--allocations", "4:26"],
+    ["estimate", "--generate", "--method", "bernoulli", "--k", "3", "--theta-star", "0.5",
+     "--n", "10"],
+    ["estimate", "--generate", "--theta-star=inf", "--k", "4", "--n", "10"],
+    ["estimate", "--generate", "--theta-star", "0.3", "--k", "4", "--n", "10", "--grid", "2"],
 ])
 def test_rejected_arguments_draw_no_seed(tmp_path, capsys, argv):
     assert main(argv + ["--outdir", str(tmp_path)]) == 2
     assert "drew" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method", ["positions", "bernoulli"])
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_estimate_generate_rejects_a_non_finite_theta_star(tmp_path, capsys, theta, method):
+    assert main(["estimate", "--generate", f"--theta-star={theta}", "--method", method,
+                 "--k", "4", "--n", "10", "--seed", "1", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: theta_star must be finite, got {theta}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_estimate_bernoulli_all_returns(tmp_path):
@@ -656,6 +674,28 @@ def test_every_option_has_help():
             for name, p in [("", parser), *sub.choices.items()] for action in p._actions
             if action.option_strings and not action.help]
     assert bare == []
+
+
+def test_cli_defaults_are_the_library_defaults():
+    """Each default the parser restates is the one the library function it
+    feeds declares."""
+    parser = build_parser()
+    likelihood = parser.parse_args(["likelihood", "--data", "ds.json"])
+    estimate = parser.parse_args(["estimate", "--generate"])
+    databox = parser.parse_args(["databox", "--theta-star", "0.5", "--budget", "1",
+                                 "--allocations", "1:1"])
+    level_set = parser.parse_args(["level-set", "--f", "0.5", "--k", "2"])
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert likelihood.grid == default(likelihood_curve, "grid_size") == 601
+    assert estimate.grid == default(mle_estimate, "grid_size") == 601
+    assert databox.grid == default(data_box_experiment, "grid_size") == 601
+    for args, function in ((likelihood, likelihood_curve), (estimate, mle_estimate)):
+        assert (args.theta_min, args.theta_max) == default(function, "theta_range")
+    assert estimate.refine_tol == default(mle_estimate, "refine_tolerance")
+    assert (level_set.branch_min, level_set.branch_max) == default(level_set_solve, "branch")
 
 
 # ------------------------------------------------------------- determinism

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from reluctant_walk.pmf import pmf_full, pmf_point
+from reluctant_walk.pmf import Pmf, pmf_full, pmf_point
 from reluctant_walk.sampling import (
     data_box_experiment,
     diffusion_experiment,
@@ -101,6 +101,11 @@ def test_sample_positions_rejects_bad_input():
     object.__setattr__(broken, "table", {0: 0.3, 2: 0.3, -2: 0.3})
     with pytest.raises(ValueError, match="normalized"):
         sample_positions(broken, 5, seed=0)
+
+
+def test_sample_positions_rejects_a_nan_probability():
+    with pytest.raises(ValueError, match="normalized"):
+        sample_positions(Pmf(2, {-2: math.nan, 0: 0.5, 2: 0.5}), 5, seed=1)
 
 
 def _lump_small_bins(observed, expected, floor=5.0):

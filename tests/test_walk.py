@@ -219,6 +219,15 @@ def test_walkstate_site_and_step_count_must_be_ints(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: WalkState.localized(0, (math.nan, 0.0)),
+    lambda: WalkState.from_amplitudes({(0, 0): math.nan}),
+], ids=["localized", "from_amplitudes"])
+def test_a_nan_amplitude_is_not_normalized(make):
+    with pytest.raises(ValueError, match="normalized"):
+        make()
+
+
 def test_walkstate_takes_numpy_ints_as_ints():
     state = WalkState(np.int64(2), np.int64(-3), [[1.0], [0.0]])
     assert (state.k, state.lo) == (2, -3)
