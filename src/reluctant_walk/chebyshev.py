@@ -35,16 +35,16 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
 
 
 def _finite(value, name: str):
-    """``value``, an angle; NaN or an infinity raises ValueError."""
-    if not math.isfinite(value):
+    """``value``, an angle; a bool, NaN or an infinity raises ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
 def _unit_lam(lam):
-    """``lam``, one or an array; raises ValueError unless every lam is
-    finite with |lam| <= 1 (NaN fails the comparison)."""
-    if not np.all(np.abs(lam) <= 1):
+    """``lam``, one or an array; raises ValueError for bools and unless every
+    lam is finite with |lam| <= 1 (NaN fails the comparison)."""
+    if np.asarray(lam).dtype == bool or not np.all(np.abs(lam) <= 1):
         raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
     return lam
 
@@ -136,16 +136,16 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
     Returns a dict mapping identity name to residual.
     """
     r = _integer(r, "r", 0)
-    lam = _unit_lam(float(lam))
+    lam = float(_unit_lam(lam))
     resolution = 8 * (2 * r + 6)
     phi = 2.0 * np.pi * np.arange(resolution) / resolution
     cphi = np.cos(phi)
 
     u_odd, u_even = _chebyshev_u_pair(2 * r + 1, lam * cphi)
-    # Y_0^(2r) and Y_0^(2r+2) from the exact rows, each correctly rounded:
-    # entry 0 of an even row j is Z_0^(j), of an odd row Z_1^(j)
+    # Y_0^(2r) and Y_0^(2r+2) from the exact rows in the cone of Y_0^(2r+2),
+    # correctly rounded: entry 0 of an even row j is Z_0^(j), of an odd Z_1^(j)
     a, b = lam.as_integer_ratio()
-    even_rows = islice(_iter_y_rows(a, b), 0, 2 * r + 3, 2)
+    even_rows = islice(_iter_y_rows(a, b, 2 * r + 2), 0, 2 * r + 3, 2)
     y0 = [row[0] / b**(2 * i) for i, (row, _) in enumerate(even_rows)]
 
     report = {
@@ -174,7 +174,7 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
     return report
 
 
-def _iter_y_rows(a, b, cone=None, order=0):
+def _iter_y_rows(a, b, edge=math.inf, order=0):
     """Yield (Z^(j), Z^(j-1)) for j = 0, 1, ..., where Z^(j) = b^j * Y^(j)(a/b).
 
     The walk is bipartite, so Z_m^(j) is zero unless m = j (mod 2), and a
@@ -210,10 +210,10 @@ def _iter_y_rows(a, b, cone=None, order=0):
     + i*N^(i-1) - b^2 * Z^(j-2) on every order at once, two more array
     operations a row.
 
-    ``cone = (last, reach)`` keeps only the light cone of the entries
-    m <= reach of row ``last``: row j holds the class entries m <=
-    min(j, last + reach - j).  Each kept entry is computed by the same
-    operations as untrimmed, so it is the same number.
+    A finite ``edge`` = last + reach keeps only the light cone of the
+    entries m <= reach of row ``last``: row j holds the class entries m <=
+    min(j, edge - j).  Each kept entry is computed by the same operations
+    as untrimmed, so it is the same number.
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype) for v in (a, b))
@@ -228,7 +228,6 @@ def _iter_y_rows(a, b, cone=None, order=0):
     shape = ((order + 1,) if order else ()) + a.shape
     # the factor i of N^(i-1) in the i-th derivative of a*N, i = 1..order
     carry = np.arange(1, order + 1).reshape((order,) + (1,) * a.ndim)
-    edge = math.inf if cone is None else cone[0] + cone[1]
     row, prev = np.zeros((1,) + shape, dtype), np.zeros((0,) + shape, dtype)
     (row[:, 0] if order else row)[...] = 1              # Z^(0) = 1, its derivatives 0
     j = 0

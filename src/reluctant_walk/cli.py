@@ -36,7 +36,6 @@ from .pmf import (
     CONVENTION_SIGMA,
     format_float,
     pmf_full,
-    pmf_point,
     iter_pmf_full,
     _PMF_COLUMNS,
     _csv_text,
@@ -199,9 +198,8 @@ def cmd_estimate(args) -> int:
             raise ValueError("--method loop needs position data")
         if data.weights is not None:
             raise ValueError("--method loop needs unweighted position data")
-        n0 = sum(1 for d in data.positions if d == 0)
-        data = TrialDataset.from_returns(data.k, n0, len(data.positions),
-                                         seed=data.seed)
+        data = TrialDataset.from_returns(data.k, int(data.counts().get(0, 0)),
+                                         len(data.positions), seed=data.seed)
     elif method == "bernoulli" and data.kind != "returns":
         raise ValueError("--method bernoulli needs return-count data")
     elif method == "positions" and data.kind != "positions":
@@ -344,15 +342,17 @@ def _validation_checks(max_k: int):
 def _detect_sigma(max_k: int) -> int | None:
     if max_k < 2:
         return None
-    coin = CoinParameter.from_lambda(0.6)
-    sim = position_pmf(evolve(WalkState.origin(), coin, 2))
-    mirrored = max(abs(pmf_point(2, d, 0.6) - sim.probability(-d)) for d in (-2, 0, 2))
-    direct = max(abs(pmf_point(2, d, 0.6) - sim.probability(d)) for d in (-2, 0, 2))
+    sim = position_pmf(evolve(WalkState.origin(), CoinParameter.from_lambda(0.6), 2))
+    table = pmf_full(2, 0.6).table
+    mirrored = max(abs(p - sim.probability(-d)) for d, p in table.items())
+    direct = max(abs(p - sim.probability(d)) for d, p in table.items())
     return -1 if mirrored <= direct else 1
 
 
 def cmd_validate(args) -> int:
     _integer(args.max_k, "--max-k", 0)
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     failed = False
     for name, worst in _validation_checks(args.max_k):
         ok = worst <= args.tol

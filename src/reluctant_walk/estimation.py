@@ -59,8 +59,9 @@ class TrialDataset:
     analytic axis, parity-valid for ``k`` and within [-k, k]; ``weights``
     (optional, parallel to positions) supports expected-likelihood runs.
     kind "returns": ``n`` even-step trials of which ``n0`` ended at the
-    start site.  ``seed`` records sampling provenance only: None or an int
-    >= 0, the seeds ``sampling.trial_generator`` takes.
+    start site.  A field of the other kind must keep its default.  ``seed``
+    records sampling provenance only: None or an int >= 0, the seeds
+    ``sampling.trial_generator`` takes.
     """
 
     kind: str
@@ -80,6 +81,11 @@ class TrialDataset:
         k = _integer(self.k, "step count k", 1)
         object.__setattr__(self, "k", k)
         positions = tuple(self.positions)
+        unused = ({"n": self.n, "n0": self.n0} if self.kind == "positions"
+                  else {"positions": positions or None, "weights": self.weights})
+        for name, value in unused.items():
+            if value is not None:
+                raise ValueError(f"{name} does not apply to {self.kind} data, got {value!r}")
         if not set(map(type, positions)) <= {int}:
             positions = tuple(_integer(d, "d") for d in positions)
         object.__setattr__(self, "positions", positions)

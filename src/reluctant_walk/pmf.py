@@ -108,20 +108,20 @@ def _ratio(lam, exact: bool = True):
     return np.frompyfunc(lambda x: Fraction(x).as_integer_ratio(), 1, 2)(lam)
 
 
-def _cone(k: int, ds=None):
-    """The light cone ``(k - 1, reach)`` of the row entries |d +- 1| that
-    the displacements ``ds`` read at step ``k``, or None when that cone is
-    no narrower than the rows (always for ``ds`` None)."""
+def _edge(k: int, ds=None):
+    """The light-cone edge k - 1 + reach of the row entries |d +- 1| that
+    the displacements ``ds`` read at step ``k``, or math.inf when that cone
+    is no narrower than the rows (always for ``ds`` None)."""
     reach = k if ds is None else max((abs(int(d)) for d in ds), default=-1) + 1
-    return (k - 1, reach) if reach < k - 1 else None
+    return k - 1 + reach if reach < k - 1 else math.inf
 
 
 def _rows_for(k: int, a, b, ds=None, order: int = 0):
-    """The scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads, trimmed to
-    the light cone of ``ds`` when it is narrower (``_cone``), entry-major,
+    """Only the scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads, each
+    to the light cone of ``ds`` when it is narrower (``_edge``), entry-major,
     with their first ``order`` a-derivatives stacked on the axis behind
     the entries (``_iter_y_rows``)."""
-    return next(islice(_iter_y_rows(a, b, _cone(k, ds), order), k - 1, None))
+    return next(islice(_iter_y_rows(a, b, _edge(k, ds), order), k - 1, None))
 
 
 def _jet_mul(x, y):
@@ -270,21 +270,21 @@ def _grid(k: int, lams, ds, order: int = 0) -> np.ndarray:
     Each pass of the row engine takes as many values of lam as keep the
     widest row, counted at full width, within ``_FLOAT_ENTRIES`` entries,
     and at least ``_FLOAT_BLOCK``: the rows of the columns ``ds`` stop at
-    their light cone (``_cone``), so the d = 0 column at k = 24 (as in the
-    fig2a grid of ``figures``, a widest row of 13 entries) takes 492 lam a
-    pass and all 49 columns at k = 48 (48 entries) take 133.  The rows
-    store one parity class, so a pass holds about half that many entries
-    a row: 7 and 24 at those two k.  They are entry-major, shape (width,
-    lam count) or (width, order + 1, lam count), so each row update of a
-    pass runs on whole contiguous blocks (24 x 133 doubles for the widest
-    row at k = 48) rather than on a short row per lam.  Every entry equals
+    their light-cone edge (``_edge``), at most edge // 2 + 1 entries, so the
+    d = 0 column at k = 24 (edge 24, as in the fig2a grid of ``figures``)
+    takes 492 lam a pass and all 49 columns at k = 48 (48 entries) take 133.
+    The rows store one parity class, so a pass holds about half that many
+    entries a row: 7 and 24 at those two k.  They are entry-major, shape
+    (width, lam count) or (width, order + 1, lam count), so each row update
+    of a pass runs on contiguous blocks (24 x 133 doubles for the widest row
+    at k = 48) rather than on a short row per lam.  Every entry equals
     ``pmf_full(k, lam, exact=False)`` bit for bit, whatever the block.
     """
     lams = np.asarray(lams, float)
     _validate_k_lam(k, lams)
     out = np.empty(((order + 1,) if order else ()) + (len(lams), len(ds)))
-    cone = _cone(k, ds)
-    widest = k if cone is None else sum(cone) // 2 + 1
+    edge = _edge(k, ds)
+    widest = k if edge == math.inf else edge // 2 + 1
     block = max(_FLOAT_BLOCK, _FLOAT_ENTRIES // widest)
     for i in range(0, len(lams), block):
         a, b = _ratio(lams[i:i + block], exact=False)
@@ -394,8 +394,8 @@ def _table(k: int, lam, a, b, rows) -> Pmf:
 def iter_pmf_full(lam, k_max: int, exact: bool = True) -> Iterator[Pmf]:
     """Yield the full pmf for k = 1, 2, ..., k_max.
 
-    Shares one rolling pass over the Y recurrence rows, so a whole k-grid
-    costs the same as the single largest k.  ``exact=True`` runs the rows
+    Shares one pass over the Y rows, but each k builds a table, which costs
+    most: ``pmf_full`` of a few k is cheaper.  ``exact=True`` runs the rows
     on the exact integers of lam = a/b, so every entry is its exact
     rational correctly rounded; ``exact=False`` uses float64 rows,
     adequate to ~1e-12 and much faster for plot-scale sweeps.

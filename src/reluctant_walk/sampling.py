@@ -16,7 +16,7 @@ import numpy as np
 
 from .chebyshev import _finite, _integer, _unit_total
 from .estimation import TrialDataset, mle_estimate
-from .pmf import Pmf, iter_pmf_full, pmf_full
+from .pmf import Pmf, pmf_full
 
 __all__ = [
     "fresh_seed",
@@ -82,11 +82,11 @@ def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, flo
     """Walk spread sigma(k) for each k, analytically.
 
     mode "quantum" reads the standard deviation off the pmf at lam =
-    cos(theta), streamed on the float rows (``iter_pmf_full(...,
-    exact=False)``); mode "classical" is the unbiased +-1 random walk,
-    sigma = sqrt(k) (variance of k independent unit steps; theta unused,
-    but a non-finite theta raises ValueError in either mode).  No sampling
-    is involved in either mode.
+    cos(theta), one table on the float rows for each k in ``k_list``
+    (``pmf_full(k, lam, exact=False)``); mode "classical" is the unbiased
+    +-1 random walk, sigma = sqrt(k) (variance of k independent unit
+    steps; theta unused, but a non-finite theta raises ValueError in either
+    mode).  No sampling is involved in either mode.
     """
     _finite(theta, "theta")
     ks = [_integer(k, "step count k", 1) for k in k_list]
@@ -96,13 +96,7 @@ def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, flo
         return [(k, math.sqrt(k)) for k in ks]
     if mode != "quantum":
         raise ValueError(f"mode must be 'quantum' or 'classical', got {mode!r}")
-    lam = math.cos(theta)
-    wanted = set(ks)
-    out = []
-    for pmf in iter_pmf_full(lam, ks[-1], exact=False):
-        if pmf.k in wanted:
-            out.append((pmf.k, pmf.std()))
-    return out
+    return [(k, pmf_full(k, math.cos(theta), exact=False).std()) for k in ks]
 
 
 def data_box_experiment(theta_star: float, budget: int, allocations,

@@ -212,7 +212,7 @@ def kernel_power(phi: float, p: CoinParameter, k: int) -> np.ndarray:
 
     M^k = M * U_{k-1}(xi) - I * U_{k-2}(xi) with xi = cos(theta) cos(phi),
     U_n the Chebyshev polynomials of the second kind.  No matrix powers
-    are taken; this is the closed form the Kraus pair is built from.
+    are taken.  Row 0 is the Kraus pair, which ``kraus_kernels`` computes apart.
     """
     _integer(k, "step count k", 0)
     if k == 0:

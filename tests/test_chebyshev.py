@@ -335,7 +335,7 @@ def test_light_cone_rows_are_the_full_rows(last, reach, lams, exact, order):
     else:
         a, b = np.array(lams), np.ones(len(lams))
     tail = ((order + 1,) if order else ()) + a.shape
-    full, cone = _iter_y_rows(a, b, order=order), _iter_y_rows(a, b, (last, reach), order)
+    full, cone = _iter_y_rows(a, b, order=order), _iter_y_rows(a, b, last + reach, order)
     for j in range(last + 1):
         (row, _), (kept, _) = next(full), next(cone)
         # the class entries m = j%2, j%2 + 2, ... up to min(j, reach + last - j)
@@ -352,6 +352,6 @@ def test_return_probability_cone_holds_half_the_rows():
     # class entries m <= min(j, 100 - j), (min(j, 100 - j) - j%2)//2 + 1 of
     # them: 1325 over rows 0..99, against the j//2 + 1 a row, 2550 in all,
     # that they hold untrimmed
-    rows = _iter_y_rows(3, 10, (99, 1))
+    rows = _iter_y_rows(3, 10, 99 + 1)
     kept = sum(len(next(rows)[0]) for _ in range(100))
     assert kept == 1325 and kept < 0.52 * sum(j // 2 + 1 for j in range(100))

@@ -284,11 +284,18 @@ def test_estimate_flagged_result_exits_three(tmp_path):
     assert "boundary_maximum" in result["flags"]
 
 
-def test_estimate_method_data_mismatch(tmp_path):
-    data = write_dataset(tmp_path / "ds.json",
-                         {"kind": "positions", "k": 2, "positions": [0, 2]})
-    assert main(["estimate", "--data", data, "--method", "bernoulli",
-                 "--outdir", str(tmp_path)]) == 2
+def test_estimate_method_data_mismatch(tmp_path, capsys):
+    positions = write_dataset(tmp_path / "positions.json",
+                              {"kind": "positions", "k": 2, "positions": [0, 2]})
+    returns = write_dataset(tmp_path / "returns.json",
+                            {"kind": "returns", "k": 2, "n0": 1, "n": 2})
+    for data, method, needs in ((positions, "bernoulli", "return-count data"),
+                                (returns, "loop", "position data"),
+                                (returns, "positions", "position data")):
+        assert main(["estimate", "--data", data, "--method", method,
+                     "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --method {method} needs {needs}\n"
+    assert not (tmp_path / "estimate.csv").exists()
 
 
 def test_estimate_rejects_malformed_dataset(tmp_path, capsys):
@@ -627,6 +634,18 @@ def test_validate_fails_at_absurd_tolerance(capsys):
 def test_validate_trivial_when_disabled(capsys):
     assert main(["validate", "--max-k", "0"]) == 0
     assert "max-k too small" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_validate_rejects_a_meaningless_tolerance_before_any_check(monkeypatch, capsys, tol):
+    """--tol takes the rule --refine-tol does, finite and >= 0; another
+    value exits 2 before a check runs."""
+    def no_checks(max_k):
+        raise AssertionError("a check ran under a meaningless tolerance")
+    monkeypatch.setattr("reluctant_walk.cli._validation_checks", no_checks)
+    assert main(["validate", "--max-k", "2", "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
 
 
 @pytest.mark.parametrize("flag", [["--output", "foo"], ["--outdir", "v"], ["--seed", "3"]])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ class TestTrialDataset:
     def test_counts_rejected_for_returns(self):
         with pytest.raises(ValueError):
             TrialDataset.from_returns(2, n0=1, n=2).counts()
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("positions", "n", "abc"), ("positions", "n0", [1]),
+        ("returns", "positions", (0, 2)), ("returns", "weights", ("x",))])
+    def test_a_field_of_the_other_kind_is_rejected(self, kind, field, value):
+        """Positions data take no n or n0, return counts no positions or
+        weights: a dataset cannot hold what its estimate and JSON form drop."""
+        other = {"n": 1, "n0": 0} if kind == "returns" else {"positions": (0,)}
+        with pytest.raises(ValueError, match=rf"^{field} does not apply to {kind} data, "
+                                             rf"got {re.escape(repr(value))}$"):
+            TrialDataset(kind, 2, **other, **{field: value})
 
     def test_bad_kind_and_k(self):
         with pytest.raises(ValueError, match="kind"):
@@ -537,6 +549,19 @@ def test_best_prefers_a_later_candidate_only_beyond_the_tie_tolerance():
     assert estimation._best([first, second]) == second
     assert estimation._best([first, (0.2, -5.0 + tie / 2, -2.0)]) == first
     assert estimation._best([first, second, (0.3, second[1] + tie / 2, -3.0)]) == second
+
+
+def test_a_likelihood_of_minus_inf_everywhere_has_no_maximum():
+    """At theta in [0, 1e-300], lam = 1 to rounding and the return p(0; 2,
+    lam) = 1 - lam^2 is 0: every grid value is -inf, so the curve has no
+    argmax and the estimate is NaN, flagged flat."""
+    data = TrialDataset.from_positions(2, [0])
+    curve = likelihood_curve(data, theta_range=(0.0, 1e-300), grid_size=3)
+    assert (curve.loglik == -math.inf).all()
+    assert math.isnan(curve.argmax_theta) and math.isnan(curve.curvature)
+    result = mle_estimate(data, theta_range=(0.0, 1e-300), grid_size=3)
+    assert math.isnan(result.theta_hat) and result.loglik == -math.inf
+    assert result.flags == ("flat_likelihood",) and result.candidates == ()
 
 
 def test_mle_positions_flags_a_flat_likelihood_on_a_narrow_range():

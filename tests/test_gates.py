@@ -34,6 +34,8 @@ def _error(call):
 
 @settings(max_examples=60, deadline=None)
 @given(_numbers(st.floats(allow_nan=False, allow_infinity=False)))
+@example(True)
+@example(np.False_)
 def test_every_angle_site_applies_the_finite_gate(theta):
     sites = {
         "theta": [lambda: CoinParameter(theta),
@@ -44,6 +46,7 @@ def test_every_angle_site_applies_the_finite_gate(theta):
     }
     for name, calls in sites.items():
         want = _error(lambda: _finite(theta, name))
+        assert not (want is None and isinstance(theta, (bool, np.bool_)))  # no angle
         assert want is None or want == f"{name} must be finite, got {theta}"
         assert [_error(call) for call in calls] == [want] * len(calls), (name, theta)
 
@@ -52,13 +55,16 @@ def test_every_angle_site_applies_the_finite_gate(theta):
 @given(_numbers(st.floats(-1.5, 1.5)))
 @example(1.0 + 2 ** -52)
 @example(-1.0)
+@example(True)
+@example(np.False_)
 def test_every_lam_site_applies_the_unit_lam_gate(lam):
     accepted = _error(lambda: _unit_lam(lam)) is None
     for call in (lambda: pmf_full(1, lam), lambda: CoinParameter.from_lambda(lam),
                  lambda: chebyshev_identity_suite(0, lam)):
         error = _error(call)
         assert (error is None) == accepted, lam
-        assert accepted or error.startswith("lam must be finite with |lam| <= 1, got ")
+        assert not (accepted and isinstance(lam, (bool, np.bool_)))  # a bool is no lam
+        assert accepted or error == f"lam must be finite with |lam| <= 1, got {lam}"
 
 
 @settings(max_examples=100, deadline=None)

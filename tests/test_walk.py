@@ -273,6 +273,17 @@ def test_kraus_completeness(theta, k):
     assert_allclose(np.abs(a) ** 2 + np.abs(b) ** 2, 1.0, atol=1e-11)
 
 
+def test_kraus_pair_is_row_0_of_the_kernel_power():
+    """Row 0 of M^k is (A_k, B_k): the pair evaluates its own U_{k-1} and
+    U_{k-2}, and gets the closed form's numbers bit for bit."""
+    for theta in np.linspace(-3.0, 3.0, 8):
+        p = CoinParameter(float(theta))
+        for k in range(1, 40):
+            for phi in (0.0, 0.4, 1.1, 1.9, 2.9, 5.5):
+                a, b = kraus_kernels(phi, p, k)
+                assert [a, b] == kernel_power(phi, p, k)[0].tolist(), (theta, k, phi)
+
+
 def test_kraus_requires_positive_k():
     with pytest.raises(ValueError):
         kraus_kernels(0.1, CoinParameter(0.5), 0)
