@@ -140,13 +140,13 @@ def cmd_pmf(args) -> int:
 
 def cmd_simulate(args) -> int:
     coin = _coin_from_args(args)
-    _integer(args.k, "step count k", 1)             # r = d/k needs k >= 1, as pmf does
-    state = evolve(WalkState.localized(args.start), coin, args.k)
+    k = _integer(args.k, "step count k", 1)         # r = d/k needs k >= 1, as pmf does
+    state = evolve(WalkState.localized(args.start), coin, k)
     table = position_pmf(state).table
-    _report(args, _PMF_COLUMNS, _pmf_rows(args.k, table, coin.lam),
-            {"k": args.k, "lambda": format_float(coin.lam),
+    _report(args, _PMF_COLUMNS, _pmf_rows(k, table, coin.lam),
+            {"k": k, "lambda": format_float(coin.lam),
              "theta": format_float(coin.theta), "start": args.start, "axis": "simulator"},
-            f"k={args.k} start={args.start} ({len(table)} rows)")
+            f"k={k} start={args.start} ({len(table)} rows)")
     return EXIT_OK
 
 

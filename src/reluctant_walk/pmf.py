@@ -86,11 +86,11 @@ class Pmf:
 
 
 def _clamp(p):
-    """Clip float probabilities, one or an array, into [0, 1]; a value
-    beyond the clamp tolerance outside it raises ValueError."""
+    """Clip float probabilities, one or an array (in place), into [0, 1]; a
+    value beyond the clamp tolerance outside it raises ValueError."""
     if not np.all((-_CLAMP_TOL <= p) & (p <= 1.0 + _CLAMP_TOL)):
         raise ValueError(f"probability {p} outside [0, 1] beyond clamp tolerance")
-    return np.clip(p, 0.0, 1.0)
+    return np.clip(p, 0.0, 1.0, out=p if isinstance(p, np.ndarray) else None)
 
 
 def _validate_k_lam(k: int, lam) -> int:
@@ -167,6 +167,21 @@ def _exact_ratio(g: int, z: int, w: int, den: int) -> float:
 _rounded_ratio = np.frompyfunc(_square_sum_ratio, 4, 1)
 
 
+def _entries(row, j: int, ms) -> np.ndarray:
+    """Z_m^(j) for each m >= 0 in ``ms``, read off row j as ``_iter_y_rows``
+    stores it (entry i is Z_{j%2+2i}, entry-major), gathered on the leading
+    entry axis and moved last: shape S + (len(ms),), or (order + 1,) + S +
+    (len(ms),) for rows of Taylor jets.  An m of the other parity reads the
+    structural zero Y_m^(j) = 0, m != j (mod 2), and an m past the row (its
+    end, or its light cone) reads 0, so the empty row -1 reads 0 at every m."""
+    i, off = np.divmod(ms - j % 2, 2)
+    zero = (off != 0) | (i >= len(row))
+    z = (row[np.where(zero, 0, i)] if len(row)
+         else np.zeros((len(ms),) + row.shape[1:], row.dtype))
+    z[zero] = 0
+    return np.moveaxis(z, 0, -1)
+
+
 def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
                    order: int = 0) -> np.ndarray:
     """p(d; k, a/b) for each ``d`` in ``ds``, from scaled rows; zero off
@@ -180,16 +195,16 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     which is (1 - lam^2) * (Y_{|d-1|}^(k-1))^2 + (Y_{|d|}^(k-2) - lam *
     Y_{|d+1|}^(k-1))^2.  Row k-2 is empty at k = 1, which leaves p(-1) =
     lam^2 and p(1) = 1 - lam^2.  The rows hold one parity class each
-    (``_iter_y_rows``); the zero-padded copies the formula reads put
-    entry i of row j back at index j%2 + 2i, so Z_m sits at m and every
-    other index holds the structural zero Y_m^(j) = 0, m != j (mod 2).  A
-    column with k - d odd reads three such zeros and one with |d| > k
-    reads zeros past both rows, so p = 0 off the support.  The rows are
-    entry-major, shape (width,) + S: the padded copies gather the columns
-    on that leading axis and move it last, giving shape S + (len(ds),).
-    Integer rows give the integer numerator, so each float is its exact
-    rational correctly rounded (``rational`` returns the Fractions
-    instead); float rows give a plain float64 evaluation.
+    (``_iter_y_rows``), and ``_entries`` gathers the three entries of every
+    column straight from them: a column with k - d odd reads three
+    structural zeros and one with |d| > k reads zeros past both rows, so
+    p = 0 off the support.  The gathered columns come last, giving shape
+    S + (len(ds),).  Integer rows give the integer numerator, so each float
+    is its exact rational correctly rounded (``rational`` returns the
+    Fractions instead); float rows give a plain float64 evaluation, where
+    b = 1.0 makes b^2 * z, the division by b^(2k) and the cast to float
+    change no bit, so it runs in place on about three (lam x column)
+    buffers.
 
     The integer numerator g * z^2 + w^2, with g = b^2 - a^2 >= 0, is
     rounded without squaring z and w in full (``_square_sum_ratio``).
@@ -208,17 +223,21 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     row_km1, row_km2 = rows
     # a column off [-k, k] reads as d = k + 1, whose entries all lie past the rows: p = 0
     ds = np.asarray([d if abs(d) <= k else k + 1 for d in ds], int)
-    # entry i of row j is Z_{j%2+2i}: spread back onto the full index on the
-    # leading axis, the other parity reads the zeros between, as an
-    # off-parity column does
-    z1 = np.zeros((k + 3,) + row_km1.shape[1:], row_km1.dtype)      # |d +- 1| <= k + 2
-    z1[(k - 1) % 2::2][:len(row_km1)] = row_km1
-    z2 = np.zeros_like(z1)
-    z2[k % 2::2][:len(row_km2)] = row_km2
-    # the gathered columns lead; move them last, behind S (and the jet axis)
-    z_a, z_b, z_c = (np.moveaxis(z[abs(i)], 0, -1)
-                     for z, i in ((z1, ds - 1), (z2, ds), (z1, ds + 1)))
-    a, b = (np.asarray(v, row_km1.dtype)[..., None] for v in (a, b))
+    a = np.asarray(a, row_km1.dtype)[..., None]
+    z_c = _entries(row_km1, k - 1, abs(ds + 1))
+    if row_km1.dtype == float and not order:
+        # b = 1.0: the formula below with b dropped, term by term in place,
+        # each term's operands in the same order, so every bit the same
+        z_c *= a
+        odd = np.subtract(_entries(row_km2, k - 2, abs(ds)), z_c, out=z_c)
+        odd *= odd
+        z_a = _entries(row_km1, k - 1, abs(ds - 1))
+        p = (1.0 - a * a) * z_a
+        p *= z_a
+        p += odd
+        return _clamp(p)
+    z_a, z_b = _entries(row_km1, k - 1, abs(ds - 1)), _entries(row_km2, k - 2, abs(ds))
+    b = np.asarray(b, row_km1.dtype)[..., None]
     b2 = b * b
     den = b ** (2 * k)
     if order:
@@ -230,33 +249,34 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
         p[0] = _clamp(p[0])
         return p
     gap, odd = b2 - a * a, b2 * z_b - a * z_c
-    if row_km1.dtype == object and not rational:
+    if not rational:
         return _clamp(_rounded_ratio(gap, z_a, odd, den).astype(float))
-    num = gap * z_a * z_a + odd * odd
-    if rational:
-        return np.frompyfunc(Fraction, 2, 1)(num, den)
-    return _clamp((num / den).astype(float))
+    return np.frompyfunc(Fraction, 2, 1)(gap * z_a * z_a + odd * odd, den)
 
 
 # row entries per pass of the float rows, counted at the full width of a row
-# (j + 1 entries, or its light cone), 8 bytes each: 64 such rows at k = 100,
-# 51 KB a row array.  The rows store one parity class, about half of that
-# (26 KB at k = 100), entry-major.  Narrow rows take more lam a pass, so a
+# (j + 1 entries, or its light cone), 8 bytes each: 128 such rows at k = 100,
+# 102 KB a row array.  The rows store one parity class, about half of that
+# (51 KB at k = 100), entry-major.  Narrow rows take more lam a pass, so a
 # pass costs fewer numpy calls per lam.  A larger budget still cuts the
-# 601-point scan over all columns (best ms of six shuffled rounds in one
-# process, 2-core host), but each pass holds more rows at once:
+# 601-point scan over all columns (best ms of ten shuffled rounds in one
+# process, 2-core host; budgets in units of 64 x 100 entries), but each
+# pass holds more rows at once:
 #
-#   budget      k = 20   k = 48   k = 200   k = 500   peak RSS, k = 500 scan
-#   x1          0.49     2.07     19.0      80.8      34.6 MB
-#   x2          0.35     1.50     18.8      79.8
-#   x4          0.35     1.28     14.2      78.2
-#   x16         0.35     1.02     14.4      67.2      41.5 MB
-#   unbounded   0.36     1.01     13.3      84.1      53.4 MB
+#   budget      k = 20   k = 48   k = 200   k = 500   peak RSS, k = 48 / 500 scan
+#   x1          0.53     2.87     20.8      101       30.2 / 33.2 MB
+#   x2 (this)   0.34     1.68     22.3      98.1      30.4 / 32.9 MB
+#   x4          0.36     1.34     15.5      96.5      31.0 / 33.0 MB
+#   x16         0.35     1.11     13.2      69.5      31.0 / 35.5 MB
+#   unbounded   0.35     1.02     15.2      94.9      31.0 / 40.2 MB
 #
-# (peak RSS of a bare process running that one scan; at k = 48 it is 30.5 MB
-# at x1 and 32.4 MB at x16).  The budget stays: x16 adds a fifth to the
-# peak memory of every scan at k >= 200
-_FLOAT_ENTRIES = 64 * 100
+# (peak RSS of a bare process running that one scan, median of three; at
+# k >= 200, x1 and x2 both take the ``_FLOAT_BLOCK`` floor, so their columns
+# differ by noise alone).  The float pmf of a pass runs in place
+# (``_probabilities``), which paid for x2: before it, x1 held the k = 48
+# scan at 30.3 MB and x2 at 30.8 MB.  x4 and x16 add 0.6 MB at k = 48, and
+# x16 2.6 MB at k = 500
+_FLOAT_ENTRIES = 128 * 100
 # the fewest lam per float pass, whatever the row width
 _FLOAT_BLOCK = 64
 
@@ -272,11 +292,11 @@ def _grid(k: int, lams, ds, order: int = 0) -> np.ndarray:
     and at least ``_FLOAT_BLOCK``: the rows of the columns ``ds`` stop at
     their light-cone edge (``_edge``), at most edge // 2 + 1 entries, so the
     d = 0 column at k = 24 (edge 24, as in the fig2a grid of ``figures``)
-    takes 492 lam a pass and all 49 columns at k = 48 (48 entries) take 133.
+    takes 984 lam a pass and all 49 columns at k = 48 (48 entries) take 266.
     The rows store one parity class, so a pass holds about half that many
     entries a row: 7 and 24 at those two k.  They are entry-major, shape
     (width, lam count) or (width, order + 1, lam count), so each row update
-    of a pass runs on contiguous blocks (24 x 133 doubles for the widest row
+    of a pass runs on contiguous blocks (24 x 266 doubles for the widest row
     at k = 48) rather than on a short row per lam.  Every entry equals
     ``pmf_full(k, lam, exact=False)`` bit for bit, whatever the block.
     """

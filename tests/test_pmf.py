@@ -36,6 +36,7 @@ from reluctant_walk.pmf import (
 )
 from reluctant_walk import pmf as pmf_module
 from reluctant_walk.chebyshev import _iter_y_rows
+from reluctant_walk.estimation import TrialDataset, _scan, mle_estimate
 from reluctant_walk.walk import CoinParameter, WalkState, evolve, position_pmf
 
 from oracles import (csv_text_per_cell, exact_grid, exact_return_scan, mirror_text_by_encoder,
@@ -206,8 +207,9 @@ def test_float_grid_entries_are_pmf_full_across_pass_edges(k, cone, offset, seed
 
 
 @pytest.mark.parametrize("k, points, ds, most", [
-    (24, 2048, [0], 5),                           # a 2048-point return grid
-    (48, 601, list(range(-48, 49, 2)), 5),        # the theta scan of a positions estimate
+    (24, 2048, [0], 3),                           # a 2048-point return grid
+    (48, 601, list(range(-48, 49, 2)), 3),        # the theta scan of a positions estimate
+    (20, 601, list(range(-20, 21, 2)), 1),        # the same scan at k = 20
 ])
 def test_float_scans_take_few_row_passes(k, points, ds, most):
     _, passes = _float_passes(k, np.linspace(0.0, 1.0, points), ds)
@@ -225,12 +227,12 @@ def test_float_grid_blocks_match_single_points():
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_float_scan_blocks_match_single_points_bit_for_bit(order):
     # the theta scan of a positions estimate: all 49 columns at k = 48 over
-    # 601 lam take 5 passes, and every entry, sign of zero included, is the
+    # 601 lam take 3 passes, and every entry, sign of zero included, is the
     # one a pass of that lam alone gives
     lams = np.cos(np.linspace(0.0, math.pi / 2, 601))
     ds = list(range(-48, 49, 2))
     grid, passes = _float_passes(48, lams, ds, order)
-    assert len(passes) == 5
+    assert len(passes) == 3
     for i, lam in enumerate(lams):
         assert grid[..., i, :].tobytes() == _grid(48, [lam], ds, order).tobytes(), lam
 
@@ -244,6 +246,32 @@ def test_float_return_scan_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _traced_peak(call) -> int:
+    """The tracemalloc peak in bytes of ``call()``, run once untraced first
+    so that caches built on a first call do not count."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_positions_estimate_and_wide_scan_memory_stay_at_most_the_earlier_peaks():
+    """The float pmf of a pass is computed in place and the scan's logs
+    overwrite its grid, so a pass twice as wide as before costs no more
+    memory.  Peaks measured on the tree before that change, same numpy:
+    783,472 B for a default k = 48 ``mle_estimate`` with all 49 columns
+    observed (3 passes of 266 lam, against 5 of 133 then), and 7,545,453 B
+    for a 601-point scan at k = 500 over all 501 columns (64 lam a pass
+    both times); this tree reads about 736 KB and 3.6 MB."""
+    data = TrialDataset.from_positions(48, range(-48, 49, 2))
+    assert _traced_peak(lambda: mle_estimate(data)) <= 783_472
+    wide = TrialDataset.from_positions(500, range(-500, 501, 2))
+    assert _traced_peak(lambda: _scan(wide, (0.0, math.pi / 2), 601)) <= 7_545_453
 
 
 @pytest.mark.parametrize("k, stride", [(24, 1), (100, 16), (200, 128)])
