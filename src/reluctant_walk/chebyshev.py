@@ -34,10 +34,20 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _finite(value, name: str):
-    """``value``, an angle; a bool, NaN or an infinity raises ValueError."""
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+def _unit_interval(value, name: str):
+    """``value``, a level or a probability in [0, 1]; a bool or NaN raises ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
+def _finite(value, name: str, minimum: float | None = None):
+    """``value``, an angle or a tolerance: finite, and at least ``minimum``
+    when one is given; a bool, NaN or an infinity raises ValueError."""
+    if (isinstance(value, (bool, np.bool_)) or not -math.inf < value < math.inf
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" and >= {minimum}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
     return value
 
 
@@ -248,7 +258,7 @@ def _iter_y_rows(a, b, edge=math.inf, order=0):
             inner += prev[1:inner_width + 1]            # right neighbor Z_{m+1} = V_{i+1}
         else:
             row[1:] = prev[:width - 1]                  # left neighbor Z_{m-1} = V_{i-1}, i >= 1
-            row[0] = prev[0] if j > 1 else 0            # left neighbor Z_{|0-1|} = Z_1 = V_0
+            row[0] = prev[0]                            # left neighbor Z_{|0-1|} = Z_1 = V_0
             inner += prev[:inner_width]                 # right neighbor Z_{m+1} = V_i
         if order:
             leibniz = carry * row[:, :-1]

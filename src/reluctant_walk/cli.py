@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -72,8 +71,9 @@ _FIG_LAMBDA_POINTS = 201  # every figure's lambda grid on [-1, 1]
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    """Write ``text`` to ``path`` by a rename, in a plain ``open``'s mode, 0o666 less the umask."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -86,7 +86,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _report(args, columns, rows, extra: dict, summary: str | None, *,
             stem: str | None = None, json_obj: dict | None = None) -> list[str]:
-    """Write STEM.csv and STEM.json and return their paths.
+    """Write STEM.csv and STEM.json, both rendered before either is
+    written, and return their paths.
 
     Both are stamped with the version, ``args.command``, ``args.seed`` and
     the axis convention, then ``extra``.  The stem is ``stem``, else
@@ -101,9 +102,10 @@ def _report(args, columns, rows, extra: dict, summary: str | None, *,
             "seed": "none" if args.seed is None else args.seed,
             "convention_sigma": CONVENTION_SIGMA, **extra}
     paths = [os.path.join(args.outdir, stem + ext) for ext in (".csv", ".json")]
-    _atomic_write(paths[0], _csv_text(meta, columns, rows))
-    _atomic_write(paths[1], _mirror_text(meta, columns, rows) if json_obj is None
-                  else json.dumps({"meta": meta, **json_obj}, indent=2) + "\n")
+    texts = (_csv_text(meta, columns, rows), _mirror_text(meta, columns, rows) if json_obj is None
+             else json.dumps({"meta": meta, **json_obj}, indent=2) + "\n")
+    for path, text in zip(paths, texts):
+        _atomic_write(path, text)
     if summary is not None:
         print(f"{args.command}: {summary} -> {paths[0]}, {paths[1]}")
     return paths
@@ -132,21 +134,21 @@ def cmd_pmf(args) -> int:
     pmf = pmf_full(args.k, coin.lam, exact=not args.fast)
     lam = format_float(coin.lam)
     _report(args, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam),
-            {"k": args.k, "lambda": lam, "theta": format_float(coin.theta),
+            {"k": pmf.k, "lambda": lam, "theta": format_float(coin.theta),
              "axis": "analytic"},
-            f"k={args.k} lambda={lam} ({len(pmf.table)} rows)")
+            f"k={pmf.k} lambda={lam} ({len(pmf.table)} rows)")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     coin = _coin_from_args(args)
     k = _integer(args.k, "step count k", 1)         # r = d/k needs k >= 1, as pmf does
-    state = evolve(WalkState.localized(args.start), coin, k)
-    table = position_pmf(state).table
+    start = WalkState.localized(args.start)
+    table = position_pmf(evolve(start, coin, k)).table
     _report(args, _PMF_COLUMNS, _pmf_rows(k, table, coin.lam),
             {"k": k, "lambda": format_float(coin.lam),
-             "theta": format_float(coin.theta), "start": args.start, "axis": "simulator"},
-            f"k={k} start={args.start} ({len(table)} rows)")
+             "theta": format_float(coin.theta), "start": start.lo, "axis": "simulator"},
+            f"k={k} start={start.lo} ({len(table)} rows)")
     return EXIT_OK
 
 
@@ -191,19 +193,17 @@ def cmd_estimate(args) -> int:
         data = _load_dataset(args.data)
 
     method = args.method
+    # bernoulli reads return counts; positions and loop read position data
+    if (data.kind == "returns") != (method == "bernoulli"):
+        what = "return-count" if method == "bernoulli" else "position"
+        raise ValueError(f"--method {method} needs {what} data")
     if method == "loop":
         # evolution-loop reading of position data: a trial succeeds when the
         # walker is back at its start site, so only the return count matters
-        if data.kind != "positions":
-            raise ValueError("--method loop needs position data")
         if data.weights is not None:
             raise ValueError("--method loop needs unweighted position data")
         data = TrialDataset.from_returns(data.k, int(data.counts().get(0, 0)),
                                          len(data.positions), seed=data.seed)
-    elif method == "bernoulli" and data.kind != "returns":
-        raise ValueError("--method bernoulli needs return-count data")
-    elif method == "positions" and data.kind != "positions":
-        raise ValueError("--method positions needs position data")
 
     est = mle_estimate(data, theta_range=(args.theta_min, args.theta_max),
                        grid_size=args.grid, refine_tolerance=args.refine_tol)
@@ -225,11 +225,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_level_set(args) -> int:
     roots = level_set_solve(args.f, args.k, branch=(args.branch_min, args.branch_max))
-    rows = [{"k": args.k, "f": args.f, "lam": r, "theta": math.acos(r)} for r in roots]
+    k = int(args.k)                                 # an int, as level_set_solve checked
+    rows = [{"k": k, "f": args.f, "lam": r, "theta": math.acos(r)} for r in roots]
     f = format_float(args.f)
     _report(args, ["k", "f", "lam", "theta"], rows,
-            {"k": args.k, "f": f, "count": len(roots)},
-            f"k={args.k} f={f} -> {len(roots)} root(s)")
+            {"k": k, "f": f, "count": len(roots)},
+            f"k={k} f={f} -> {len(roots)} root(s)")
     return EXIT_OK
 
 
@@ -351,8 +352,7 @@ def _detect_sigma(max_k: int) -> int | None:
 
 def cmd_validate(args) -> int:
     _integer(args.max_k, "--max-k", 0)
-    if not 0.0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    _finite(args.tol, "--tol", 0)
     failed = False
     for name, worst in _validation_checks(args.max_k):
         ok = worst <= args.tol
@@ -543,11 +543,6 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser: every subcommand with its arguments."""
-    return _parser(None)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a first argument that names a subcommand is the one parse_args dispatches to
@@ -558,10 +553,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        print("error: --seed must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if getattr(args, "seed", None) is not None:
+            _integer(args.seed, "--seed", 0)
         if hasattr(args, "outdir"):
             # --outdir, else $RELUCTANT_WALK_OUTDIR, else here; made before any
             # work, so an unwritable output stops the run at once

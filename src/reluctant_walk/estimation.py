@@ -29,7 +29,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .chebyshev import _integer
+from .chebyshev import _finite, _integer, _unit_interval
 from .pmf import (CONVENTION_SIGMA, _grid, _json_safe, _return_grid, _return_poly,
                   _return_value)
 
@@ -113,9 +113,9 @@ class TrialDataset:
         else:
             if self.k % 2:
                 raise ValueError("return-count data requires an even step count")
-            object.__setattr__(self, "n", _integer(self.n, "n"))
-            object.__setattr__(self, "n0", _integer(self.n0, "n0"))
-            if not 0 <= self.n0 <= self.n or self.n < 1:
+            object.__setattr__(self, "n", _integer(self.n, "n", 1))
+            object.__setattr__(self, "n0", _integer(self.n0, "n0", 0))
+            if self.n0 > self.n:
                 raise ValueError(f"need 0 <= n0 <= n with n >= 1, got n0={self.n0} n={self.n}")
 
     @classmethod
@@ -287,8 +287,7 @@ def _theta_bounds(theta_range) -> tuple[float, float]:
 def _scan(data: TrialDataset, theta_range, grid_size):
     """The even theta grid over ``theta_range`` and the log-likelihood on it."""
     lo, hi = _theta_bounds(theta_range)
-    if _integer(grid_size, "grid size") < 3:
-        raise ValueError(f"grid size must be >= 3, got {grid_size}")
+    _integer(grid_size, "grid size", 3)
     thetas = np.linspace(lo, hi, grid_size)
     return thetas, _log_likelihoods(data, np.cos(thetas))
 
@@ -415,8 +414,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     raises ValueError.  n0 = 0 or n0 = n puts the root at an end of the
     branch, theta 0 or pi/2, and is flagged "boundary_maximum".
     """
-    if not 0.0 <= refine_tolerance < math.inf:
-        raise ValueError(f"refine tolerance must be finite and >= 0, got {refine_tolerance}")
+    _finite(refine_tolerance, "refine tolerance", 0)
     if data.kind == "returns":
         return _estimate_from_returns(data, theta_range)
     if not data.positions:
@@ -463,12 +461,12 @@ def _estimate_from_returns(data: TrialDataset, theta_range) -> EstimateResult:
     return _result(data, theta, ll, curvature, (theta,), flags)
 
 
-def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: float):
+def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float):
     """A root of gap on [a, b], given fa = gap(a) and a sign change there.
 
     Halves one midpoint at a time (step *= 0.5; mid = a + step) until the
-    gap at the midpoint is 0 or |step| < xtol + 4 eps |mid|:
-    scipy.optimize.bisect's loop and stopping rule, so its root bit for bit.
+    gap at the midpoint is 0 or |step| < 1e-14 + 4 eps |mid|: the loop and
+    rule of scipy.optimize.bisect at xtol = 1e-14, so its root bit for bit.
     """
     step = b - a
     while True:
@@ -477,7 +475,7 @@ def _bisect(gap: Callable[[float], float], a: float, b: float, fa: float, xtol: 
         fm = gap(mid)
         if (fm < 0) == (fa < 0):     # fm * fa >= 0, which underflows for tiny gaps
             a = mid
-        if fm == 0 or abs(step) < xtol + 4.0 * _EPS * abs(mid):
+        if fm == 0 or abs(step) < 1e-14 + 4.0 * _EPS * abs(mid):
             return mid
 
 
@@ -491,17 +489,16 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0))
     root r on [0, 1] and its mirror -r.  r is 0 at f = 1, 1 at f = 0, and
     otherwise the bisection of q - f on (0, 1) (``_bisect``), each midpoint
     scored by Horner's rule on the integers (``pmf._return_value``): q
-    exact, correctly rounded, minus f.  The rule |step| < 1e-14 + 4 eps
-    |mid| stops it by the 47th halving, so a solve scores at most 47
-    points, and r is scipy's bisection of the exact gap, bit for bit.  The
-    result holds the members of {-r, r} that lie on the branch, sorted, and
-    is empty when neither does (e.g. f above the maximum of q on the
-    branch).
+    exact, correctly rounded, minus f.  Its stopping rule stops it by the
+    47th halving, so a solve scores at most 47 points, and r is scipy's
+    bisection of the exact gap, bit for bit.  The result holds the members
+    of {-r, r} that lie on the branch, sorted, and is empty when neither
+    does (e.g. f above the maximum of q on the branch).  f must lie in
+    [0, 1] and k be an even int >= 2.
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"level must lie in [0, 1], got {f}")
-    k = _integer(k, "step count k")
-    if k < 2 or k % 2:
+    _unit_interval(f, "level")
+    k = _integer(k, "step count k", 2)       # an int for the cache of ``_return_poly``
+    if k % 2:
         raise ValueError(f"return probability needs an even k >= 2, got {k}")
     lo, hi = float(branch[0]), float(branch[1])
     if not -1.0 <= lo < hi <= 1.0:
@@ -512,22 +509,19 @@ def level_set_solve(f: float, k: int, branch: tuple[float, float] = (-1.0, 1.0))
         r = 1.0
     else:
         mu = _return_poly(k)
-        r = _bisect(lambda x: _return_value(mu, x) - f, 0.0, 1.0, 1.0 - f, 1e-14)
+        r = _bisect(lambda x: _return_value(mu, x) - f, 0.0, 1.0, 1.0 - f)
     return [x for x in ([r] if r == 0.0 else [-r, r]) if lo <= x <= hi]
 
 
 def dataset_to_json(data: TrialDataset) -> dict:
-    """JSON-ready form of a dataset (inverse of ``dataset_from_json``)."""
-    obj: dict = {"kind": data.kind, "k": data.k}
-    if data.kind == "positions":
-        obj["positions"] = list(data.positions)
-        if data.weights is not None:
-            obj["weights"] = list(data.weights)
-    else:
-        obj["n"] = data.n
-        obj["n0"] = data.n0
-    if data.seed is not None:
-        obj["seed"] = data.seed
+    """JSON-ready form of a dataset (inverse of ``dataset_from_json``): its
+    kind, k, the fields of its kind and its seed, each unless None."""
+    obj = {"kind": data.kind, "k": data.k}
+    own = ("positions", "weights") if data.kind == "positions" else ("n", "n0")
+    for name in own + ("seed",):
+        value = getattr(data, name)
+        if value is not None:
+            obj[name] = list(value) if isinstance(value, tuple) else value
     return obj
 
 

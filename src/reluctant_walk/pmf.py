@@ -103,8 +103,7 @@ def _validate_k_lam(k: int, lam) -> int:
 def _ratio(lam, exact: bool = True):
     """lam as a/b, elementwise: exact Python ints from ``Fraction(lam)``, else (lam, 1.0)."""
     if not exact:
-        lam = np.asarray(lam, float)
-        return lam, np.ones_like(lam)
+        return np.asarray(lam, float), 1.0
     return np.frompyfunc(lambda x: Fraction(x).as_integer_ratio(), 1, 2)(lam)
 
 
@@ -218,11 +217,11 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     Rows with ``order`` a-derivatives stacked behind the entries, shape
     (width, order + 1) + S (``_rows_for``), give the stack (p, dp/da, ...)
     of shape (order + 1,) + S + (len(ds),), the same formula on Taylor
-    jets in a (``_jet_mul``); only p is clamped.
+    jets in a (``_jet_mul``); only p is clamped.  Only ``_grid`` asks for
+    them, on float rows, so they too drop b = 1.0.
     """
     row_km1, row_km2 = rows
-    # a column off [-k, k] reads as d = k + 1, whose entries all lie past the rows: p = 0
-    ds = np.asarray([d if abs(d) <= k else k + 1 for d in ds], int)
+    ds = np.asarray(ds, int)
     a = np.asarray(a, row_km1.dtype)[..., None]
     z_c = _entries(row_km1, k - 1, abs(ds + 1))
     if row_km1.dtype == float and not order:
@@ -237,17 +236,17 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
         p += odd
         return _clamp(p)
     z_a, z_b = _entries(row_km1, k - 1, abs(ds - 1)), _entries(row_km2, k - 2, abs(ds))
+    if order:
+        lam = np.stack([a, np.ones_like(a), np.zeros_like(a)][:order + 1])
+        gap = -_jet_mul(lam, lam)                   # 1 - a^2
+        gap[0] += 1.0
+        odd = z_b - _jet_mul(lam, z_c)
+        p = _jet_mul(_jet_mul(gap, z_a), z_a) + _jet_mul(odd, odd)
+        p[0] = _clamp(p[0])
+        return p
     b = np.asarray(b, row_km1.dtype)[..., None]
     b2 = b * b
     den = b ** (2 * k)
-    if order:
-        lam = np.stack([a, np.ones_like(a), np.zeros_like(a)][:order + 1])
-        gap = -_jet_mul(lam, lam)                   # b^2 - a^2
-        gap[0] += b2
-        odd = b2 * z_b - _jet_mul(lam, z_c)
-        p = (_jet_mul(_jet_mul(gap, z_a), z_a) + _jet_mul(odd, odd)) / den
-        p[0] = _clamp(p[0])
-        return p
     gap, odd = b2 - a * a, b2 * z_b - a * z_c
     if not rational:
         return _clamp(_rounded_ratio(gap, z_a, odd, den).astype(float))
@@ -428,14 +427,12 @@ def iter_pmf_full(lam, k_max: int, exact: bool = True) -> Iterator[Pmf]:
 
 def pmf_full(k: int, lam, exact: bool = True) -> Pmf:
     """Full displacement table after ``k`` steps; normalized by construction."""
-    _validate_k_lam(k, lam)
+    k = _validate_k_lam(k, lam)
     a, b = _ratio(lam, exact)
     return _table(k, lam, a, b, _rows_for(k, a, b))
 
 
-def format_float(x) -> str:
-    """Decimal rendering with 17 significant digits (round-trips float64)."""
-    return "%.17g" % float(x)
+format_float = "%.17g".__mod__       # a number's decimal text; 17 digits round-trip float64
 
 
 def _json_safe(value):
@@ -493,7 +490,7 @@ def _csv_text(meta: dict | None, columns, rows) -> str:
     """
     lines = [f"# {key}: {value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-    cells = [_column([row[c] for row in rows], "%.17g".__mod__, _cell) for c in columns]
+    cells = [_column([row[c] for row in rows], format_float, _cell) for c in columns]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 

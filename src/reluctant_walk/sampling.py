@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .chebyshev import _finite, _integer, _unit_total
+from .chebyshev import _finite, _integer, _unit_interval, _unit_total
 from .estimation import TrialDataset, mle_estimate
 from .pmf import Pmf, pmf_full
 
@@ -35,9 +35,7 @@ def fresh_seed() -> int:
 
 def trial_generator(seed: int, trial_index: int = 0) -> np.random.Generator:
     """The per-trial RNG substream: Philox keyed by (seed, trial_index)."""
-    seed, trial_index = _integer(seed, "seed"), _integer(trial_index, "trial index")
-    if seed < 0 or trial_index < 0:
-        raise ValueError("seed and trial index must be nonnegative")
+    seed, trial_index = _integer(seed, "seed", 0), _integer(trial_index, "trial index", 0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, trial_index))))
 
 
@@ -51,8 +49,7 @@ def sample_positions(pmf: Pmf, n: int, seed: int | None = None,
     """
     n = _integer(n, "n", 0)
     _unit_total(pmf.total(), "pmf")
-    if seed is None:
-        seed = fresh_seed()
+    seed = fresh_seed() if seed is None else seed
     support = np.array(pmf.support)
     cdf = np.cumsum([pmf.table[d] for d in pmf.support])
     cdf[-1] = 1.0
@@ -68,11 +65,9 @@ def sample_return_trials(p: float, n: int, seed: int | None = None, *,
     ``k`` tags the dataset with the (even) step count of the protocol so
     the estimator knows which level set to invert.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"return probability must lie in [0, 1], got {p}")
+    _unit_interval(p, "return probability")
     n = _integer(n, "n", 1)
-    if seed is None:
-        seed = fresh_seed()
+    seed = fresh_seed() if seed is None else seed
     rng = trial_generator(seed, trial_index)
     n0 = int(np.count_nonzero(rng.random(n) < p))
     return TrialDataset.from_returns(k, n0, n, seed=seed)
@@ -112,16 +107,13 @@ def data_box_experiment(theta_star: float, budget: int, allocations,
     """
     _finite(theta_star, "theta_star")
     budget = _integer(budget, "budget")
-    allocs = tuple((_integer(k, "step count k"), _integer(n, "n")) for k, n in allocations)
+    allocs = tuple((_integer(k, "step count k", 1), _integer(n, "n", 1)) for k, n in allocations)
     if not allocs:
         raise ValueError("no allocations given")
     for k, n in allocs:
-        if k < 1 or n < 1:
-            raise ValueError(f"allocation ({k}, {n}) is not positive")
         if k * n > budget:
             raise ValueError(f"allocation ({k}, {n}) exceeds the budget {budget}")
-    if seed is None:
-        seed = fresh_seed()
+    seed = fresh_seed() if seed is None else seed
     rows = []
     for i, (k, n) in enumerate(allocs):
         pmf = pmf_full(k, math.cos(theta_star))

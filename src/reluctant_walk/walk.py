@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _sites(lo: int, width: int, steps: int = 0) -> None:
+    """Raises ValueError unless the sites ``steps`` steps reach from ``width`` sites at
+    ``lo``, and the one after, all fit int64, where ``np.arange`` keeps them apart."""
+    if not -2**63 <= lo - steps <= lo + width + steps < 2**63:
+        raise ValueError(f"walk sites {lo - steps} to {lo + width + steps} leave the int64 range")
+
+
 @dataclass(frozen=True)
 class CoinParameter:
     """Coin angle theta, normalized to [-pi, pi); ``lam`` = cos(theta) and
@@ -66,8 +73,9 @@ class WalkState:
     ``amps`` has shape (2, width): row 0 holds the coin-0 amplitude at
     positions lo, lo+1, ..., row 1 the coin-1 amplitude.  ``k`` counts the
     steps applied so far.  ``k`` (>= 0) and ``lo`` are ints; a float or a
-    bool raises ValueError.  Instances are immutable; ``evolve`` returns a
-    new state one site wider on each side per step.
+    bool raises ValueError, as does a window that leaves int64
+    (``_sites``).  Instances are immutable; ``evolve`` returns a new state
+    one site wider on each side per step.
     """
 
     k: int
@@ -80,6 +88,7 @@ class WalkState:
         a = np.array(self.amps, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != 2 or a.shape[1] < 1:
             raise ValueError(f"amps must have shape (2, width>=1), got {a.shape}")
+        _sites(self.lo, a.shape[1])
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
@@ -152,6 +161,7 @@ def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     reaches (every other site) hold +0.0.
     """
     _integer(steps, "step count k", 0)
+    _sites(state.lo, state.width, steps)
     if steps == 0:
         return state
     c, s = p.lam, p.sin_theta
@@ -264,6 +274,7 @@ def channel_position_pmf(initial: WalkState, p: CoinParameter, steps: int) -> Pm
     analytic forms in ``pmf`` are axis-reflected.
     """
     _integer(steps, "step count k", 1)
+    _sites(initial.lo, initial.width, steps)
     if np.max(np.abs(initial.amps[1])) > 1e-12:
         raise ValueError("channel form requires the coin register in state |0>")
     out_positions = np.arange(initial.lo - steps, initial.lo + initial.width + steps)

@@ -13,9 +13,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from reluctant_walk.cli import FIG2_KS, build_parser, main
+from reluctant_walk.cli import FIG2_KS, _parser, _report, main
 from reluctant_walk.estimation import level_set_solve, likelihood_curve, mle_estimate
 from reluctant_walk.pmf import pmf_from_csv, pmf_from_json, pmf_full
 from reluctant_walk.sampling import data_box_experiment
@@ -152,6 +153,27 @@ def test_simulate_start_site_shifts_window(tmp_path):
     _, _, rows = read_csv(tmp_path / "simulate.csv")
     sites = [int(r["d"]) for r in rows]
     assert min(sites) == 1 and max(sites) == 5
+
+
+@pytest.mark.parametrize("start", [2**63 - 4, -2**63 + 2])
+def test_simulate_past_the_int64_sites_exits_two_and_writes_nothing(tmp_path, capsys, start):
+    # three steps reach start - 3 .. start + 3; the window stops at start + 4
+    assert main(["simulate", "--k", "3", "--theta", "0.7", f"--start={start}",
+                 "--outdir", str(tmp_path)]) == 2
+    first, stop = start - 3, start + 4
+    assert capsys.readouterr().err == (
+        f"error: walk sites {first} to {stop} leave the int64 range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("start", [2**63 - 5, -2**63 + 3])
+def test_simulate_next_to_the_int64_sites_writes_every_site(tmp_path, start):
+    assert main(["simulate", "--k", "3", "--theta", "0.7", f"--start={start}",
+                 "--outdir", str(tmp_path)]) == 0
+    meta, _, rows = read_csv(tmp_path / "simulate.csv")
+    assert meta["start"] == str(start)
+    assert [int(r["d"]) for r in rows] == list(range(start - 3, start + 4))
+    assert math.fsum(float(r["p"]) for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- estimate
@@ -680,14 +702,14 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     # main builds only the named subcommand's arguments; what argparse prints
     # and its exit status stay those of the parser with every argument
     try:
-        build_parser().parse_args(argv)
+        _parser(None).parse_args(argv)
     except SystemExit as exc:
         want = (int(exc.code or 0),) + tuple(capsys.readouterr())
     assert (main(argv),) + tuple(capsys.readouterr()) == want
 
 
 def test_every_option_has_help():
-    parser = build_parser()
+    parser = _parser(None)
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     bare = [(name, action.option_strings)
             for name, p in [("", parser), *sub.choices.items()] for action in p._actions
@@ -698,7 +720,7 @@ def test_every_option_has_help():
 def test_cli_defaults_are_the_library_defaults():
     """Each default the parser restates is the one the library function it
     feeds declares."""
-    parser = build_parser()
+    parser = _parser(None)
     likelihood = parser.parse_args(["likelihood", "--data", "ds.json"])
     estimate = parser.parse_args(["estimate", "--generate"])
     databox = parser.parse_args(["databox", "--theta-star", "0.5", "--budget", "1",
@@ -745,6 +767,48 @@ def test_identical_invocations_are_byte_identical(tmp_path):
     assert names == sorted(stem + ext for stem in stems for ext in (".csv", ".json"))
     for name in names:
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+
+def test_numpy_int_arguments_give_the_artifacts_of_the_command_line(tmp_path):
+    """A parsed Namespace whose counts are numpy ints stamps the checked
+    Python ints, so both files are written, byte for byte as from main."""
+    cases = [(["pmf", "--k", "3", "--lambda", "0.6"], {"k": np.int64(3)}),
+             (["simulate", "--k", "3", "--theta", "0.7", "--start", "1"],
+              {"k": np.int64(3), "start": np.int64(1)}),
+             (["level-set", "--f", "0.5", "--k", "4"], {"k": np.int64(4)})]
+    plain, numpy = tmp_path / "plain", tmp_path / "numpy"
+    numpy.mkdir()
+    for argv, values in cases:
+        assert main(argv + ["--outdir", str(plain)]) == 0
+        args = _parser(None).parse_args(argv + ["--outdir", str(numpy)])
+        vars(args).update(values)
+        assert args.func(args) == 0
+    names = sorted(path.name for path in plain.iterdir())
+    assert names == sorted(path.name for path in numpy.iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (plain / name).read_bytes() == (numpy / name).read_bytes(), name
+
+
+def test_a_report_whose_json_fails_to_render_writes_neither_file(tmp_path):
+    args = argparse.Namespace(command="pmf", output=None, seed=None, outdir=str(tmp_path))
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _report(args, ["x"], [{"x": 1}], {"stamp": object()}, None)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_take_the_mode_of_a_plain_write(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert main(["pmf", "--k", "2", "--lambda", "0.6", "--outdir", str(tmp_path)]) == 0
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in tmp_path.iterdir()}
+    assert modes == {"pmf.csv": mode, "pmf.json": mode, "plain.txt": mode}
 
 
 def test_reports_contain_no_timestamps(tmp_path):

@@ -701,7 +701,7 @@ def test_level_set_bisection_matches_scipy(f, k):
         a, b = float(a), float(b)
         if gap(a) * gap(b) < 0:
             expected = scipy_bisect(gap, a, b, xtol=1e-14)
-            assert estimation._bisect(gap, a, b, gap(a), 1e-14) == expected
+            assert estimation._bisect(gap, a, b, gap(a)) == expected
 
 
 @given(k=st.sampled_from([8, 24, 48]), i=st.integers(0, 2046), u=st.floats(0.0, 1.0),
@@ -726,7 +726,7 @@ def test_tree_bisection_matches_the_exact_sequential_root(k, i, u, path, on_node
     gap = lambda lam: pmf_point(k, 0, lam) - f
     assume(gap(a) * gap(b) < 0)
     expected = scipy_bisect(gap, a, b, xtol=1e-14)
-    assert estimation._bisect(gap, a, b, gap(a), 1e-14) == expected
+    assert estimation._bisect(gap, a, b, gap(a)) == expected
 
 
 def test_returns_estimate_scores_one_exact_point_per_halving(monkeypatch):
@@ -770,7 +770,7 @@ def test_level_set_validation():
         level_set_solve(-0.1, 2)
     with pytest.raises(ValueError, match="even"):
         level_set_solve(0.5, 3)
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match="step count k must be an integer >= 2, got 0"):
         level_set_solve(0.5, 0)
     with pytest.raises(ValueError, match="branch"):
         level_set_solve(0.5, 2, branch=(0.5, 0.2))

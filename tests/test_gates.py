@@ -1,6 +1,7 @@
 """The input gates in ``chebyshev`` (finite angle, |lam| <= 1, unit norm,
-integer step count) accept and reject the same values at every call site
-that states their rule through them."""
+a level in [0, 1], a finite tolerance >= 0, and integer counts with their
+lower bounds) accept and reject the same values at every call site that
+states their rule through them."""
 
 import argparse
 import math
@@ -9,12 +10,14 @@ import tempfile
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from reluctant_walk.chebyshev import (_finite, _integer, _unit_lam, _unit_total,
-                                      chebyshev_identity_suite)
-from reluctant_walk.cli import _generate_dataset, build_parser, cmd_simulate
-from reluctant_walk.estimation import TrialDataset, level_set_solve
+from reluctant_walk.chebyshev import (_finite, _integer, _unit_interval, _unit_lam,
+                                      _unit_total, chebyshev_identity_suite)
+from reluctant_walk.cli import _generate_dataset, _parser, cmd_simulate, cmd_validate
+from reluctant_walk.estimation import (TrialDataset, level_set_solve, likelihood_curve,
+                                       mle_estimate)
 from reluctant_walk.pmf import Pmf, _grid, _return_grid, iter_pmf_full, pmf_full, pmf_point
-from reluctant_walk.sampling import data_box_experiment, diffusion_experiment, sample_positions
+from reluctant_walk.sampling import (data_box_experiment, diffusion_experiment, sample_positions,
+                                     sample_return_trials, trial_generator)
 from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
                                  kernel_power, kraus_kernels)
 
@@ -87,21 +90,69 @@ def test_every_norm_site_applies_the_unit_total_gate(c):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(st.integers(-3, 4), st.integers(-3, 4).map(np.int64), st.booleans(),
-                 st.sampled_from([np.True_, np.False_]), st.integers(-3, 4).map(float),
-                 st.floats(-3.0, 4.0), st.sampled_from([math.nan, math.inf])))
+@given(_numbers(st.floats(-0.5, 1.5)))
+@example(1.0)
+@example(0.0)
+@example(True)
+@example(np.False_)
+def test_every_level_site_applies_the_unit_interval_gate(f):
+    sites = {"level": [lambda: level_set_solve(f, 2)],
+             "return probability": [lambda: sample_return_trials(f, 1, seed=0, k=2)]}
+    for name, calls in sites.items():
+        want = _error(lambda: _unit_interval(f, name))
+        assert not (want is None and isinstance(f, (bool, np.bool_)))  # a bool is no level
+        assert want is None or want == f"{name} must lie in [0, 1], got {f}"
+        assert [_error(call) for call in calls] == [want] * len(calls), (name, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_numbers(st.floats(-1.0, 1.0)))
+@example(0.0)
+@example(-0.0)
+@example(True)
+@example(np.False_)
+def test_every_tolerance_site_applies_the_tolerance_gate(tol):
+    data = TrialDataset.from_positions(2, [0])
+    sites = {"refine tolerance": [lambda: mle_estimate(data, grid_size=3, refine_tolerance=tol)],
+             "--tol": [lambda: cmd_validate(argparse.Namespace(max_k=0, tol=tol))]}
+    for name, calls in sites.items():
+        want = _error(lambda: _finite(tol, name, 0))
+        assert not (want is None and isinstance(tol, (bool, np.bool_)))  # a bool is no tolerance
+        assert want is None or want == f"{name} must be finite and >= 0, got {tol}"
+        assert [_error(call) for call in calls] == [want] * len(calls), (name, tol)
+
+
+_COUNTS = st.one_of(st.integers(-3, 4), st.integers(-3, 4).map(np.int64), st.booleans(),
+                    st.sampled_from([np.True_, np.False_]), st.integers(-3, 4).map(float),
+                    st.floats(-3.0, 4.0), st.sampled_from([math.nan, math.inf]))
+
+
+def _check_count_sites(value, name, sites):
+    """Each call of ``sites[minimum]`` gates ``value`` with ``_integer(value,
+    name, minimum)``: where the gate rejects it, the call raises the gate's
+    message; where it accepts it, the call raises no message of the gate."""
+    for minimum, calls in sites.items():
+        want = _error(lambda: _integer(value, name, minimum))
+        for call in calls:
+            error = _error(call)
+            if want is None:
+                assert error is None or not error.startswith(f"{name} must be an integer"), (
+                    value, error)
+            else:
+                assert error == want, (value, minimum, error)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_COUNTS)
 @example(np.int64(0))
 @example(2.0)
 def test_every_step_count_site_applies_the_integer_gate(k):
-    """Each site that takes a step count gates it with ``_integer(k, "step
-    count k", minimum)``: where the gate rejects k, the site raises its
-    message; where it accepts k, the site raises no message of the gate."""
     coin = CoinParameter(0.9)
     with tempfile.TemporaryDirectory() as outdir:
-        simulate = build_parser().parse_args(
+        simulate = _parser(None).parse_args(
             ["simulate", "--k", "1", "--theta", "0.9", "--outdir", outdir])
         simulate.k = k
-        sites = {
+        _check_count_sites(k, "step count k", {
             1: [lambda: pmf_full(k, 0.5), lambda: pmf_point(k, 0, 0.5),
                 lambda: list(iter_pmf_full(0.5, k)), lambda: _grid(k, [0.5], [0]),
                 lambda: _return_grid(k, [0.5]), lambda: TrialDataset.from_positions(k, ()),
@@ -110,21 +161,68 @@ def test_every_step_count_site_applies_the_integer_gate(k):
                 lambda: channel_position_pmf(WalkState.origin(), coin, k),
                 lambda: cmd_simulate(simulate),
                 lambda: _generate_dataset(argparse.Namespace(
-                    theta_star=0.5, k=k, n=1, method="positions", seed=0))],
+                    theta_star=0.5, k=k, n=1, method="positions", seed=0)),
+                lambda: data_box_experiment(0.5, 40, [(k, 1)], seed=0, grid_size=3)],
             0: [lambda: WalkState(k, 0, [[1.0], [0.0]]),
                 lambda: evolve(WalkState.origin(), coin, k),
                 lambda: kernel_power(0.3, coin, k)],
-            None: [lambda: level_set_solve(0.5, k),
-                   lambda: data_box_experiment(0.5, 40, [(k, 1)], seed=0, grid_size=3)],
-        }
-        for minimum, calls in sites.items():
-            want = _error(lambda: _integer(k, "step count k", minimum))
-            for call in calls:
-                error = _error(call)
-                if want is None:
-                    assert error is None or not error.startswith("step count k"), (k, error)
-                else:
-                    assert error == want, (k, minimum, error)
+            2: [lambda: level_set_solve(0.5, k)],
+        })
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COUNTS)
+@example(np.int64(0))
+def test_every_trial_count_site_applies_the_integer_gate(n):
+    generate = lambda method: _generate_dataset(argparse.Namespace(
+        theta_star=0.5, k=2, n=n, method=method, seed=0))
+    _check_count_sites(n, "n", {
+        1: [lambda: TrialDataset.from_returns(2, 0, n),
+            lambda: sample_return_trials(0.5, n, seed=0, k=2),
+            lambda: data_box_experiment(0.5, 40, [(1, n)], seed=0, grid_size=3),
+            lambda: generate("bernoulli")],
+        0: [lambda: sample_positions(Pmf(2, {0: 1.0}), n, seed=0),
+            lambda: generate("positions")],
+    })
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COUNTS)
+def test_every_return_count_site_applies_the_integer_gate(n0):
+    _check_count_sites(n0, "n0", {0: [lambda: TrialDataset.from_returns(2, n0, 5)]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COUNTS)
+@example(np.int64(0))
+def test_every_seed_site_applies_the_integer_gate(seed):
+    _check_count_sites(seed, "seed", {0: [
+        lambda: trial_generator(seed),
+        lambda: TrialDataset.from_positions(2, (), seed=seed),
+        lambda: TrialDataset.from_returns(2, 0, 1, seed=seed),
+        lambda: sample_positions(Pmf(2, {0: 1.0}), 1, seed=seed),
+        lambda: sample_return_trials(0.5, 1, seed=seed, k=2),
+        lambda: data_box_experiment(0.5, 4, [(1, 1)], seed=seed, grid_size=3)]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_COUNTS)
+def test_every_trial_index_site_applies_the_integer_gate(index):
+    _check_count_sites(index, "trial index", {0: [
+        lambda: trial_generator(0, index),
+        lambda: sample_positions(Pmf(2, {0: 1.0}), 1, seed=0, trial_index=index),
+        lambda: sample_return_trials(0.5, 1, seed=0, k=2, trial_index=index)]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_COUNTS, st.integers(0, 6)))
+@example(np.int64(3))
+def test_every_grid_size_site_applies_the_integer_gate(size):
+    data = TrialDataset.from_positions(2, [0])
+    _check_count_sites(size, "grid size", {3: [
+        lambda: likelihood_curve(data, grid_size=size),
+        lambda: mle_estimate(data, grid_size=size),
+        lambda: data_box_experiment(0.5, 4, [(1, 1)], seed=0, grid_size=size)]})
 
 
 _FIELD_VALUES = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False), st.text(max_size=3),

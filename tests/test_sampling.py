@@ -34,9 +34,9 @@ def test_trial_generator_substreams_differ():
 
 
 def test_trial_generator_rejects_negative_keys():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
         trial_generator(-1, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="trial index must be an integer >= 0, got -2"):
         trial_generator(0, -2)
 
 
@@ -248,7 +248,7 @@ def test_experiments_reject_non_integer_counts(bad):
 def test_data_box_budget_enforced():
     with pytest.raises(ValueError, match="budget"):
         data_box_experiment(0.5, 100, [(20, 6)], seed=1)
-    with pytest.raises(ValueError, match="not positive"):
+    with pytest.raises(ValueError, match="step count k must be an integer >= 1, got 0"):
         data_box_experiment(0.5, 100, [(0, 5)], seed=1)
     with pytest.raises(ValueError, match="no allocations"):
         data_box_experiment(0.5, 100, [], seed=1)

@@ -235,6 +235,43 @@ def test_walkstate_takes_numpy_ints_as_ints():
     assert WalkState.localized(np.int64(4)).positions.tolist() == [4]
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("start, fits", [
+    (_INT64.max - 4, True), (_INT64.max - 3, False), (_INT64.min + 3, True),
+    (_INT64.min + 2, False)])
+def test_a_walk_keeps_its_sites_and_the_next_one_in_int64(start, fits):
+    """Three steps from ``start`` reach start - 3 .. start + 3, and the
+    window's ``np.arange`` stops at start + 4: past int64, numpy would list
+    the sites in float64 (where they collapse into one) or as objects."""
+    p = CoinParameter(0.7)
+    state = WalkState.localized(start)
+    calls = (lambda: position_pmf(evolve(state, p, 3)),
+             lambda: channel_position_pmf(state, p, 3))
+    for call in calls:
+        if fits:
+            pmf = call()
+            assert list(pmf.table) == list(range(start - 3, start + 4))
+            assert pmf.total() == pytest.approx(1.0, abs=1e-12)
+        else:
+            with pytest.raises(ValueError, match="leave the int64 range"):
+                call()
+
+
+@pytest.mark.parametrize("lo, width, fits", [
+    (_INT64.max - 1, 1, True), (_INT64.max, 1, False), (_INT64.max - 3, 3, True),
+    (_INT64.max - 2, 3, False), (_INT64.min, 2, True), (_INT64.min - 1, 2, False)])
+def test_a_walk_state_keeps_its_window_and_the_next_site_in_int64(lo, width, fits):
+    amps = np.zeros((2, width))
+    amps[0, 0] = 1.0
+    if fits:
+        assert WalkState(0, lo, amps).positions.tolist() == list(range(lo, lo + width))
+    else:
+        with pytest.raises(ValueError, match="leave the int64 range"):
+            WalkState(0, lo, amps)
+
+
 def test_from_amplitudes_window():
     state = WalkState.from_amplitudes({(0, -3): 0.6, (1, 2): 0.8})
     assert state.lo == -3
