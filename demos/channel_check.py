@@ -3,8 +3,8 @@
 The same k-step statistics emerge from (a) the state-vector simulation,
 (b) the closed-form pmf, and (c) the momentum-space Kraus channel.  This
 script runs all three on one configuration and prints the residuals,
-then spot-checks the algebra the channel is built from: the kernel power
-identity and the completeness of the Kraus pair.
+then spot-checks the completeness of the Kraus pair the channel is built
+from.
 
     python3 demos/channel_check.py
 """
@@ -18,8 +18,6 @@ from reluctant_walk import (
     WalkState,
     channel_position_pmf,
     evolve,
-    kernel_matrix,
-    kernel_power,
     kraus_kernels,
     pmf_full,
     pmf_point,
@@ -50,16 +48,6 @@ def main():
           f"{abs(q_direct - pmf_point(K, 0, coin.lam)):.3e}")
     print(f"return probability, channel vs readout:     "
           f"{abs(q_direct - channel.probability(0)):.3e}")
-    print()
-
-    print("Kernel power identity M^k = M U_(k-1) - I U_(k-2), k = 1..40:")
-    worst = 0.0
-    m = kernel_matrix(0.7, coin)
-    ref = np.eye(2, dtype=complex)
-    for k in range(1, 41):
-        ref = ref @ m
-        worst = max(worst, float(np.max(np.abs(kernel_power(0.7, coin, k) - ref))))
-    print(f"  worst residual {worst:.3e}")
     print()
 
     print("Kraus completeness |A|^2 + |B|^2 = 1 across momentum:")

@@ -6,22 +6,19 @@ The walk's closed-form pmf is built from the Fourier coefficients
 
 which are polynomials in lam with integer coefficients.  ``_iter_y_rows``
 computes them row by row from their three-term recurrence, on the exact
-integers of lam = a/b or in float64; ``chebyshev_identity_suite`` checks
-the integral and derivative identities of the U_n family.
+integers of lam = a/b or in float64.  ``_chebyshev_u_pair`` evaluates
+U_n itself for the Kraus pair of ``walk.kraus_kernels``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from itertools import islice
+import sys
 
 import numpy as np
 
-__all__ = [
-    "chebyshev_u",
-    "chebyshev_identity_suite",
-]
+__all__: list[str] = []
 
 
 def _integer(value, name: str, minimum: int | None = None) -> int:
@@ -42,9 +39,10 @@ def _unit_interval(value, name: str):
 
 
 def _finite(value, name: str, minimum: float | None = None):
-    """``value``, an angle or a tolerance: finite, and at least ``minimum``
-    when one is given; a bool, NaN or an infinity raises ValueError."""
-    if (isinstance(value, (bool, np.bool_)) or not -math.inf < value < math.inf
+    """``value``, an angle or a tolerance: a float can hold it, and it is at
+    least ``minimum`` when one is given; a bool, NaN, an infinity or an int
+    beyond the float range raises ValueError."""
+    if (isinstance(value, (bool, np.bool_)) or not abs(value) <= sys.float_info.max
             or minimum is not None and value < minimum):
         bound = "" if minimum is None else f" and >= {minimum}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")
@@ -66,34 +64,14 @@ def _unit_total(total, what: str) -> None:
         raise ValueError(f"{what} must be normalized, got total {total}")
 
 
-def chebyshev_u(n, x):
-    """Evaluate the Chebyshev polynomial of the second kind U_n(x).
-
-    Uses the three-term recurrence U_{n+1}(x) = 2x*U_n(x) - U_{n-1}(x) with
-    U_0 = 1, U_1 = 2x.  For |x| <= 1 this agrees with
-    sin((n+1)*arccos(x))/sin(arccos(x)).
-
-    Parameters
-    ----------
-    n : int
-        Polynomial degree, an integer n >= 0; a bool or a float raises
-        ValueError.
-    x : float, numpy array, or Fraction
-        Evaluation point(s).  The recurrence is generic, so exact types
-        propagate (a Fraction input yields a Fraction).
-
-    Returns
-    -------
-    Same shape/type as ``x``.  Scalar floats are accumulated in extended
-    precision (np.longdouble) and rounded once at the end, which keeps the
-    absolute error below ~4e-15 even for n = 200 near |x| = 1 where U is
-    large; plain float64 accumulation would lose two more digits there.
-    """
-    return _chebyshev_u_pair(n, x)[0]
-
-
 def _chebyshev_u_pair(n, x):
-    """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass; types as ``chebyshev_u``.
+    """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass, by the recurrence
+    U_{n+1}(x) = 2x*U_n(x) - U_{n-1}(x) from U_0 = 1.
+
+    ``x`` is a float, a numpy array or a Fraction; exact types propagate.
+    A scalar float is accumulated in extended precision (np.longdouble)
+    and rounded once at the end, which keeps the absolute error below
+    ~4e-15 even for n = 200 near |x| = 1, where U is large.
 
     ``2x`` is formed once, so each of the n steps is two operations,
     ``twice * u - u_prev``: the same numbers as ``2 * x * u - u_prev``,
@@ -108,80 +86,6 @@ def _chebyshev_u_pair(n, x):
     for _ in range(n):
         u_prev, u = u, twice * u - u_prev
     return (float(u), float(u_prev)) if scalar else (u, u_prev)
-
-
-def _derivative_identity_sum(n: int, xi):
-    """S_n(xi) = sum over m in {n, n-2, ..., >= 1} of m*(U_{m-2}(xi) + U_m(xi)).
-
-    Satisfies d/dtheta U_n(cos(theta)cos(phi)) = -tan(theta) * S_n at
-    xi = cos(theta)cos(phi); an empty sum (n = 0) is zero.
-    """
-    total = xi * 0
-    for m in range(n, 0, -2):
-        inner = chebyshev_u(m, xi)
-        if m >= 2:
-            inner = inner + chebyshev_u(m - 2, xi)
-        total = total + m * inner
-    return total
-
-
-def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
-    """Check the integral and derivative identities of the U_n family.
-
-    For the given ``r`` and ``lam`` the report holds absolute residuals of:
-
-    - ``odd_mean``: (1/2pi) integral U_{2r+1}(lam cos phi) dphi = 0
-    - ``even_mean``: (1/2pi) integral U_{2r}(lam cos phi) dphi = Y_0^(2r)
-    - ``even_first_moment``: (1/pi) integral cos(phi) U_{2r}(lam cos phi) dphi = 0
-    - ``odd_first_moment``: lam * (1/pi) integral cos(phi) U_{2r+1}(lam cos phi) dphi
-      = Y_0^(2r) + Y_0^(2r+2)
-    - ``derivative_even`` / ``derivative_odd``: for n = 2r and 2r+1,
-      cos(theta) * dU_n/dtheta + sin(theta) * S_n(xi) = 0 at xi =
-      cos(theta)cos(phi), with the theta-derivative taken by central
-      finite differences at step 1e-4 (Richardson-extrapolated once).
-
-    The derivative residual is stated in the cos/sin form rather than with
-    tan(theta) so that lam = 0 (theta = pi/2) stays finite.
-
-    Returns a dict mapping identity name to residual.
-    """
-    r = _integer(r, "r", 0)
-    lam = float(_unit_lam(lam))
-    resolution = 8 * (2 * r + 6)
-    phi = 2.0 * np.pi * np.arange(resolution) / resolution
-    cphi = np.cos(phi)
-
-    u_odd, u_even = _chebyshev_u_pair(2 * r + 1, lam * cphi)
-    # Y_0^(2r) and Y_0^(2r+2) from the exact rows in the cone of Y_0^(2r+2),
-    # correctly rounded: entry 0 of an even row j is Z_0^(j), of an odd Z_1^(j)
-    a, b = lam.as_integer_ratio()
-    even_rows = islice(_iter_y_rows(a, b, 2 * r + 2), 0, 2 * r + 3, 2)
-    y0 = [row[0] / b**(2 * i) for i, (row, _) in enumerate(even_rows)]
-
-    report = {
-        "odd_mean": abs(float(np.mean(u_odd))),
-        "even_mean": abs(float(np.mean(u_even)) - y0[r]),
-        "even_first_moment": abs(2.0 * float(np.mean(cphi * u_even))),
-        "odd_first_moment": abs(
-            lam * 2.0 * float(np.mean(cphi * u_odd)) - (y0[r] + y0[r + 1])
-        ),
-    }
-
-    theta = math.acos(lam)
-
-    def d_dtheta(n, h):
-        up = chebyshev_u(n, math.cos(theta + h) * cphi)
-        dn = chebyshev_u(n, math.cos(theta - h) * cphi)
-        return (up - dn) / (2.0 * h)
-
-    for label, n in (("derivative_even", 2 * r), ("derivative_odd", 2 * r + 1)):
-        coarse = d_dtheta(n, 1e-4)
-        fine = d_dtheta(n, 1e-4 / 2.0)
-        deriv = (4.0 * fine - coarse) / 3.0
-        s_n = _derivative_identity_sum(n, lam * cphi)
-        resid = math.cos(theta) * deriv + math.sin(theta) * s_n
-        report[label] = float(np.max(np.abs(resid)))
-    return report
 
 
 def _iter_y_rows(a, b, edge=math.inf, order=0):

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chebyshev import _finite, _integer, chebyshev_identity_suite
+from .chebyshev import _finite, _integer
 from .estimation import (
     TrialDataset,
     dataset_from_json,
@@ -54,8 +54,6 @@ from .walk import (
     WalkState,
     channel_position_pmf,
     evolve,
-    kernel_matrix,
-    kernel_power,
     position_pmf,
 )
 
@@ -89,9 +87,9 @@ def _report(args, columns, rows, extra: dict, summary: str | None, *,
     """Write STEM.csv and STEM.json, both rendered before either is
     written, and return their paths.
 
-    Both are stamped with the version, ``args.command``, ``args.seed`` and
-    the axis convention, then ``extra``.  The stem is ``stem``, else
-    ``--output``, else the command name; the directory is ``args.outdir``,
+    Both are stamped with the version, ``args.command``, ``args.seed`` as
+    an int and the axis convention, then ``extra``.  The stem is ``stem``,
+    else ``--output``, else the command name; the directory is ``args.outdir``,
     which ``main`` resolved and created before the command ran.  The JSON
     mirror is ``_mirror_text(meta, columns, rows)`` unless ``json_obj``
     gives the fields that follow its meta.  Unless ``summary`` is None, prints
@@ -99,7 +97,7 @@ def _report(args, columns, rows, extra: dict, summary: str | None, *,
     """
     stem = stem or args.output or args.command.replace("-", "_")
     meta = {"version": __version__, "command": args.command,
-            "seed": "none" if args.seed is None else args.seed,
+            "seed": "none" if args.seed is None else _integer(args.seed, "--seed", 0),
             "convention_sigma": CONVENTION_SIGMA, **extra}
     paths = [os.path.join(args.outdir, stem + ext) for ext in (".csv", ".json")]
     texts = (_csv_text(meta, columns, rows), _mirror_text(meta, columns, rows) if json_obj is None
@@ -253,9 +251,9 @@ def cmd_databox(args) -> int:
                                  seed=args.seed, grid_size=args.grid)
     _echo_seed(args, report["config"]["seed"])
     rows = [dict(row, flags="|".join(row["flags"])) for row in report["rows"]]
-    theta_star = format_float(args.theta_star)
-    _report(args, list(rows[0]), rows, {"theta_star": theta_star, "budget": args.budget},
-            f"theta_star={theta_star} budget={args.budget} ({len(rows)} allocations)")
+    theta_star, budget = format_float(args.theta_star), report["config"]["budget"]
+    _report(args, list(rows[0]), rows, {"theta_star": theta_star, "budget": budget},
+            f"theta_star={theta_star} budget={budget} ({len(rows)} allocations)")
     return EXIT_OK
 
 
@@ -293,7 +291,7 @@ def cmd_figures(args) -> int:
 
 
 def _validation_checks(max_k: int):
-    """Yield (name, worst_residual) pairs for the oracle-equivalence suite."""
+    """Yield (name, worst_residual) pairs, one for each check of a production route."""
     lams = [-0.95, -0.6, -0.3, 0.0, 0.3, 0.6, 0.95]
 
     worst = 0.0
@@ -322,22 +320,6 @@ def _validation_checks(max_k: int):
         for m in direct.table:
             worst = max(worst, abs(direct.probability(m) - channel.probability(m)))
     yield "Kraus channel vs direct evolution", worst
-
-    worst = 0.0
-    for k in range(1, max_k + 1):
-        coin = CoinParameter(0.7)
-        for phi in (0.4, 1.9):
-            reference = np.linalg.matrix_power(kernel_matrix(phi, coin), k)
-            worst = max(worst, float(np.max(np.abs(kernel_power(phi, coin, k)
-                                                   - reference))))
-    yield "kernel power closed form", worst
-
-    worst = 0.0
-    if max_k >= 1:
-        for lam in (0.0, 0.3, 0.7, 1.0):
-            residuals = chebyshev_identity_suite(3, lam)
-            worst = max(worst, max(residuals.values()))
-    yield "polynomial identity suite", worst
 
 
 def _detect_sigma(max_k: int) -> int | None:

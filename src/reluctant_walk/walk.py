@@ -6,8 +6,8 @@ and coin-1 amplitude one site left.  ``evolve``/``position_pmf`` are the
 ground-truth oracle the closed forms in ``pmf`` are tested against.
 
 The module also carries the phase-space picture of the same dynamics: the
-one-step kernel at momentum phi, its k-th power in closed form, and the
-position-diagonal Kraus pair obtained by tracing out the coin.
+position-diagonal Kraus pair at momentum phi, obtained by tracing the coin
+out of the k-step kernel, and the position channel built from it.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "WalkState",
     "evolve",
     "position_pmf",
-    "kernel_matrix",
-    "kernel_power",
     "kraus_kernels",
     "channel_position_pmf",
 ]
@@ -205,33 +203,6 @@ def position_pmf(state: WalkState) -> Pmf:
     return Pmf(state.k, table, lam=None)
 
 
-def kernel_matrix(phi: float, p: CoinParameter) -> np.ndarray:
-    """One-step kernel at momentum phi.
-
-    In the phase basis the shift is diagonal, so one step is the 2x2
-    matrix [[e^{i phi} c, e^{-i phi} s], [-e^{i phi} s, e^{-i phi} c]]
-    acting on the coin alone.
-    """
-    c, s = p.lam, p.sin_theta
-    ep, em = np.exp(1j * phi), np.exp(-1j * phi)
-    return np.array([[ep * c, em * s], [-ep * s, em * c]])
-
-
-def kernel_power(phi: float, p: CoinParameter, k: int) -> np.ndarray:
-    """k-th power of the kernel via its characteristic polynomial.
-
-    M^k = M * U_{k-1}(xi) - I * U_{k-2}(xi) with xi = cos(theta) cos(phi),
-    U_n the Chebyshev polynomials of the second kind.  No matrix powers
-    are taken.  Row 0 is the Kraus pair, which ``kraus_kernels`` computes apart.
-    """
-    _integer(k, "step count k", 0)
-    if k == 0:
-        return np.eye(2, dtype=np.complex128)
-    xi = p.lam * math.cos(phi)
-    u1, u2 = _chebyshev_u_pair(k - 1, xi)
-    return kernel_matrix(phi, p) * u1 - np.eye(2) * u2
-
-
 def kraus_kernels(phi, p: CoinParameter, k: int):
     """Position-diagonal Kraus pair (A_k, B_k) at momentum phi.
 
@@ -239,8 +210,8 @@ def kraus_kernels(phi, p: CoinParameter, k: int):
     B_k = sin(theta) e^{-i phi} U_{k-1}(xi)
 
     with xi = cos(theta) cos(phi).  These are the two coin-trace branches
-    of M^k for a coin-0 input; |A_k|^2 + |B_k|^2 = 1 pointwise.  ``phi``
-    may be a scalar or an array.
+    of M^k, M the one-step kernel at momentum phi, for a coin-0 input;
+    |A_k|^2 + |B_k|^2 = 1 pointwise.  ``phi`` may be a scalar or an array.
     """
     _integer(k, "step count k", 1)
     phi = np.asarray(phi, dtype=float)

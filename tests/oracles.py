@@ -23,7 +23,14 @@ the exact rows and, through ``poly_derivative``, the lam-derivatives of
 the float rows.
 Three more keep the package's loops in their plain forms: the walk with a
 new state per step, the U_n recurrence with 2x formed anew at every step,
-and the artifact writer a cell at a time."""
+and the artifact writer a cell at a time.
+The rest check the mathematics the production routes rest on: U_n itself
+(``chebyshev_u``, the first of ``chebyshev._chebyshev_u_pair``), the
+integral and derivative identities of the U_n family
+(``chebyshev_identity_suite``, with ``_derivative_identity_sum``), and the
+one-step momentum kernel with its k-th power in closed form
+(``kernel_matrix``, ``kernel_power``), whose row 0 is
+``walk.kraus_kernels``' pair."""
 
 from __future__ import annotations
 
@@ -31,12 +38,13 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 import numpy as np
 from scipy.optimize import bisect
 
-from reluctant_walk.chebyshev import _integer, chebyshev_u
+from reluctant_walk.chebyshev import _chebyshev_u_pair, _integer, _iter_y_rows, _unit_lam
 from reluctant_walk.pmf import (_cell, _clamp, _mirror, _probabilities, _ratio, _rows_for,
                                 _validate_k_lam, pmf_point)
 from reluctant_walk.walk import (CoinParameter, WalkState, _momentum_grid,
@@ -287,6 +295,116 @@ def chebyshev_u_stepwise(n: int, x):
     for _ in range(n):
         u_prev, u = u, 2 * x * u - u_prev
     return u, u_prev
+
+
+def chebyshev_u(n, x):
+    """U_n(x), the Chebyshev polynomial of the second kind, in the types and
+    precision of ``chebyshev._chebyshev_u_pair``; a degree that is not an
+    integer n >= 0 raises ValueError.  For |x| <= 1 it agrees with
+    sin((n+1)*arccos(x))/sin(arccos(x))."""
+    return _chebyshev_u_pair(n, x)[0]
+
+
+def _derivative_identity_sum(n: int, xi):
+    """S_n(xi) = sum over m in {n, n-2, ..., >= 1} of m*(U_{m-2}(xi) + U_m(xi)).
+
+    Satisfies d/dtheta U_n(cos(theta)cos(phi)) = -tan(theta) * S_n at
+    xi = cos(theta)cos(phi); an empty sum (n = 0) is zero.
+    """
+    total = xi * 0
+    for m in range(n, 0, -2):
+        inner = chebyshev_u(m, xi)
+        if m >= 2:
+            inner = inner + chebyshev_u(m - 2, xi)
+        total = total + m * inner
+    return total
+
+
+def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
+    """Check the integral and derivative identities of the U_n family.
+
+    For the given ``r`` and ``lam`` the report holds absolute residuals of:
+
+    - ``odd_mean``: (1/2pi) integral U_{2r+1}(lam cos phi) dphi = 0
+    - ``even_mean``: (1/2pi) integral U_{2r}(lam cos phi) dphi = Y_0^(2r)
+    - ``even_first_moment``: (1/pi) integral cos(phi) U_{2r}(lam cos phi) dphi = 0
+    - ``odd_first_moment``: lam * (1/pi) integral cos(phi) U_{2r+1}(lam cos phi) dphi
+      = Y_0^(2r) + Y_0^(2r+2)
+    - ``derivative_even`` / ``derivative_odd``: for n = 2r and 2r+1,
+      cos(theta) * dU_n/dtheta + sin(theta) * S_n(xi) = 0 at xi =
+      cos(theta)cos(phi), with the theta-derivative taken by central
+      finite differences at step 1e-4 (Richardson-extrapolated once).
+
+    The derivative residual is stated in the cos/sin form rather than with
+    tan(theta) so that lam = 0 (theta = pi/2) stays finite.
+
+    Returns a dict mapping identity name to residual.
+    """
+    r = _integer(r, "r", 0)
+    lam = float(_unit_lam(lam))
+    resolution = 8 * (2 * r + 6)
+    phi = 2.0 * np.pi * np.arange(resolution) / resolution
+    cphi = np.cos(phi)
+
+    u_odd, u_even = _chebyshev_u_pair(2 * r + 1, lam * cphi)
+    # Y_0^(2r) and Y_0^(2r+2) from the exact rows in the cone of Y_0^(2r+2),
+    # correctly rounded: entry 0 of an even row j is Z_0^(j), of an odd Z_1^(j)
+    a, b = lam.as_integer_ratio()
+    even_rows = islice(_iter_y_rows(a, b, 2 * r + 2), 0, 2 * r + 3, 2)
+    y0 = [row[0] / b**(2 * i) for i, (row, _) in enumerate(even_rows)]
+
+    report = {
+        "odd_mean": abs(float(np.mean(u_odd))),
+        "even_mean": abs(float(np.mean(u_even)) - y0[r]),
+        "even_first_moment": abs(2.0 * float(np.mean(cphi * u_even))),
+        "odd_first_moment": abs(
+            lam * 2.0 * float(np.mean(cphi * u_odd)) - (y0[r] + y0[r + 1])
+        ),
+    }
+
+    theta = math.acos(lam)
+
+    def d_dtheta(n, h):
+        up = chebyshev_u(n, math.cos(theta + h) * cphi)
+        dn = chebyshev_u(n, math.cos(theta - h) * cphi)
+        return (up - dn) / (2.0 * h)
+
+    for label, n in (("derivative_even", 2 * r), ("derivative_odd", 2 * r + 1)):
+        coarse = d_dtheta(n, 1e-4)
+        fine = d_dtheta(n, 1e-4 / 2.0)
+        deriv = (4.0 * fine - coarse) / 3.0
+        s_n = _derivative_identity_sum(n, lam * cphi)
+        resid = math.cos(theta) * deriv + math.sin(theta) * s_n
+        report[label] = float(np.max(np.abs(resid)))
+    return report
+
+
+def kernel_matrix(phi: float, p: CoinParameter) -> np.ndarray:
+    """One-step kernel at momentum phi.
+
+    In the phase basis the shift is diagonal, so one step is the 2x2
+    matrix [[e^{i phi} c, e^{-i phi} s], [-e^{i phi} s, e^{-i phi} c]]
+    acting on the coin alone.
+    """
+    c, s = p.lam, p.sin_theta
+    ep, em = np.exp(1j * phi), np.exp(-1j * phi)
+    return np.array([[ep * c, em * s], [-ep * s, em * c]])
+
+
+def kernel_power(phi: float, p: CoinParameter, k: int) -> np.ndarray:
+    """k-th power of the kernel via its characteristic polynomial.
+
+    M^k = M * U_{k-1}(xi) - I * U_{k-2}(xi) with xi = cos(theta) cos(phi),
+    U_n the Chebyshev polynomials of the second kind.  No matrix powers
+    are taken.  Row 0 is the Kraus pair, which ``walk.kraus_kernels``
+    computes apart.
+    """
+    _integer(k, "step count k", 0)
+    if k == 0:
+        return np.eye(2, dtype=np.complex128)
+    xi = p.lam * math.cos(phi)
+    u1, u2 = _chebyshev_u_pair(k - 1, xi)
+    return kernel_matrix(phi, p) * u1 - np.eye(2) * u2
 
 
 def csv_text_per_cell(meta, columns, rows) -> str:

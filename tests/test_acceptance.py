@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from reluctant_walk.chebyshev import chebyshev_identity_suite
 from reluctant_walk.cli import FIG2_KS, _fig1_rows, _fig2_rows, main
 from reluctant_walk.estimation import TrialDataset, level_set_solve, mle_estimate
 from reluctant_walk.pmf import iter_pmf_full, pmf_full, pmf_point
@@ -22,11 +21,11 @@ from reluctant_walk.walk import (
     CoinParameter,
     WalkState,
     evolve,
-    kernel_matrix,
-    kernel_power,
     kraus_kernels,
     position_pmf,
 )
+
+from oracles import chebyshev_identity_suite, kernel_matrix, kernel_power
 
 
 def gibbs_dataset(theta_star, k):

@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from reluctant_walk.chebyshev import (
-    chebyshev_u,
-    chebyshev_identity_suite,
-    _chebyshev_u_pair,
-    _iter_y_rows,
-)
+from reluctant_walk.chebyshev import _chebyshev_u_pair, _iter_y_rows
 
-from oracles import chebyshev_u_stepwise, hyp2f1_terminating, y_poly, y_poly_quadrature
+from oracles import (chebyshev_identity_suite, chebyshev_u, chebyshev_u_stepwise,
+                     hyp2f1_terminating, y_poly, y_poly_quadrature)
 
 
 def test_chebyshev_u_base_cases():

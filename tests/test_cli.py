@@ -642,10 +642,11 @@ def test_data_command_prints_its_summary_and_paths(tmp_path, capsys, argv, stdou
 
 def test_validate_passes_at_default_tolerance(capsys):
     assert main(["validate", "--max-k", "8"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
-    assert "convention sigma: detected -1, module constant -1" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "PASS  analytic pmf vs state-vector oracle (reflected axis)",
+        "PASS  pmf normalization", "PASS  Kraus channel vs direct evolution"]
+    assert lines[3:] == ["convention sigma: detected -1, module constant -1"]
 
 
 def test_validate_fails_at_absurd_tolerance(capsys):
@@ -770,12 +771,17 @@ def test_identical_invocations_are_byte_identical(tmp_path):
 
 
 def test_numpy_int_arguments_give_the_artifacts_of_the_command_line(tmp_path):
-    """A parsed Namespace whose counts are numpy ints stamps the checked
-    Python ints, so both files are written, byte for byte as from main."""
+    """A parsed Namespace whose counts, seed or budget are numpy ints stamps
+    the checked Python ints, so both files are written, byte for byte as
+    from main."""
     cases = [(["pmf", "--k", "3", "--lambda", "0.6"], {"k": np.int64(3)}),
              (["simulate", "--k", "3", "--theta", "0.7", "--start", "1"],
               {"k": np.int64(3), "start": np.int64(1)}),
-             (["level-set", "--f", "0.5", "--k", "4"], {"k": np.int64(4)})]
+             (["level-set", "--f", "0.5", "--k", "4"], {"k": np.int64(4)}),
+             (["pmf", "--k", "2", "--lambda", "0.6", "--seed", "4", "--output", "seeded"],
+              {"seed": np.int64(4)}),
+             (["databox", "--theta-star", "0.7", "--budget", "40", "--allocations", "2:10,4:5",
+               "--grid", "31", "--seed", "1"], {"budget": np.int64(40)})]
     plain, numpy = tmp_path / "plain", tmp_path / "numpy"
     numpy.mkdir()
     for argv, values in cases:
@@ -785,7 +791,7 @@ def test_numpy_int_arguments_give_the_artifacts_of_the_command_line(tmp_path):
         assert args.func(args) == 0
     names = sorted(path.name for path in plain.iterdir())
     assert names == sorted(path.name for path in numpy.iterdir())
-    assert len(names) == 6
+    assert len(names) == 10
     for name in names:
         assert (plain / name).read_bytes() == (numpy / name).read_bytes(), name
 

@@ -10,8 +10,7 @@ import tempfile
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from reluctant_walk.chebyshev import (_finite, _integer, _unit_interval, _unit_lam,
-                                      _unit_total, chebyshev_identity_suite)
+from reluctant_walk.chebyshev import _finite, _integer, _unit_interval, _unit_lam, _unit_total
 from reluctant_walk.cli import _generate_dataset, _parser, cmd_simulate, cmd_validate
 from reluctant_walk.estimation import (TrialDataset, level_set_solve, likelihood_curve,
                                        mle_estimate)
@@ -19,7 +18,9 @@ from reluctant_walk.pmf import Pmf, _grid, _return_grid, iter_pmf_full, pmf_full
 from reluctant_walk.sampling import (data_box_experiment, diffusion_experiment, sample_positions,
                                      sample_return_trials, trial_generator)
 from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
-                                 kernel_power, kraus_kernels)
+                                 kraus_kernels)
+
+from oracles import chebyshev_identity_suite, kernel_power
 
 
 def _numbers(floats):
@@ -43,6 +44,8 @@ def _error(call):
 @given(_numbers(st.floats(allow_nan=False, allow_infinity=False)))
 @example(True)
 @example(np.False_)
+@example(10**400)
+@example(-10**400)
 def test_every_angle_site_applies_the_finite_gate(theta):
     sites = {
         "theta": [lambda: CoinParameter(theta),

@@ -17,13 +17,11 @@ from reluctant_walk.walk import (
     WalkState,
     evolve,
     position_pmf,
-    kernel_matrix,
-    kernel_power,
     kraus_kernels,
     channel_position_pmf,
 )
 
-from oracles import evolve_stepwise, return_probability_kraus
+from oracles import evolve_stepwise, kernel_matrix, kernel_power, return_probability_kraus
 
 THETA = 0.7
 
