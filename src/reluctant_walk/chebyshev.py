@@ -6,8 +6,8 @@ The walk's closed-form pmf is built from the Fourier coefficients
 
 which are polynomials in lam with integer coefficients.  ``_iter_y_rows``
 computes them row by row from their three-term recurrence, on the exact
-integers of lam = a/b or in float64.  ``_chebyshev_u_pair`` evaluates
-U_n itself for the Kraus pair of ``walk.kraus_kernels``.
+integers of lam = a/b, in fixed point, or in float64.  ``_chebyshev_u_pair``
+evaluates U_n itself for the Kraus pair of ``walk.kraus_kernels``.
 """
 
 from __future__ import annotations
@@ -21,20 +21,28 @@ import numpy as np
 __all__: list[str] = []
 
 
+def _shown(value, text=str) -> str:
+    """``text(value)`` for a gate's message, or an int beyond the float range
+    by its bit length, as its decimal text may pass the int-to-str limit."""
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return text(value)
+
+
 def _integer(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int, at least ``minimum`` when one is given; a float
     or a bool is rejected, not truncated."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ValueError(f"{name} must be an integer{bound}, got {_shown(value, repr)}")
     return int(value)
 
 
 def _unit_interval(value, name: str):
     """``value``, a level or a probability in [0, 1]; a bool or NaN raises ValueError."""
     if isinstance(value, (bool, np.bool_)) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        raise ValueError(f"{name} must lie in [0, 1], got {_shown(value)}")
     return value
 
 
@@ -45,7 +53,7 @@ def _finite(value, name: str, minimum: float | None = None):
     if (isinstance(value, (bool, np.bool_)) or not abs(value) <= sys.float_info.max
             or minimum is not None and value < minimum):
         bound = "" if minimum is None else f" and >= {minimum}"
-        raise ValueError(f"{name} must be finite{bound}, got {value}")
+        raise ValueError(f"{name} must be finite{bound}, got {_shown(value)}")
     return value
 
 
@@ -53,7 +61,7 @@ def _unit_lam(lam):
     """``lam``, one or an array; raises ValueError for bools and unless every
     lam is finite with |lam| <= 1 (NaN fails the comparison)."""
     if np.asarray(lam).dtype == bool or not np.all(np.abs(lam) <= 1):
-        raise ValueError(f"lam must be finite with |lam| <= 1, got {lam}")
+        raise ValueError(f"lam must be finite with |lam| <= 1, got {_shown(lam)}")
     return lam
 
 
@@ -88,7 +96,7 @@ def _chebyshev_u_pair(n, x):
     return (float(u), float(u_prev)) if scalar else (u, u_prev)
 
 
-def _iter_y_rows(a, b, edge=math.inf, order=0):
+def _iter_y_rows(a, b, edge=math.inf, order=0, bits=0):
     """Yield (Z^(j), Z^(j-1)) for j = 0, 1, ..., where Z^(j) = b^j * Y^(j)(a/b).
 
     The walk is bipartite, so Z_m^(j) is zero unless m = j (mod 2), and a
@@ -117,6 +125,12 @@ def _iter_y_rows(a, b, edge=math.inf, order=0):
     and 1.0 * z is z bit for bit), and a product only for other b, as
     from ``Fraction(1, 3)``.
 
+    ``bits`` P > 0 (Python ints a, b = 2^e) runs fixed point instead: Z^(j)
+    is Y^(j) * 2^P up to an error that ``pmf._probabilities`` bounds, one
+    scale on every row, so b^2 drops and a*(...) is the floor (a*(...)) >>
+    e, which loses under one unit an entry a row; entries hold about P +
+    log2(j) bits, where the exact rows of a float lam grow to 53 j bits.
+
     ``order`` n >= 1 runs the recurrence forward-mode: each row gains an
     axis behind the entries holding (Z, dZ/da, ..., d^nZ/da^n) at fixed b,
     shape (width, n + 1) + S.  With N the neighbour sum in the brackets,
@@ -131,7 +145,10 @@ def _iter_y_rows(a, b, edge=math.inf, order=0):
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype) for v in (a, b))
-    if dtype is float:                                  # b = 1.0: b^2 * z is z
+    if bits:                            # fixed point: one scale 2^P on every row, and
+        scaled = lambda z: z            # lam * N is (N * a) >> e, as b = 2^e
+        shift = np.frompyfunc(lambda v: v.bit_length() - 1, 1, 1)(b)
+    elif dtype is float:                                # b = 1.0: b^2 * z is z
         scaled = lambda z: z
     elif all(v & (v - 1) == 0 for v in b.flat):         # b = 2^e: b^2 * z is z << 2e
         shift = np.frompyfunc(lambda v: 2 * v.bit_length() - 2, 1, 1)(b)
@@ -143,7 +160,7 @@ def _iter_y_rows(a, b, edge=math.inf, order=0):
     # the factor i of N^(i-1) in the i-th derivative of a*N, i = 1..order
     carry = np.arange(1, order + 1).reshape((order,) + (1,) * a.ndim)
     row, prev = np.zeros((1,) + shape, dtype), np.zeros((0,) + shape, dtype)
-    (row[:, 0] if order else row)[...] = 1              # Z^(0) = 1, its derivatives 0
+    (row[:, 0] if order else row)[...] = 1 << bits      # Z^(0) = 1 (2^P), derivatives 0
     j = 0
     while True:
         yield row, prev
@@ -167,6 +184,8 @@ def _iter_y_rows(a, b, edge=math.inf, order=0):
         if order:
             leibniz = carry * row[:, :-1]
         row *= a
+        if bits:
+            row >>= shift
         if order:
             row[:, 1:] += leibniz
         inner -= scaled(prev2[:inner_width])

@@ -18,6 +18,8 @@ import csv
 import io
 import json
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -115,12 +117,12 @@ def _edge(k: int, ds=None):
     return k - 1 + reach if reach < k - 1 else math.inf
 
 
-def _rows_for(k: int, a, b, ds=None, order: int = 0):
+def _rows_for(k: int, a, b, ds=None, order: int = 0, bits: int = 0):
     """Only the scaled rows (Z^(k-1), Z^(k-2)) that step ``k`` reads, each
     to the light cone of ``ds`` when it is narrower (``_edge``), entry-major,
     with their first ``order`` a-derivatives stacked on the axis behind
-    the entries (``_iter_y_rows``)."""
-    return next(islice(_iter_y_rows(a, b, _edge(k, ds), order), k - 1, None))
+    the entries, or in ``bits``-bit fixed point (``_iter_y_rows``)."""
+    return next(islice(_iter_y_rows(a, b, _edge(k, ds), order, bits), k - 1, None))
 
 
 def _jet_mul(x, y):
@@ -131,39 +133,41 @@ def _jet_mul(x, y):
                      for n in range(len(x))])
 
 
-# the leading bits of each square's base that bracket an exact numerator
-_TOP_BITS = 64
+def _row_error(k: int) -> int:
+    """A bound on |Z - Y * 2^P| on the fixed-point rows k - 1 and k - 2,
+    whatever P (proof in ``_probabilities``)."""
+    return (math.isqrt(k) + 1) * k * (k - 1) // 2
 
 
-def _truncated(x: int) -> tuple[int, int, int]:
-    """|x| cut to its top ``_TOP_BITS`` bits, as (h, h_up, s) with h * 2^s
-    <= |x| <= h_up * 2^s: h_up is h + 1 when bits were cut, else h."""
-    x = abs(x)
-    s = max(x.bit_length() - _TOP_BITS, 0)
-    h = x >> s
-    return h, h + (s > 0), s
+# fixed-point bits past the error bound: an entry p >= 2^-1074 is then known to
+# about 2^-650 sqrt(p), so only one that close to a rounding boundary falls back
+_FIXED_BITS = 650
 
 
-def _square_sum_ratio(g: int, z: int, w: int, den: int) -> float:
-    """(g * z^2 + w^2) / den correctly rounded, for integers g >= 0 and den
-    > 0, in work linear in the size of z and w: the same sum on the lower
-    and the upper ends of z and w cut to their top bits (``_truncated``)
-    brackets the numerator, and when the two ends round apart (about one
-    entry in a thousand) ``_exact_ratio`` squares in full."""
-    hz, hz_up, sz = _truncated(z)
-    hw, hw_up, sw = _truncated(w)
-    low = (g * hz * hz << 2 * sz) + (hw * hw << 2 * sw)
-    high = (g * hz_up * hz_up << 2 * sz) + (hw_up * hw_up << 2 * sw)
-    value = low / den
-    return value if value == high / den else _exact_ratio(g, z, w, den)
+def _fixed_bits(k: int, b) -> int:
+    """P of the fixed-point rows through step ``k`` of lam = a/b for an int
+    power of two b (every float lam), else 0: the exact integer rows."""
+    dyadic = isinstance(b, int) and not b & (b - 1)
+    return _FIXED_BITS + _row_error(k).bit_length() if dyadic else 0
 
 
-def _exact_ratio(g: int, z: int, w: int, den: int) -> float:
-    """(g * z^2 + w^2) / den correctly rounded, from the exact numerator."""
-    return (g * z * z + w * w) / den
+def _exact_entries(k: int, a: int, b: int, ds) -> np.ndarray:
+    """The fallback: p(d; k, a/b) for each d in ``ds`` from the exact integer rows."""
+    return _probabilities(k, a, b, _rows_for(k, a, b, ds), ds)
 
 
-_rounded_ratio = np.frompyfunc(_square_sum_ratio, 4, 1)
+# a pair in lowest terms, as numbers.Rational asks, which Fraction takes over unreduced
+_Lowest = namedtuple("_Lowest", "numerator denominator")
+numbers.Rational.register(_Lowest)
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den reduced.  Shifting out the common power of two leaves a
+    power-of-two den (any dyadic lam) in lowest terms, with no gcd, which
+    takes 0.2 s on the 320,000-bit pair of pmf_point(150, 0, Fraction(5e-324))."""
+    low = (num | den) & -(num | den)
+    num, den = num // low, den // low
+    return Fraction(num, den) if den & (den - 1) else Fraction(_Lowest(num, den))
 
 
 def _entries(row, j: int, ms) -> np.ndarray:
@@ -182,7 +186,7 @@ def _entries(row, j: int, ms) -> np.ndarray:
 
 
 def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
-                   order: int = 0) -> np.ndarray:
+                   order: int = 0, bits: int = 0) -> np.ndarray:
     """p(d; k, a/b) for each ``d`` in ``ds``, from scaled rows; zero off
     the parity-valid support [-k, k].
 
@@ -205,14 +209,33 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     change no bit, so it runs in place on about three (lam x column)
     buffers.
 
-    The integer numerator g * z^2 + w^2, with g = b^2 - a^2 >= 0, is
-    rounded without squaring z and w in full (``_square_sum_ratio``).
-    Both terms are non-negative, so cutting z and w to their top bits
-    and rounding those cut ends down and up brackets the numerator, and
-    no cancellation can widen the bracket.  Correct rounding is monotone,
-    so when both ends of the bracket round to one float, that float is
-    the correctly rounded entry; only when they differ is the numerator
-    built exactly.
+    ``bits`` P > 0 reads fixed-point rows Z = Y * 2^P + E of one dyadic
+    lam = a/2^e (``_iter_y_rows``), and each entry is still the correctly
+    rounded float of its exact rational.  The error E stays within u =
+    ``_row_error(k)`` units on rows k - 1 and k - 2:
+
+      - Row j computes Z^(j) = lam * S(Z^(j-1)) - Z^(j-2) - f^(j), where S
+        adds the neighbours m - 1 and m + 1 (Y_{-m} = Y_m) and f^(j) in
+        [0, 1) is the floor's loss at each of the j + 1 entries m = -j,
+        -j + 2, ..., j; rows 0 and -1 are exact.
+      - In Fourier, with F(phi) = sum_m f_m e^(i m phi), S is a product by
+        2 cos(phi), so E^(j)(phi) = -sum_{i=1..j} U_{j-i}(lam cos(phi))
+        F^(i)(phi), the exact rows' own recurrence driven by the losses.
+      - |U_n| <= n + 1 on [-1, 1], and by Parseval ||F^(i)||_2 <=
+        sqrt(i + 1), so each coefficient obeys |E_m^(j)| <= ||E^(j)||_1 <=
+        ||E^(j)||_2 <= sum_{i=1..j} (j - i + 1) sqrt(i + 1) <= sqrt(j + 1)
+        j (j + 1) / 2, which at j = k - 1 is below u = (isqrt(k) + 1)
+        k (k - 1) / 2, about 0.5 k^2.5.
+
+    So |Y_{|d-1|}^(k-1)| * 2^P lies in z -+ u with z = |Z_{|d-1|}^(k-1)|,
+    and (b Y_{|d|}^(k-2) - a Y_{|d+1|}^(k-1)) * 2^P in w -+ (b + |a|) u
+    with w = |b Z_{|d|}^(k-2) - a Z_{|d+1|}^(k-1)|.  Squaring the ends
+    nearer and farther from zero and summing with weight b^2 - a^2 >= 0
+    brackets the exact numerator over b^2 * 2^(2P).  Correct rounding is
+    monotone, so when both ends of the bracket round to one float, that
+    float is the correctly rounded entry; an entry whose ends round apart,
+    as a tie does (lam = 0.5, k = 30, d = +-4), is rounded from the exact
+    integer rows instead (``_exact_entries``).
 
     Rows with ``order`` a-derivatives stacked behind the entries, shape
     (width, order + 1) + S (``_rows_for``), give the stack (p, dp/da, ...)
@@ -246,11 +269,21 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
         return p
     b = np.asarray(b, row_km1.dtype)[..., None]
     b2 = b * b
-    den = b ** (2 * k)
-    gap, odd = b2 - a * a, b2 * z_b - a * z_c
-    if not rational:
-        return _clamp(_rounded_ratio(gap, z_a, odd, den).astype(float))
-    return np.frompyfunc(Fraction, 2, 1)(gap * z_a * z_a + odd * odd, den)
+    gap = b2 - a * a
+    if bits:
+        u = _row_error(k)
+        z, w, v = abs(z_a), abs(b * z_b - a * z_c), (b + abs(a)) * u
+        den = b2 << 2 * bits
+        p = ((gap * np.maximum(z - u, 0) ** 2 + np.maximum(w - v, 0) ** 2) / den).astype(float)
+        doubt = p != ((gap * (z + u) ** 2 + (w + v) ** 2) / den).astype(float)
+        if doubt.any():
+            p[doubt] = _exact_entries(k, a.item(), b.item(), ds[doubt])
+        return _clamp(p)
+    odd = b2 * z_b - a * z_c
+    num, den = gap * z_a * z_a + odd * odd, b ** (2 * k)
+    if rational:
+        return np.frompyfunc(_fraction, 2, 1)(num, den)
+    return _clamp((num / den).astype(float))
 
 
 # row entries per pass of the float rows, counted at the full width of a row
@@ -389,47 +422,58 @@ def pmf_point(k: int, d: int, lam):
         p = (1 - lam^2) * (Y_{|d-1|}^(k-1))^2
             + (Y_{|d|}^(k-2) - lam * Y_{|d+1|}^(k-1))^2
 
-    from the exact integer rows of lam = a/b, with Y^(-1) = 0 at k = 1.
-    Zero off the parity-valid support; a ``d`` that is not an int (a float
-    or a bool) raises ValueError.  A Fraction ``lam`` gives the exact
-    rational probability; a float ``lam`` gives that rational correctly
-    rounded.
+    from the rows of lam = a/b through the light cone of ``d``, with Y^(-1)
+    = 0 at k = 1.  Zero off the parity-valid support; a ``d`` that is not
+    an int (a float or a bool) raises ValueError.  A Fraction ``lam`` runs
+    the exact integer rows and gives the exact rational probability; a
+    float ``lam`` runs the fixed-point rows and gives that rational
+    correctly rounded (``_probabilities``).
     """
-    _validate_k_lam(k, lam)
+    k = _validate_k_lam(k, lam)
     d = _integer(d, "displacement d")
     exact = isinstance(lam, Fraction)
     if abs(d) > k or (k - d) % 2:
         return Fraction(0) if exact else 0.0
     a, b = _ratio(lam)
-    (p,) = _probabilities(k, a, b, _rows_for(k, a, b, [d]), [d], rational=exact).tolist()
+    bits = 0 if exact else _fixed_bits(k, b)
+    rows = _rows_for(k, a, b, [d], bits=bits)
+    (p,) = _probabilities(k, a, b, rows, [d], rational=exact, bits=bits).tolist()
     return p
 
 
-def _table(k: int, lam, a, b, rows) -> Pmf:
+def _table(k: int, lam, a, b, rows, bits: int) -> Pmf:
     ds = range(-k, k + 1, 2)
-    return Pmf(k, dict(zip(ds, _probabilities(k, a, b, rows, ds).tolist())), lam=float(lam))
+    return Pmf(k, dict(zip(ds, _probabilities(k, a, b, rows, ds, bits=bits).tolist())),
+               lam=float(lam))
 
 
 def iter_pmf_full(lam, k_max: int, exact: bool = True) -> Iterator[Pmf]:
     """Yield the full pmf for k = 1, 2, ..., k_max.
 
     Shares one pass over the Y rows, but each k builds a table, which costs
-    most: ``pmf_full`` of a few k is cheaper.  ``exact=True`` runs the rows
-    on the exact integers of lam = a/b, so every entry is its exact
-    rational correctly rounded; ``exact=False`` uses float64 rows,
-    adequate to ~1e-12 and much faster for plot-scale sweeps.
+    most: ``pmf_full`` of a few k is cheaper.  ``exact=True`` gives every
+    entry as its exact rational correctly rounded, as ``pmf_full`` does,
+    with the fixed-point rows sized for ``k_max``; ``exact=False`` uses
+    float64 rows, adequate to ~1e-12 and much faster for plot-scale sweeps.
     """
-    _validate_k_lam(k_max, lam)
+    k_max = _validate_k_lam(k_max, lam)
     a, b = _ratio(lam, exact)
-    for k, rows in enumerate(islice(_iter_y_rows(a, b), k_max), start=1):
-        yield _table(k, lam, a, b, rows)
+    bits = _fixed_bits(k_max, b)
+    for k, rows in enumerate(islice(_iter_y_rows(a, b, bits=bits), k_max), start=1):
+        yield _table(k, lam, a, b, rows, bits)
 
 
 def pmf_full(k: int, lam, exact: bool = True) -> Pmf:
-    """Full displacement table after ``k`` steps; normalized by construction."""
+    """Full displacement table after ``k`` steps; normalized by construction.
+
+    ``exact=True`` gives each entry as its exact rational correctly rounded:
+    from fixed-point rows for a float lam or a Fraction over a power of two,
+    from the exact integer rows for another Fraction (``_probabilities``).
+    ``exact=False`` runs float64 rows."""
     k = _validate_k_lam(k, lam)
     a, b = _ratio(lam, exact)
-    return _table(k, lam, a, b, _rows_for(k, a, b))
+    bits = _fixed_bits(k, b)
+    return _table(k, lam, a, b, _rows_for(k, a, b, bits=bits), bits)
 
 
 format_float = "%.17g".__mod__       # a number's decimal text; 17 digits round-trip float64

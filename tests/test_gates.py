@@ -5,6 +5,7 @@ states their rule through them."""
 
 import argparse
 import math
+import sys
 import tempfile
 
 import numpy as np
@@ -29,6 +30,14 @@ def _numbers(floats):
     return st.one_of(floats, floats.map(np.float64),
                      st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]),
                      st.booleans(), st.integers(-3, 3), st.integers(-3, 3).map(np.int64))
+
+
+def _shown(value):
+    """A value as the gates show it: an int that no float can hold by its
+    bit length, anything else as ``str``."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    return str(value)
 
 
 def _error(call):
@@ -57,8 +66,28 @@ def test_every_angle_site_applies_the_finite_gate(theta):
     for name, calls in sites.items():
         want = _error(lambda: _finite(theta, name))
         assert not (want is None and isinstance(theta, (bool, np.bool_)))  # no angle
-        assert want is None or want == f"{name} must be finite, got {theta}"
+        assert want is None or want == f"{name} must be finite, got {_shown(theta)}"
         assert [_error(call) for call in calls] == [want] * len(calls), (name, theta)
+
+
+def test_gates_name_an_int_beyond_the_float_range_by_its_bit_length():
+    """An int of 5001 digits passes the int-to-str limit (4300 digits), so
+    every gate names it by its 16,610 bits, at its call sites too."""
+    big = 10**5000
+    cases = {
+        "theta must be finite, got an int of 16610 bits": [
+            lambda: _finite(big, "theta"), lambda: CoinParameter(big)],
+        "level must lie in [0, 1], got an int of 16610 bits": [
+            lambda: _unit_interval(big, "level"), lambda: level_set_solve(big, 2)],
+        "k must be an integer >= 1, got a negative int of 16610 bits": [
+            lambda: _integer(-big, "k", 1)],
+        "step count k must be an integer >= 1, got a negative int of 16610 bits": [
+            lambda: pmf_full(-big, 0.5)],
+        "lam must be finite with |lam| <= 1, got a negative int of 16610 bits": [
+            lambda: _unit_lam(-big), lambda: pmf_full(1, -big)],
+    }
+    for message, calls in cases.items():
+        assert [_error(call) for call in calls] == [message] * len(calls)
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,6 +7,7 @@ to exactly 1.
 """
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -518,16 +519,53 @@ def test_exact_entries_are_correctly_rounded(k, lam):
                                  Fraction(1, 3)])
 @pytest.mark.parametrize("k", [150, 200])
 def test_large_k_exact_entries_are_the_rounded_rationals(k, lam):
-    """The bracketed rounding gives float() of the exact rationals on the
-    same rows, dyadic (every float lam) and not (lam = 1/3).  Each rational
-    is read as its exact numerator over its denominator in one correctly
-    rounded int division, which is its float(): reducing it to a Fraction
-    takes a gcd of 430,000-bit integers at k = 200, lam = 5e-324."""
+    """The bracketed rounding gives float() of the exact rationals of the
+    integer rows, dyadic (every float lam) and not (lam = 1/3).  Each
+    rational is read as its exact numerator over its denominator in one
+    correctly rounded int division, which is its float(), without building
+    the Fraction."""
     a, b = pmf_module._ratio(lam)
     rows, ds = pmf_module._rows_for(k, a, b), range(-k, k + 1, 2)
-    with mock.patch.object(pmf_module, "Fraction", lambda num, den: num / den):
+    with mock.patch.object(pmf_module, "_fraction", lambda num, den: num / den):
         want = pmf_module._probabilities(k, a, b, rows, ds, rational=True).tolist()
     assert list(pmf_full(k, lam).table.values()) == want
+
+
+def _integer_rows_tables(lam, ks) -> dict:
+    """{k: float() of p(d; k, lam) for d = -k, -k + 2, ..., k} for each k
+    in ``ks``, from one pass of the exact integer rows; each rational is
+    read as its numerator over its denominator in one correctly rounded
+    int division."""
+    a, b = pmf_module._ratio(lam)
+    want = {}
+    with mock.patch.object(pmf_module, "_fraction", lambda num, den: num / den):
+        for k, rows in enumerate(islice(_iter_y_rows(a, b), max(ks)), start=1):
+            if k in ks:
+                want[k] = pmf_module._probabilities(k, a, b, rows, range(-k, k + 1, 2),
+                                                    rational=True).tolist()
+    return want
+
+
+def _spy_fallback():
+    return mock.patch.object(pmf_module, "_exact_entries", wraps=pmf_module._exact_entries)
+
+
+def test_exact_fallback_runs_on_the_ties_only():
+    """At lam = 0.5, k = 30, p(-4) and p(4) are odd 54-bit numerators over
+    2^58: each lies on a rounding midpoint, which no bracket can decide.
+    The exact rows run once, on exactly those two entries, and the ties
+    round to even; pmf_point falls back on its one d = 4."""
+    with _spy_fallback() as fallback:
+        table = pmf_full(30, 0.5).table
+        point = pmf_point(30, 4, 0.5)
+    assert [(c.args[:3], list(c.args[3])) for c in fallback.call_args_list] == [
+        ((30, 1, 2), [-4, 4]), ((30, 1, 2), [4])]
+    for d, numerator in ((-4, 12859514773239225), (4, 10254769589570925)):
+        assert pmf_point(30, d, Fraction(1, 2)) == Fraction(numerator, 2**58)
+        below, above = numerator - 1, numerator + 1      # the two floats beside it
+        even = below if below >> 1 & 1 == 0 else above
+        assert table[d] == even / 2**58
+    assert point == table[4]
 
 
 # odd 54-bit integers, each halfway between two floats: the tie rounds down
@@ -540,40 +578,183 @@ _MIDPOINTS = [(1 << 53) + 1, (1 << 53) + 3]
 @pytest.mark.parametrize("square", ["z", "w"])
 def test_square_sum_ratio_falls_back_at_a_midpoint(midpoint, offset, square):
     """For a numerator just below, on or just above a float midpoint, the
-    64-bit bracket straddles the midpoint, so the exact squares decide:
-    below rounds down, above up and the tie to even."""
-    y = 3**60                               # the base's low bits are not zero
-    base, den = midpoint * y + offset, midpoint * y * y
-    g, z, w = (1, base, 0) if square == "z" else (7, 0, base)
-    exact_ratio = pmf_module._exact_ratio
-    with mock.patch.object(pmf_module, "_exact_ratio", wraps=exact_ratio) as fallback:
-        value = pmf_module._square_sum_ratio(g, z, w, den)
-    assert fallback.call_count == 1
-    assert value == float(Fraction(g * z * z + w * w, den))
+    fixed-point bracket straddles the midpoint, so the exact integer rows
+    decide: below rounds down, above up and the tie to even.  At lam = a/b
+    with b - a = 1 and b + a = m (the midpoint), g = b^2 - a^2 = m and
+    a^2 + m = b^2, so at P = 700 the synthetic rows (Z^(2), Z^(1)) give
+    p(1; 3, lam) = m 2^-54 exactly, with the offset on z or on w, and the
+    fallback reads the same Y rows as integer rows of lam = (a 2^P)/(b 2^P)."""
+    bits, q = 700, 700 - 27
+    a, b = (midpoint - 1) // 2, (midpoint + 1) // 2
+    if square == "z":
+        z_a, w = (b << q) + offset, 0
+    else:
+        z_a, w = a << q, (midpoint << q) + offset
+    z_b = z_c = w                                       # b z_b - a z_c = w
+    rows = (np.array([z_a, z_c], object), np.array([z_b], object))
+    exact_rows = (rows[0] * (b * b << bits), rows[1] * b)
+
+    def exact_entries(k, a_, b_, ds):
+        return pmf_module._probabilities(k, a_ << bits, b_ << bits, exact_rows, ds)
+
+    with mock.patch.object(pmf_module, "_exact_entries", side_effect=exact_entries) as fallback:
+        (value,) = pmf_module._probabilities(3, a, b, rows, [1], bits=bits).tolist()
+    assert [(c.args[:3], list(c.args[3])) for c in fallback.call_args_list] == [((3, a, b), [1])]
+    assert value == float(Fraction(midpoint * z_a * z_a + w * w, b * b << 2 * bits))
     even = min(midpoint - 1, midpoint + 1, key=lambda n: n >> 1 & 1)
-    assert value == {-1: midpoint - 1, 0: even, 1: midpoint + 1}[offset]
+    assert value == {-1: midpoint - 1, 0: even, 1: midpoint + 1}[offset] / 2**54
 
 
-@pytest.mark.parametrize("g, z, w, den", [
-    (5, 0, 12345 << 200, 1 << 420),
-    (5, 3**140, 0, 1 << 460),
-    (0, 3**140, 0, 1 << 460),
-    (5, 0, 0, 1 << 420),
-    (1, -(3**70), -(5**60), 7**90),
-])
-def test_square_sum_ratio_zero_and_signed_bases(g, z, w, den):
-    assert pmf_module._square_sum_ratio(g, z, w, den) == \
-        float(Fraction(g * z * z + w * w, den))
+@pytest.mark.parametrize("lam", [0.6123, -0.6123, 0.5, 0.0, 1.0, -1.0, 5e-324])
+@pytest.mark.parametrize("z_a, z_b, z_c", [
+    (0, 5**300, 0),
+    (3**440, 0, 0),
+    (0, 0, 0),
+    (-(3**440), -(5**300), 7**245),
+    (3**440, 5**300, 2 * 5**300),       # w = b z_b - a z_c is 0 at lam = 1/2
+], ids=["zero-z", "zero-w", "zero-both", "signed", "cancelling-w"])
+def test_bracket_rounds_zero_and_signed_bases(z_a, z_b, z_c, lam):
+    """The bracket of a fixed-point entry decides the float of its centre,
+    the rows taken as they are: with the rows (Z^(2), Z^(1)) = ([z_a,
+    z_c], [z_b]) at P = 700 bits, p(1; 3, lam) is (b^2 - a^2) z_a^2 + (b
+    z_b - a z_c)^2 over b^2 2^1400, correctly rounded, for zero and
+    negative bases and a cancelling w."""
+    a, b = Fraction(lam).as_integer_ratio()
+    rows = (np.array([z_a, z_c], object), np.array([z_b], object))
+    with mock.patch.object(pmf_module, "_exact_entries", side_effect=AssertionError):
+        (p,) = pmf_module._probabilities(3, a, b, rows, [1], bits=700).tolist()
+    centre = (b * b - a * a) * z_a * z_a + (b * z_b - a * z_c) ** 2
+    assert p == centre / (b * b << 1400)
 
 
 def test_exact_rounding_seldom_squares_in_full():
-    """The bracket decides all but a few entries: at k = 150 the full
-    squares run for at most 1 % of them."""
+    """The bracket decides all but a few entries: at k = 150 the exact
+    integer rows run for at most 1 % of them."""
     lams = np.linspace(-0.99, 0.99, 20).tolist()
-    exact_ratio = pmf_module._exact_ratio
-    with mock.patch.object(pmf_module, "_exact_ratio", wraps=exact_ratio) as fallback:
+    with _spy_fallback() as fallback:
         entries = sum(len(pmf_full(150, lam).table) for lam in lams)
-    assert fallback.call_count <= entries // 100
+    assert sum(len(c.args[3]) for c in fallback.call_args_list) <= entries // 100
+
+
+_EDGE_LAMS = [1.0, -1.0, 0.0, -0.0, 5e-324, 2.0**-60, 1e-5, 0.001, 0.5, 1 - 2.0**-53,
+              -(1 - 2.0**-53)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(1, 300), lam=st.one_of(st.sampled_from(_EDGE_LAMS), st.floats(-1.0, 1.0)),
+       picks=st.lists(st.integers(0, 300), max_size=3))
+@example(k=30, lam=2.0**-60, picks=[20])                # p(10) is subnormal
+@example(k=60, lam=1e-5, picks=[13, 47])                # p(-34), p(34)
+@example(k=60, lam=0.001, picks=[3, 57, 58])            # p(-54), p(54), p(56)
+@example(k=30, lam=0.5, picks=[13, 17])                 # the ties p(-4), p(4)
+@example(k=2, lam=-1.0, picks=[0, 1, 2])
+def test_fixed_point_tables_are_the_integer_rows_bit_for_bit(k, lam, picks):
+    """pmf_full, pmf_point on a float lam and iter_pmf_full(exact=True)
+    each give float() of the integer rows' exact rationals: pmf_point at
+    d = -k + 2 (i mod (k + 1)) for each i in ``picks``, iter_pmf_full at
+    k and k // 2."""
+    want = _integer_rows_tables(lam, {max(k // 2, 1), k})
+    assert list(pmf_full(k, lam).table.values()) == want[k]
+    assert {pmf.k: list(pmf.table.values())
+            for pmf in iter_pmf_full(lam, k) if pmf.k in want} == want
+    for i in picks:
+        assert pmf_point(k, -k + 2 * (i % (k + 1)), lam) == want[k][i % (k + 1)]
+
+
+@pytest.mark.parametrize("lam, k", [(2.0**-60, 30), (1e-5, 60), (0.001, 60), (0.05, 150)])
+def test_fixed_point_rounds_subnormal_entries(lam, k):
+    """Tables whose entries reach the subnormal range (down to 5e-324 at
+    lam = 0.001, k = 60) are the integer rows' tables bit for bit."""
+    want = _integer_rows_tables(lam, {k})[k]
+    assert any(0.0 < p < sys.float_info.min for p in want)
+    assert list(pmf_full(k, lam).table.values()) == want
+
+
+@pytest.mark.parametrize("lam", [math.cos(0.7), 0.5, -0.75])
+def test_fixed_point_tables_at_k_1000(lam):
+    want = _integer_rows_tables(lam, {1000})[1000]
+    assert list(pmf_full(1000, lam).table.values()) == want
+    for d in (-1000, -2, 0, 500, 1000):
+        assert pmf_point(1000, d, lam) == want[(d + 1000) // 2]
+
+
+@pytest.mark.parametrize("k, lam", [(1, 0.3), (7, 0.6123), (30, -0.3), (60, 0.001),
+                                    (40, 1.0), (120, math.cos(1.2))])
+def test_a_tiny_fixed_point_falls_back_and_keeps_every_bit(k, lam):
+    """With P cut to a few bits past the error bound the bracket decides
+    hardly any entry, and the fallback keeps every table bit-identical."""
+    want = _integer_rows_tables(lam, {k})[k]
+    with mock.patch.object(pmf_module, "_FIXED_BITS", 2), _spy_fallback() as fallback:
+        table = list(pmf_full(k, lam).table.values())
+        first = fallback.call_args_list[:1]
+        assert [list(pmf.table.values()) for pmf in iter_pmf_full(lam, k)][-1] == want
+        assert [pmf_point(k, d, lam) for d in (-k, k - 2, k)] == [want[0], want[-2], want[-1]]
+    assert table == want
+    assert k == 1 or len(first[0].args[3]) > (k + 1) // 2
+
+
+@pytest.mark.parametrize("lam", [math.cos(0.7), -0.95, 1.0, 2.0**-60, 1 - 2.0**-53, 0.001])
+def test_fixed_point_rows_stay_within_the_proven_bound(lam):
+    """|Z - Y * 2^P| of every fixed-point row j < 300, measured against the
+    exact integer rows Z' = b^j Y as |Z b^j - Z' 2^P| / b^j, stays within
+    ``_row_error(j + 1)`` units, the bound proven in ``_probabilities``."""
+    a, b = Fraction(lam).as_integer_ratio()
+    worst = 0.0
+    rows = zip(_iter_y_rows(a, b, bits=64), _iter_y_rows(a, b))
+    for j, ((fixed, _), (exact, _)) in enumerate(islice(rows, 300)):
+        scale = b**j
+        error = max(abs(f * scale - (z << 64)) for f, z in zip(fixed, exact))
+        bound = pmf_module._row_error(j + 1)
+        assert error <= bound * scale, (j, error / scale, bound)
+        worst = max(worst, error / scale / max(bound, 1))
+    assert lam == 1.0 or worst > 0.0                    # the floors did lose
+
+
+def test_the_row_error_bound_covers_the_proven_sum():
+    """``_row_error(k)`` is at least sum_{i=1..k-1} (k - i) sqrt(i + 1), the
+    bound the proof in ``_probabilities`` gives on row k - 1, and at most
+    (sqrt(k) + 1) k^2 / 2."""
+    for k in (1, 2, 3, 10, 150, 1000):
+        bound = pmf_module._row_error(k)
+        assert sum((k - i) * math.sqrt(i + 1) for i in range(1, k)) <= bound
+        assert bound <= (math.sqrt(k) + 1) * k * k / 2
+
+
+def test_a_dyadic_fraction_point_is_reduced_without_a_long_gcd():
+    """pmf_point(150, 0, Fraction(5e-324)) has a numerator and a denominator
+    of some 320,000 bits, whose gcd alone took 0.2 s; its reduced Fraction
+    has an odd numerator over a power of two, the same value as the
+    unreduced pair, and no gcd runs on a pair of long integers."""
+    lam = Fraction(5e-324)
+    gcd, long_pairs = math.gcd, []
+    def logged_gcd(x, y):
+        if min(x.bit_length(), y.bit_length()) > 1000:
+            long_pairs.append((x.bit_length(), y.bit_length()))
+        return gcd(x, y)
+    with mock.patch("fractions.math.gcd", logged_gcd):
+        p = pmf_point(150, 0, lam)
+    assert long_pairs == []
+    den = p.denominator
+    assert den & (den - 1) == 0 and p.numerator % 2 == 1
+    assert den.bit_length() > 300_000
+    assert float(p) == pmf_point(150, 0, 5e-324)
+    a, b = lam.as_integer_ratio()
+    with mock.patch.object(pmf_module, "_fraction", lambda num, den: (num, den)):
+        (num, full_den), = pmf_module._probabilities(
+            150, a, b, pmf_module._rows_for(150, a, b, [0]), [0], rational=True).tolist()
+    assert num * den == p.numerator * full_den            # the same value
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.integers(-(2**300), 2**300), den_twos=st.integers(0, 300),
+       den_odd=st.sampled_from([1, 1, 3, 7, 45, 3**50]))
+@example(num=0, den_twos=40, den_odd=1)
+@example(num=5 << 40, den_twos=40, den_odd=1)
+def test_fraction_is_unchanged_by_shifting_out_its_twos(num, den_twos, den_odd):
+    den = den_odd << den_twos
+    got, want = pmf_module._fraction(num, den), Fraction(num, den)
+    assert (type(got), got.numerator, got.denominator) == (Fraction, want.numerator,
+                                                           want.denominator)
 
 
 def test_moment_helpers():
