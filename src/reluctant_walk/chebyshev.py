@@ -120,10 +120,8 @@ def _iter_y_rows(a, b, edge=math.inf, order=0, bits=0):
     ints a, b (lam = a/b, e.g. from ``Fraction(lam)``, which is exact for a
     float) the rows are object arrays of exact integers; with float a and
     b = 1.0 they are float64 Y rows, whose rounding grows mildly with j.
-    The term b^2 * z is the shift ``z << 2e`` when every b is 2^e (the
-    integer rows of any float lam), ``z`` itself on float rows (b = 1.0,
-    and 1.0 * z is z bit for bit), and a product only for other b, as
-    from ``Fraction(1, 3)``.
+    Only the integer rows apply b^2, a product whatever b is; float rows
+    drop it (b = 1.0, and 1.0 * z is z bit for bit).
 
     ``bits`` P > 0 (Python ints a, b = 2^e) runs fixed point instead: Z^(j)
     is Y^(j) * 2^P up to an error that ``pmf._probabilities`` bounds, one
@@ -145,17 +143,11 @@ def _iter_y_rows(a, b, edge=math.inf, order=0, bits=0):
     """
     dtype = float if np.asarray(a).dtype.kind == "f" else object
     a, b = (np.asarray(v, dtype) for v in (a, b))
-    if bits:                            # fixed point: one scale 2^P on every row, and
-        scaled = lambda z: z            # lam * N is (N * a) >> e, as b = 2^e
+    if bits:                            # fixed point: lam * N is (N * a) >> e, as b = 2^e
         shift = np.frompyfunc(lambda v: v.bit_length() - 1, 1, 1)(b)
-    elif dtype is float:                                # b = 1.0: b^2 * z is z
-        scaled = lambda z: z
-    elif all(v & (v - 1) == 0 for v in b.flat):         # b = 2^e: b^2 * z is z << 2e
-        shift = np.frompyfunc(lambda v: 2 * v.bit_length() - 2, 1, 1)(b)
-        scaled = lambda z: z << shift
-    else:
-        b2 = b * b
-        scaled = lambda z: b2 * z
+    # integer rows hold b^j Y^(j), so row j - 2 gains b^2; fixed-point rows
+    # (one scale 2^P) and float rows (b = 1.0) carry none
+    b2 = b * b if dtype is object and not bits else None
     shape = ((order + 1,) if order else ()) + a.shape
     # the factor i of N^(i-1) in the i-th derivative of a*N, i = 1..order
     carry = np.arange(1, order + 1).reshape((order,) + (1,) * a.ndim)
@@ -188,4 +180,4 @@ def _iter_y_rows(a, b, edge=math.inf, order=0, bits=0):
             row >>= shift
         if order:
             row[:, 1:] += leibniz
-        inner -= scaled(prev2[:inner_width])
+        inner -= prev2[:inner_width] if b2 is None else b2 * prev2[:inner_width]

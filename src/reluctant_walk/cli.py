@@ -129,8 +129,9 @@ def _coin_from_args(args) -> CoinParameter:
 
 def cmd_pmf(args) -> int:
     coin = _coin_from_args(args)
-    pmf = pmf_full(args.k, coin.lam, exact=not args.fast)
-    lam = format_float(coin.lam)
+    # the table of the --lambda given, not of cos(acos(lambda)), which may differ
+    pmf = pmf_full(args.k, coin.lam if args.lam is None else args.lam, exact=not args.fast)
+    lam = format_float(pmf.lam)
     _report(args, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam),
             {"k": pmf.k, "lambda": lam, "theta": format_float(coin.theta),
              "axis": "analytic"},

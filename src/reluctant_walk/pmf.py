@@ -19,6 +19,7 @@ import io
 import json
 import math
 import numbers
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chebyshev import _integer, _iter_y_rows, _unit_lam
+from .chebyshev import _integer, _iter_y_rows, _shown, _unit_lam
 
 __all__ = [
     "CONVENTION_SIGMA",
@@ -96,8 +97,12 @@ def _clamp(p):
 
 
 def _validate_k_lam(k: int, lam) -> int:
-    """k as an int >= 1; raises unless every lam is finite with |lam| <= 1."""
+    """k as an int in [1, sys.maxsize], the most steps ``islice`` can
+    count; raises unless every lam is finite with |lam| <= 1."""
     k = _integer(k, "step count k", 1)
+    if k > sys.maxsize:
+        raise ValueError(f"step count k must be at most sys.maxsize = {sys.maxsize}, "
+                         f"got {_shown(k, repr)}")
     _unit_lam(lam)
     return k
 
@@ -190,29 +195,28 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
     """p(d; k, a/b) for each ``d`` in ``ds``, from scaled rows; zero off
     the parity-valid support [-k, k].
 
-    With Z = b^j * Y^(j)(a/b) taken from ``rows`` = (Z^(k-1), Z^(k-2)),
+    With lam = a/b and Y = Y^(j)(lam) on rows j = k - 1 and k - 2,
 
-        p = [(b^2 - a^2) * Z_{|d-1|}^(k-1)^2
-             + (b^2 * Z_{|d|}^(k-2) - a * Z_{|d+1|}^(k-1))^2] / b^(2k)
+        p = (1 - lam^2) * (Y_{|d-1|}^(k-1))^2
+            + (Y_{|d|}^(k-2) - lam * Y_{|d+1|}^(k-1))^2.
 
-    which is (1 - lam^2) * (Y_{|d-1|}^(k-1))^2 + (Y_{|d|}^(k-2) - lam *
-    Y_{|d+1|}^(k-1))^2.  Row k-2 is empty at k = 1, which leaves p(-1) =
-    lam^2 and p(1) = 1 - lam^2.  The rows hold one parity class each
-    (``_iter_y_rows``), and ``_entries`` gathers the three entries of every
-    column straight from them: a column with k - d odd reads three
-    structural zeros and one with |d| > k reads zeros past both rows, so
-    p = 0 off the support.  The gathered columns come last, giving shape
-    S + (len(ds),).  Integer rows give the integer numerator, so each float
-    is its exact rational correctly rounded (``rational`` returns the
-    Fractions instead); float rows give a plain float64 evaluation, where
-    b = 1.0 makes b^2 * z, the division by b^(2k) and the cast to float
-    change no bit, so it runs in place on about three (lam x column)
-    buffers.
+    Row k-2 is empty at k = 1, which leaves p(-1) = lam^2 and p(1) = 1 -
+    lam^2.  The rows hold one parity class each (``_iter_y_rows``), and
+    ``_entries`` gathers the three entries of every column straight from
+    them: a column with k - d odd reads three structural zeros and one
+    with |d| > k reads zeros past both rows, so p = 0 off the support.
+    The gathered columns come last, giving shape S + (len(ds),).  Float
+    rows (b = 1.0) give a plain float64 evaluation, which runs in place on
+    about three (lam x column) buffers.
 
-    ``bits`` P > 0 reads fixed-point rows Z = Y * 2^P + E of one dyadic
-    lam = a/2^e (``_iter_y_rows``), and each entry is still the correctly
-    rounded float of its exact rational.  The error E stays within u =
-    ``_row_error(k)`` units on rows k - 1 and k - 2:
+    Exact rows, integer or fixed point, give each entry as the correctly
+    rounded float of its exact rational (``rational`` returns the integer
+    rows' Fractions instead).  Both hold Y * s + E on rows k - 1 and
+    k - 2, at one scale s, with |E| <= u.  The integer rows (``bits`` 0)
+    hold Z^(j) = b^j Y^(j) exactly, so once row k - 2 is multiplied by b
+    both sit at s = b^(k-1), with u = 0.  The fixed-point rows of one
+    dyadic lam = a/2^e (``bits`` P > 0) sit at s = 2^P, with u =
+    ``_row_error(k)`` units:
 
       - Row j computes Z^(j) = lam * S(Z^(j-1)) - Z^(j-2) - f^(j), where S
         adds the neighbours m - 1 and m + 1 (Y_{-m} = Y_m) and f^(j) in
@@ -227,21 +231,23 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
         j (j + 1) / 2, which at j = k - 1 is below u = (isqrt(k) + 1)
         k (k - 1) / 2, about 0.5 k^2.5.
 
-    So |Y_{|d-1|}^(k-1)| * 2^P lies in z -+ u with z = |Z_{|d-1|}^(k-1)|,
-    and (b Y_{|d|}^(k-2) - a Y_{|d+1|}^(k-1)) * 2^P in w -+ (b + |a|) u
-    with w = |b Z_{|d|}^(k-2) - a Z_{|d+1|}^(k-1)|.  Squaring the ends
-    nearer and farther from zero and summing with weight b^2 - a^2 >= 0
-    brackets the exact numerator over b^2 * 2^(2P).  Correct rounding is
-    monotone, so when both ends of the bracket round to one float, that
-    float is the correctly rounded entry; an entry whose ends round apart,
-    as a tie does (lam = 0.5, k = 30, d = +-4), is rounded from the exact
-    integer rows instead (``_exact_entries``).
+    So |Y_{|d-1|}^(k-1)| * s lies in z -+ u with z = |Z_{|d-1|}^(k-1)|,
+    and (b Y_{|d|}^(k-2) - a Y_{|d+1|}^(k-1)) * s in w -+ (b + |a|) u
+    with w = |b Z_{|d|}^(k-2) - a Z_{|d+1|}^(k-1)|, row k - 2 taken at
+    the scale s.  Squaring the ends nearer and farther from zero and
+    summing with weight b^2 - a^2 >= 0 brackets the exact numerator over
+    (b s)^2.  Correct rounding is monotone, so when both ends of the
+    bracket round to one float, that float is the correctly rounded
+    entry.  On the integer rows (u = 0) the bracket is one point, the
+    exact rational.  A fixed-point entry whose ends round apart, as a tie
+    does (lam = 0.5, k = 30, d = +-4), is rounded from the integer rows
+    instead (``_exact_entries``).
 
     Rows with ``order`` a-derivatives stacked behind the entries, shape
     (width, order + 1) + S (``_rows_for``), give the stack (p, dp/da, ...)
     of shape (order + 1,) + S + (len(ds),), the same formula on Taylor
     jets in a (``_jet_mul``); only p is clamped.  Only ``_grid`` asks for
-    them, on float rows, so they too drop b = 1.0.
+    them, on float rows, so they drop b = 1.0.
     """
     row_km1, row_km2 = rows
     ds = np.asarray(ds, int)
@@ -268,22 +274,21 @@ def _probabilities(k: int, a, b, rows, ds, rational: bool = False,
         p[0] = _clamp(p[0])
         return p
     b = np.asarray(b, row_km1.dtype)[..., None]
-    b2 = b * b
-    gap = b2 - a * a
     if bits:
-        u = _row_error(k)
-        z, w, v = abs(z_a), abs(b * z_b - a * z_c), (b + abs(a)) * u
-        den = b2 << 2 * bits
-        p = ((gap * np.maximum(z - u, 0) ** 2 + np.maximum(w - v, 0) ** 2) / den).astype(float)
+        scale, u = 1 << bits, _row_error(k)
+    else:
+        scale, u, z_b = b ** (k - 1), 0, b * z_b
+    gap, den = b * b - a * a, (b * scale) ** 2
+    z, w, v = abs(z_a), abs(b * z_b - a * z_c), (b + abs(a)) * u
+    num = gap * np.maximum(z - u, 0) ** 2 + np.maximum(w - v, 0) ** 2
+    if rational:
+        return np.frompyfunc(_fraction, 2, 1)(num, den)
+    p = (num / den).astype(float)
+    if u:
         doubt = p != ((gap * (z + u) ** 2 + (w + v) ** 2) / den).astype(float)
         if doubt.any():
             p[doubt] = _exact_entries(k, a.item(), b.item(), ds[doubt])
-        return _clamp(p)
-    odd = b2 * z_b - a * z_c
-    num, den = gap * z_a * z_a + odd * odd, b ** (2 * k)
-    if rational:
-        return np.frompyfunc(_fraction, 2, 1)(num, den)
-    return _clamp((num / den).astype(float))
+    return _clamp(p)
 
 
 # row entries per pass of the float rows, counted at the full width of a row

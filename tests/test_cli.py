@@ -10,12 +10,14 @@ import inspect
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from reluctant_walk import pmf as pmf_module
 from reluctant_walk.cli import FIG2_KS, _parser, _report, main
 from reluctant_walk.estimation import level_set_solve, likelihood_curve, mle_estimate
 from reluctant_walk.pmf import pmf_from_csv, pmf_from_json, pmf_full
@@ -116,6 +118,34 @@ def test_zero_steps_exit_two_with_one_line_and_write_nothing(tmp_path, capsys, m
     assert main([command, "--k", "0", "--lambda", "0.5", "--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: step count k must be an integer >= 1, got 0\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def _no_rows(*args):
+    raise AssertionError("rows built")
+
+
+@pytest.mark.parametrize("k", [sys.maxsize + 1, 2**64])
+def test_a_step_count_past_sys_maxsize_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                                    monkeypatch, k):
+    # past a missing gate, k = sys.maxsize + 1 would run its rows for ever
+    monkeypatch.setattr(pmf_module, "_iter_y_rows", _no_rows)
+    assert main(["pmf", "--k", str(k), "--lambda", "0.5", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: step count k must be at most sys.maxsize = {sys.maxsize}, got {k}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pmf_tabulates_the_lambda_given(tmp_path):
+    """--lambda 0.5 gives the table at 0.5, not at cos(acos(0.5)) =
+    0.49999999999999989: the stamp and the lambda column read 0.5, the rows
+    are pmf_full(30, 0.5)'s bit for bit, its two exact ties included, and
+    theta stays acos(0.5)."""
+    assert math.cos(math.acos(0.5)) != 0.5
+    assert main(["pmf", "--k", "30", "--lambda", "0.5", "--outdir", str(tmp_path)]) == 0
+    meta, _, rows = read_csv(tmp_path / "pmf.csv")
+    assert (meta["lambda"], meta["theta"]) == ("0.5", "1.0471975511965979")
+    assert {row["lambda"] for row in rows} == {"0.5"}
+    assert {int(row["d"]): float(row["p"]) for row in rows} == pmf_full(30, 0.5).table
 
 
 def test_pmf_requires_a_coin_flag(tmp_path, capsys):
@@ -822,3 +852,57 @@ def test_reports_contain_no_timestamps(tmp_path):
     text = (tmp_path / "pmf.csv").read_text()
     assert "time" not in text.lower()
     assert "date" not in text.lower()
+
+
+# -------------------------------------------------------------- exact rows
+
+def test_cli_tables_run_the_integer_rows_only_in_the_fallback(tmp_path, monkeypatch, capsys):
+    """Every CLI table of a float lambda comes from the fixed-point rows:
+    each pass of the exact integer Y rows (object entries, ``bits`` 0)
+    that these runs make runs inside ``pmf._exact_entries``, the fallback
+    for an entry the fixed-point bracket cannot round.  The runs are the
+    README sessions, a large and a tied pmf, figures, estimate --generate
+    with both methods, databox and validate; only the tie at lambda = 0.5,
+    k = 30 (d = +-4) falls back, in one call."""
+    from test_readme import SESSIONS
+    iter_y_rows, exact_entries = pmf_module._iter_y_rows, pmf_module._exact_entries
+    inside, passes, fallbacks = [False], [], []
+
+    def traced_rows(a, b, edge=math.inf, order=0, bits=0):
+        rows = iter_y_rows(a, b, edge, order, bits)
+        first = next(rows)
+        if first[0].dtype == object and not bits:
+            passes.append((argv, inside[0]))
+        yield first
+        yield from rows
+
+    def traced_entries(*args):
+        fallbacks.append((argv, args[:3], list(args[3])))
+        inside[0] = True
+        try:
+            return exact_entries(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(pmf_module, "_iter_y_rows", traced_rows)
+    monkeypatch.setattr(pmf_module, "_exact_entries", traced_entries)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RELUCTANT_WALK_OUTDIR", raising=False)
+    generate = ["estimate", "--generate", "--theta-star", "0.3", "--k", "20", "--n", "1000",
+                "--seed", "7", "--output", "generated"]
+    runs = [shlex.split(command.partition(" && ")[0])[1:] for command, _ in SESSIONS] + [
+        ["pmf", "--k", "150", "--lambda", repr(math.cos(0.7))],
+        ["pmf", "--k", "30", "--lambda", "0.5"],
+        ["figures"],
+        generate + ["--method", "positions"],
+        generate + ["--method", "bernoulli"],
+        ["databox", "--theta-star", "0.5", "--budget", "4000", "--allocations", "2:2000,20:200",
+         "--seed", "5"],
+        ["validate", "--max-k", "12"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    tie = ["pmf", "--k", "30", "--lambda", "0.5"]
+    assert passes == [(tie, True)]
+    assert fallbacks == [(tie, (30, 1, 2), [-4, 4])]

@@ -7,14 +7,17 @@ import argparse
 import math
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reluctant_walk.chebyshev import _finite, _integer, _unit_interval, _unit_lam, _unit_total
 from reluctant_walk.cli import _generate_dataset, _parser, cmd_simulate, cmd_validate
 from reluctant_walk.estimation import (TrialDataset, level_set_solve, likelihood_curve,
                                        mle_estimate)
+from reluctant_walk import pmf as pmf_module
 from reluctant_walk.pmf import Pmf, _grid, _return_grid, iter_pmf_full, pmf_full, pmf_point
 from reluctant_walk.sampling import (data_box_experiment, diffusion_experiment, sample_positions,
                                      sample_return_trials, trial_generator)
@@ -88,6 +91,25 @@ def test_gates_name_an_int_beyond_the_float_range_by_its_bit_length():
     }
     for message, calls in cases.items():
         assert [_error(call) for call in calls] == [message] * len(calls)
+
+
+@pytest.mark.parametrize("k", [sys.maxsize + 1, 2**64, 10**5000],
+                         ids=["maxsize+1", "2**64", "10**5000"])
+def test_a_step_count_past_sys_maxsize_is_rejected_by_name(k):
+    """``islice`` counts no further than sys.maxsize steps, so every entry
+    point of the Y rows rejects a step count past it, before any row is
+    built, with a message that names the step count.  Past a missing gate
+    k = sys.maxsize + 1 would run its rows for ever, so building one fails
+    the test here; sys.maxsize itself passes the gate, and no test calls
+    it.  ``_return_grid`` is left out, as past a missing gate it would build
+    a list of k / 2 coefficients before any check."""
+    want = f"step count k must be at most sys.maxsize = {sys.maxsize}, got {_shown(k)}"
+    calls = [lambda: pmf_full(k, 0.5), lambda: pmf_point(k, 0, 0.5),
+             lambda: list(iter_pmf_full(0.5, k)), lambda: _grid(k, [0.5], [0]),
+             lambda: _generate_dataset(argparse.Namespace(
+                 theta_star=0.5, k=k, n=1, method="positions", seed=0))]
+    with mock.patch.object(pmf_module, "_iter_y_rows", side_effect=AssertionError("rows built")):
+        assert [_error(call) for call in calls] == [want] * len(calls)
 
 
 @settings(max_examples=100, deadline=None)

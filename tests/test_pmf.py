@@ -403,6 +403,32 @@ def test_pmf_power_coeffs_are_the_rows(k):
             [pmf_point(k, d, lam) for d in ds]
 
 
+_KERNEL_FRACTIONS = [Fraction(1, 3), Fraction(2, 7), Fraction(1, 2), Fraction(3, 8),
+                     Fraction(math.cos(0.7))]
+
+
+def test_integer_rows_are_the_power_series_exactly():
+    """pmf_point on a Fraction, the integer rows through the exact kernel
+    of ``_probabilities`` at bracket half-width 0, is the exact value of
+    p(d; k, lam)'s integer power coefficients, by Horner's rule on
+    Fractions, a route that builds no rows: every d in [-k - 1, k + 1] at
+    every k <= 30, for dyadic and other lam.  pmf_full of Fraction(1, 3)
+    gives each of those values rounded.  Neither ever falls back."""
+    with mock.patch.object(pmf_module, "_exact_entries", side_effect=AssertionError):
+        for k in range(1, 31):
+            table = pmf_full(k, Fraction(1, 3)).table
+            for d in range(-k - 1, k + 2):
+                coeffs = pmf_power_coeffs(k, d)
+                for lam in _KERNEL_FRACTIONS:
+                    want = Fraction(0)
+                    for c in reversed(coeffs):
+                        want = want * lam + c
+                    p = pmf_point(k, d, lam)
+                    assert type(p) is Fraction and p == want, (k, d, lam)
+                    if lam == Fraction(1, 3):
+                        assert table.get(d, 0.0) == float(want), (k, d)
+
+
 @given(k=st.integers(1, 40), lam=st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGE_LAMS)))
 @example(k=60, lam=0.99999)
 @example(k=10, lam=2.0**-60)        # entries down to the subnormal range
