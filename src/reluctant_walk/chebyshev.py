@@ -39,6 +39,16 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _step_count(k, minimum: int = 1) -> int:
+    """``k`` as an int step count in [minimum, sys.maxsize], the most steps
+    ``islice`` can count; anything else raises ValueError."""
+    k = _integer(k, "step count k", minimum)
+    if k > sys.maxsize:
+        raise ValueError(f"step count k must be at most sys.maxsize = {sys.maxsize}, "
+                         f"got {_shown(k, repr)}")
+    return k
+
+
 def _unit_interval(value, name: str):
     """``value``, a level or a probability in [0, 1]; a bool or NaN raises ValueError."""
     if isinstance(value, (bool, np.bool_)) or not 0.0 <= value <= 1.0:

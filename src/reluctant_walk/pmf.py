@@ -19,7 +19,6 @@ import io
 import json
 import math
 import numbers
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chebyshev import _integer, _iter_y_rows, _shown, _unit_lam
+from .chebyshev import _integer, _iter_y_rows, _step_count, _unit_lam
 
 __all__ = [
     "CONVENTION_SIGMA",
@@ -97,12 +96,9 @@ def _clamp(p):
 
 
 def _validate_k_lam(k: int, lam) -> int:
-    """k as an int in [1, sys.maxsize], the most steps ``islice`` can
-    count; raises unless every lam is finite with |lam| <= 1."""
-    k = _integer(k, "step count k", 1)
-    if k > sys.maxsize:
-        raise ValueError(f"step count k must be at most sys.maxsize = {sys.maxsize}, "
-                         f"got {_shown(k, repr)}")
+    """k as a step count (``_step_count``); raises unless every lam is
+    finite with |lam| <= 1."""
+    k = _step_count(k)
     _unit_lam(lam)
     return k
 
@@ -350,10 +346,13 @@ def _grid(k: int, lams, ds, order: int = 0) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _return_poly(k: int) -> tuple[int, ...]:
+@lru_cache(maxsize=48)
+def _return_poly(k: int, order: int = 0) -> tuple[int, ...]:
     """The k integer coefficients of the return probability q(lam) =
-    p(0; k, lam) in mu = lam^2, lowest power first, built once per k.
+    p(0; k, lam) in mu = lam^2, lowest power first, built once per k;
+    ``order`` 1 or 2 gives those of its mu-derivatives Q' and Q'' instead,
+    (i mu_i) and (i (i - 1) mu_i) shifted down, cached with them (16 k of
+    all three orders).
 
     For even k, with n = k/2,
 
@@ -372,6 +371,8 @@ def _return_poly(k: int) -> tuple[int, ...]:
     polynomial.  ``k`` is a validated int: every caller checks it before
     the cache sees it.
     """
+    if order:
+        return tuple(math.perm(i, order) * c for i, c in enumerate(_return_poly(k)))[order:] or (0,)
     if k % 2:
         return (0,) * k
     n = k // 2
@@ -383,39 +384,72 @@ def _return_poly(k: int) -> tuple[int, ...]:
                  for i in range(1, k)))
 
 
-def _return_value(mu: tuple[int, ...], lam: float) -> float:
-    """The polynomial with coefficients ``mu`` in lam^2 at the float lam =
-    a/2^e, exact and rounded once: Horner's rule in a^2 and 4^e on the
-    integers, each power of 4^e a shift."""
+# fixed-point bits of a return value past those of its error bound: a value
+# near 1 is then known to about 2^-72, so only one that close to a rounding
+# boundary takes a second pass
+_RETURN_BITS = 72
+
+
+def _horner(c: tuple[int, ...], u: int, shift: int, bits: int) -> int:
+    """Horner's rule for the coefficients ``c`` at mu = u / 2^shift in
+    ``bits``-bit fixed point: acc <- floor(acc u / 2^shift) + c_i 2^bits."""
+    acc = 0
+    for c_i in reversed(c):
+        acc = (acc * u >> shift) + (c_i << bits)
+    return acc
+
+
+def _return_value(c: tuple[int, ...], lam: float) -> float:
+    """The polynomial with the n integer coefficients ``c`` in mu = lam^2 at
+    the float lam = a/2^e, its exact value V correctly rounded.
+
+    ``_horner`` runs in P-bit fixed point, mu = a^2 / 4^e <= 1.  Each of
+    its n - 1 floors loses less than one unit, and a product by mu <= 1
+    does not enlarge an earlier loss, so V 2^P lies in [acc, acc + n - 1].
+    Correct rounding is monotone, so when both ends round to one float,
+    that float is V's.  P starts at ``_RETURN_BITS`` past the bits of n; a
+    small V leaves acc fewer significant bits than P, so a bracket that
+    rounds two ways is run once more with the missing bits added.  One
+    that still does, a value that close to a rounding boundary, runs at P
+    = 2e (n - 1), where no floor loses anything and the bracket is V
+    itself; so do lam = 0 and +-1, where e = 0.
+    """
     a, b = lam.as_integer_ratio()
     u, shift = a * a, 2 * b.bit_length() - 2        # b = 2^e, b^2 = 1 << shift
-    acc = 0
-    for i, c in enumerate(reversed(mu)):
-        acc = acc * u + (c << shift * i)
-    return acc / (1 << shift * (len(mu) - 1))
+    n, exact = len(c), shift * (len(c) - 1)
+    bits = _RETURN_BITS + n.bit_length()
+    for _ in range(2):
+        if bits >= exact:
+            break
+        acc = _horner(c, u, shift, bits)
+        low, high = acc / (1 << bits), (acc + n - 1) / (1 << bits)
+        if low == high:
+            return low
+        missing = bits - acc.bit_length()
+        if missing <= 0:
+            break
+        bits += missing
+    return _horner(c, u, shift, exact) / (1 << exact)
 
 
 def _return_grid(k: int, lams, order: int = 0) -> np.ndarray:
     """p(0; k, lam) for every lam in ``lams``: ``_return_value`` on the
-    cached coefficients of this k (``_return_poly``), O(k) big-integer
+    cached coefficients of this k (``_return_poly``), O(k) fixed-point
     operations a point, and each value the exact rows' correctly rounded
     rational bit for bit (test_exact_return_points_are_the_rows_bit_for_bit).
 
     ``order`` 1 or 2 stacks the lam-derivatives (q, q', q'')[:order + 1]
     in front.  With q_mu and q_mumu the mu-derivatives of q(lam) = Q(mu),
-    mu = lam^2, each ``_return_value`` on the integer coefficients
-    (i mu_i) and (i (i - 1) mu_i) shifted down, q' = 2 lam q_mu and
-    q'' = 2 q_mu + 4 lam^2 q_mumu.
+    mu = lam^2, each ``_return_value`` on the cached coefficients of Q'
+    and Q'', q' = 2 lam q_mu and q'' = 2 q_mu + 4 lam^2 q_mumu.
     """
     lams = np.asarray(lams, float)
-    mu = _return_poly(_validate_k_lam(k, lams))
-    q = np.array([_return_value(mu, lam) for lam in lams.tolist()], float)
+    k = _validate_k_lam(k, lams)
+    values = lambda c: np.array([_return_value(c, lam) for lam in lams.tolist()], float)
+    q = values(_return_poly(k))
     if not order:
         return q
-    derivative = lambda c: [i * c_i for i, c_i in enumerate(c)][1:] or [0]
-    dmu = derivative(mu)
-    q_mu, q_mumu = (np.array([_return_value(c, lam) for lam in lams.tolist()], float)
-                    for c in (dmu, derivative(dmu)))
+    q_mu, q_mumu = values(_return_poly(k, 1)), values(_return_poly(k, 2))
     return np.stack([q, 2.0 * lams * q_mu, 2.0 * q_mu + 4.0 * lams * lams * q_mumu])[:order + 1]
 
 

@@ -11,8 +11,8 @@ one route for each is the integer/float row engine
 (``chebyshev._iter_y_rows`` -> ``pmf_full``, and ``pmf._grid`` on float
 rows for lam grids; ``exact_grid`` runs that grid on the exact rows),
 except the return probability (``pmf._return_grid``, and
-``pmf._return_value`` at each midpoint of the level-set bisection):
-exact Horner values of a polynomial cached per k, whose integer
+``pmf._return_value`` at the points the level-set solve scores):
+correctly rounded fixed-point Horner values of a polynomial cached per k, whose integer
 coefficients in lam^2 come from the integral of the squared Jacobi
 polynomial R_k (``pmf._return_poly``, one big-integer square;
 ``return_poly_by_convolution`` squares R_k by an object-array

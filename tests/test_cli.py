@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from reluctant_walk import pmf as pmf_module
+from reluctant_walk import estimation as estimation_module, pmf as pmf_module
 from reluctant_walk.cli import FIG2_KS, _parser, _report, main
 from reluctant_walk.estimation import level_set_solve, likelihood_curve, mle_estimate
 from reluctant_walk.pmf import pmf_from_csv, pmf_from_json, pmf_full
@@ -133,6 +133,26 @@ def test_a_step_count_past_sys_maxsize_exits_two_and_writes_nothing(tmp_path, ca
     assert capsys.readouterr().err == (
         f"error: step count k must be at most sys.maxsize = {sys.maxsize}, got {k}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def _no_coefficients(k):
+    raise AssertionError("coefficients built")
+
+
+@pytest.mark.parametrize("k", [sys.maxsize + 1, 2**64])
+def test_a_return_step_count_past_sys_maxsize_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                                           monkeypatch, k):
+    # past a missing gate, level-set and a return-count estimate would build
+    # k / 2 coefficients before any check
+    monkeypatch.setattr(estimation_module, "_return_poly", _no_coefficients)
+    data = write_dataset(tmp_path / "returns.json", {"kind": "returns", "k": k, "n": 2, "n0": 1})
+    out = tmp_path / "out"
+    for argv in (["level-set", "--f", "0.5", "--k", str(k)],
+                 ["estimate", "--data", data, "--method", "bernoulli"]):
+        assert main(argv + ["--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: step count k must be at most sys.maxsize = {sys.maxsize}, got {k}\n")
+    assert list(out.iterdir()) == []
 
 
 def test_pmf_tabulates_the_lambda_given(tmp_path):

@@ -729,25 +729,36 @@ def test_tree_bisection_matches_the_exact_sequential_root(k, i, u, path, on_node
     assert estimation._bisect(gap, a, b, gap(a)) == expected
 
 
-def test_returns_estimate_scores_one_exact_point_per_halving(monkeypatch):
-    """A k = 24 estimate scores one exact point of the return probability
-    per halving of [0, 1], at most 47 (|step| < 1e-14 + 4 eps |mid| holds
-    first at step 2^-47), and builds the polynomial once for all solves."""
-    points = []
+def test_returns_estimate_scores_few_points_inside_the_certified_bracket(monkeypatch):
+    """A k = 24 estimate scores q at most 14 times before the bisection (the
+    Newton passes and the certifying points) and at most twice inside the
+    bracket during it, where the plain bisection scored one point for each
+    of up to 47 halvings; the root stays scipy's bisection of the exact
+    gap, and one build of the coefficients serves all six solves and the
+    root's derivatives (a cache miss for each of Q, Q' and Q'')."""
+    points = {}
 
-    def counting(mu, lam):
-        points.append(lam)
-        return pmf._return_value(mu, lam)
+    def counting(c, lam):
+        if c is _return_poly(24):
+            points[phase].append(lam)
+        return pmf._return_value(c, lam)
 
+    def bisect(*args):
+        nonlocal phase
+        phase = "inside"
+        return bisection(*args)
+
+    bisection = estimation._bisect
     monkeypatch.setattr(estimation, "_return_value", counting)
+    monkeypatch.setattr(estimation, "_bisect", bisect)
     _return_poly.cache_clear()
     for n0 in (80, 314, 236, 102, 1, 9_999):
-        points.clear()
+        phase, points = "before", {"before": [], "inside": []}
         result = mle_estimate(TrialDataset.from_returns(24, n0, 10000))
-        assert 0 < len(points) <= 47 and math.acos(points[-1]) == result.theta_hat
-        steps = [abs(x - y) for x, y in zip(points, [0.0] + points)]
-        assert steps == [2.0**-i for i in range(1, len(points) + 1)]
-    assert _return_poly.cache_info().misses == 1
+        assert 0 < len(points["before"]) <= 14 and len(points["inside"]) <= 2, (n0, points)
+        (root,) = level_set_exact_bisection(n0 / 10000, 24, (0.0, 1.0))
+        assert result.theta_hat == math.acos(root)
+    assert _return_poly.cache_info().misses == 3
 
 
 def test_level_set_unattained_level_is_empty():
@@ -791,6 +802,10 @@ def test_level_set_accepts_a_numpy_integer_k():
         assert level_set_solve(f, np.int64(24)) == level_set_solve(f, 24)
 
 
+# q at the 101st of the 499 zeros of R_1000 (scipy's Gauss-Jacobi nodes), where q' = 0
+_FLAT_LEVEL_1000 = pmf_point(1000, 0, math.sqrt((roots_jacobi(499, 0.0, 1.0)[0][100] + 1.0) / 2.0))
+
+
 @given(k=st.sampled_from([2, 4, 8, 24, 48, 100]),
        level=st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1.0 - 2.0**-53]),
                        st.lists(st.booleans(), min_size=1, max_size=46)))
@@ -799,12 +814,17 @@ def test_level_set_accepts_a_numpy_integer_k():
 @example(k=200, level=0.3)
 @example(k=200, level=5e-324)
 @example(k=200, level=[True, False] * 20)
+@example(k=1000, level=0.6180339887498949)
+@example(k=1000, level=5e-324)
+@example(k=1000, level=[True, False] * 20)
+@example(k=1000, level=_FLAT_LEVEL_1000)
 @settings(max_examples=40, deadline=None)
 def test_level_set_matches_scipy_bisection_oracle(k, level):
     """The root on [0, 1] is scipy's bisection of the exact gap there, bit
     for bit, also where the level is the exact q of a midpoint on the
     bisection tree (``level`` a path of halvings from [0, 1]), whose float
-    gap is a few 1e-16 and exact gap 0."""
+    gap is a few 1e-16 and exact gap 0, and at k = 1000 where it is q at a
+    zero of R_k, a flat inflection (``_FLAT_LEVEL_1000``)."""
     if isinstance(level, list):
         lo, step = 0.0, 1.0
         for right in level:

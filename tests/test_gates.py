@@ -17,7 +17,7 @@ from reluctant_walk.chebyshev import _finite, _integer, _unit_interval, _unit_la
 from reluctant_walk.cli import _generate_dataset, _parser, cmd_simulate, cmd_validate
 from reluctant_walk.estimation import (TrialDataset, level_set_solve, likelihood_curve,
                                        mle_estimate)
-from reluctant_walk import pmf as pmf_module
+from reluctant_walk import estimation as estimation_module, pmf as pmf_module
 from reluctant_walk.pmf import Pmf, _grid, _return_grid, iter_pmf_full, pmf_full, pmf_point
 from reluctant_walk.sampling import (data_box_experiment, diffusion_experiment, sample_positions,
                                      sample_return_trials, trial_generator)
@@ -109,6 +109,25 @@ def test_a_step_count_past_sys_maxsize_is_rejected_by_name(k):
              lambda: _generate_dataset(argparse.Namespace(
                  theta_star=0.5, k=k, n=1, method="positions", seed=0))]
     with mock.patch.object(pmf_module, "_iter_y_rows", side_effect=AssertionError("rows built")):
+        assert [_error(call) for call in calls] == [want] * len(calls)
+
+
+@pytest.mark.parametrize("k", [sys.maxsize + 1, 2**64, 10**5000],
+                         ids=["maxsize+1", "2**64", "10**5000"])
+def test_a_step_count_past_sys_maxsize_is_rejected_before_the_return_poly(k):
+    """The return-probability sites take the same step-count rule: the
+    level set, the return grid, a return-count dataset and the bernoulli
+    generator reject a k past sys.maxsize by name before any coefficient
+    is built.  Past a missing gate the build of k / 2 coefficients would
+    not finish, so building one fails the test here."""
+    want = f"step count k must be at most sys.maxsize = {sys.maxsize}, got {_shown(k)}"
+    calls = [lambda: level_set_solve(0.5, k), lambda: level_set_solve(1.0, k),
+             lambda: _return_grid(k, [0.5]), lambda: TrialDataset.from_returns(k, 1, 2),
+             lambda: _generate_dataset(argparse.Namespace(
+                 theta_star=0.5, k=k, n=1, method="bernoulli", seed=0))]
+    built = mock.Mock(side_effect=AssertionError("coefficients built"))
+    with mock.patch.object(pmf_module, "_return_poly", built), \
+            mock.patch.object(estimation_module, "_return_poly", built):
         assert [_error(call) for call in calls] == [want] * len(calls)
 
 

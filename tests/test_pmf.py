@@ -394,6 +394,58 @@ def test_return_grid_derivatives_are_the_exact_derivatives(k):
         assert abs(d2q - poly_value(poly_derivative(first), lam)) <= 4 * 2.0**-52 * scale
 
 
+_RETURN_SWEEP = [0.0, -0.0, 5e-324, -5e-324, math.cos(math.pi / 2), 1.0 - 2.0**-53, 1.0, -1.0]
+
+
+def _exact_return_jet(k, lams):
+    """(q, q', q'') as ``_return_grid`` combines them, from Q, Q' and Q'' each
+    at mu = lam^2 by ``poly_value``: exact Horner on the coefficients in
+    lam, rounded once."""
+    lams = np.asarray(lams, float)
+    mu = list(_return_poly(k))
+    in_lam = lambda c: [x for c_i in c for x in (c_i, 0)]       # mu = lam^2
+    q, q_mu, q_mumu = (np.array([poly_value(in_lam(c), lam) for lam in lams.tolist()], float)
+                       for c in (mu, poly_derivative(mu), poly_derivative(poly_derivative(mu))))
+    return np.stack([q, 2.0 * lams * q_mu, 2.0 * q_mu + 4.0 * lams * lams * q_mumu])
+
+
+@given(k=st.one_of(st.integers(1, 30), st.sampled_from([48, 100, 200])),
+       lams=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_RETURN_SWEEP),
+                               st.floats(0.999, 1.0)), min_size=1, max_size=12))
+@example(k=200, lams=_RETURN_SWEEP + [0.3, 0.7, 0.999999])
+@example(k=1000, lams=[0.6883296828942322, 0.9999965730559848, -0.0, 1.0])
+@settings(max_examples=40, deadline=None)
+def test_return_grid_is_the_exact_horner_bit_for_bit(k, lams):
+    """The fixed-point values of ``_return_grid`` at orders 0-2 are the exact
+    Horner values correctly rounded, bit for bit and sign of zero included,
+    on a lam sweep with +-0, +-5e-324, cos(pi/2), 1 - 2^-53 and +-1 (the
+    two k = 1000 points give q near 1e-3 and 1e-6, small values)."""
+    want = _exact_return_jet(k, lams)
+    for order in (0, 1, 2):
+        got = _return_grid(k, lams, order)
+        assert got.tobytes() == (want[order] if order == 0 else want[:order + 1]).tobytes()
+
+
+def test_return_value_falls_back_to_the_exact_pass(monkeypatch):
+    """With no fixed-point bits past the error bound no bracket decides, so
+    every value at lam != 0, +-1 runs the exact pass (P = 2e (n - 1)), and
+    the values stay the same bit for bit."""
+    lams = [0.3, -0.77, 0.5, 2.0**-60, 5e-324, 1.0 - 2.0**-53, 0.999]
+    want = {k: _return_grid(k, lams, order=2) for k in (2, 8, 24, 100)}
+    passes, fixed_point = [], pmf_module._horner
+
+    def horner(c, u, shift, bits):
+        passes.append(bits == shift * (len(c) - 1))
+        return fixed_point(c, u, shift, bits)
+
+    monkeypatch.setattr(pmf_module, "_RETURN_BITS", 0)
+    monkeypatch.setattr(pmf_module, "_horner", horner)
+    for k, grid in want.items():
+        passes.clear()
+        assert _return_grid(k, lams, order=2).tobytes() == grid.tobytes(), k
+        assert passes.count(True) == 3 * len(lams), k
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 12])
 def test_pmf_power_coeffs_are_the_rows(k):
     """The oracle polynomial of p(d; k, lam) gives the exact rows' values."""
