@@ -36,11 +36,10 @@ from .pmf import (
     format_float,
     pmf_full,
     iter_pmf_full,
-    _PMF_COLUMNS,
     _csv_text,
     _grid,
     _mirror_text,
-    _pmf_rows,
+    _pmf_columns,
     _return_grid,
 )
 from .sampling import (
@@ -82,16 +81,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _report(args, columns, rows, extra: dict, summary: str | None, *,
+def _report(args, columns: dict, extra: dict, summary: str | None, *,
             stem: str | None = None, json_obj: dict | None = None) -> list[str]:
-    """Write STEM.csv and STEM.json, both rendered before either is
-    written, and return their paths.
+    """Write the table ``columns`` (column name -> its values, one a row)
+    as STEM.csv and STEM.json, both rendered before either is written,
+    and return their paths.
 
     Both are stamped with the version, ``args.command``, ``args.seed`` as
     an int and the axis convention, then ``extra``.  The stem is ``stem``,
     else ``--output``, else the command name; the directory is ``args.outdir``,
     which ``main`` resolved and created before the command ran.  The JSON
-    mirror is ``_mirror_text(meta, columns, rows)`` unless ``json_obj``
+    mirror is ``_mirror_text(meta, columns)`` unless ``json_obj``
     gives the fields that follow its meta.  Unless ``summary`` is None, prints
     ``command: summary -> csv, json``.
     """
@@ -100,7 +100,7 @@ def _report(args, columns, rows, extra: dict, summary: str | None, *,
             "seed": "none" if args.seed is None else _integer(args.seed, "--seed", 0),
             "convention_sigma": CONVENTION_SIGMA, **extra}
     paths = [os.path.join(args.outdir, stem + ext) for ext in (".csv", ".json")]
-    texts = (_csv_text(meta, columns, rows), _mirror_text(meta, columns, rows) if json_obj is None
+    texts = (_csv_text(meta, columns), _mirror_text(meta, columns) if json_obj is None
              else json.dumps({"meta": meta, **json_obj}, indent=2) + "\n")
     for path, text in zip(paths, texts):
         _atomic_write(path, text)
@@ -132,7 +132,7 @@ def cmd_pmf(args) -> int:
     # the table of the --lambda given, not of cos(acos(lambda)), which may differ
     pmf = pmf_full(args.k, coin.lam if args.lam is None else args.lam, exact=not args.fast)
     lam = format_float(pmf.lam)
-    _report(args, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam),
+    _report(args, _pmf_columns(pmf.k, pmf.table, pmf.lam),
             {"k": pmf.k, "lambda": lam, "theta": format_float(coin.theta),
              "axis": "analytic"},
             f"k={pmf.k} lambda={lam} ({len(pmf.table)} rows)")
@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
     k = _integer(args.k, "step count k", 1)         # r = d/k needs k >= 1, as pmf does
     start = WalkState.localized(args.start)
     table = position_pmf(evolve(start, coin, k)).table
-    _report(args, _PMF_COLUMNS, _pmf_rows(k, table, coin.lam),
+    _report(args, _pmf_columns(k, table, coin.lam),
             {"k": k, "lambda": format_float(coin.lam),
              "theta": format_float(coin.theta), "start": start.lo, "axis": "simulator"},
             f"k={k} start={start.lo} ({len(table)} rows)")
@@ -165,10 +165,10 @@ def cmd_likelihood(args) -> int:
     data = _load_dataset(args.data)
     curve = likelihood_curve(data, theta_range=(args.theta_min, args.theta_max),
                              grid_size=args.grid)
-    rows = [{"theta": float(t), "lambda": math.cos(float(t)), "loglik": float(v)}
-            for t, v in zip(curve.thetas, curve.loglik)]
+    thetas = curve.thetas.tolist()
     argmax = format_float(curve.argmax_theta)
-    _report(args, ["theta", "lambda", "loglik"], rows,
+    _report(args, {"theta": thetas, "lambda": list(map(math.cos, thetas)),
+                   "loglik": curve.loglik.tolist()},
             {"k": data.k, "kind": data.kind, "trials": data.trials,
              "argmax_theta": argmax, "curvature": format_float(curve.curvature)},
             f"k={data.k} grid={args.grid} argmax={argmax}")
@@ -212,7 +212,8 @@ def cmd_estimate(args) -> int:
     row["candidates"] = "|".join(format_float(c) for c in est.candidates)
     row["flags"] = "|".join(est.flags)
     # the summary's trailing newline puts the paths on a line of their own
-    _report(args, list(row), [row], {"method": method, "k": data.k},
+    _report(args, {name: [value] for name, value in row.items()},
+            {"method": method, "k": data.k},
             f"method={method} k={data.k} n={data.trials:g} "
             f"theta_hat={format_float(est.theta_hat)} "
             f"lambda_hat={format_float(est.lambda_hat)} flags={list(est.flags)}\n ",
@@ -225,9 +226,9 @@ def cmd_estimate(args) -> int:
 def cmd_level_set(args) -> int:
     roots = level_set_solve(args.f, args.k, branch=(args.branch_min, args.branch_max))
     k = int(args.k)                                 # an int, as level_set_solve checked
-    rows = [{"k": k, "f": args.f, "lam": r, "theta": math.acos(r)} for r in roots]
     f = format_float(args.f)
-    _report(args, ["k", "f", "lam", "theta"], rows,
+    _report(args, {"k": [k] * len(roots), "f": [args.f] * len(roots), "lam": roots,
+                   "theta": list(map(math.acos, roots))},
             {"k": k, "f": f, "count": len(roots)},
             f"k={k} f={f} -> {len(roots)} root(s)")
     return EXIT_OK
@@ -236,10 +237,10 @@ def cmd_level_set(args) -> int:
 def cmd_diffusion(args) -> int:
     ks = _parse_list(args.k_list, int, "a comma-separated integer list", "k")
     modes = ("quantum", "classical") if args.mode == "both" else (args.mode,)
-    rows = [{"mode": mode, "k": k, "sigma": sigma} for mode in modes
+    rows = [(mode, k, sigma) for mode in modes
             for k, sigma in diffusion_experiment(args.theta, ks, mode)]
     theta = format_float(args.theta)
-    _report(args, ["mode", "k", "sigma"], rows,
+    _report(args, dict(zip(("mode", "k", "sigma"), map(list, zip(*rows)))),
             {"theta": theta, "k_list": " ".join(map(str, ks))},
             f"theta={theta} modes={list(modes)}")
     return EXIT_OK
@@ -253,26 +254,29 @@ def cmd_databox(args) -> int:
     _echo_seed(args, report["config"]["seed"])
     rows = [dict(row, flags="|".join(row["flags"])) for row in report["rows"]]
     theta_star, budget = format_float(args.theta_star), report["config"]["budget"]
-    _report(args, list(rows[0]), rows, {"theta_star": theta_star, "budget": budget},
+    _report(args, {name: [row[name] for row in rows] for name in rows[0]},
+            {"theta_star": theta_star, "budget": budget},
             f"theta_star={theta_star} budget={budget} ({len(rows)} allocations)")
     return EXIT_OK
 
 
-def _fig1_rows() -> list[dict]:
+def _fig1_columns() -> dict:
+    """The k = 100 pmf at every lambda of the grid, a row per (lambda, d)."""
     lams = np.linspace(-1.0, 1.0, _FIG_LAMBDA_POINTS)
     ds = range(-_FIG1_K, _FIG1_K + 1, 2)
-    return [{"lambda": lam, "r": d / _FIG1_K, "p": p}
-            for lam, ps in zip(lams.tolist(), _grid(_FIG1_K, lams, ds).tolist())
-            for d, p in zip(ds, ps)]
+    return {"lambda": np.repeat(lams, len(ds)).tolist(),
+            "r": [d / _FIG1_K for d in ds] * len(lams),
+            "p": _grid(_FIG1_K, lams, ds).ravel().tolist()}
 
 
-def _fig2_rows(which: str) -> list[dict]:
-    """p vs lambda curves for k = 8..512: at d=0 (fig2a) or d=k/4 (fig2b)."""
+def _fig2_columns(which: str) -> dict:
+    """p vs lambda curves for k = 8..512: at d=0 (fig2a) or d=k/4 (fig2b),
+    a row per (lambda, k)."""
     lams = np.linspace(-1.0, 1.0, _FIG_LAMBDA_POINTS)
     curves = np.stack([_grid(k, lams, [0 if which == "fig2a" else k // 4])[:, 0]
                        for k in FIG2_KS], axis=1)
-    return [{"k": k, "lambda": lam, "p": p}
-            for lam, ps in zip(lams.tolist(), curves.tolist()) for k, p in zip(FIG2_KS, ps)]
+    return {"k": list(FIG2_KS) * len(lams), "lambda": np.repeat(lams, len(FIG2_KS)).tolist(),
+            "p": curves.ravel().tolist()}
 
 
 def cmd_figures(args) -> int:
@@ -280,11 +284,11 @@ def cmd_figures(args) -> int:
     written = []
     for which in wanted:
         if which == "fig1":
-            written += _report(args, ["lambda", "r", "p"], _fig1_rows(),
+            written += _report(args, _fig1_columns(),
                                {"figure": "fig1", "k": _FIG1_K,
                                 "lambda_points": _FIG_LAMBDA_POINTS}, None, stem=which)
         else:
-            written += _report(args, ["k", "lambda", "p"], _fig2_rows(which),
+            written += _report(args, _fig2_columns(which),
                                {"figure": which, "d": "0" if which == "fig2a" else "k/4",
                                 "k_values": " ".join(map(str, FIG2_KS))}, None, stem=which)
     print(f"figures: wrote {', '.join(written)}")

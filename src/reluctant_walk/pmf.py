@@ -23,7 +23,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import is_
 from typing import Iterator
 
@@ -515,7 +515,8 @@ def pmf_full(k: int, lam, exact: bool = True) -> Pmf:
     return _table(k, lam, a, b, _rows_for(k, a, b, bits=bits), bits)
 
 
-format_float = "%.17g".__mod__       # a number's decimal text; 17 digits round-trip float64
+_DECIMAL = "%.17g"                   # a number's decimal text; 17 digits round-trip float64
+format_float = _DECIMAL.__mod__
 
 
 def _json_safe(value):
@@ -542,70 +543,75 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _repeats_one_object(values) -> bool:
-    """Whether two or more values are all one object, as in the ``k`` and
-    ``lambda`` columns of a pmf table: its text is then formatted once.
-    Identity, not equality, so that cells 0.0 and -0.0 stay apart; a
-    column of varying values stops at its first new object."""
-    return len(values) > 1 and all(map(is_, values, repeat(values[0])))
+def _specs(columns: dict, float_spec: str, cell):
+    """One format spec per column of ``columns`` (name -> one value a row),
+    the row count, and the varying columns' values interleaved row by row,
+    so that the rows render in one ``(template * rows) % values``.
+
+    A column that repeats one object, as ``k`` and ``lambda`` of a pmf
+    table do, is its text ``cell(value)`` with ``%`` escaped; identity,
+    not equality, so that cells 0.0 and -0.0 stay apart.  An all-int
+    column is ``%d`` and an all-finite-float one ``float_spec``, which
+    must give ``cell``'s text of a finite float.  Any other column, one
+    that holds NaN or an infinity too, is ``%s`` over the ``cell`` text of
+    each value."""
+    rows = len(next(iter(columns.values()), ()))
+    specs, varying = [], []
+    for values in columns.values():
+        if rows and all(map(is_, values, repeat(values[0]))):
+            specs.append(cell(values[0]).replace("%", "%%"))
+            continue
+        kinds = set(map(type, values))
+        if kinds <= {int}:
+            spec = "%d"
+        elif kinds != {float} or not all(map(math.isfinite, values)):
+            spec, values = "%s", list(map(cell, values))
+        else:
+            spec = float_spec
+        specs.append(spec)
+        varying.append(values)
+    return specs, rows, tuple(chain.from_iterable(zip(*varying)))
 
 
-def _column(values, float_text, cell):
-    """The text of one column's values: one ``map`` of ``float_text`` over
-    an all-finite-float column or of ``int.__repr__`` over an all-int one,
-    ``cell`` of each value otherwise, and one text repeated for a column of
-    one object.  ``float_text`` must agree with ``cell`` on finite floats."""
-    if _repeats_one_object(values):
-        return [*_column(values[:1], float_text, cell)] * len(values)
-    kinds = set(map(type, values))
-    if kinds <= {float} and all(map(math.isfinite, values)):
-        return map(float_text, values)
-    if kinds <= {int}:
-        return map(int.__repr__, values)
-    return map(cell, values)
-
-
-def _csv_text(meta: dict | None, columns, rows) -> str:
+def _csv_text(meta: dict | None, columns: dict) -> str:
     """``# key: value`` stamps, then the column header, then one line per row.
 
-    Each row maps column name to value; cells go through ``_cell``.  LF
-    line endings, 17-significant-digit decimals.
+    ``columns`` maps each column name to its values, one a row; a cell is
+    ``_cell``'s text of its value (``_specs``).  LF line endings,
+    17-significant-digit decimals.
     """
     lines = [f"# {key}: {value}" for key, value in (meta or {}).items()]
     lines.append(",".join(columns))
-    cells = [_column([row[c] for row in rows], format_float, _cell) for c in columns]
-    lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    specs, rows, values = _specs(columns, _DECIMAL, _cell)
+    return "\n".join(lines) + "\n" + ((",".join(specs) + "\n") * rows) % values
 
 
-def _mirror(meta: dict | None, columns, rows) -> dict:
-    """The JSON twin of ``_csv_text``: ``{"meta": ..., "rows": [...]}``,
-    each row keyed by column with its values through ``_json_safe``."""
-    return {"meta": dict(meta or {}),
-            "rows": [{c: _json_safe(row[c]) for c in columns} for row in rows]}
-
-
-def _mirror_text(meta: dict | None, columns, rows) -> str:
-    """``json.dumps(_mirror(meta, columns, rows), indent=2) + "\\n"`` for one
-    or more string column names, rendered a column at a time: with an
-    indent, ``json`` runs its pure-Python encoder, several calls a value."""
+def _mirror_text(meta: dict | None, columns: dict) -> str:
+    """The JSON twin of ``_csv_text``: the text ``json.dumps`` writes with
+    ``indent=2`` for ``{"meta": ..., "rows": [...]}``, each row keyed by
+    column name with its values through ``_json_safe``, for one or more
+    string column names.  The rows render through ``_specs`` in one
+    ``%``, not through ``json``, whose indenting encoder is pure Python,
+    several calls a value."""
     meta_text = json.dumps(dict(meta or {}), indent=2).replace("\n", "\n  ")
-    # each value as ``_mirror`` rows hold it, indented as a row entry;
-    # ``float.__repr__`` is what ``json`` writes for a finite float
+    # a value as ``json.dumps`` writes it in a row entry; it writes a finite float's repr
     cell = lambda v: json.dumps(_json_safe(v), indent=2).replace("\n", "\n      ")
-    cells = [map(f"      {json.dumps(c)}: ".__add__,
-                 _column([row[c] for row in rows], float.__repr__, cell))
-             for c in columns]
-    body = "\n    },\n    {\n".join(map(",\n".join, zip(*cells)))
-    rows_text = f"[\n    {{\n{body}\n    }}\n  ]" if rows else "[]"
+    specs, rows, values = _specs(columns, "%r", cell)
+    fields = (f"      {json.dumps(name).replace('%', '%%')}: {spec}"
+              for name, spec in zip(columns, specs))
+    body = (("    {\n" + ",\n".join(fields) + "\n    },\n") * rows) % values
+    rows_text = f"[\n{body[:-2]}\n  ]" if rows else "[]"
     return f'{{\n  "meta": {meta_text},\n  "rows": {rows_text}\n}}\n'
 
 
 _PMF_COLUMNS = ("k", "d", "r", "lambda", "p")
 
 
-def _pmf_rows(k: int, table: dict, lam) -> list[dict]:
-    return [{"k": k, "d": d, "r": d / k, "lambda": lam, "p": p} for d, p in table.items()]
+def _pmf_columns(k: int, table: dict, lam) -> dict:
+    """The ``_PMF_COLUMNS`` of a table; ``k`` and ``lam`` repeat one object,
+    so the writers format each once."""
+    return dict(zip(_PMF_COLUMNS, ([k] * len(table), list(table), [d / k for d in table],
+                                   [lam] * len(table), list(table.values()))))
 
 
 def pmf_to_csv(pmf: Pmf, meta: dict | None = None) -> str:
@@ -614,7 +620,7 @@ def pmf_to_csv(pmf: Pmf, meta: dict | None = None) -> str:
     Optional ``meta`` entries become leading ``# key: value`` comment
     lines.  LF line endings, 17-significant-digit decimals.
     """
-    return _csv_text(meta, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam))
+    return _csv_text(meta, _pmf_columns(pmf.k, pmf.table, pmf.lam))
 
 
 def _whole(value) -> int:
@@ -652,7 +658,9 @@ def pmf_from_csv(text: str) -> Pmf:
 def pmf_to_json(pmf: Pmf, meta: dict | None = None) -> dict:
     """JSON mirror of the CSV table: ``{"meta": ..., "rows": [...]}`` with
     one row per displacement, keyed by (k, d, r, lambda, p)."""
-    return _mirror(meta, _PMF_COLUMNS, _pmf_rows(pmf.k, pmf.table, pmf.lam))
+    columns = _pmf_columns(pmf.k, pmf.table, pmf.lam).values()
+    return {"meta": dict(meta or {}),
+            "rows": [dict(zip(_PMF_COLUMNS, map(_json_safe, row))) for row in zip(*columns)]}
 
 
 def pmf_from_json(obj) -> Pmf:

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.optimize import bisect
 
 from reluctant_walk.chebyshev import _chebyshev_u_pair, _integer, _iter_y_rows, _unit_lam
-from reluctant_walk.pmf import (_cell, _clamp, _mirror, _probabilities, _ratio, _rows_for,
+from reluctant_walk.pmf import (_cell, _clamp, _json_safe, _probabilities, _ratio, _rows_for,
                                 _validate_k_lam, pmf_point)
 from reluctant_walk.walk import (CoinParameter, WalkState, _momentum_grid,
                                  channel_position_pmf, evolve, kraus_kernels, position_pmf)
@@ -416,8 +416,10 @@ def csv_text_per_cell(meta, columns, rows) -> str:
 
 
 def mirror_text_by_encoder(meta, columns, rows) -> str:
-    """``pmf._mirror_text`` through the json module's indenting encoder."""
-    return json.dumps(_mirror(meta, columns, rows), indent=2) + "\n"
+    """``pmf._mirror_text`` through the json module's indenting encoder,
+    each row keyed by column with its values through ``pmf._json_safe``."""
+    rows = [{c: _json_safe(row[c]) for c in columns} for row in rows]
+    return json.dumps({"meta": dict(meta or {}), "rows": rows}, indent=2) + "\n"
 
 
 def pmf_power_coeffs(k: int, d: int) -> list[int]:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from reluctant_walk.cli import FIG2_KS, _fig1_rows, _fig2_rows, main
+from reluctant_walk.cli import FIG2_KS, _fig1_columns, _fig2_columns, main
 from reluctant_walk.estimation import TrialDataset, level_set_solve, mle_estimate
 from reluctant_walk.pmf import iter_pmf_full, pmf_full, pmf_point
 from reluctant_walk.sampling import diffusion_experiment, sample_positions
@@ -138,10 +138,11 @@ def _interpolated_fwhm(ls, ps):
 def test_figure_grids_peak_structure():
     """Return-probability curves peak uniquely at lambda = 0 and sharpen
     with k; the ridge of the k=100 surface moves outward with |lambda|."""
-    rows = _fig2_rows("fig2a")
+    fig2a = _fig2_columns("fig2a")
     widths = []
     for k in FIG2_KS:
-        curve = sorted((r["lambda"], r["p"]) for r in rows if r["k"] == k)
+        curve = sorted((lam, p) for k_, lam, p in zip(fig2a["k"], fig2a["lambda"], fig2a["p"])
+                       if k_ == k)
         ls = np.array([l for l, _ in curve])
         ps = np.array([p for _, p in curve])
         imax = int(np.argmax(ps))
@@ -152,10 +153,10 @@ def test_figure_grids_peak_structure():
     assert all(b < a for a, b in zip(widths, widths[1:]))
     print("peak widths:", " ".join(f"{w:.4f}" for w in widths))
 
-    rows1 = _fig1_rows()
+    fig1 = _fig1_columns()
     by_lam: dict[float, list[tuple[float, float]]] = {}
-    for r in rows1:
-        by_lam.setdefault(r["lambda"], []).append((r["r"], r["p"]))
+    for lam, r, p in zip(fig1["lambda"], fig1["r"], fig1["p"]):
+        by_lam.setdefault(lam, []).append((r, p))
     for half in (sorted(l for l in by_lam if l >= 0),
                  sorted((l for l in by_lam if l <= 0), reverse=True)):
         prev = -1.0

@@ -17,11 +17,13 @@ import sys
 import numpy as np
 import pytest
 
-from reluctant_walk import estimation as estimation_module, pmf as pmf_module
+from reluctant_walk import cli as cli_module, estimation as estimation_module, pmf as pmf_module
 from reluctant_walk.cli import FIG2_KS, _parser, _report, main
 from reluctant_walk.estimation import level_set_solve, likelihood_curve, mle_estimate
 from reluctant_walk.pmf import pmf_from_csv, pmf_from_json, pmf_full
 from reluctant_walk.sampling import data_box_experiment
+
+from oracles import csv_text_per_cell, mirror_text_by_encoder
 
 
 def read_csv(path):
@@ -849,8 +851,52 @@ def test_numpy_int_arguments_give_the_artifacts_of_the_command_line(tmp_path):
 def test_a_report_whose_json_fails_to_render_writes_neither_file(tmp_path):
     args = argparse.Namespace(command="pmf", output=None, seed=None, outdir=str(tmp_path))
     with pytest.raises(TypeError, match="not JSON serializable"):
-        _report(args, ["x"], [{"x": 1}], {"stamp": object()}, None)
+        _report(args, {"x": [1]}, {"stamp": object()}, None)
     assert list(tmp_path.iterdir()) == []
+
+
+# DATA is a positions file whose log-likelihood is -inf at theta = 0
+# (p(6; 6, 1) = 0), RETURNS a return-count file at k = 24
+@pytest.mark.parametrize("argv", [
+    "pmf --k 30 --lambda 0.6",
+    "pmf --k 48 --lambda 0.3 --fast",
+    "simulate --k 1000 --theta 0.7 --start 3",
+    "likelihood --data DATA --grid 101",
+    "likelihood --data RETURNS",
+    "level-set --f 0.3 --k 8",
+    "level-set --f 0.9 --k 2 --branch-min 0.4",
+    "diffusion --k-list 4,9",
+    "databox --theta-star 0.5 --budget 400 --allocations 2:200,20:20 --seed 11",
+    "figures --which fig2a",
+    "estimate --data DATA",
+    "estimate --data RETURNS --method bernoulli",
+])
+def test_artifacts_equal_the_per_cell_writers_on_the_same_rows(tmp_path, monkeypatch, argv):
+    """Every table artifact is the text the per-cell writers give for the
+    rows the command passed (estimate's JSON is its ``json_obj``, not a table)."""
+    expected = []
+
+    def recording(writer, oracle):
+        def render(meta, columns):
+            names = list(columns)
+            expected.append(oracle(meta, names, [dict(zip(names, row))
+                                                 for row in zip(*columns.values())]))
+            return writer(meta, columns)
+        return render
+
+    monkeypatch.setattr(cli_module, "_csv_text", recording(cli_module._csv_text, csv_text_per_cell))
+    monkeypatch.setattr(cli_module, "_mirror_text",
+                        recording(cli_module._mirror_text, mirror_text_by_encoder))
+    data = write_dataset(tmp_path / "data.json", {"kind": "positions", "k": 6,
+                                                  "positions": [-6, -4, 6, 6, 2]})
+    returns = write_dataset(tmp_path / "returns.json",
+                            {"kind": "returns", "k": 24, "n": 10000, "n0": 314})
+    out = tmp_path / "out"
+    argv = shlex.split(argv.replace("RETURNS", returns).replace("DATA", data))
+    assert main(argv + ["--outdir", str(out)]) == 0
+    written = [path.read_text(encoding="utf-8") for path in sorted(out.iterdir())
+               if not (argv[0] == "estimate" and path.suffix == ".json")]
+    assert len(written) >= 1 and written == expected
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")

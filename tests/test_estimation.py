@@ -761,6 +761,27 @@ def test_returns_estimate_scores_few_points_inside_the_certified_bracket(monkeyp
     assert _return_poly.cache_info().misses == 3
 
 
+@pytest.mark.parametrize("zero", [1, 101, 401, 499])
+def test_level_at_a_flat_inflection_solves_in_few_points(monkeypatch, zero):
+    """At q(r) for a zero r of R_1000, where q - f has a triple root and
+    plain Newton steps shrink by 2/3 each (84-111 calls of
+    ``_return_value`` before the multiplicity step), the solve makes at
+    most 40 such calls, and the root is scipy's bisection of the exact gap."""
+    nodes, _ = roots_jacobi(499, 0, 1)              # R_1000(lam) = P_499^(0,1)(2 lam^2 - 1)
+    r = math.sqrt((1.0 + np.sort(nodes)[zero - 1]) / 2.0)
+    f = float(pmf._return_grid(1000, [r])[0])
+    calls = []
+
+    def counting(c, lam):
+        calls.append(lam)
+        return pmf._return_value(c, lam)
+
+    monkeypatch.setattr(estimation, "_return_value", counting)
+    roots = level_set_solve(f, 1000, (0.0, 1.0))
+    assert len(calls) <= 40
+    assert roots == level_set_exact_bisection(f, 1000, (0.0, 1.0))
+
+
 def test_level_set_unattained_level_is_empty():
     # on [0.4, 1] the two-step return probability never exceeds 0.84
     assert level_set_solve(0.9, 2, branch=(0.4, 1.0)) == []

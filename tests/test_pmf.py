@@ -953,11 +953,15 @@ def test_json_round_trip():
 
 _CELLS = {
     "int": st.integers(-10**20, 10**20),
+    "int_bool": st.one_of(st.integers(-10**20, 10**20), st.booleans()),
     "float": st.floats(),                                   # NaN, +-inf and -0.0 too
     "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "nonfinite": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([math.nan, math.inf, -math.inf])),
+    "float_np": st.one_of(st.floats(), st.floats().map(np.float64)),
     "mixed": st.one_of(
         st.none(), st.booleans(), st.integers(), st.floats(),
-        st.text(st.sampled_from('ab,"\' \u00e9\u2713\n')),
+        st.text(st.sampled_from('ab,"\' \u00e9\u2713\n%')),
         st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
         st.lists(st.one_of(st.integers(), st.floats()), max_size=3).map(tuple),
         st.just({"nested": [1, {"x": None}]})),
@@ -966,12 +970,13 @@ _CELLS = {
 
 @st.composite
 def _tables(draw):
-    columns = draw(st.lists(st.text(st.sampled_from("kdp_\u00e9\""), min_size=1, max_size=4),
+    columns = draw(st.lists(st.text(st.sampled_from("kdp_\u00e9\"%"), min_size=1, max_size=4),
                             min_size=1, max_size=4, unique=True))
     kinds = [draw(st.sampled_from(sorted(_CELLS))) for _ in columns]
     rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=6))
-    meta = draw(st.dictionaries(st.sampled_from(["version", "k", "lambda", "\u00e9"]),
-                                st.one_of(st.integers(), st.floats(), st.text(max_size=3))))
+    meta = draw(st.dictionaries(st.sampled_from(["version", "k", "lambda", "\u00e9", "%d"]),
+                                st.one_of(st.integers(), st.floats(),
+                                          st.text(st.sampled_from("a%s\u00e9"), max_size=3))))
     return meta, columns, [dict(zip(columns, row)) for row in rows]
 
 
@@ -980,17 +985,26 @@ def _tables(draw):
 _ONE_LAM, _ONE_BIG, _ONE_NAN, _ONE_TUPLE = float("0.6"), 10**20 + 1, float("nan"), (1, -0.0)
 _REPEATS = [{"k": _ONE_BIG, "lambda": _ONE_LAM, "nan": _ONE_NAN, "t": _ONE_TUPLE, "z": z,
              "zz": -z} for z in (0.0, -0.0, 0.0, -0.0)]
+# a table past 2000 rows: one-object, int, float, float-with-non-finite and
+# numpy-among-float columns, and one object whose text holds a %
+_LONG = [{"k": _ONE_BIG, "d": d, "r": d / 1000, "lambda": _ONE_LAM, "%s": "50%",
+          "p": math.exp(-d * d / 1e5) if d % 7 else -math.inf,
+          "x": np.float64(d) if d % 3 else d / 3} for d in range(-1000, 1001)]
 
 
 @given(table=_tables())
 @example(table=({"k": 3}, ["k", "lambda", "nan", "t", "z", "zz"], _REPEATS))
 @example(table=(None, ["z", "lambda"], _REPEATS[:1]))
 @example(table=(None, ["zz", "k"], _REPEATS[1:3]))
+@example(table=({"%d": "100%"}, ["k", "%s", "p"], []))
+@example(table=({"k": 1000}, list(_LONG[0]), _LONG))
 @settings(max_examples=200, deadline=None)
 def test_artifact_text_equals_the_per_cell_writers(table):
-    meta, columns, rows = table
-    assert _csv_text(meta, columns, rows) == csv_text_per_cell(meta, columns, rows)
-    assert _mirror_text(meta, columns, rows) == mirror_text_by_encoder(meta, columns, rows)
+    """The column writers give the per-cell writers' text on the same rows."""
+    meta, names, rows = table
+    columns = {c: [row[c] for row in rows] for c in names}
+    assert _csv_text(meta, columns) == csv_text_per_cell(meta, names, rows)
+    assert _mirror_text(meta, columns) == mirror_text_by_encoder(meta, names, rows)
 
 
 def test_format_float_round_trips():
