@@ -82,28 +82,20 @@ def _unit_total(total, what: str) -> None:
         raise ValueError(f"{what} must be normalized, got total {total}")
 
 
-def _chebyshev_u_pair(n, x):
-    """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass, by the recurrence
-    U_{n+1}(x) = 2x*U_n(x) - U_{n-1}(x) from U_0 = 1.
-
-    ``x`` is a float, a numpy array or a Fraction; exact types propagate.
-    A scalar float is accumulated in extended precision (np.longdouble)
-    and rounded once at the end, which keeps the absolute error below
-    ~4e-15 even for n = 200 near |x| = 1, where U is large.
+def _chebyshev_u_pair(n: int, x: np.ndarray):
+    """(U_n(x), U_{n-1}(x)) over a float array ``x``, U_{-1} = 0, in one
+    pass of the recurrence U_{n+1}(x) = 2x*U_n(x) - U_{n-1}(x) from U_0 = 1.
 
     ``2x`` is formed once, so each of the n steps is two operations,
     ``twice * u - u_prev``: the same numbers as ``2 * x * u - u_prev``,
     which Python evaluates as ``(2 * x) * u``.
     """
-    n = _integer(n, "degree", 0)
-    scalar = isinstance(x, (float, np.floating))
-    x = np.longdouble(x) if scalar else x
     one = x * 0 + 1
     u_prev, u = one - one, one
     twice = 2 * x
     for _ in range(n):
         u_prev, u = u, twice * u - u_prev
-    return (float(u), float(u_prev)) if scalar else (u, u_prev)
+    return u, u_prev
 
 
 def _iter_y_rows(a, b, edge=math.inf, order=0, bits=0):

@@ -199,10 +199,11 @@ def cmd_estimate(args) -> int:
     if method == "loop":
         # evolution-loop reading of position data: a trial succeeds when the
         # walker is back at its start site, so only the return count matters
-        if data.weights is not None:
-            raise ValueError("--method loop needs unweighted position data")
-        data = TrialDataset.from_returns(data.k, int(data.counts().get(0, 0)),
-                                         len(data.positions), seed=data.seed)
+        counts = data.counts()
+        if not all(c.is_integer() for c in counts.values()):
+            raise ValueError("--method loop needs whole-number counts as weights")
+        data = TrialDataset.from_returns(data.k, int(counts.get(0, 0)), int(data.trials),
+                                         seed=data.seed)
 
     est = mle_estimate(data, theta_range=(args.theta_min, args.theta_max),
                        grid_size=args.grid, refine_tolerance=args.refine_tol)

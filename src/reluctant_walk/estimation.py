@@ -6,7 +6,9 @@ simulator's axis; see ``pmf.CONVENTION_SIGMA``), scored by the exact pmf.
 Return counts are Bernoulli trials of an even-step walker being found
 back at its start site, inverted through the level set of the closed-form
 return probability: it falls from 1 to 0 on lam in [0, 1], so the level
-of the return frequency is one bisection there.
+of the return frequency is one bisection there.  A dataset stores only
+the sufficient statistic its likelihood reads: the count (total weight)
+of each displacement seen, or n and n0.
 
 Estimates carry a concavity diagnostic.  The curvature l'' is analytic:
 the lam-derivatives of the pmf come from forward-mode rows of the float
@@ -24,7 +26,7 @@ import json
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -51,77 +53,72 @@ _TIE_TOL = 1e-9            # refined values within this are ties -> smaller thet
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrialDataset:
-    """Observed data for one estimation run.
+    """Observed data for one estimation run, stored as its sufficient statistic.
 
-    kind "positions": ``positions`` holds displacement samples on the
-    analytic axis, parity-valid for ``k`` and within [-k, k]; ``weights``
-    (optional, parallel to positions) supports expected-likelihood runs.
-    kind "returns": ``n`` even-step trials of which ``n0`` ended at the
-    start site.  A field of the other kind must keep its default.  ``seed``
-    records sampling provenance only: None or an int >= 0, the seeds
-    ``sampling.trial_generator`` takes.
+    kind "positions": the inputs ``positions`` (displacement samples on
+    the analytic axis, parity-valid for ``k`` and within [-k, k]) and
+    ``weights`` (parallel to positions, 1 each by default) are stored as
+    their ``tally``: each displacement seen with its total weight (zero
+    included), in displacement order.  So a weight is an ordinary count,
+    and the same draws in any order give an equal dataset.  kind
+    "returns": ``n`` even-step trials of which ``n0`` ended at the start
+    site, with an empty tally.  An input of the other kind must keep its
+    default.  ``seed`` records sampling provenance only: None or an int
+    >= 0, the seeds ``sampling.trial_generator`` takes.
     """
 
     kind: str
     k: int
-    positions: tuple = ()
-    weights: tuple | None = None
-    n: int | None = None
-    n0: int | None = None
-    seed: int | None = None
-    _counts: dict | None = field(default=None, init=False, repr=False, compare=False)
+    tally: tuple
+    n: int | None
+    n0: int | None
+    seed: int | None
 
-    def __post_init__(self):
-        if self.kind not in ("positions", "returns"):
-            raise ValueError(f"kind must be 'positions' or 'returns', got {self.kind!r}")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
-        k = _step_count(self.k)
-        object.__setattr__(self, "k", k)
-        positions = tuple(self.positions)
-        unused = ({"n": self.n, "n0": self.n0} if self.kind == "positions"
-                  else {"positions": positions or None, "weights": self.weights})
+    def __init__(self, kind: str, k: int, positions=(), weights=None, n=None, n0=None, seed=None):
+        if kind not in ("positions", "returns"):
+            raise ValueError(f"kind must be 'positions' or 'returns', got {kind!r}")
+        if seed is not None:
+            seed = _integer(seed, "seed", 0)
+        k = _step_count(k)
+        positions = tuple(positions)
+        unused = ({"n": n, "n0": n0} if kind == "positions"
+                  else {"positions": positions or None, "weights": weights})
         for name, value in unused.items():
             if value is not None:
-                raise ValueError(f"{name} does not apply to {self.kind} data, got {value!r}")
+                raise ValueError(f"{name} does not apply to {kind} data, got {value!r}")
         if not set(map(type, positions)) <= {int}:
             positions = tuple(_integer(d, "d") for d in positions)
-        object.__setattr__(self, "positions", positions)
-        if self.kind == "positions":
-            tally = Counter(positions)
-            # checked once per distinct value; the error names the first in order
-            invalid = {d for d in tally if abs(d) > k or (k - d) % 2}
-            if invalid:
-                d = next(d for d in positions if d in invalid)
-                raise ValueError(
-                    f"displacement {d} is outside the parity-valid support for k={k}")
-            if self.weights is None:
-                counts = {d: float(c) for d, c in tally.items()}
-            else:
-                w = tuple(map(_weight, self.weights))
-                if len(w) != len(self.positions):
-                    raise ValueError("weights and positions length mismatch")
-                if any(x < 0 for x in w) or (w and not 0 < sum(w) < math.inf):
-                    raise ValueError("weights must be nonnegative with finite total > 0")
-                object.__setattr__(self, "weights", w)
-                counts = {}
-                for d, x in zip(positions, w):
-                    counts[d] = counts.get(d, 0.0) + x
-            object.__setattr__(self, "_counts", dict(sorted(counts.items())))
-        else:
-            if self.k % 2:
+        counts = Counter(positions)
+        # checked once per distinct value; the error names the first in order
+        invalid = {d for d in counts if abs(d) > k or (k - d) % 2}
+        if invalid:
+            d = next(d for d in positions if d in invalid)
+            raise ValueError(f"displacement {d} is outside the parity-valid support for k={k}")
+        if weights is not None:
+            w = tuple(map(_weight, weights))
+            if len(w) != len(positions):
+                raise ValueError("weights and positions length mismatch")
+            if any(x < 0 for x in w) or (w and not 0 < sum(w) < math.inf):
+                raise ValueError("weights must be nonnegative with finite total > 0")
+            counts = {}
+            for d, x in zip(positions, w):
+                counts[d] = counts.get(d, 0.0) + x
+        if kind == "returns":
+            if k % 2:
                 raise ValueError("return-count data requires an even step count")
-            object.__setattr__(self, "n", _integer(self.n, "n", 1))
-            object.__setattr__(self, "n0", _integer(self.n0, "n0", 0))
-            if self.n0 > self.n:
-                raise ValueError(f"need 0 <= n0 <= n with n >= 1, got n0={self.n0} n={self.n}")
+            n, n0 = _integer(n, "n", 1), _integer(n0, "n0", 0)
+            if n0 > n:
+                raise ValueError(f"need 0 <= n0 <= n with n >= 1, got n0={n0} n={n}")
+        tally = tuple(sorted((d, float(c)) for d, c in counts.items()))
+        for name, value in (("kind", kind), ("k", k), ("tally", tally),
+                            ("n", n), ("n0", n0), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_positions(cls, k, positions, weights=None, seed=None) -> "TrialDataset":
-        return cls("positions", k, tuple(positions),
-                   None if weights is None else tuple(weights), seed=seed)
+        return cls("positions", k, positions, weights, seed=seed)
 
     @classmethod
     def from_returns(cls, k, n0, n, seed=None) -> "TrialDataset":
@@ -129,19 +126,18 @@ class TrialDataset:
 
     @property
     def trials(self) -> float:
-        """Effective number of trials (sum of weights for weighted data)."""
+        """Effective number of trials: n for return counts, the tally's total
+        weight for positions (the draw count for unweighted data)."""
         if self.kind == "returns":
             return float(self.n)
-        if self.weights is None:
-            return float(len(self.positions))
-        return float(sum(self.weights))
+        return math.fsum(w for _, w in self.tally)
 
     def counts(self) -> dict[int, float]:
-        """Aggregate weight per observed displacement, in displacement order
-        (built with the dataset)."""
+        """The tally as a dict: total weight per observed displacement, in
+        displacement order."""
         if self.kind == "returns":
             raise ValueError("counts() applies to positions data")
-        return dict(self._counts)
+        return dict(self.tally)
 
 
 def _weight(value) -> float:
@@ -417,7 +413,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     _finite(refine_tolerance, "refine tolerance", 0)
     if data.kind == "returns":
         return _estimate_from_returns(data, theta_range)
-    if not data.positions:
+    if not data.tally:
         raise ValueError("cannot estimate from an empty dataset")
     thetas, ll = _scan(data, theta_range, grid_size)
     lo, hi = float(thetas[0]), float(thetas[-1])
@@ -521,7 +517,10 @@ def _return_root(f: float, k: int) -> float:
 
       - The root is approached by a safeguarded Newton iteration (the rule
         of ``_newton_max``) from lam = 1/sqrt(1 + (pi k f / 2)^2), where
-        the large-k return probability 2 tan(theta) / (pi k) equals f.
+        the large-k return probability 2 tan(theta) / (pi k) equals f, or
+        for f > 1/2 from sqrt(1 - f) / (k/2) if smaller, where q ~ 1 -
+        (k/2)^2 lam^2 near lam = 0 equals f: near f = 1 the large-k start
+        lies far right of the root, where Newton only halves the distance.
         Each pass scores x and takes q'(x) = 2 x Q'(x^2) from the cached
         coefficients of Q'.  It stops at a zero gap, or when the Newton
         step or the bracket is at most 4 eps x; the bracket halves at
@@ -555,6 +554,8 @@ def _return_root(f: float, k: int) -> float:
         return gap
 
     x = 1.0 / math.hypot(1.0, 0.5 * math.pi * k * f)
+    if f > 0.5:
+        x = min(x, math.sqrt(1.0 - f) / (0.5 * k))
     before = step = 1.0
     last = math.nan
     while True:
@@ -580,13 +581,16 @@ def _return_root(f: float, k: int) -> float:
 
 def dataset_to_json(data: TrialDataset) -> dict:
     """JSON-ready form of a dataset (inverse of ``dataset_from_json``): its
-    kind, k, the fields of its kind and its seed, each unless None."""
+    kind and k; for positions its tally, ``positions`` the distinct
+    displacements and ``weights`` their counts, for return counts n and
+    n0; and its seed unless None."""
     obj = {"kind": data.kind, "k": data.k}
-    own = ("positions", "weights") if data.kind == "positions" else ("n", "n0")
-    for name in own + ("seed",):
-        value = getattr(data, name)
-        if value is not None:
-            obj[name] = list(value) if isinstance(value, tuple) else value
+    if data.kind == "positions":
+        obj.update(positions=[d for d, _ in data.tally], weights=[w for _, w in data.tally])
+    else:
+        obj.update(n=data.n, n0=data.n0)
+    if data.seed is not None:
+        obj["seed"] = data.seed
     return obj
 
 

@@ -25,7 +25,9 @@ Three more keep the package's loops in their plain forms: the walk with a
 new state per step, the U_n recurrence with 2x formed anew at every step,
 and the artifact writer a cell at a time.
 The rest check the mathematics the production routes rest on: U_n itself
-(``chebyshev_u``, the first of ``chebyshev._chebyshev_u_pair``), the
+(``chebyshev_u``, the first of ``chebyshev_u_pair``, which runs the
+recurrence of ``chebyshev._chebyshev_u_pair`` on any type: a float
+array, an extended-precision scalar or a Fraction), the
 integral and derivative identities of the U_n family
 (``chebyshev_identity_suite``, with ``_derivative_identity_sum``), and the
 one-step momentum kernel with its k-th power in closed form
@@ -44,7 +46,7 @@ from math import comb
 import numpy as np
 from scipy.optimize import bisect
 
-from reluctant_walk.chebyshev import _chebyshev_u_pair, _integer, _iter_y_rows, _unit_lam
+from reluctant_walk.chebyshev import _integer, _iter_y_rows, _unit_lam
 from reluctant_walk.pmf import (_cell, _clamp, _json_safe, _probabilities, _ratio, _rows_for,
                                 _validate_k_lam, pmf_point)
 from reluctant_walk.walk import (CoinParameter, WalkState, _momentum_grid,
@@ -297,12 +299,33 @@ def chebyshev_u_stepwise(n: int, x):
     return u, u_prev
 
 
+def chebyshev_u_pair(n, x):
+    """(U_n(x), U_{n-1}(x)), U_{-1} = 0, in one pass of the recurrence of
+    ``chebyshev._chebyshev_u_pair`` (2x formed once), for any ``x``.
+
+    A float array runs in its own arithmetic, as there.  A scalar float is
+    accumulated in extended precision (np.longdouble) and rounded once at
+    the end, which keeps the absolute error below ~4e-15 even for n = 200
+    near |x| = 1, where U is large; a Fraction stays exact.  A degree that
+    is not an integer n >= 0 raises ValueError.
+    """
+    n = _integer(n, "degree", 0)
+    scalar = isinstance(x, (float, np.floating))
+    x = np.longdouble(x) if scalar else x
+    one = x * 0 + 1
+    u_prev, u = one - one, one
+    twice = 2 * x
+    for _ in range(n):
+        u_prev, u = u, twice * u - u_prev
+    return (float(u), float(u_prev)) if scalar else (u, u_prev)
+
+
 def chebyshev_u(n, x):
     """U_n(x), the Chebyshev polynomial of the second kind, in the types and
-    precision of ``chebyshev._chebyshev_u_pair``; a degree that is not an
-    integer n >= 0 raises ValueError.  For |x| <= 1 it agrees with
+    precision of ``chebyshev_u_pair``; a degree that is not an integer
+    n >= 0 raises ValueError.  For |x| <= 1 it agrees with
     sin((n+1)*arccos(x))/sin(arccos(x))."""
-    return _chebyshev_u_pair(n, x)[0]
+    return chebyshev_u_pair(n, x)[0]
 
 
 def _derivative_identity_sum(n: int, xi):
@@ -346,7 +369,7 @@ def chebyshev_identity_suite(r: int, lam) -> dict[str, float]:
     phi = 2.0 * np.pi * np.arange(resolution) / resolution
     cphi = np.cos(phi)
 
-    u_odd, u_even = _chebyshev_u_pair(2 * r + 1, lam * cphi)
+    u_odd, u_even = chebyshev_u_pair(2 * r + 1, lam * cphi)
     # Y_0^(2r) and Y_0^(2r+2) from the exact rows in the cone of Y_0^(2r+2),
     # correctly rounded: entry 0 of an even row j is Z_0^(j), of an odd Z_1^(j)
     a, b = lam.as_integer_ratio()
@@ -395,15 +418,15 @@ def kernel_power(phi: float, p: CoinParameter, k: int) -> np.ndarray:
     """k-th power of the kernel via its characteristic polynomial.
 
     M^k = M * U_{k-1}(xi) - I * U_{k-2}(xi) with xi = cos(theta) cos(phi),
-    U_n the Chebyshev polynomials of the second kind.  No matrix powers
-    are taken.  Row 0 is the Kraus pair, which ``walk.kraus_kernels``
-    computes apart.
+    U_n the Chebyshev polynomials of the second kind, in float64
+    (``chebyshev_u_stepwise``).  No matrix powers are taken.  Row 0 is the
+    Kraus pair, which ``walk.kraus_kernels`` computes apart.
     """
     _integer(k, "step count k", 0)
     if k == 0:
         return np.eye(2, dtype=np.complex128)
     xi = p.lam * math.cos(phi)
-    u1, u2 = _chebyshev_u_pair(k - 1, xi)
+    u1, u2 = chebyshev_u_stepwise(k - 1, xi)
     return kernel_matrix(phi, p) * u1 - np.eye(2) * u2
 
 

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 from reluctant_walk.chebyshev import _chebyshev_u_pair, _iter_y_rows
 
-from oracles import (chebyshev_identity_suite, chebyshev_u, chebyshev_u_stepwise,
-                     hyp2f1_terminating, y_poly, y_poly_quadrature)
+from oracles import (chebyshev_identity_suite, chebyshev_u, chebyshev_u_pair,
+                     chebyshev_u_stepwise, hyp2f1_terminating, y_poly, y_poly_quadrature)
 
 
 def test_chebyshev_u_base_cases():
@@ -71,23 +71,26 @@ def test_chebyshev_u_exact_on_fractions():
                                np.linspace(-1.0, 1.0, 11)], ids=repr)
 def test_chebyshev_u_pair_is_two_consecutive_degrees(x):
     """One pass gives U_n and U_{n-1}, equal to two separate evaluations
-    (U_{-1} = 0), with the type and precision of ``chebyshev_u``."""
-    u, u_prev = _chebyshev_u_pair(0, x)
+    (U_{-1} = 0), with the type and precision of ``chebyshev_u``: the
+    package's pair on a float array, the oracle's copy on the other types."""
+    pair = _chebyshev_u_pair if isinstance(x, np.ndarray) else chebyshev_u_pair
+    u, u_prev = pair(0, x)
     assert np.all(u == 1) and np.all(u_prev == 0)
     for n in (1, 2, 3, 17, 120):
-        u, u_prev = _chebyshev_u_pair(n, x)
+        u, u_prev = pair(n, x)
         assert type(u) is type(chebyshev_u(n, x))
         assert np.array_equal(u, chebyshev_u(n, x))
         assert np.array_equal(u_prev, chebyshev_u(n - 1, x))
     with pytest.raises(ValueError):
-        _chebyshev_u_pair(-1, x)
+        chebyshev_u_pair(-1, x)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 499, 999])
 def test_u_pair_is_the_stepwise_recurrence_bit_for_bit(n):
     """Forming 2x once changes no value: (2 * x) * u is what 2 * x * u
-    computes.  Float arrays over the channel's 1024 nodes (signs of zeros
-    included), extended-precision scalars rounded once, and Fractions."""
+    computes.  The package's pair on float arrays over the channel's 1024
+    nodes (signs of zeros included); the oracle's copy on
+    extended-precision scalars rounded once, and on Fractions."""
     x = 0.6 * np.cos(2 * np.pi * np.arange(1024) / 1024)
     x[[0, 1]] = 0.0, -0.0
     for got, want in zip(_chebyshev_u_pair(n, x), chebyshev_u_stepwise(n, x)):
@@ -96,10 +99,10 @@ def test_u_pair_is_the_stepwise_recurrence_bit_for_bit(n):
     for value in (0.3, -0.999, 1.0, -1.0, 0.0, -0.0):
         want = [float(v) for v in chebyshev_u_stepwise(n, np.longdouble(value))]
         for x_scalar in (value, np.longdouble(value)):
-            got = _chebyshev_u_pair(n, x_scalar)
+            got = chebyshev_u_pair(n, x_scalar)
             assert [math.copysign(1, v) for v in got] == [math.copysign(1, v) for v in want]
             assert list(got) == want
-    assert _chebyshev_u_pair(n, Fraction(-3, 7)) == chebyshev_u_stepwise(n, Fraction(-3, 7))
+    assert chebyshev_u_pair(n, Fraction(-3, 7)) == chebyshev_u_stepwise(n, Fraction(-3, 7))
 
 
 @pytest.mark.parametrize(

@@ -339,13 +339,32 @@ def test_estimate_loop_reduces_positions_to_returns(tmp_path):
         math.sqrt(1 / 3), abs=1e-8)
 
 
+def test_estimate_loop_reads_whole_number_weights_as_counts(tmp_path):
+    """n is the total count and n0 the count at d = 0, so whole-number
+    weights write the same bytes as the repeated draws."""
+    outputs = []
+    for name, obj in (("draws", {"positions": [0, 0, 0, 2, -2, 0, 2], "seed": 4}),
+                      ("weights", {"positions": [2, 0, -2], "weights": [2, 4, 1],
+                                   "seed": 4})):
+        data = write_dataset(tmp_path / f"{name}.json", {"kind": "positions", "k": 2, **obj})
+        outdir = tmp_path / name
+        assert main(["estimate", "--data", data, "--method", "loop",
+                     "--outdir", str(outdir)]) == 0
+        outputs.append([(outdir / f"estimate.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["dataset"]["trials"] == 7
+
+
 def test_estimate_loop_rejects_weighted_positions(tmp_path, capsys):
+    """The loop reads n and n0 off the counts, so a weight that is not a
+    whole number exits 2; whole-number weights are counts like any other."""
     data = write_dataset(tmp_path / "ds.json",
                          {"kind": "positions", "k": 4, "positions": [0, 2, -2, 4],
-                          "weights": [100, 1, 1, 0]})
+                          "weights": [100, 1, 0.5, 0]})
     assert main(["estimate", "--data", data, "--method", "loop",
                  "--outdir", str(tmp_path)]) == 2
-    assert "needs unweighted position data" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --method loop needs whole-number counts as weights\n")
     assert not (tmp_path / "estimate.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for coin-angle estimation, likelihoods and level-set inversion."""
 
+import dataclasses
 import json
 import math
 import re
@@ -48,9 +49,12 @@ class TestTrialDataset:
         ds = TrialDataset.from_positions(4, [0, 2, -2, 0], seed=12)
         assert ds.kind == "positions"
         assert ds.k == 4
-        assert ds.positions == (0, 2, -2, 0)
+        assert ds.tally == ((-2, 1.0), (0, 2.0), (2, 1.0))
         assert ds.seed == 12
         assert ds.trials == 4.0
+        # the tally is all a dataset stores of its draws
+        assert [f.name for f in dataclasses.fields(ds)] == ["kind", "k", "tally", "n", "n0",
+                                                           "seed"]
 
     def test_counts_aggregates_weights(self):
         ds = TrialDataset.from_positions(2, [0, 2, 0], weights=[0.5, 1.0, 0.25])
@@ -73,7 +77,7 @@ class TestTrialDataset:
     def test_empty_positions_allowed(self):
         # an empty dataset is constructible; only estimation rejects it
         ds = TrialDataset.from_positions(6, [])
-        assert ds.positions == ()
+        assert ds.tally == () and ds.counts() == {}
         assert ds.trials == 0.0
 
     @pytest.mark.parametrize("bad", [0, 2, -2, 5, -5])
@@ -102,6 +106,31 @@ class TestTrialDataset:
         # 1e308 is finite, but two of them have no finite total
         with pytest.raises(ValueError, match="weights must be"):
             TrialDataset.from_positions(2, [0, 2], weights=[bad, 1e308])
+
+    def test_draw_order_is_not_kept(self):
+        """A dataset is its tally: the same draws in another order give an
+        equal dataset, and every estimate of it bit for bit."""
+        draws = sample_positions(pmf_full(12, 0.45), 400, seed=21).counts()
+        forward = [d for d, c in draws.items() for _ in range(int(c))]
+        shuffled = list(np.random.default_rng(5).permutation(forward))
+        a, b = TrialDataset.from_positions(12, forward), TrialDataset.from_positions(12, shuffled)
+        assert a == b and hash(a) == hash(b)
+        assert mle_estimate(a) == mle_estimate(b)
+        assert likelihood_curve(a).loglik.tobytes() == likelihood_curve(b).loglik.tobytes()
+
+    def test_whole_number_weights_are_repeated_draws(self):
+        assert (TrialDataset.from_positions(2, [0, 2, 0])
+                == TrialDataset.from_positions(2, [0, 2], weights=[2, 1])
+                == TrialDataset.from_positions(2, [2, 0, 0, 0], weights=[1.0, 1, 0.5, 0.5]))
+        weighted = TrialDataset.from_positions(4, [0, -2, 4, 0], weights=[3, 1, 2, 1])
+        repeated = TrialDataset.from_positions(4, [0] * 4 + [-2] + [4] * 2)
+        assert weighted == repeated and weighted.trials == 7.0
+        assert mle_estimate(weighted) == mle_estimate(repeated)
+
+    def test_zero_weights_stay_in_the_tally(self):
+        ds = TrialDataset.from_positions(4, [0, 4, 0], weights=[1, 0, 2])
+        assert ds.tally == ((0, 3.0), (4, 0.0))
+        assert ds != TrialDataset.from_positions(4, [0, 0, 0])
 
     def test_returns_fields(self):
         ds = TrialDataset.from_returns(8, n0=3, n=10)
@@ -599,6 +628,16 @@ def test_mle_positions_flags_a_flat_likelihood_on_a_narrow_range():
     assert result.positivity > 0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+def test_mle_is_the_global_maximum_at_large_k():
+    """At k = 2000 the log-likelihood ripples in theta with a period of
+    about 3/k, finer than the default scan's spacing of 2.6e-3, so the fit
+    can stop on a ripple: on these draws it stops at 0.702865 (loglik
+    -707.5), while the likelihood reaches -680.7 at 0.700088."""
+    data = sample_positions(pmf_full(2000, math.cos(0.7), exact=False), 100, seed=3)
+    assert mle_estimate(data).loglik >= log_likelihood(data, 0.700088) - 1e-6
+
+
 # ------------------------------------------------------------- mle: returns
 
 def test_mle_returns_inverts_frequency():
@@ -780,6 +819,26 @@ def test_level_at_a_flat_inflection_solves_in_few_points(monkeypatch, zero):
     roots = level_set_solve(f, 1000, (0.0, 1.0))
     assert len(calls) <= 40
     assert roots == level_set_exact_bisection(f, 1000, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("k", [4, 8, 24, 100, 1000])
+@pytest.mark.parametrize("f", [1 - 2**-53, 1 - 2**-40], ids=["1-2^-53", "1-2^-40"])
+def test_level_near_one_solves_in_few_points(monkeypatch, f, k):
+    """Near lam = 0, q is about 1 - (k/2)^2 lam^2, so a level just below 1
+    has its root near sqrt(1 - f) / (k/2), far left of the large-k start
+    (47-61 calls of ``_return_value`` from there, as Newton halves the
+    distance at each pass); the solve makes at most 12 such calls, and the
+    root is scipy's bisection of the exact gap."""
+    calls = []
+
+    def counting(c, lam):
+        calls.append(lam)
+        return pmf._return_value(c, lam)
+
+    monkeypatch.setattr(estimation, "_return_value", counting)
+    roots = level_set_solve(f, k, (0.0, 1.0))
+    assert len(calls) <= 12
+    assert roots == level_set_exact_bisection(f, k, (0.0, 1.0))
 
 
 def test_level_set_unattained_level_is_empty():
@@ -1030,6 +1089,30 @@ def test_dataset_json_roundtrip_positions():
     assert again == ds
 
 
+def test_dataset_json_writes_the_tally():
+    """``positions`` holds the distinct displacements and ``weights`` their
+    counts, one entry per displacement whatever the number of draws."""
+    ds = TrialDataset.from_positions(4, [0, 2, 0, -4, 0], seed=3)
+    assert dataset_to_json(ds) == {"kind": "positions", "k": 4, "positions": [-4, 0, 2],
+                                   "weights": [1.0, 3.0, 1.0], "seed": 3}
+    assert dataset_from_json(json.dumps(dataset_to_json(ds))) == ds
+    empty = TrialDataset.from_positions(2, [])
+    assert dataset_from_json(dataset_to_json(empty)) == empty
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "positions", "k": 4, "positions": [0, 2, 0, -4, 0]},
+    {"kind": "positions", "k": 4, "positions": [0, 2, 0, -4], "weights": [1, 1, 2, 1]},
+    {"kind": "positions", "k": 4, "positions": [2, 0, -4], "weights": [1.0, 3.0, 1.0]},
+], ids=["draws", "weighted-draws", "tally"])
+def test_old_dataset_json_forms_load(obj):
+    """Files written as one entry per draw, with or without weights, still
+    load, to the dataset of their tally."""
+    ds = dataset_from_json(json.dumps(obj))
+    assert ds == TrialDataset.from_positions(4, [0, 0, 0, 2, -4])
+    assert ds.counts() == {-4: 1.0, 0: 3.0, 2: 1.0}
+
+
 def test_dataset_json_roundtrip_returns():
     ds = TrialDataset.from_returns(6, n0=2, n=9)
     assert dataset_from_json(dataset_to_json(ds)) == ds
@@ -1085,8 +1168,8 @@ def test_dataset_seed_is_none_or_a_nonnegative_int(seed):
 
 def test_dataset_positions_keep_plain_ints():
     ds = TrialDataset.from_positions(4, [np.int64(2), 0, np.int32(-4)])
-    assert ds.positions == (2, 0, -4)
-    assert {type(d) for d in ds.positions} == {int}
+    assert ds.counts() == {-4: 1.0, 0: 1.0, 2: 1.0}
+    assert {type(d) for d in ds.counts()} == {int}
     for bad in (2.0, True, np.float64(2.0), "2"):
         with pytest.raises(ValueError, match="d must be an integer"):
             TrialDataset.from_positions(4, [0, bad])
