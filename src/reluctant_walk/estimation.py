@@ -224,7 +224,16 @@ def _derivatives(data: TrialDataset, theta):
 
 @dataclass(frozen=True)
 class LikelihoodCurve:
-    """Log-likelihood on an even theta grid, with its argmax and curvature there."""
+    """Log-likelihood on an even theta grid, with its argmax and curvature there.
+
+    ``argmax_theta`` is the best point of the grid, not a refined maximum
+    (``mle_estimate`` refines): it can miss the peak wherever the
+    likelihood has several maxima within a few grid spacings.  The default
+    spacing is (pi/2)/600 ~ 2.6e-3, and at k in the thousands the
+    likelihood ripples with a period of about 3/k (12 local maxima within
+    0.01 of the peak on 100 draws at k = 2000, theta = 0.7), so the grid
+    argmax can lie on another ripple.
+    """
 
     k: int
     thetas: np.ndarray
@@ -235,6 +244,10 @@ class LikelihoodCurve:
 
 def likelihood_curve(data: TrialDataset, theta_range=(0.0, math.pi / 2),
                      grid_size: int = 601) -> LikelihoodCurve:
+    """The log-likelihood at ``grid_size`` even points of ``theta_range``
+    (one likelihood call), with ``argmax_theta``, the best of those points,
+    unrefined (see ``LikelihoodCurve``), and the curvature l'' there; both
+    are NaN when no point is finite."""
     thetas, ll = _scan(data, theta_range, grid_size)
     if np.isfinite(ll).any():
         arg = float(thetas[int(np.argmax(ll))])   # ll is finite or -inf (``_log_sum``)
@@ -301,35 +314,42 @@ def _result(data: TrialDataset, theta: float, loglik: float, curvature: float,
                           tuple(candidates), tuple(flags), data.kind, data.k, n, data.seed)
 
 
-def _newton_max(data: TrialDataset, a: float, b: float, x: float, tol: float):
-    """The maximum of the log-likelihood on [a, b] reached from x, as
-    (theta, l, l'') at the last point scored.
+def _newton(fun: Callable, a: float, b: float, x: float, tol: float):
+    """The root of s on [a, b] reached from x, where fun(x) is (value, s,
+    s') and s falls through [a, b]; as (x, value, s') at the last x where
+    s was finite.
 
-    A safeguarded Newton iteration on the score l' (the rule of Numerical
-    Recipes' rtsafe): each pass scores one theta (``_derivatives``) and
-    moves the bracket end on its downhill side to it, by the sign of l'.
-    The next point is the Newton step -l'/l'' when l'' < 0, the step
-    lands in the bracket and it is at most half the step before last, and
-    the bracket's midpoint otherwise.  A point where l' or l'' is not
-    finite is cut off on its side of x.  It stops when l' = 0 or the next
-    step is at most tol, which is at least 4 eps (|a| + |b|), so any
-    tol >= 0 terminates.
+    A safeguarded Newton iteration (the rule of Numerical Recipes'
+    rtsafe): each pass calls fun at one x and moves the bracket end on
+    its side of the root to it, by the sign of s.  The next point is the
+    Newton step -s/s' when s' < 0, the step lands in the bracket and it is
+    at most half the step before last, and the bracket's midpoint
+    otherwise.  At a root of multiplicity m each Newton step is only
+    1 - 1/m of the last, so when it is rho in (1/2, 1) times the last the
+    pass takes min(3, round(1 / (1 - rho))) times it, under the same
+    safeguard.  A point where s is not finite is cut off on its side of
+    the start; at the start it ends the iteration.  It stops when s = 0
+    or the next step is at most tol, which is at least 4 eps (|a| + |b|),
+    so any tol >= 0 terminates.
     """
     tol = max(tol, 4.0 * _EPS * (abs(a) + abs(b)))
-    start, before, step = x, b - a, b - a
+    start, before, step, last = x, b - a, b - a, math.nan
     while True:
-        ll, score, curvature = _derivatives(data, x)
-        if score == 0.0:
-            return x, ll, curvature
-        finite = math.isfinite(score)          # and so is l'' (``_derivatives``)
+        value, s, slope = fun(x)
+        if s == 0.0:
+            return x, value, slope
+        finite = math.isfinite(s)
         if finite:
-            result = x, ll, curvature
-            a, b = (x, b) if score > 0.0 else (a, x)
+            result = x, value, slope
+            a, b = (x, b) if s > 0.0 else (a, x)
         elif x == start:
-            return x, ll, curvature
+            return x, value, slope
         else:
             a, b = (a, x) if x > start else (x, b)
-        newton = x - score / curvature if finite and curvature < 0.0 else math.nan
+        newton = x - s / slope if finite and slope < 0.0 else math.nan
+        rho, last = (newton - x) / last, newton - x
+        if 0.5 < rho < 1.0:
+            newton = x + min(3, round(1.0 / (1.0 - rho))) * last
         if not (a <= newton <= b and abs(newton - x) <= before / 2):
             newton = 0.5 * (a + b)
         before, step = step, abs(newton - x)
@@ -387,7 +407,7 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     call, which the row engine serves in passes sized by the width of the
     rows the observed displacements read: three over the default 601
     points at k = 48, one at k = 20), then a safeguarded Newton iteration
-    on the score (``_newton_max``) for each run within 1e-6 of the best
+    on the score (``_newton``) for each run within 1e-6 of the best
     value, inside the grid points flanking the run, until the next step
     is at most refine_tolerance (finite, >= 0; 0 means float resolution).
     It starts from ``_seed``: one pass scores three theta around the
@@ -433,7 +453,8 @@ def mle_estimate(data: TrialDataset, theta_range=(0.0, math.pi / 2),
     for run in runs:
         a, b = float(thetas[max(run[0] - 1, 0)]), float(thetas[min(run[-1] + 1, len(thetas) - 1)])
         start = _seed(data, thetas, ll, run[int(np.argmax(ll[run]))], a, b)
-        candidates.append(_newton_max(data, a, b, start, refine_tolerance))
+        candidates.append(_newton(lambda t: _derivatives(data, t), a, b, start,
+                                  refine_tolerance))
     best_theta, best_ll, curvature = _best(candidates)
 
     if best_theta - lo < spacing or hi - best_theta < spacing:
@@ -515,29 +536,23 @@ def _return_root(f: float, k: int) -> float:
     bracket with) only those inside it, so every branch, the stop at a
     zero gap and the root are the plain bisection's.
 
-      - The root is approached by a safeguarded Newton iteration (the rule
-        of ``_newton_max``) from lam = 1/sqrt(1 + (pi k f / 2)^2), where
-        the large-k return probability 2 tan(theta) / (pi k) equals f, or
-        for f > 1/2 from sqrt(1 - f) / (k/2) if smaller, where q ~ 1 -
-        (k/2)^2 lam^2 near lam = 0 equals f: near f = 1 the large-k start
-        lies far right of the root, where Newton only halves the distance.
-        Each pass scores x and takes q'(x) = 2 x Q'(x^2) from the cached
-        coefficients of Q'.  It stops at a zero gap, or when the Newton
-        step or the bracket is at most 4 eps x; the bracket halves at
-        every midpoint step, so it stops.
-      - At a flat inflection, a level q(r) where R_k(r) = 0, q - f has a
-        triple root (the zeros of the Jacobi polynomial R_k are simple),
-        and Newton steps shrink only by 2/3 each.  So when a Newton step
-        is rho in (1/2, 1) times the last one, the pass takes m times it,
-        m = round(1 / (1 - rho)) at most 3, the step that reaches a root
-        of multiplicity m, under the same safeguard.
+      - The root is approached by ``_newton`` on the gap, with q'(x) =
+        2 x Q'(x^2) from the cached coefficients of Q', at tol 0, from lam
+        = 1/sqrt(1 + (pi k f / 2)^2), where the large-k return probability
+        2 tan(theta) / (pi k) equals f, or for f > 1/2 from sqrt(1 - f) /
+        (k/2) if smaller, where q ~ 1 - (k/2)^2 lam^2 near lam = 0 equals
+        f: near f = 1 the large-k start lies far right of the root, where
+        Newton only halves the distance.  At a flat inflection, a level
+        q(r) where R_k(r) = 0, q - f has a triple root (the zeros of the
+        Jacobi polynomial R_k are simple), which the multiplicity step of
+        ``_newton`` reaches in few passes.
       - The certifying points lie h = (|gap| + 2 eps f) / |q'| + 2 eps x
         to each side of the last x, about where the float gap changes
         sign; one that shows the wrong sign moves out 16 times as far, and
         none is scored outside the bracket.
 
     The start and the steps change only how many points are scored: about
-    7 a solve at k = 8 to 1000 (11 to 24, median 13, at the levels of
+    7 a solve at k = 8 to 1000 (4 to 24, median 13, at the levels of
     the 499 flat inflections of q at k = 1000), against up to 47 for a
     bisection that scores every midpoint.
     """
@@ -553,24 +568,14 @@ def _return_root(f: float, k: int) -> float:
             hi = x
         return gap
 
+    def terms(x: float):
+        gap = score(x)
+        return gap, gap, 2.0 * x * _return_value(slope_mu, x)
+
     x = 1.0 / math.hypot(1.0, 0.5 * math.pi * k * f)
     if f > 0.5:
         x = min(x, math.sqrt(1.0 - f) / (0.5 * k))
-    before = step = 1.0
-    last = math.nan
-    while True:
-        gap = score(x)
-        slope = 2.0 * x * _return_value(slope_mu, x)
-        newton = x - gap / slope if slope else math.nan
-        if abs(newton - x) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * x:
-            break
-        rho, last = (newton - x) / last, newton - x
-        if 0.5 < rho < 1.0:
-            newton = x + min(3, round(1.0 / (1.0 - rho))) * last
-        if not (lo < newton < hi and abs(newton - x) <= before / 2):
-            newton = 0.5 * (lo + hi)
-        before, step = step, abs(newton - x)
-        x = newton
+    x, gap, slope = _newton(terms, 0.0, 1.0, x, 0.0)
     h = 2.0 * _EPS * x + ((abs(gap) + 2.0 * _EPS * f) / abs(slope) if slope else 1.0)
     for side in (-1.0, 1.0):
         y = x + side * h

@@ -711,13 +711,15 @@ def test_data_command_prints_its_summary_and_paths(tmp_path, capsys, argv, stdou
 
 # ---------------------------------------------------------------- validate
 
+_VALIDATE_CHECKS = ["analytic pmf vs state-vector oracle (reflected axis)",
+                    "pmf normalization", "Kraus channel vs direct evolution"]
+
+
 def test_validate_passes_at_default_tolerance(capsys):
     assert main(["validate", "--max-k", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines[:3]] == [
-        "PASS  analytic pmf vs state-vector oracle (reflected axis)",
-        "PASS  pmf normalization", "PASS  Kraus channel vs direct evolution"]
-    assert lines[3:] == ["convention sigma: detected -1, module constant -1"]
+    assert [line.split(":")[0] for line in lines] == [
+        f"PASS  {name}" for name in _VALIDATE_CHECKS]
 
 
 def test_validate_fails_at_absurd_tolerance(capsys):
@@ -727,7 +729,19 @@ def test_validate_fails_at_absurd_tolerance(capsys):
 
 def test_validate_trivial_when_disabled(capsys):
     assert main(["validate", "--max-k", "0"]) == 0
-    assert "max-k too small" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS  {name}: worst residual 0.000e+00 (tolerance 1e-09)" for name in _VALIDATE_CHECKS]
+
+
+def test_validate_fails_the_oracle_check_under_a_wrong_axis_convention(monkeypatch, capsys):
+    """The first check reads the simulator at CONVENTION_SIGMA * d, so a
+    wrong constant fails it and the run exits 1."""
+    monkeypatch.setattr(cli_module, "CONVENTION_SIGMA", 1)
+    assert main(["validate", "--max-k", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"FAIL  {_VALIDATE_CHECKS[0]}:")
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        f"PASS  {name}" for name in _VALIDATE_CHECKS[1:]]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -778,6 +792,41 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     except SystemExit as exc:
         want = (int(exc.code or 0),) + tuple(capsys.readouterr())
     assert (main(argv),) + tuple(capsys.readouterr()) == want
+
+
+_FLOAT_FLAGS = [
+    (["pmf", "--k", "4", "--lambda"], "lam"),
+    (["pmf", "--k", "4", "--theta"], "theta"),
+    (["simulate", "--k", "4", "--lambda"], "lam"),
+    (["likelihood", "--data", "ds.json", "--theta-min"], "theta_min"),
+    (["likelihood", "--data", "ds.json", "--theta-max"], "theta_max"),
+    (["estimate", "--generate", "--theta-min"], "theta_min"),
+    (["estimate", "--generate", "--theta-max"], "theta_max"),
+    (["estimate", "--generate", "--theta-star"], "theta_star"),
+    (["level-set", "--f", "0.3", "--k", "8", "--branch-min"], "branch_min"),
+    (["level-set", "--f", "0.3", "--k", "8", "--branch-max"], "branch_max"),
+    (["databox", "--budget", "1", "--allocations", "1:1", "--theta-star"], "theta_star"),
+]
+
+
+@pytest.mark.parametrize("argv, dest", _FLOAT_FLAGS,
+                         ids=[f"{argv[0]} {argv[-1]}" for argv, _ in _FLOAT_FLAGS])
+@pytest.mark.parametrize("value", ["-1e-3", "-1.0000000000000001e-05", "-2E+2", "-.5e1",
+                                   "-0.001", "-3", "-inf", "-NaN"])
+def test_a_negative_float_is_a_flag_value(argv, dest, value):
+    """Every float flag takes a negative value in any form float() reads,
+    exponent notation (what the CLI prints at %.17g) and -inf/-nan included."""
+    got = getattr(_parser(argv[0]).parse_args(argv + [value]), dest)
+    assert got == float(value) or (math.isnan(got) and math.isnan(float(value)))
+
+
+def test_a_negative_exponent_value_reaches_the_command(tmp_path, capsys):
+    """``--lambda -1e-3`` runs the table; ``--lambda -inf`` reaches the
+    package's own check of lambda, not argparse's."""
+    assert main(["pmf", "--k", "4", "--lambda", "-1e-3", "--outdir", str(tmp_path)]) == 0
+    assert "lambda=-0.001" in capsys.readouterr().out
+    assert main(["pmf", "--k", "4", "--lambda", "-inf", "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: lam must be finite with |lam| <= 1, got -inf\n"
 
 
 def test_every_option_has_help():

@@ -495,7 +495,7 @@ def test_positions_fits_take_two_derivative_passes_on_average(monkeypatch, k):
     1.3], a default fit makes at most 2.1 order-2 passes on average (2.00
     at both k measured; 3.00 and 3.25 when Newton started at the best grid
     point).  Each estimate lies within the refine tolerance of that
-    earlier route: ``_newton_max`` from the best grid point, inside its
+    earlier route: ``_newton`` from the best grid point, inside its
     neighbours."""
     passes = []
     for seed in range(20):
@@ -507,8 +507,9 @@ def test_positions_fits_take_two_derivative_passes_on_average(monkeypatch, k):
         passes.append(sum(order == 2 for _, order in calls))
         thetas, ll = estimation._scan(data, (0.0, math.pi / 2), 601)
         i = int(np.argmax(ll))
-        start = estimation._newton_max(data, float(thetas[i - 1]), float(thetas[i + 1]),
-                                       float(thetas[i]), 1e-9)
+        start = estimation._newton(lambda t: estimation._derivatives(data, t),
+                                   float(thetas[i - 1]), float(thetas[i + 1]),
+                                   float(thetas[i]), 1e-9)
         assert abs(result.theta_hat - start[0]) <= 1e-9, seed
     assert np.mean(passes) <= 2.1
 
@@ -532,31 +533,30 @@ def _nan_above_half(theta):
     return -(theta - 0.7) ** 2, -2.0 * (theta - 0.7), -2.0
 
 
-def _newton_trace(monkeypatch, derivatives, x, tol):
-    """``_newton_max`` on [0, 1] from x over a stand-in ``_derivatives``:
-    its result and every theta it scored."""
+def _newton_trace(fun, x, tol):
+    """``_newton`` on [0, 1] from x over the stand-in ``fun``: its result
+    and every point it called ``fun`` at."""
     scored = []
 
-    def traced(data, theta):
+    def traced(theta):
         scored.append(theta)
         if len(scored) > 200:
             raise RuntimeError("refine did not terminate")
-        return derivatives(theta)
+        return fun(theta)
 
-    monkeypatch.setattr(estimation, "_derivatives", traced)
-    return estimation._newton_max(None, 0.0, 1.0, x, tol), scored
+    return estimation._newton(traced, 0.0, 1.0, x, tol), scored
 
 
 @pytest.mark.parametrize("tol", [1e-9, 0.0])
-def test_newton_max_bisects_when_newton_steps_shrink_too_slowly(monkeypatch, tol):
+def test_newton_leaves_plain_newton_steps_at_a_multiple_root(tol):
     """At a root of multiplicity 5 of the score each Newton step is 4/5 of
-    the last, not half the one before it, so the guard bisects instead.
-    The rule stops once the next step is at most tol (floored at
-    4 eps (|a| + |b|)): a Newton step from theta moves 1/5 of its distance
-    to the root, and a bisection step is half a bracket with theta at one
-    end, so the estimate lies within 5 tol of the root, not within tol.
-    (At 1e-9 it ends 3.97e-9 away after 54 passes.)"""
-    (theta, _, curvature), scored = _newton_trace(monkeypatch, _sextic, 0.9, tol)
+    the last, so the iteration takes the multiplicity step (3 times the
+    Newton step) instead of the plain one.  The rule stops once the next
+    step is at most tol (floored at 4 eps (|a| + |b|)): a Newton step from
+    theta moves 1/5 of its distance to the root, so the estimate lies
+    within 5 tol of the root, not within tol.  (At 1e-9 it ends 2.32e-9
+    away after 35 passes.)"""
+    (theta, _, curvature), scored = _newton_trace(_sextic, 0.9, tol)
     bound = 5 * max(tol, 4.0 * np.finfo(float).eps)
     assert abs(theta - 0.3) <= bound
     assert theta == scored[-1] and curvature == _sextic(theta)[2]
@@ -565,21 +565,29 @@ def test_newton_max_bisects_when_newton_steps_shrink_too_slowly(monkeypatch, tol
     assert any(abs(t - n) > 1e-12 for t, n in zip(scored[1:], newton))
 
 
-def test_newton_max_bisects_from_a_convex_start(monkeypatch):
+def test_newton_reaches_a_multiple_root_in_few_passes():
+    """The multiplicity step at a root of multiplicity 5: from 0.9 at tol
+    1e-9 the iteration ends within 5e-9 of the root in at most 40 passes
+    (35; plain Newton steps under the safeguard took 54)."""
+    (theta, _, _), scored = _newton_trace(_sextic, 0.9, 1e-9)
+    assert abs(theta - 0.3) <= 5e-9 and len(scored) <= 40
+
+
+def test_newton_bisects_from_a_convex_start():
     """Where l'' > 0 the Newton step points away from the maximum, so the
     first move is the bracket's midpoint; the iteration still ends at 1/2."""
-    (theta, _, _), scored = _newton_trace(monkeypatch, _cosine, 0.1, 1e-9)
+    (theta, _, _), scored = _newton_trace(_cosine, 0.1, 1e-9)
     assert _cosine(0.1)[2] > 0 and scored[1] == 0.55
     assert all(0.0 <= t <= 1.0 for t in scored)
     assert abs(theta - 0.5) <= 1e-9
 
 
 @pytest.mark.parametrize("start", [0.2, 0.9])
-def test_newton_max_cuts_off_non_finite_scores(monkeypatch, start):
+def test_newton_cuts_off_non_finite_scores(start):
     """A non-finite score cuts the bracket at that point, on its side of the
     start, and the estimate is the last finite point: here the edge 1/2 of
     the finite region.  A non-finite score at the start ends at once."""
-    (theta, ll, curvature), scored = _newton_trace(monkeypatch, _nan_above_half, start, 1e-9)
+    (theta, ll, curvature), scored = _newton_trace(_nan_above_half, start, 1e-9)
     assert all(0.0 <= t <= 1.0 for t in scored)
     if start > 0.5:
         assert scored == [start] and theta == start
@@ -587,6 +595,23 @@ def test_newton_max_cuts_off_non_finite_scores(monkeypatch, start):
     else:
         assert any(t > 0.5 for t in scored)
         assert 0.5 - 1e-8 <= theta <= 0.5 and (ll, curvature) == _nan_above_half(theta)[::2]
+
+
+def test_returns_and_positions_estimates_run_the_one_newton(monkeypatch):
+    """Both estimates end in ``_newton``: a returns estimate once, in its
+    level-set solve, and a positions estimate with one near-optimal run
+    once, in its refine."""
+    newton, calls = estimation._newton, []
+
+    def counting(*args):
+        calls.append(args)
+        return newton(*args)
+
+    monkeypatch.setattr(estimation, "_newton", counting)
+    mle_estimate(TrialDataset.from_returns(24, 314, 10_000))
+    assert len(calls) == 1
+    mle_estimate(TrialDataset.from_positions(20, [-6, -2, 0, 0, 4, 10, 12]))
+    assert len(calls) == 2
 
 
 def test_derivatives_are_nan_where_an_observed_probability_is_zero():
