@@ -41,7 +41,8 @@ def _integer(value, name: str, minimum: int | None = None) -> int:
 
 def _step_count(k, minimum: int = 1) -> int:
     """``k`` as an int step count in [minimum, sys.maxsize], the most steps
-    ``islice`` can count; anything else raises ValueError."""
+    ``islice`` can count; anything else raises ValueError.  Every step count
+    the package takes passes this one gate."""
     k = _integer(k, "step count k", minimum)
     if k > sys.maxsize:
         raise ValueError(f"step count k must be at most sys.maxsize = {sys.maxsize}, "

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chebyshev import _finite, _integer
+from .chebyshev import _finite, _integer, _step_count
 from .estimation import (
     TrialDataset,
     dataset_from_json,
@@ -36,7 +36,6 @@ from .pmf import (
     CONVENTION_SIGMA,
     format_float,
     pmf_full,
-    iter_pmf_full,
     _csv_text,
     _grid,
     _mirror_text,
@@ -147,7 +146,7 @@ def cmd_pmf(args) -> int:
 
 def cmd_simulate(args) -> int:
     coin = _coin_from_args(args)
-    k = _integer(args.k, "step count k", 1)         # r = d/k needs k >= 1, as pmf does
+    k = _step_count(args.k)     # r = d/k needs k >= 1, as pmf does
     start = WalkState.localized(args.start)
     table = position_pmf(evolve(start, coin, k)).table
     _report(args, _pmf_columns(k, table, coin.lam),
@@ -310,8 +309,8 @@ def _validation_checks(max_k: int):
     for lam in lams:
         coin = CoinParameter.from_lambda(lam)
         state = WalkState.origin()
-        pmfs = iter_pmf_full(lam, max_k, exact=True) if max_k else ()
-        for analytic in pmfs:
+        for k in range(1, max_k + 1):
+            analytic = pmf_full(k, lam)
             state = evolve(state, coin, 1)
             sim = position_pmf(state)
             for d, p in analytic.table.items():
@@ -320,8 +319,8 @@ def _validation_checks(max_k: int):
 
     worst = 0.0
     for lam in lams:
-        for pmf in (iter_pmf_full(lam, max_k, exact=False) if max_k else ()):
-            worst = max(worst, abs(pmf.total() - 1.0))
+        for k in range(1, max_k + 1):
+            worst = max(worst, abs(pmf_full(k, lam, exact=False).total() - 1.0))
     yield "pmf normalization", worst
 
     worst = 0.0

@@ -153,26 +153,30 @@ def _weight(value) -> float:
 def log_likelihood(data: TrialDataset, theta: float) -> float:
     """Total log-likelihood of the dataset at coin angle theta.
 
-    Returns -inf when any observed displacement has zero probability
-    under theta.  Parity-invalid data cannot occur here; TrialDataset
+    Returns -inf when any observed displacement with a nonzero count has
+    zero probability under theta; a zero count adds nothing, whatever its
+    probability.  Parity-invalid data cannot occur here; TrialDataset
     rejects it at construction.
     """
     return float(_log_likelihoods(data, np.cos([theta]))[0])
 
 
 def _outcomes(data: TrialDataset, lams, order: int = 0):
-    """The weight of each observed outcome and its probability at every
-    lam in ``lams`` (rows by outcome columns): position data from one
-    float pmf grid of the observed columns (``pmf._grid``), return counts
-    from the exact return probability of each lam (``pmf._return_grid``,
-    Horner on the cached polynomial of k) and its complement.  ``order``
-    1 or 2 stacks the lam-derivatives of the probabilities in front."""
+    """The nonzero count of each observed outcome and its probability at
+    every lam in ``lams`` (rows by outcome columns): position data from
+    one float pmf grid of the displacements with a nonzero count in the
+    tally (``pmf._grid``), return counts from the exact return
+    probability of each lam (``pmf._return_grid``, Horner on the cached
+    polynomial of k) and its complement.  An outcome counted zero times
+    has no column, so it adds nothing to the likelihood or its
+    derivatives, even where it cannot occur.  ``order`` 1 or 2 stacks the
+    lam-derivatives of the probabilities in front."""
     if data.kind == "returns":
         q = _return_grid(data.k, lams, order)
         miss = np.concatenate([1.0 - q[:1], -q[1:]]) if order else 1.0 - q
         terms = [(c, p) for c, p in ((data.n0, q), (data.n - data.n0, miss)) if c]
         return [c for c, _ in terms], np.stack([p for _, p in terms], axis=-1)
-    counts = data.counts()
+    counts = {d: w for d, w in data.tally if w}
     return list(counts.values()), _grid(data.k, lams, list(counts), order)
 
 
@@ -183,8 +187,10 @@ def _log_likelihoods(data: TrialDataset, lams) -> np.ndarray:
 
 def _log_sum(weights, p: np.ndarray) -> np.ndarray:
     """sum_j weights[j] * log(p[:, j]) per row, added in column order;
-    -inf on a row with any p <= 0, whatever its weight.  The logs overwrite
-    p, so p must be a grid that no caller reads again."""
+    -inf on a row with any p <= 0.  Every weight is a nonzero count
+    (``_outcomes``), so a -inf row is one where an outcome that was seen
+    cannot occur.  The logs overwrite p, so p must be a grid that no
+    caller reads again."""
     positive = p > 0.0
     logs = np.log(p, out=p, where=positive)
     total = np.zeros(len(p))

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import is_
-from typing import Iterator
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "Pmf",
     "pmf_point",
     "pmf_full",
-    "iter_pmf_full",
     "pmf_to_csv",
     "pmf_from_csv",
     "pmf_to_json",
@@ -399,6 +397,18 @@ def _horner(c: tuple[int, ...], u: int, shift: int, bits: int) -> int:
     return acc
 
 
+def _exact_value(c: tuple[int, ...], u: int, shift: int) -> float:
+    """The polynomial with the n integer coefficients ``c`` at mu = u /
+    2^shift, its exact value V correctly rounded: Horner's rule on the
+    integer V 2^(shift (n - 1)), acc <- acc u + c_i 2^(shift (n - 1 - i))
+    from i = n - 1 down, which loses nothing, then one int division, which
+    CPython rounds correctly."""
+    acc = 0
+    for j, c_i in enumerate(reversed(c)):
+        acc = acc * u + (c_i << shift * j)
+    return acc / (1 << shift * (len(c) - 1))
+
+
 def _return_value(c: tuple[int, ...], lam: float) -> float:
     """The polynomial with the n integer coefficients ``c`` in mu = lam^2 at
     the float lam = a/2^e, its exact value V correctly rounded.
@@ -410,9 +420,9 @@ def _return_value(c: tuple[int, ...], lam: float) -> float:
     that float is V's.  P starts at ``_RETURN_BITS`` past the bits of n; a
     small V leaves acc fewer significant bits than P, so a bracket that
     rounds two ways is run once more with the missing bits added.  One
-    that still does, a value that close to a rounding boundary, runs at P
-    = 2e (n - 1), where no floor loses anything and the bracket is V
-    itself; so do lam = 0 and +-1, where e = 0.
+    that still does, a value that close to a rounding boundary, is rounded
+    from V itself (``_exact_value``); so is any value whose P would reach
+    2e (n - 1), the bits V needs, as at lam = 0 and +-1, where e = 0.
     """
     a, b = lam.as_integer_ratio()
     u, shift = a * a, 2 * b.bit_length() - 2        # b = 2^e, b^2 = 1 << shift
@@ -429,7 +439,7 @@ def _return_value(c: tuple[int, ...], lam: float) -> float:
         if missing <= 0:
             break
         bits += missing
-    return _horner(c, u, shift, exact) / (1 << exact)
+    return _exact_value(c, u, shift)
 
 
 def _return_grid(k: int, lams, order: int = 0) -> np.ndarray:
@@ -480,28 +490,6 @@ def pmf_point(k: int, d: int, lam):
     return p
 
 
-def _table(k: int, lam, a, b, rows, bits: int) -> Pmf:
-    ds = range(-k, k + 1, 2)
-    return Pmf(k, dict(zip(ds, _probabilities(k, a, b, rows, ds, bits=bits).tolist())),
-               lam=float(lam))
-
-
-def iter_pmf_full(lam, k_max: int, exact: bool = True) -> Iterator[Pmf]:
-    """Yield the full pmf for k = 1, 2, ..., k_max.
-
-    Shares one pass over the Y rows, but each k builds a table, which costs
-    most: ``pmf_full`` of a few k is cheaper.  ``exact=True`` gives every
-    entry as its exact rational correctly rounded, as ``pmf_full`` does,
-    with the fixed-point rows sized for ``k_max``; ``exact=False`` uses
-    float64 rows, adequate to ~1e-12 and much faster for plot-scale sweeps.
-    """
-    k_max = _validate_k_lam(k_max, lam)
-    a, b = _ratio(lam, exact)
-    bits = _fixed_bits(k_max, b)
-    for k, rows in enumerate(islice(_iter_y_rows(a, b, bits=bits), k_max), start=1):
-        yield _table(k, lam, a, b, rows, bits)
-
-
 def pmf_full(k: int, lam, exact: bool = True) -> Pmf:
     """Full displacement table after ``k`` steps; normalized by construction.
 
@@ -512,7 +500,9 @@ def pmf_full(k: int, lam, exact: bool = True) -> Pmf:
     k = _validate_k_lam(k, lam)
     a, b = _ratio(lam, exact)
     bits = _fixed_bits(k, b)
-    return _table(k, lam, a, b, _rows_for(k, a, b, bits=bits), bits)
+    ds = range(-k, k + 1, 2)
+    p = _probabilities(k, a, b, _rows_for(k, a, b, bits=bits), ds, bits=bits)
+    return Pmf(k, dict(zip(ds, p.tolist())), lam=float(lam))
 
 
 _DECIMAL = "%.17g"                   # a number's decimal text; 17 digits round-trip float64

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .chebyshev import _finite, _integer, _unit_interval, _unit_total
+from .chebyshev import _finite, _integer, _step_count, _unit_interval, _unit_total
 from .estimation import TrialDataset, mle_estimate
 from .pmf import Pmf, pmf_full
 
@@ -84,7 +84,7 @@ def diffusion_experiment(theta: float, k_list, mode: str) -> list[tuple[int, flo
     mode).  No sampling is involved in either mode.
     """
     _finite(theta, "theta")
-    ks = [_integer(k, "step count k", 1) for k in k_list]
+    ks = [_step_count(k) for k in k_list]
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("k_list must be non-empty and strictly increasing")
     if mode == "classical":
@@ -107,7 +107,7 @@ def data_box_experiment(theta_star: float, budget: int, allocations,
     """
     _finite(theta_star, "theta_star")
     budget = _integer(budget, "budget")
-    allocs = tuple((_integer(k, "step count k", 1), _integer(n, "n", 1)) for k, n in allocations)
+    allocs = tuple((_step_count(k), _integer(n, "n", 1)) for k, n in allocations)
     if not allocs:
         raise ValueError("no allocations given")
     for k, n in allocs:

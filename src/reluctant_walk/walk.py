@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import _chebyshev_u_pair, _finite, _integer, _unit_lam, _unit_total
+from .chebyshev import _chebyshev_u_pair, _finite, _integer, _step_count, _unit_lam, _unit_total
 from .pmf import Pmf
 
 __all__ = [
@@ -70,10 +70,10 @@ class WalkState:
 
     ``amps`` has shape (2, width): row 0 holds the coin-0 amplitude at
     positions lo, lo+1, ..., row 1 the coin-1 amplitude.  ``k`` counts the
-    steps applied so far.  ``k`` (>= 0) and ``lo`` are ints; a float or a
-    bool raises ValueError, as does a window that leaves int64
-    (``_sites``).  Instances are immutable; ``evolve`` returns a new state
-    one site wider on each side per step.
+    steps applied so far.  ``k`` (a step count >= 0, ``_step_count``) and
+    ``lo`` are ints; a float or a bool raises ValueError, as does a window
+    that leaves int64 (``_sites``).  Instances are immutable; ``evolve``
+    returns a new state one site wider on each side per step.
     """
 
     k: int
@@ -81,7 +81,7 @@ class WalkState:
     amps: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _integer(self.k, "step count k", 0))
+        object.__setattr__(self, "k", _step_count(self.k, 0))
         object.__setattr__(self, "lo", _integer(self.lo, "site lo"))
         a = np.array(self.amps, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != 2 or a.shape[1] < 1:
@@ -158,7 +158,7 @@ def evolve(state: WalkState, p: CoinParameter, steps: int) -> WalkState:
     coin 0 vacates are set to zero.  The sites a one-site start never
     reaches (every other site) hold +0.0.
     """
-    _integer(steps, "step count k", 0)
+    _step_count(steps, 0)
     _sites(state.lo, state.width, steps)
     if steps == 0:
         return state
@@ -213,7 +213,7 @@ def kraus_kernels(phi, p: CoinParameter, k: int):
     of M^k, M the one-step kernel at momentum phi, for a coin-0 input;
     |A_k|^2 + |B_k|^2 = 1 pointwise.  ``phi`` may be a scalar or an array.
     """
-    _integer(k, "step count k", 1)
+    _step_count(k)
     phi = np.asarray(phi, dtype=float)
     xi = p.lam * np.cos(phi)
     u1, u2 = _chebyshev_u_pair(k - 1, xi)
@@ -244,7 +244,7 @@ def channel_position_pmf(initial: WalkState, p: CoinParameter, steps: int) -> Pm
     ``position_pmf(evolve(...))`` on the same position axis; only the
     analytic forms in ``pmf`` are axis-reflected.
     """
-    _integer(steps, "step count k", 1)
+    _step_count(steps)
     _sites(initial.lo, initial.width, steps)
     if np.max(np.abs(initial.amps[1])) > 1e-12:
         raise ValueError("channel form requires the coin register in state |0>")

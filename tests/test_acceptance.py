@@ -15,7 +15,7 @@ import pytest
 
 from reluctant_walk.cli import FIG2_KS, _fig1_columns, _fig2_columns, main
 from reluctant_walk.estimation import TrialDataset, level_set_solve, mle_estimate
-from reluctant_walk.pmf import iter_pmf_full, pmf_full, pmf_point
+from reluctant_walk.pmf import pmf_full, pmf_point
 from reluctant_walk.sampling import diffusion_experiment, sample_positions
 from reluctant_walk.walk import (
     CoinParameter,
@@ -47,7 +47,8 @@ def test_closed_form_matches_state_vector_sweep():
         lam = float(round(lam, 2))
         coin = CoinParameter.from_lambda(lam)
         state = WalkState.origin()
-        for analytic in iter_pmf_full(lam, 50, exact=True):
+        for k in range(1, 51):
+            analytic = pmf_full(k, lam)
             state = evolve(state, coin, 1)
             sim = position_pmf(state)
             for d, p in analytic.table.items():
@@ -62,9 +63,9 @@ def test_normalization_and_parity_to_k200():
     """Total mass 1 within 1e-10 and exact zeros off the parity lattice."""
     worst = 0.0
     for lam in (-0.95, -0.6, 0.0, 0.31, 0.6, 0.95):
-        for pmf in iter_pmf_full(lam, 200, exact=False):
+        for k in range(1, 201):
+            pmf = pmf_full(k, lam, exact=False)
             worst = max(worst, abs(pmf.total() - 1.0))
-            k = pmf.k
             for d in (k - 1, 1 - k, 0 if k % 2 else 1):
                 assert pmf.probability(d) == 0.0
             assert pmf.probability(k + 2) == 0.0

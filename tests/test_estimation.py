@@ -185,13 +185,33 @@ def test_log_likelihood_zero_probability_is_minus_inf():
 
 
 def test_zero_weight_at_zero_probability_stays_minus_inf():
-    # theta=0 puts all mass on d=-4: the weight-1 d=0 and the weight-0 d=4
-    # both have p = 0, and 0 * log 0 must not turn the -inf into NaN
+    # theta=0 puts all mass on d=-4: the weight-1 d=0 has p = 0, so the
+    # row is -inf; the weight-0 d=4, at p = 0 too, must not turn it into NaN
     ds = TrialDataset.from_positions(4, [0, 4], weights=[1.0, 0.0])
     assert log_likelihood(ds, 0.0) == -math.inf
     curve = likelihood_curve(ds)
     assert curve.loglik[0] == -math.inf
     assert not np.isnan(curve.loglik).any()
+
+
+@pytest.mark.parametrize("kept, zeros", [
+    ((4, [-4], None), ([4], [0])),              # d = 4 cannot occur at theta = 0
+    ((6, [-2, 0, 2], [3, 4, 2]), ([6, -6], [0, 0])),
+    ((20, [-6, -2, 0, 0, 4, 10, 12], None), ([20, -20, 2], [0, 0, 0]))])
+def test_a_zero_count_adds_nothing_to_the_likelihood(kept, zeros):
+    """A displacement of weight 0 stays in the tally but adds nothing to
+    the likelihood, its derivatives or the estimate, also where the walk
+    cannot reach it: the dataset with it scores as the one without it."""
+    k, positions, weights = kept
+    without = TrialDataset.from_positions(k, positions, weights)
+    with_zeros = TrialDataset.from_positions(
+        k, positions + zeros[0], (weights or [1] * len(positions)) + zeros[1])
+    assert len(with_zeros.tally) == len(without.tally) + len(set(zeros[0]) - set(positions))
+    assert log_likelihood(with_zeros, 0.0) == log_likelihood(without, 0.0)
+    assert mle_estimate(with_zeros) == mle_estimate(without)
+    got, want = likelihood_curve(with_zeros), likelihood_curve(without)
+    assert got.loglik.tobytes() == want.loglik.tobytes()
+    assert (got.argmax_theta, got.curvature) == (want.argmax_theta, want.curvature)
 
 
 def test_log_likelihood_weighted_matches_manual_sum():

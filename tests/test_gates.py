@@ -18,7 +18,7 @@ from reluctant_walk.cli import _generate_dataset, _parser, cmd_simulate, cmd_val
 from reluctant_walk.estimation import (TrialDataset, level_set_solve, likelihood_curve,
                                        mle_estimate)
 from reluctant_walk import estimation as estimation_module, pmf as pmf_module
-from reluctant_walk.pmf import Pmf, _grid, _return_grid, iter_pmf_full, pmf_full, pmf_point
+from reluctant_walk.pmf import Pmf, _grid, _return_grid, pmf_full, pmf_point
 from reluctant_walk.sampling import (data_box_experiment, diffusion_experiment, sample_positions,
                                      sample_return_trials, trial_generator)
 from reluctant_walk.walk import (CoinParameter, WalkState, channel_position_pmf, evolve,
@@ -104,12 +104,41 @@ def test_a_step_count_past_sys_maxsize_is_rejected_by_name(k):
     it.  ``_return_grid`` is left out, as past a missing gate it would build
     a list of k / 2 coefficients before any check."""
     want = f"step count k must be at most sys.maxsize = {sys.maxsize}, got {_shown(k)}"
-    calls = [lambda: pmf_full(k, 0.5), lambda: pmf_point(k, 0, 0.5),
-             lambda: list(iter_pmf_full(0.5, k)), lambda: _grid(k, [0.5], [0]),
+    calls = [lambda: pmf_full(k, 0.5), lambda: pmf_point(k, 0, 0.5), lambda: _grid(k, [0.5], [0]),
              lambda: _generate_dataset(argparse.Namespace(
                  theta_star=0.5, k=k, n=1, method="positions", seed=0))]
     with mock.patch.object(pmf_module, "_iter_y_rows", side_effect=AssertionError("rows built")):
         assert [_error(call) for call in calls] == [want] * len(calls)
+
+
+def _simulate_args(k):
+    args = _parser(None).parse_args(["simulate", "--k", "1", "--theta", "0.9"])
+    args.k = k
+    return args
+
+
+# the walk and sampling sites of a step count, each called with k
+_WALK_SITES = {
+    "WalkState": lambda k: WalkState(k, 0, [[1.0], [0.0]]),
+    "evolve": lambda k: evolve(WalkState.origin(), CoinParameter(0.9), k),
+    "kraus_kernels": lambda k: kraus_kernels(0.3, CoinParameter(0.9), k),
+    "channel_position_pmf": lambda k: channel_position_pmf(WalkState.origin(),
+                                                           CoinParameter(0.9), k),
+    "cmd_simulate": lambda k: cmd_simulate(_simulate_args(k)),
+    "diffusion_experiment": lambda k: diffusion_experiment(0.5, [k], "classical"),
+    "data_box_experiment": lambda k: data_box_experiment(0.5, k, [(k, 1)], seed=0),
+}
+
+
+@pytest.mark.parametrize("site", list(_WALK_SITES))
+def test_a_step_count_past_sys_maxsize_is_rejected_at_every_walk_site(site):
+    """The walk, its channel, ``simulate`` and the two experiments take the
+    pmf's step-count rule (``_step_count``): sys.maxsize + 1 is rejected by
+    the sys.maxsize message, not accepted, not rejected as walk sites
+    that leave int64, and not run as a loop of about 9.2e18 steps."""
+    k = sys.maxsize + 1
+    want = f"step count k must be at most sys.maxsize = {sys.maxsize}, got {_shown(k)}"
+    assert _error(lambda: _WALK_SITES[site](k)) == want
 
 
 @pytest.mark.parametrize("k", [sys.maxsize + 1, 2**64, 10**5000],
@@ -226,8 +255,7 @@ def test_every_step_count_site_applies_the_integer_gate(k):
             ["simulate", "--k", "1", "--theta", "0.9", "--outdir", outdir])
         simulate.k = k
         _check_count_sites(k, "step count k", {
-            1: [lambda: pmf_full(k, 0.5), lambda: pmf_point(k, 0, 0.5),
-                lambda: list(iter_pmf_full(0.5, k)), lambda: _grid(k, [0.5], [0]),
+            1: [lambda: pmf_full(k, 0.5), lambda: pmf_point(k, 0, 0.5), lambda: _grid(k, [0.5], [0]),
                 lambda: _return_grid(k, [0.5]), lambda: TrialDataset.from_positions(k, ()),
                 lambda: diffusion_experiment(0.5, [k], "quantum"),
                 lambda: kraus_kernels(0.3, coin, k),

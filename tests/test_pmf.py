@@ -22,7 +22,6 @@ from reluctant_walk.pmf import (
     Pmf,
     pmf_point,
     pmf_full,
-    iter_pmf_full,
     pmf_to_csv,
     pmf_from_csv,
     pmf_to_json,
@@ -428,22 +427,22 @@ def test_return_grid_is_the_exact_horner_bit_for_bit(k, lams):
 
 def test_return_value_falls_back_to_the_exact_pass(monkeypatch):
     """With no fixed-point bits past the error bound no bracket decides, so
-    every value at lam != 0, +-1 runs the exact pass (P = 2e (n - 1)), and
-    the values stay the same bit for bit."""
+    every value at lam != 0, +-1 runs the exact pass (``_exact_value``),
+    and the values stay the same bit for bit."""
     lams = [0.3, -0.77, 0.5, 2.0**-60, 5e-324, 1.0 - 2.0**-53, 0.999]
     want = {k: _return_grid(k, lams, order=2) for k in (2, 8, 24, 100)}
-    passes, fixed_point = [], pmf_module._horner
+    passes, exact_value = [], pmf_module._exact_value
 
-    def horner(c, u, shift, bits):
-        passes.append(bits == shift * (len(c) - 1))
-        return fixed_point(c, u, shift, bits)
+    def counted(c, u, shift):
+        passes.append(shift)
+        return exact_value(c, u, shift)
 
     monkeypatch.setattr(pmf_module, "_RETURN_BITS", 0)
-    monkeypatch.setattr(pmf_module, "_horner", horner)
+    monkeypatch.setattr(pmf_module, "_exact_value", counted)
     for k, grid in want.items():
         passes.clear()
         assert _return_grid(k, lams, order=2).tobytes() == grid.tobytes(), k
-        assert passes.count(True) == 3 * len(lams), k
+        assert len(passes) == 3 * len(lams), k
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 12])
@@ -560,7 +559,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         pmf_full(3, -1.2)
     with pytest.raises(ValueError):
-        list(iter_pmf_full(0.5, 0))
+        pmf_full(0, 0.5)
 
 
 @pytest.mark.parametrize("d", [1.5, 2.0, True, False, np.float64(0.0), "0"])
@@ -580,7 +579,7 @@ def test_nan_lam_and_bool_k_rejected():
     with pytest.raises(ValueError):
         pmf_full(4, math.nan, exact=False)
     with pytest.raises(ValueError):
-        list(iter_pmf_full(math.nan, 3))
+        pmf_full(3, math.nan)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.35, 0.6, 0.8, 0.95, -0.6])
@@ -727,14 +726,11 @@ _EDGE_LAMS = [1.0, -1.0, 0.0, -0.0, 5e-324, 2.0**-60, 1e-5, 0.001, 0.5, 1 - 2.0*
 @example(k=30, lam=0.5, picks=[13, 17])                 # the ties p(-4), p(4)
 @example(k=2, lam=-1.0, picks=[0, 1, 2])
 def test_fixed_point_tables_are_the_integer_rows_bit_for_bit(k, lam, picks):
-    """pmf_full, pmf_point on a float lam and iter_pmf_full(exact=True)
-    each give float() of the integer rows' exact rationals: pmf_point at
-    d = -k + 2 (i mod (k + 1)) for each i in ``picks``, iter_pmf_full at
-    k and k // 2."""
+    """pmf_full and pmf_point on a float lam each give float() of the
+    integer rows' exact rationals: pmf_full at k and k // 2, pmf_point at
+    d = -k + 2 (i mod (k + 1)) for each i in ``picks``."""
     want = _integer_rows_tables(lam, {max(k // 2, 1), k})
-    assert list(pmf_full(k, lam).table.values()) == want[k]
-    assert {pmf.k: list(pmf.table.values())
-            for pmf in iter_pmf_full(lam, k) if pmf.k in want} == want
+    assert {j: list(pmf_full(j, lam).table.values()) for j in want} == want
     for i in picks:
         assert pmf_point(k, -k + 2 * (i % (k + 1)), lam) == want[k][i % (k + 1)]
 
@@ -761,11 +757,12 @@ def test_fixed_point_tables_at_k_1000(lam):
 def test_a_tiny_fixed_point_falls_back_and_keeps_every_bit(k, lam):
     """With P cut to a few bits past the error bound the bracket decides
     hardly any entry, and the fallback keeps every table bit-identical."""
-    want = _integer_rows_tables(lam, {k})[k]
+    tables = _integer_rows_tables(lam, {max(k // 2, 1), k})
+    want = tables[k]
     with mock.patch.object(pmf_module, "_FIXED_BITS", 2), _spy_fallback() as fallback:
         table = list(pmf_full(k, lam).table.values())
         first = fallback.call_args_list[:1]
-        assert [list(pmf.table.values()) for pmf in iter_pmf_full(lam, k)][-1] == want
+        assert {j: list(pmf_full(j, lam).table.values()) for j in tables} == tables
         assert [pmf_point(k, d, lam) for d in (-k, k - 2, k)] == [want[0], want[-2], want[-1]]
     assert table == want
     assert k == 1 or len(first[0].args[3]) > (k + 1) // 2
@@ -841,13 +838,6 @@ def test_moment_helpers():
     assert pmf.variance() == pytest.approx(1 - (1 - 2 * 0.25) ** 2)
     assert pmf.std() == pytest.approx(math.sqrt(pmf.variance()))
     assert pmf.support == [-1, 1]
-
-
-def test_iter_matches_single_calls():
-    singles = [pmf_full(k, 0.41) for k in range(1, 9)]
-    for got, want in zip(iter_pmf_full(0.41, 8), singles):
-        assert got.k == want.k
-        assert got.table == want.table
 
 
 def test_float_rows_track_exact_rows():
